@@ -27,7 +27,6 @@ from .generators import (
 )
 from .ingest import (
     DictionarySpec,
-    ObservablePair,
     SnapshotSeries,
     delay_embed,
     evaluate_dictionary,
@@ -37,7 +36,6 @@ from .ingest import (
 from .oracle import (
     QuadratureMoments,
     VarMoments,
-    quadrature_moments,
     run_oracle_checks,
     s_matrix_bruteforce,
     var_p_exact,
@@ -93,7 +91,6 @@ __all__ = [
     "SpecguardError",
     # ingest
     "DictionarySpec",
-    "ObservablePair",
     "SnapshotSeries",
     "delay_embed",
     "evaluate_dictionary",
@@ -159,7 +156,6 @@ __all__ = [
     "VarMoments",
     "var_p_power",
     "QuadratureMoments",
-    "quadrature_moments",
     "s_matrix_bruteforce",
     "run_oracle_checks",
 ]

@@ -1,7 +1,8 @@
 """Command-line front end: generate | edmd | sweep | test | cluster | oracle-check.
 
-Every artifact embeds a manifest with the tool version, the exact command
-line, the RNG algorithm and seed (when randomness was used), the resolved
+Every artifact embeds a manifest with the tool version, the command
+(``specguard`` followed by the arguments ``main`` parsed, whatever the entry
+point), the RNG algorithm and seed (when randomness was used), the resolved
 covariance kernel, and a SHA-256 digest of the input file.  All JSON is
 emitted with sorted keys so identical commands produce bit-identical
 output; only ``generate`` manifests carry a wall-clock timestamp.
@@ -41,7 +42,7 @@ from .ingest import (
     write_snapshots,
 )
 from .oracle import run_oracle_checks
-from .pseudospec import GridSpec, PowerIterSettings, p_hat, sweep
+from .pseudospec import GridSpec, PowerIterSettings, SweepResult, p_hat, sweep
 from .stats import cluster_eigenvalues, eig_test, spectrum_test
 from .variance import KernelSpec, default_mu_list, estimate_tau, window_length
 
@@ -64,6 +65,7 @@ def _sha256(path: str) -> str:
 
 def _manifest(
     kind: str,
+    args: argparse.Namespace,
     seed: int | None = None,
     kernel: KernelSpec | None = None,
     input_path: str | None = None,
@@ -74,7 +76,7 @@ def _manifest(
     man = {
         "schema": f"specguard/v1/{kind}",
         "tool_version": __version__,
-        "command": " ".join(sys.argv),
+        "command": " ".join(["specguard", *args.argv]),
         "rng": {
             "algorithm": RNG_ALGORITHM if seed is not None else None,
             "seed": seed,
@@ -108,38 +110,19 @@ def _parse_complex(text: str) -> complex:
 
 
 def _load_series(args: argparse.Namespace) -> SnapshotSeries:
-    fmt = getattr(args, "format", None)
+    fmt = args.format
     if fmt is None:
         fmt = "json" if args.data.endswith(".json") else "csv"
     return load_snapshots(args.data, format=fmt)
 
 
+def _settings(args: argparse.Namespace) -> PowerIterSettings:
+    return PowerIterSettings(rel_tol=args.tol, max_iters=args.max_iters)
+
+
 # ---------------------------------------------------------------------------
 # Kernel flag resolution (shared by sweep/test/cluster)
 # ---------------------------------------------------------------------------
-
-
-def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument(
-        "--iid", action="store_true", help="independent snapshot pairs (no window)"
-    )
-    group.add_argument(
-        "--LM", type=int, metavar="L", help="window half-width L_M, directly"
-    )
-    group.add_argument(
-        "--tau",
-        metavar="T",
-        help="correlation time for the plug-in window ('auto' to estimate)",
-    )
-    parser.add_argument(
-        "--mu",
-        metavar="SPEC",
-        help=(
-            "slow modes to deflate: 'auto:K' picks the top K non-unit EDMD "
-            "eigenvalues; otherwise a comma-separated complex list"
-        ),
-    )
 
 
 def _resolve_kernel(
@@ -164,7 +147,7 @@ def _resolve_kernel(
             except ValueError:
                 raise UsageError(f"bad --mu value {args.mu!r}") from None
             gram = gram_matrices(series)
-            k_hat, _ = edmd_matrix(gram, floor=getattr(args, "rcond_floor", None))
+            k_hat, _ = edmd_matrix(gram, floor=args.rcond_floor)
             eigs = [m.eigenvalue for m in eigensystem(k_hat)]
             mu_list, notes = default_mu_list(eigs, top_k)
             warnings.extend(notes)
@@ -192,15 +175,6 @@ def _resolve_kernel(
     return KernelSpec.windowed(l_window, mu_list), warnings
 
 
-def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--re-min", type=float, required=True)
-    parser.add_argument("--re-max", type=float, required=True)
-    parser.add_argument("--n-re", type=int, required=True)
-    parser.add_argument("--im-min", type=float, required=True)
-    parser.add_argument("--im-max", type=float, required=True)
-    parser.add_argument("--n-im", type=int, required=True)
-
-
 def _default_threads() -> int:
     env = os.environ.get("SPECGUARD_THREADS", "")
     try:
@@ -219,7 +193,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         spec = var_benchmark_7d(seed=args.seed)
         x, y = gen_var(spec, args.M)
         series = evaluate_dictionary(x, y, DictionarySpec.identity(7), "iid")
-        extra = {"system": "var", "preset": args.preset}
+        extra = {"system": "var"}
     elif args.system == "map1d":
         x, y = gen_expanding_map(args.M, mode=args.mode, seed=args.seed)
         series = evaluate_dictionary(
@@ -236,7 +210,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out = args.out or f"{args.system}_M{args.M}_seed{args.seed}.{args.format}"
     write_snapshots(series, out, format=args.format)
     extra.update({"m_samples": series.M, "n_obs": series.N})
-    man = _manifest("manifest", seed=args.seed, timestamp=True, extra=extra)
+    man = _manifest("manifest", args, seed=args.seed, timestamp=True, extra=extra)
     man["output"] = {"path": out, "sha256": _sha256(out)}
     _write_json(man, out + ".manifest.json")
     print(f"wrote {series.M} x {series.N} snapshot pairs to {out}")
@@ -250,7 +224,7 @@ def cmd_edmd(args: argparse.Namespace) -> int:
     modes = eigensystem(k_hat)
     artifact = {
         "schema": "specguard/v1/edmd",
-        "manifest": _manifest("edmd", input_path=args.data),
+        "manifest": _manifest("edmd", args, input_path=args.data),
         "rcond": rcond,
         "m_samples": series.M,
         "eigenvalues": [
@@ -268,16 +242,25 @@ def cmd_edmd(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def _grid_sweep(
+    args: argparse.Namespace,
+) -> tuple[SnapshotSeries, KernelSpec, list[str], SweepResult]:
+    """The sweep/cluster prelude: load -> kernel -> settings -> grid -> sweep."""
     series = _load_series(args)
     kernel, warnings = _resolve_kernel(args, series)
-    settings = PowerIterSettings(rel_tol=args.tol, max_iters=args.max_iters)
     grid = GridSpec(args.re_min, args.re_max, args.n_re, args.im_min, args.im_max, args.n_im)
-    result = sweep(grid, series, kernel, settings, threads=args.threads, floor=args.rcond_floor)
+    result = sweep(
+        grid, series, kernel, _settings(args), threads=args.threads, floor=args.rcond_floor
+    )
+    return series, kernel, warnings, result
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    _, kernel, warnings, result = _grid_sweep(args)
     artifact = {
         "schema": "specguard/v1/sweep",
         "manifest": _manifest(
-            "sweep", kernel=kernel, input_path=args.data, warnings=warnings
+            "sweep", args, kernel=kernel, input_path=args.data, warnings=warnings
         ),
         "grid": result.to_json_dict(log_time=args.log_time),
     }
@@ -287,7 +270,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             fh.write(result.to_csv_text(log_time=args.log_time))
     n_conv = int(np.sum(result.status == "converged"))
     print(
-        f"swept {grid.n_re}x{grid.n_im} grid: {n_conv}/{grid.n_re * grid.n_im} "
+        f"swept {args.n_re}x{args.n_im} grid: {n_conv}/{args.n_re * args.n_im} "
         f"converged; wrote {args.out}"
     )
     return EXIT_OK
@@ -298,8 +281,8 @@ def cmd_test(args: argparse.Namespace) -> int:
         raise UsageError("nothing to test: pass --eigs and/or --lambda")
     series = _load_series(args)
     kernel, warnings = _resolve_kernel(args, series)
-    settings = PowerIterSettings(rel_tol=args.tol, max_iters=args.max_iters)
-    alphas = tuple(args.alpha)
+    settings = _settings(args)
+    alphas = tuple(args.alpha) if args.alpha else (0.05, 0.01)
 
     rows = []
     if args.eigs:
@@ -323,14 +306,13 @@ def cmd_test(args: argparse.Namespace) -> int:
                 "status": res.status,
                 "testable": res.testable,
                 "conjectured_bound": res.conjectured_bound,
-                "cluster_id": None,
                 "source": "user",
             }
         )
     artifact = {
         "schema": "specguard/v1/report",
         "manifest": _manifest(
-            "report", kernel=kernel, input_path=args.data, warnings=warnings
+            "report", args, kernel=kernel, input_path=args.data, warnings=warnings
         ),
         "m_samples": series.M,
         "alphas": list(alphas),
@@ -343,11 +325,7 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    series = _load_series(args)
-    kernel, warnings = _resolve_kernel(args, series)
-    settings = PowerIterSettings(rel_tol=args.tol, max_iters=args.max_iters)
-    grid = GridSpec(args.re_min, args.re_max, args.n_re, args.im_min, args.im_max, args.n_im)
-    result = sweep(grid, series, kernel, settings, threads=args.threads, floor=args.rcond_floor)
+    series, kernel, warnings, result = _grid_sweep(args)
     gram = gram_matrices(series)
     k_hat, _ = edmd_matrix(gram, floor=args.rcond_floor)
     eigs = [m.eigenvalue for m in eigensystem(k_hat)]
@@ -355,7 +333,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     artifact = {
         "schema": "specguard/v1/clusters",
         "manifest": _manifest(
-            "clusters", kernel=kernel, input_path=args.data, warnings=warnings
+            "clusters", args, kernel=kernel, input_path=args.data, warnings=warnings
         ),
         "eigenvalues": [{"re": z.real, "im": z.imag} for z in eigs],
         "report": report.to_json_dict(),
@@ -377,7 +355,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.out:
         artifact = {
             "schema": "specguard/v1/oracle-check",
-            "manifest": _manifest("oracle-check"),
+            "manifest": _manifest("oracle-check", args),
             "perturb": args.perturb,
             "results": [
                 {"name": r.name, "passed": r.passed, "detail": r.detail}
@@ -406,14 +384,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"specguard {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flags shared between subcommands, each defined once in a parent parser.
+    io = argparse.ArgumentParser(add_help=False)   # edmd, sweep, test, cluster
+    io.add_argument("--data", required=True)
+    io.add_argument("--format", choices=("csv", "json"))
+    io.add_argument("--rcond-floor", type=float, default=None,
+                    help="override the rcond singularity floor (default 1e-10*N); "
+                         "large delay dictionaries may need a lower value")
+    io.add_argument("--out", required=True, help="JSON output path")
+
+    est = argparse.ArgumentParser(add_help=False)  # sweep, test, cluster
+    kernel = est.add_mutually_exclusive_group(required=True)
+    kernel.add_argument("--iid", action="store_true",
+                        help="independent snapshot pairs (no window)")
+    kernel.add_argument("--LM", type=int, metavar="L", help="window half-width L_M, directly")
+    kernel.add_argument("--tau", metavar="T",
+                        help="correlation time for the plug-in window ('auto' to estimate)")
+    est.add_argument("--mu", metavar="SPEC",
+                     help="slow modes to deflate: 'auto:K' picks the top K non-unit EDMD "
+                          "eigenvalues; otherwise a comma-separated complex list")
+    est.add_argument("--tol", type=float, default=0.1, help="bracket relative width")
+    est.add_argument("--max-iters", type=int, default=200)
+
+    grid = argparse.ArgumentParser(add_help=False)  # sweep, cluster
+    grid.add_argument("--re-min", type=float, required=True)
+    grid.add_argument("--re-max", type=float, required=True)
+    grid.add_argument("--n-re", type=int, required=True)
+    grid.add_argument("--im-min", type=float, required=True)
+    grid.add_argument("--im-max", type=float, required=True)
+    grid.add_argument("--n-im", type=int, required=True)
+    grid.add_argument("--threads", type=int, default=_default_threads())
+
     p_gen = sub.add_parser("generate", help="sample a built-in system to a snapshot file")
     p_gen.add_argument("--system", choices=("var", "map1d", "lorenz63"), required=True)
-    p_gen.add_argument(
-        "--preset",
-        choices=("benchmark7", "paper"),
-        default="benchmark7",
-        help="named parameter set for --system var",
-    )
     p_gen.add_argument("--mode", choices=("iid", "trajectory"), default="iid",
                        help="sampling mode for map1d")
     p_gen.add_argument("--N", type=int, default=10,
@@ -424,64 +427,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", help="output path (default derived from flags)")
     p_gen.set_defaults(func=cmd_generate)
 
-    p_edmd = sub.add_parser("edmd", help="fit the EDMD matrix and report its spectrum")
-    p_edmd.add_argument("--data", required=True)
-    p_edmd.add_argument("--format", choices=("csv", "json"))
-    p_edmd.add_argument("--rcond-floor", type=float, default=None,
-                        help="override the rcond singularity floor (default 1e-10*N); "
-                             "large delay dictionaries may need a lower value")
-    p_edmd.add_argument("--out", required=True)
+    p_edmd = sub.add_parser("edmd", parents=[io],
+                            help="fit the EDMD matrix and report its spectrum")
     p_edmd.set_defaults(func=cmd_edmd)
 
-    p_sweep = sub.add_parser("sweep", help="bracket the pseudospectrum over a grid")
-    p_sweep.add_argument("--data", required=True)
-    p_sweep.add_argument("--format", choices=("csv", "json"))
-    _add_grid_flags(p_sweep)
-    _add_kernel_flags(p_sweep)
-    p_sweep.add_argument("--tol", type=float, default=0.1, help="bracket relative width")
-    p_sweep.add_argument("--max-iters", type=int, default=200)
-    p_sweep.add_argument("--threads", type=int, default=_default_threads())
+    p_sweep = sub.add_parser("sweep", parents=[io, est, grid],
+                             help="bracket the pseudospectrum over a grid")
     p_sweep.add_argument("--log-time", type=float, default=None, metavar="DT",
                          help="also report log(lambda)/DT coordinates")
-    p_sweep.add_argument("--rcond-floor", type=float, default=None,
-                         help="override the rcond singularity floor (default 1e-10*N); "
-                             "large delay dictionaries may need a lower value")
-    p_sweep.add_argument("--out", required=True, help="JSON output path")
     p_sweep.add_argument("--csv", help="optional CSV output path")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_test = sub.add_parser("test", help="eigenvalue tests at chosen spectral points")
-    p_test.add_argument("--data", required=True)
-    p_test.add_argument("--format", choices=("csv", "json"))
+    p_test = sub.add_parser("test", parents=[io, est],
+                            help="eigenvalue tests at chosen spectral points")
     p_test.add_argument("--eigs", action="store_true",
                         help="test at every EDMD eigenvalue")
     p_test.add_argument("--lambda", dest="point", action="append", metavar="Z",
                         help="complex point to test (repeatable)")
-    _add_kernel_flags(p_test)
-    p_test.add_argument("--tol", type=float, default=0.1)
-    p_test.add_argument("--max-iters", type=int, default=200)
     p_test.add_argument("--alpha", type=float, action="append",
-                        default=None, help="test levels (repeatable)")
-    p_test.add_argument("--rcond-floor", type=float, default=None,
-                        help="override the rcond singularity floor (default 1e-10*N); "
-                             "large delay dictionaries may need a lower value")
-    p_test.add_argument("--out", required=True)
+                        help="test levels (repeatable; default 0.05 and 0.01)")
     p_test.set_defaults(func=cmd_test)
 
-    p_clus = sub.add_parser("cluster", help="group eigenvalues by bracket sublevel sets")
-    p_clus.add_argument("--data", required=True)
-    p_clus.add_argument("--format", choices=("csv", "json"))
-    _add_grid_flags(p_clus)
-    _add_kernel_flags(p_clus)
+    p_clus = sub.add_parser("cluster", parents=[io, est, grid],
+                            help="group eigenvalues by bracket sublevel sets")
     p_clus.add_argument("--level", type=float, required=True,
                         help="threshold on M * lower")
-    p_clus.add_argument("--tol", type=float, default=0.1)
-    p_clus.add_argument("--max-iters", type=int, default=200)
-    p_clus.add_argument("--threads", type=int, default=_default_threads())
-    p_clus.add_argument("--rcond-floor", type=float, default=None,
-                        help="override the rcond singularity floor (default 1e-10*N); "
-                             "large delay dictionaries may need a lower value")
-    p_clus.add_argument("--out", required=True)
     p_clus.set_defaults(func=cmd_cluster)
 
     p_orc = sub.add_parser("oracle-check", help="run the internal consistency suite")
@@ -495,12 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "alpha", None) is not None and not args.alpha:
-        args.alpha = None
-    if hasattr(args, "alpha") and args.alpha is None:
-        args.alpha = [0.05, 0.01]
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except UsageError as exc:
@@ -509,7 +476,3 @@ def main(argv: list[str] | None = None) -> int:
     except SpecguardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-
-if __name__ == "__main__":
-    sys.exit(main())

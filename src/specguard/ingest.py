@@ -22,14 +22,13 @@ import json
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import Iterator, Literal
+from typing import Literal
 
 import numpy as np
 
 from .errors import FormatError, InsufficientDataError, ShapeError
 
 __all__ = [
-    "ObservablePair",
     "SnapshotSeries",
     "DictionarySpec",
     "load_snapshots",
@@ -109,24 +108,6 @@ class DictionarySpec:
 
 
 @dataclass(frozen=True)
-class ObservablePair:
-    """One sample: a = psi(X_m), b = psi(Y_m), both complex vectors of length N."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=complex)
-        b = np.asarray(self.b, dtype=complex)
-        if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape or a.size < 1:
-            raise ShapeError(f"pair vectors must share a length N >= 1, got {a.shape} / {b.shape}")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise FormatError("pair contains non-finite entries")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-
-@dataclass(frozen=True)
 class SnapshotSeries:
     """Ordered observable pairs with sampling metadata.
 
@@ -165,13 +146,6 @@ class SnapshotSeries:
     @property
     def N(self) -> int:
         return self.a.shape[1]
-
-    def pair(self, m: int) -> ObservablePair:
-        return ObservablePair(self.a[m], self.b[m])
-
-    def pairs(self) -> Iterator[ObservablePair]:
-        for m in range(self.M):
-            yield self.pair(m)
 
 
 def _format_float(x: float) -> str:

@@ -1,6 +1,7 @@
 """Independent ground-truth computations for validating the estimator.
 
-Three oracles live here, none of which share code with the estimation path:
+Three oracles live here; their closed forms and moments share no code with
+the estimation path (only the certified power iteration that brackets them):
 
 * closed forms for Gaussian VAR(1) processes (pseudospectrum value and the
   exact covariance application),
@@ -15,26 +16,21 @@ all three and powers the ``oracle-check`` CLI subcommand.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .charmatrix import GramPair, char_context, edmd_matrix, eigensystem
-from .errors import (
-    AtEigenvalueError,
-    CostGuardError,
-    ResolutionGuardError,
-    ShapeError,
-)
+from .errors import CostGuardError, ResolutionGuardError, ShapeError
 from .generators import VarSpec, expanding_map_f, var_benchmark_7d
 from .ingest import DictionarySpec, SnapshotSeries, _trig_eval
 from .pseudospec import (
-    STATUS_AT_EIGENVALUE,
     PEstimate,
     PowerIterSettings,
+    _certified_estimate,
     p_hat,
-    power_iterate,
     s_apply,
 )
 from .variance import KernelSpec, prepare_factors, variance_exact_iid
@@ -45,7 +41,6 @@ __all__ = [
     "VarMoments",
     "var_p_power",
     "QuadratureMoments",
-    "quadrature_moments",
     "hermitian_basis",
     "s_matrix_bruteforce",
     "CheckResult",
@@ -134,22 +129,8 @@ def var_p_power(
     Runs the same engine as the data path, but with var_v_exact supplying
     the covariance application; the bracket must contain var_p_exact.
     """
-    moments = VarMoments(spec)
-    ctx = char_context(moments.gram(), lam)
-    n = spec.dim
-    if ctx.singular_flag:
-        return PEstimate(
-            lower=0.0,
-            upper=0.0,
-            iterations=0,
-            q_final=np.eye(n, dtype=complex) / n,
-            status=STATUS_AT_EIGENVALUE,
-        )
-
-    def applier(q: np.ndarray) -> np.ndarray:
-        return var_v_exact(spec, lam, ctx.inv_congruence(q))
-
-    return power_iterate(applier, n, settings)
+    ctx = char_context(VarMoments(spec).gram(), lam)
+    return _certified_estimate(ctx, lambda: functools.partial(var_v_exact, spec, lam), settings)
 
 
 # ---------------------------------------------------------------------------
@@ -216,29 +197,7 @@ class QuadratureMoments:
     ) -> PEstimate:
         """Certified bracket for the population pseudospectrum of the map."""
         ctx = char_context(self.gram(), lam)
-        n = self.dict_spec.n_obs
-        if ctx.singular_flag:
-            return PEstimate(
-                lower=0.0,
-                upper=0.0,
-                iterations=0,
-                q_final=np.eye(n, dtype=complex) / n,
-                status=STATUS_AT_EIGENVALUE,
-            )
-
-        def applier(q: np.ndarray) -> np.ndarray:
-            return self.exact_v(lam, ctx.inv_congruence(q))
-
-        return power_iterate(applier, n, settings)
-
-
-def quadrature_moments(
-    map_f: Callable[[np.ndarray], np.ndarray],
-    dict_spec: DictionarySpec,
-    n_nodes: int,
-) -> QuadratureMoments:
-    """Build the exact-moment handle for a 1D circle map."""
-    return QuadratureMoments(map_f, dict_spec, n_nodes)
+        return _certified_estimate(ctx, lambda: functools.partial(self.exact_v, lam), settings)
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,19 @@ from .errors import (
     AtEigenvalueError,
     DegenerateSError,
     NotSPDError,
+    NumericError,
     ShapeError,
-    SpecguardError,
     UnsupportedModeError,
 )
 from .ingest import SnapshotSeries
-from .variance import FactorCache, KernelSpec, prepare_factors, variance_apply
+from .variance import (
+    FactorCache,
+    KernelSpec,
+    _check_window,
+    _hermitize,
+    prepare_factors,
+    variance_apply,
+)
 
 __all__ = [
     "STATUS_CONVERGED",
@@ -133,7 +140,7 @@ def _pencil_bracket(
     # L^{-1} Q L^{-*} shares the pencil's eigenvalues and is Hermitian.
     half = solve_triangular(chol, q, lower=True)
     reduced = solve_triangular(chol, half.conj().T, lower=True).conj().T
-    sig = np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))
+    sig = np.linalg.eigvalsh(_hermitize(reduced))
     return float(sig[0]), float(sig[-1]), jittered, s_used
 
 
@@ -184,9 +191,9 @@ def power_iterate(
             raise ShapeError(f"warm_start shape {q.shape} != ({dim}, {dim})")
         if abs(np.trace(q).real - 1.0) > 1e-8:
             raise ShapeError("warm_start must have unit trace")
-        if float(np.linalg.eigvalsh(0.5 * (q + q.conj().T))[0]) < -1e-8:
+        q = _hermitize(q)
+        if float(np.linalg.eigvalsh(q)[0]) < -1e-8:
             raise ShapeError("warm_start must be positive semidefinite")
-        q = 0.5 * (q + q.conj().T)
     else:
         q = np.eye(dim, dtype=complex) / dim
 
@@ -194,8 +201,7 @@ def power_iterate(
     jitter_any = False
     iterations = 0
     for iterations in range(1, settings.max_iters + 1):
-        raw = apply_s(q)
-        r = 0.5 * (raw + raw.conj().T)
+        r = _hermitize(apply_s(q))
         try:
             lo, hi, jittered, s_used = _pencil_bracket(q, r)
         except DegenerateSError:
@@ -241,6 +247,18 @@ def power_iterate(
     )
 
 
+def _off_spectrum_factors(
+    ctx: CharContext, series: SnapshotSeries, factors: FactorCache | None, op: str
+) -> FactorCache:
+    """Factors at ctx's point; raises AtEigenvalueError where ``op`` is undefined."""
+    if ctx.singular_flag:
+        raise AtEigenvalueError(
+            f"lambda={ctx.lam:.6g} is numerically an EDMD eigenvalue "
+            f"(rcond={ctx.rcond:.3e}); {op} is undefined there"
+        )
+    return prepare_factors(series, ctx.lam) if factors is None else factors
+
+
 def s_apply(
     q: np.ndarray,
     ctx: CharContext,
@@ -249,13 +267,7 @@ def s_apply(
     factors: FactorCache | None = None,
 ) -> np.ndarray:
     """One application S[Q] = V[C^{-*} Q C^{-1}] at ctx's spectral point."""
-    if ctx.singular_flag:
-        raise AtEigenvalueError(
-            f"lambda={ctx.lam:.6g} is numerically an EDMD eigenvalue "
-            f"(rcond={ctx.rcond:.3e}); S is undefined there"
-        )
-    if factors is None:
-        factors = prepare_factors(series, ctx.lam)
+    factors = _off_spectrum_factors(ctx, series, factors, "S")
     w = ctx.inv_congruence(np.asarray(q, dtype=complex))
     return variance_apply(w, ctx.lam, series, kernel, factors).result
 
@@ -278,13 +290,7 @@ def s_star_apply(
             "S* is implemented for the iid kernel only; windowed covariance "
             "has no rank-one adjoint expansion here"
         )
-    if ctx.singular_flag:
-        raise AtEigenvalueError(
-            f"lambda={ctx.lam:.6g} is numerically an EDMD eigenvalue "
-            f"(rcond={ctx.rcond:.3e}); S* is undefined there"
-        )
-    if factors is None:
-        factors = prepare_factors(series, ctx.lam)
+    factors = _off_spectrum_factors(ctx, series, factors, "S*")
     q = np.asarray(q, dtype=complex)
     m = factors.m_samples
     # D_m = g_m v_m^* - I with g_m = C^{-1} u_m.
@@ -293,8 +299,7 @@ def s_star_apply(
     s_vals = np.sum(vt.conj() * (q @ vt), axis=0).real
     t1 = (g * s_vals[np.newaxis, :]) @ g.conj().T
     t2 = g @ (q @ vt).conj().T
-    out = (t1 - t2 - t2.conj().T) / m + q
-    return 0.5 * (out + out.conj().T)
+    return _hermitize((t1 - t2 - t2.conj().T) / m + q)
 
 
 def p_hat(
@@ -315,6 +320,31 @@ def p_hat(
     return _p_hat_from_gram(gram, lam, series, kernel, settings, history, floor)
 
 
+def _certified_estimate(
+    ctx: CharContext,
+    make_v: Callable[[], Callable[[np.ndarray], np.ndarray]],
+    settings: PowerIterSettings | None = None,
+    history: list | None = None,
+) -> PEstimate:
+    """Power iteration on S[Q] = V[C^{-*} Q C^{-1}] at ctx's spectral point.
+
+    ``make_v`` returns the covariance application V; it is called only off
+    the spectrum, so its set-up is skipped where C(lam) is singular and the
+    estimate is pinned to ``at_eigenvalue`` with both endpoints 0.
+    """
+    n = ctx.dim
+    if ctx.singular_flag:
+        return PEstimate(
+            lower=0.0,
+            upper=0.0,
+            iterations=0,
+            q_final=np.eye(n, dtype=complex) / n,
+            status=STATUS_AT_EIGENVALUE,
+        )
+    v = make_v()
+    return power_iterate(lambda q: v(ctx.inv_congruence(q)), n, settings, history)
+
+
 def _p_hat_from_gram(
     gram: GramPair,
     lam: complex,
@@ -324,23 +354,11 @@ def _p_hat_from_gram(
     history: list | None = None,
     floor: float | None = None,
 ) -> PEstimate:
-    ctx = char_context(gram, lam, floor)
-    n = gram.dim
-    if ctx.singular_flag:
-        return PEstimate(
-            lower=0.0,
-            upper=0.0,
-            iterations=0,
-            q_final=np.eye(n, dtype=complex) / n,
-            status=STATUS_AT_EIGENVALUE,
-        )
-    factors = prepare_factors(series, lam)
+    def make_v() -> Callable[[np.ndarray], np.ndarray]:
+        factors = prepare_factors(series, lam)
+        return lambda w: variance_apply(w, lam, series, kernel, factors).result
 
-    def applier(q: np.ndarray) -> np.ndarray:
-        w = ctx.inv_congruence(q)
-        return variance_apply(w, lam, series, kernel, factors).result
-
-    return power_iterate(applier, n, settings, history)
+    return _certified_estimate(char_context(gram, lam, floor), make_v, settings, history)
 
 
 def p_sym_fixed_q(
@@ -369,7 +387,7 @@ def p_sym_fixed_q(
         return 0.0
     factors = prepare_factors(series, lam)
 
-    q = _hermit(np.asarray(q, dtype=complex))
+    q = _hermitize(np.asarray(q, dtype=complex))
     w, vecs = np.linalg.eigh(q)
     if w[0] <= 0.0:
         raise NotSPDError(f"test matrix must be positive definite (min eig {w[0]:.3e})")
@@ -378,17 +396,13 @@ def p_sym_fixed_q(
     q_inv = (vecs / w) @ vecs.conj().T
 
     s_q = s_apply(q, ctx, series, kernel, factors)
-    primal = np.linalg.eigvalsh(_hermit(inv_root @ s_q @ inv_root))[-1]
+    primal = np.linalg.eigvalsh(_hermitize(inv_root @ s_q @ inv_root))[-1]
 
     s_star_qinv = s_star_apply(q_inv, ctx, series, kernel, factors)
-    dual = np.linalg.eigvalsh(_hermit(root @ s_star_qinv @ root))[-1]
+    dual = np.linalg.eigvalsh(_hermitize(root @ s_star_qinv @ root))[-1]
 
     branches = [1.0 / v if v > 0.0 else float("inf") for v in (primal, dual)]
     return min(branches)
-
-
-def _hermit(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
 
 
 def p_sym_lower(
@@ -529,12 +543,15 @@ def sweep(
     Rows (fixed imaginary part) are processed left to right with the
     previous point's final iterate as a warm start; distinct rows may run
     on a thread pool.  Per-point numerical failures are recorded in the
-    status field and never abort the sweep.
+    status field and never abort the sweep; configuration errors, such as
+    a kernel window that does not fit the sample, raise before any point
+    is evaluated.
     """
     if settings is None:
         settings = PowerIterSettings()
     if threads < 1:
         raise ShapeError(f"threads must be >= 1, got {threads}")
+    _check_window(kernel, series.M)
     gram = gram_matrices(series)
     re_axis, im_axis = grid.axes()
     shape = (grid.n_im, grid.n_re)
@@ -550,7 +567,7 @@ def sweep(
             point_settings = dataclasses.replace(settings, warm_start=warm)
             try:
                 est = _p_hat_from_gram(gram, lam, series, kernel, point_settings, floor=floor)
-            except SpecguardError:
+            except NumericError:
                 lower[i, j], upper[i, j] = 0.0, float("inf")
                 iters[i, j] = 0
                 status[i, j] = STATUS_DEGENERATE_S

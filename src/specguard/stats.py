@@ -16,7 +16,7 @@ conclusions remain valid even when the power iteration stopped early.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -34,7 +34,7 @@ from .pseudospec import (
     SweepResult,
     _p_hat_from_gram,
 )
-from .variance import KernelSpec, prepare_factors
+from .variance import KernelSpec, _hermitize, prepare_factors
 
 __all__ = [
     "chi2_cdf",
@@ -162,7 +162,6 @@ class SpectralReport:
     rcond: float
     m_samples: int
     kernel: KernelSpec
-    cluster_ids: tuple[int | None, ...] | None = None
 
     def to_json_dict(self) -> dict:
         rows = []
@@ -178,9 +177,6 @@ class SpectralReport:
                     "status": res.status,
                     "testable": res.testable,
                     "conjectured_bound": res.conjectured_bound,
-                    "cluster_id": None
-                    if self.cluster_ids is None
-                    else self.cluster_ids[i],
                 }
             )
         return {
@@ -473,7 +469,7 @@ def r_estimate(
             f"lambda={lam:.6g} is numerically an EDMD eigenvalue; "
             "the concentration radius is undefined there"
         )
-    q = 0.5 * (np.asarray(q, dtype=complex) + np.asarray(q, dtype=complex).conj().T)
+    q = _hermitize(np.asarray(q, dtype=complex))
     w, vecs = np.linalg.eigh(q)
     if w[0] <= 0.0:
         raise NotSPDError(f"q must be positive definite (min eig {w[0]:.3e})")

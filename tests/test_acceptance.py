@@ -37,7 +37,7 @@ from specguard.ingest import (
     evaluate_dictionary,
     write_snapshots,
 )
-from specguard.oracle import quadrature_moments, s_matrix_bruteforce, var_p_exact, var_p_power
+from specguard.oracle import QuadratureMoments, s_matrix_bruteforce, var_p_exact, var_p_power
 from specguard.pseudospec import (
     STATUS_AT_EIGENVALUE,
     STATUS_CONVERGED,
@@ -224,7 +224,7 @@ def test_c6_consistency_of_the_estimator():
     """Relative error against the quadrature-exact value shrinks with M."""
     t0 = time.monotonic()
     lam = 1.3 + 0.0j
-    qm = quadrature_moments(expanding_map_f, DictionarySpec.trig(10), 160)
+    qm = QuadratureMoments(expanding_map_f, DictionarySpec.trig(10), 160)
     ref = qm.p_exact(lam, PowerIterSettings(rel_tol=1e-8, max_iters=2000))
     assert ref.converged
     p_ref = _geometric_mid(ref)
@@ -376,8 +376,8 @@ def test_c8_property_suites():
 
     # quadrature self-convergence under node doubling
     dict_spec = DictionarySpec.trig(10)
-    coarse = quadrature_moments(expanding_map_f, dict_spec, 8 * 10)
-    fine = quadrature_moments(expanding_map_f, dict_spec, 16 * 10)
+    coarse = QuadratureMoments(expanding_map_f, dict_spec, 8 * 10)
+    fine = QuadratureMoments(expanding_map_f, dict_spec, 16 * 10)
     drift = max(
         float(np.max(np.abs(coarse.psi_xx - fine.psi_xx))),
         float(np.max(np.abs(coarse.psi_xy - fine.psi_xy))),

@@ -6,6 +6,7 @@ failure / 2 usage / 3 numeric), and the byte-identical determinism promise.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib
 import json
@@ -21,7 +22,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import specguard
-from specguard.cli import main
+from specguard.cli import build_parser, main
 from specguard.generators import RNG_ALGORITHM
 
 
@@ -94,7 +95,6 @@ class TestGenerate:
         assert man["rng"] == {"algorithm": RNG_ALGORITHM, "seed": 7}
         assert man["output"]["sha256"] == _sha256(out)
         assert man["m_samples"] == 120 and man["n_obs"] == 7
-        assert man["preset"] == "benchmark7"
         assert man["input"] is None and man["kernel"] is None
         assert "created" in man
 
@@ -110,16 +110,6 @@ class TestGenerate:
             main(["generate", "--system", "var"])
         assert exc.value.code == 2
         assert "--M" in capsys.readouterr().err
-
-    def test_preset_alias_generates_identical_data(self, tmp_path, capsys):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["generate", "--system", "var", "--M", "60", "--out", str(a)]) == 0
-        assert main(["generate", "--system", "var", "--preset", "paper", "--M", "60",
-                     "--out", str(b)]) == 0
-        capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
-        man = json.loads((tmp_path / "b.csv.manifest.json").read_text())
-        assert man["preset"] == "paper"
 
     def test_json_format_feeds_downstream(self, tmp_path, capsys):
         data = tmp_path / "v.json"
@@ -175,13 +165,15 @@ class TestSweep:
     ]
 
     def test_artifact_and_byte_identical_reruns(self, var_csv, tmp_path, capsys):
-        base = ["sweep", "--data", var_csv, *self.GRID, "--iid", "--tol", "0.3",
-                "--threads", "1"]
-        out1, out2 = tmp_path / "s1.json", tmp_path / "s2.json"
-        assert main(base + ["--out", str(out1)]) == 0
-        assert main(base + ["--out", str(out2)]) == 0
+        # The manifest records the command, so a rerun must repeat --out too.
+        out1 = tmp_path / "s1.json"
+        argv = ["sweep", "--data", var_csv, *self.GRID, "--iid", "--tol", "0.3",
+                "--threads", "1", "--out", str(out1)]
+        assert main(argv) == 0
+        first = out1.read_bytes()
+        assert main(argv) == 0
         stdout = capsys.readouterr().out
-        assert out1.read_bytes() == out2.read_bytes()
+        assert out1.read_bytes() == first
         assert "swept 3x3 grid" in stdout
 
         doc = json.loads(out1.read_text())
@@ -211,6 +203,16 @@ class TestSweep:
         assert len(lines) == 5
         grid = json.loads(out.read_text())["grid"]
         assert "log_lambda_re" in grid and "log_lambda_im" in grid
+
+    def test_window_larger_than_sample_fails(self, tmp_path, capsys):
+        data, out = tmp_path / "v.csv", tmp_path / "s.json"
+        assert main(["generate", "--system", "var", "--M", "50", "--out", str(data)]) == 0
+        code, _, err = _run(
+            capsys, "sweep", "--data", str(data), *self.GRID, "--LM", "60", "--out", str(out)
+        )
+        assert code == 3
+        assert "half-width 60 >= M=50" in err
+        assert not out.exists()
 
 
 class TestTest:
@@ -352,6 +354,61 @@ class TestOracleCheckCommand:
         assert code == 1
         assert "[FAIL]" in stdout
         assert "checks FAILED" in err
+
+
+class TestManifestCommand:
+    ARGV = ["edmd", "--data", "v.csv", "--out", "e.json"]
+
+    def test_records_the_parsed_arguments(self, var_csv, tmp_path, monkeypatch, capsys):
+        shutil.copy(var_csv, tmp_path / "v.csv")
+        monkeypatch.chdir(tmp_path)
+        assert main(self.ARGV) == 0
+        capsys.readouterr()
+        man = json.loads((tmp_path / "e.json").read_text())["manifest"]
+        assert man["command"] == "specguard edmd --data v.csv --out e.json"
+
+    def test_module_entry_point_writes_the_same_artifact(
+        self, var_csv, tmp_path, monkeypatch, capsys
+    ):
+        shutil.copy(var_csv, tmp_path / "v.csv")
+        monkeypatch.chdir(tmp_path)
+        assert main(self.ARGV) == 0
+        capsys.readouterr()
+        in_process = (tmp_path / "e.json").read_bytes()
+        proc = _run_module(tmp_path, *self.ARGV)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "e.json").read_bytes() == in_process
+
+
+class TestParserSurface:
+    IO = {"--data", "--format", "--rcond-floor", "--out"}
+    ESTIMATE = {"--iid", "--LM", "--tau", "--mu", "--tol", "--max-iters"}
+    GRID = {"--re-min", "--re-max", "--n-re", "--im-min", "--im-max", "--n-im", "--threads"}
+    OPTIONS = {
+        "generate": {"--system", "--mode", "--N", "--M", "--seed", "--format", "--out"},
+        "edmd": IO,
+        "sweep": IO | ESTIMATE | GRID | {"--log-time", "--csv"},
+        "test": IO | ESTIMATE | {"--eigs", "--lambda", "--alpha"},
+        "cluster": IO | ESTIMATE | GRID | {"--level"},
+        "oracle-check": {"--perturb", "--seeds", "--out"},
+    }
+
+    def test_option_strings_and_help(self, capsys):
+        (subparsers,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert set(subparsers.choices) == set(self.OPTIONS)
+        for cmd, parser in subparsers.choices.items():
+            opts = [
+                o for a in parser._actions for o in a.option_strings
+                if o not in ("-h", "--help")
+            ]
+            assert len(opts) == len(set(opts)), cmd
+            assert set(opts) == self.OPTIONS[cmd], cmd
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, "--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith(f"usage: specguard {cmd}")
 
 
 class TestEntryPoint:

@@ -31,9 +31,6 @@ class TestSnapshotSeries:
         s = _random_series(m=5, n=4)
         assert s.M == 5
         assert s.N == 4
-        pair = s.pair(2)
-        assert_array_equal(pair.a, s.a[2])
-        assert len(list(s.pairs())) == 5
 
     def test_arrays_are_frozen(self):
         s = _random_series()

@@ -16,9 +16,9 @@ from specguard.generators import VarSpec, expanding_map_f, var_benchmark_7d
 from specguard.ingest import DictionarySpec, evaluate_dictionary
 from specguard.oracle import (
     CheckResult,
+    QuadratureMoments,
     VarMoments,
     hermitian_basis,
-    quadrature_moments,
     run_oracle_checks,
     s_matrix_bruteforce,
     var_p_exact,
@@ -129,32 +129,32 @@ class TestVarPPower:
 
 class TestQuadratureMoments:
     def test_identity_map_gram_pin(self):
-        qm = quadrature_moments(lambda x: x, DictionarySpec.trig(6), 48)
+        qm = QuadratureMoments(lambda x: x, DictionarySpec.trig(6), 48)
         assert_allclose(qm.psi_xx, np.diag([1.0, 0.5, 0.5, 0.5, 0.5, 0.5]), atol=1e-14)
         assert_allclose(qm.psi_xy, qm.psi_xx, atol=1e-14)
 
     def test_expanding_map_leading_eigenvalue_is_one(self):
-        qm = quadrature_moments(expanding_map_f, DictionarySpec.trig(10), 80)
+        qm = QuadratureMoments(expanding_map_f, DictionarySpec.trig(10), 80)
         modes = eigensystem(edmd_matrix(qm.gram())[0])
         assert abs(modes[0].eigenvalue - 1.0) < 1e-10
 
     def test_node_doubling_self_convergence(self):
         dict_spec = DictionarySpec.trig(8)
-        coarse = quadrature_moments(expanding_map_f, dict_spec, 8 * 8)
-        fine = quadrature_moments(expanding_map_f, dict_spec, 16 * 8)
+        coarse = QuadratureMoments(expanding_map_f, dict_spec, 8 * 8)
+        fine = QuadratureMoments(expanding_map_f, dict_spec, 16 * 8)
         assert np.max(np.abs(coarse.psi_xx - fine.psi_xx)) < 1e-10
         assert np.max(np.abs(coarse.psi_xy - fine.psi_xy)) < 1e-10
 
     def test_resolution_guard(self):
         with pytest.raises(ResolutionGuardError, match="under-resolves"):
-            quadrature_moments(expanding_map_f, DictionarySpec.trig(10), 39)
+            QuadratureMoments(expanding_map_f, DictionarySpec.trig(10), 39)
 
     def test_requires_trig_dictionary(self):
         with pytest.raises(ShapeError, match="trig"):
-            quadrature_moments(expanding_map_f, DictionarySpec.identity(3), 100)
+            QuadratureMoments(expanding_map_f, DictionarySpec.identity(3), 100)
 
     def test_expected_chc_psd_and_linear(self):
-        qm = quadrature_moments(expanding_map_f, DictionarySpec.trig(6), 48)
+        qm = QuadratureMoments(expanding_map_f, DictionarySpec.trig(6), 48)
         lam = 1.3 + 0.2j
         q1, q2 = _random_psd(6, 3), _random_psd(6, 4)
         out = qm.expected_chc(lam, q1)
@@ -172,7 +172,7 @@ class TestQuadratureMoments:
         # must reproduce the exact moments and the exact V application.
         dict_spec = DictionarySpec.trig(6)
         n_nodes = 24
-        qm = quadrature_moments(expanding_map_f, dict_spec, n_nodes)
+        qm = QuadratureMoments(expanding_map_f, dict_spec, n_nodes)
         nodes = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
         series = evaluate_dictionary(
             nodes.reshape(-1, 1), expanding_map_f(nodes).reshape(-1, 1), dict_spec
@@ -187,7 +187,7 @@ class TestQuadratureMoments:
         assert_allclose(app.result, qm.exact_v(lam, q), atol=1e-11)
 
     def test_p_exact_off_spectrum_and_at_one(self):
-        qm = quadrature_moments(expanding_map_f, DictionarySpec.trig(8), 64)
+        qm = QuadratureMoments(expanding_map_f, DictionarySpec.trig(8), 64)
         est = qm.p_exact(1.3 + 0.0j, PowerIterSettings(rel_tol=1e-6, max_iters=400))
         assert est.converged
         assert 0.0 < est.lower <= est.upper

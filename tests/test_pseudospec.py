@@ -12,6 +12,7 @@ from specguard.errors import (
     NotSPDError,
     ShapeError,
     UnsupportedModeError,
+    WindowTooLargeError,
 )
 from specguard.ingest import SnapshotSeries
 from specguard.oracle import s_matrix_bruteforce
@@ -379,3 +380,8 @@ class TestSweep:
         s = _series(50, 2, seed=63)
         with pytest.raises(ShapeError):
             sweep(GridSpec(1, 1.2, 2, 0, 0, 1), s, KernelSpec.iid(), threads=0)
+
+    def test_window_too_large_raises_instead_of_marking_cells(self):
+        s = _series(50, 2, seed=64)
+        with pytest.raises(WindowTooLargeError, match="half-width 60 >= M=50"):
+            sweep(GridSpec(1.1, 1.3, 3, 0.0, 0.2, 3), s, KernelSpec.windowed(60))

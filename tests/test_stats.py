@@ -220,7 +220,7 @@ class TestSpectrumTest:
         row = doc["eigenvalues"][0]
         assert row["index"] == 0
         assert set(row["reject"]) == {"0.05", "0.01"}
-        assert row["cluster_id"] is None
+        assert "cluster_id" not in row
         assert row["testable"] is True
         assert isinstance(row["lambda"]["re"], float)
 
