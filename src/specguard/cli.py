@@ -175,12 +175,22 @@ def _resolve_kernel(
     return KernelSpec.windowed(l_window, mu_list), warnings
 
 
-def _default_threads() -> int:
+def _row_threads(args: argparse.Namespace) -> int:
+    """Grid rows swept in parallel: ``--threads``, else SPECGUARD_THREADS, else 1."""
+    if args.threads is not None:
+        if args.threads < 1:
+            raise UsageError(f"--threads must be >= 1, got {args.threads}")
+        return args.threads
     env = os.environ.get("SPECGUARD_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
+    if not env:
         return 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise UsageError(f"SPECGUARD_THREADS must be an integer >= 1, got {env!r}")
+    return threads
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +256,12 @@ def _grid_sweep(
     args: argparse.Namespace,
 ) -> tuple[SnapshotSeries, KernelSpec, list[str], SweepResult]:
     """The sweep/cluster prelude: load -> kernel -> settings -> grid -> sweep."""
+    threads = _row_threads(args)
     series = _load_series(args)
     kernel, warnings = _resolve_kernel(args, series)
     grid = GridSpec(args.re_min, args.re_max, args.n_re, args.im_min, args.im_max, args.n_im)
     result = sweep(
-        grid, series, kernel, _settings(args), threads=args.threads, floor=args.rcond_floor
+        grid, series, kernel, _settings(args), threads=threads, floor=args.rcond_floor
     )
     return series, kernel, warnings, result
 
@@ -413,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--im-min", type=float, required=True)
     grid.add_argument("--im-max", type=float, required=True)
     grid.add_argument("--n-im", type=int, required=True)
-    grid.add_argument("--threads", type=int, default=_default_threads())
+    grid.add_argument("--threads", type=int, default=None,
+                      help="grid rows swept in parallel (default: SPECGUARD_THREADS, "
+                           "else 1); BLAS runs on one thread inside each estimate")
 
     p_gen = sub.add_parser("generate", help="sample a built-in system to a snapshot file")
     p_gen.add_argument("--system", choices=("var", "map1d", "lorenz63"), required=True)

@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from . import _blas
 from .charmatrix import CharContext, GramPair, char_context, gram_matrices
 from .errors import (
     AtEigenvalueError,
@@ -330,7 +331,9 @@ def _certified_estimate(
 
     ``make_v`` returns the covariance application V; it is called only off
     the spectrum, so its set-up is skipped where C(lam) is singular and the
-    estimate is pinned to ``at_eigenvalue`` with both endpoints 0.
+    estimate is pinned to ``at_eigenvalue`` with both endpoints 0.  V's
+    set-up and the iteration run with BLAS on one thread (see
+    :mod:`specguard._blas`); the caller's thread counts are restored after.
     """
     n = ctx.dim
     if ctx.singular_flag:
@@ -341,8 +344,9 @@ def _certified_estimate(
             q_final=np.eye(n, dtype=complex) / n,
             status=STATUS_AT_EIGENVALUE,
         )
-    v = make_v()
-    return power_iterate(lambda q: v(ctx.inv_congruence(q)), n, settings, history)
+    with _blas.single_thread():
+        v = make_v()
+        return power_iterate(lambda q: v(ctx.inv_congruence(q)), n, settings, history)
 
 
 def _p_hat_from_gram(

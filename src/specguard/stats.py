@@ -34,7 +34,7 @@ from .pseudospec import (
     SweepResult,
     _p_hat_from_gram,
 )
-from .variance import KernelSpec, _hermitize, prepare_factors
+from .variance import KernelSpec, _check_window, _hermitize, prepare_factors
 
 __all__ = [
     "chi2_cdf",
@@ -194,7 +194,12 @@ def spectrum_test(
     alphas: tuple[float, ...] = (0.05, 0.01),
     floor: float | None = None,
 ) -> SpectralReport:
-    """Run the eigenvalue test at every eigenvalue of the EDMD matrix."""
+    """Run the eigenvalue test at every eigenvalue of the EDMD matrix.
+
+    A kernel window that does not fit the sample raises before any point
+    is tested, even though at-eigenvalue points never apply the kernel.
+    """
+    _check_window(kernel, series.M)
     gram = gram_matrices(series)
     k_hat, rcond = edmd_matrix(gram, floor)
     modes = eigensystem(k_hat)

@@ -1,0 +1,186 @@
+"""BLAS thread control: one thread inside each certified estimate, the
+caller's counts restored afterwards, and results that do not depend on the
+thread setting the process started with.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import specguard
+from specguard import _blas
+from specguard import pseudospec
+from specguard.charmatrix import char_context, gram_matrices
+from specguard.cli import main
+from specguard.ingest import SnapshotSeries
+from specguard.pseudospec import (
+    GridSpec,
+    PowerIterSettings,
+    _certified_estimate,
+    p_hat,
+    sweep,
+)
+from specguard.variance import KernelSpec
+
+COPIES = _blas._discover()
+FEW_ITERS = PowerIterSettings(rel_tol=1e-12, max_iters=3)
+pytestmark = pytest.mark.skipif(
+    not COPIES, reason="no OpenBLAS copy with a known thread-count symbol is loaded"
+)
+
+
+def _counts() -> list[int]:
+    return [get() for get, _ in COPIES]
+
+
+@pytest.fixture
+def two_threads():
+    """Every copy at 2 threads for the test; the original counts after."""
+    original = _counts()
+    for _, set_ in COPIES:
+        set_(2)
+    yield
+    for (_, set_), count in zip(COPIES, original):
+        set_(count)
+
+
+def _series(m=400, n=4, seed=0):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    b = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    return SnapshotSeries(a, b, "iid")
+
+
+def _ctx(series, lam=1.3 + 0.2j):
+    return char_context(gram_matrices(series), lam)
+
+
+def test_every_mapped_openblas_file_is_found():
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {line.rsplit(" ", 1)[-1].strip() for line in fh}
+    mapped = {p for p in paths if "openblas" in os.path.basename(p)}
+    assert len(COPIES) == len(mapped)
+
+
+def test_v_runs_on_one_thread(two_threads):
+    seen = []
+
+    def make_v():
+        seen.append(_counts())
+
+        def v(w):
+            seen.append(_counts())
+            return w
+
+        return v
+
+    est = _certified_estimate(_ctx(_series()), make_v, FEW_ITERS)
+    assert len(seen) == 1 + est.iterations > 1
+    assert all(counts == [1] * len(COPIES) for counts in seen)
+    assert _counts() == [2] * len(COPIES)
+
+
+def test_restored_after_p_hat(two_threads):
+    p_hat(1.3 + 0.2j, _series(), KernelSpec.iid())
+    assert _counts() == [2] * len(COPIES)
+
+
+def test_row_pool_runs_on_one_thread_and_restores(two_threads, monkeypatch):
+    seen = []
+    apply = pseudospec.variance_apply
+
+    def recording_apply(*args, **kwargs):
+        seen.append(_counts())
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(pseudospec, "variance_apply", recording_apply)
+    result = sweep(GridSpec(1.1, 1.5, 4, -0.3, 0.3, 6), _series(), KernelSpec.iid(), threads=3)
+    assert result.iterations.sum() == len(seen) > 0
+    assert all(counts == [1] * len(COPIES) for counts in seen)
+    assert _counts() == [2] * len(COPIES)
+
+
+@pytest.mark.parametrize("where", ["make_v", "v"])
+def test_restored_when_the_estimate_raises(two_threads, where):
+    def fail(*_):
+        raise RuntimeError("boom")
+
+    make_v = fail if where == "make_v" else (lambda: fail)
+    with pytest.raises(RuntimeError, match="boom"):
+        _certified_estimate(_ctx(_series()), make_v)
+    assert _counts() == [2] * len(COPIES)
+
+
+def test_nested_scopes_restore_at_the_outermost_exit(two_threads):
+    with _blas.single_thread():
+        with _blas.single_thread():
+            assert _counts() == [1] * len(COPIES)
+        assert _counts() == [1] * len(COPIES)
+    assert _counts() == [2] * len(COPIES)
+
+
+def test_concurrent_scopes_never_restore_early(two_threads):
+    errors = []
+
+    def worker():
+        for _ in range(200):
+            with _blas.single_thread():
+                with _blas.single_thread():
+                    if _counts() != [1] * len(COPIES):
+                        errors.append(_counts())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker) for _ in range(8)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert errors == []
+    assert _blas._depth == 0
+    assert _counts() == [2] * len(COPIES)
+
+
+def test_no_copy_found_is_a_no_op(two_threads, monkeypatch):
+    monkeypatch.setattr(_blas, "_libraries", None)
+    monkeypatch.setattr(_blas, "_discover", lambda: [])
+    with _blas.single_thread():
+        assert _counts() == [2] * len(COPIES)
+    est = _certified_estimate(_ctx(_series()), lambda: (lambda w: w), FEW_ITERS)
+    assert est.iterations == FEW_ITERS.max_iters
+    assert _counts() == [2] * len(COPIES)
+
+
+def test_artifacts_do_not_depend_on_the_starting_thread_count(tmp_path):
+    data = tmp_path / "map.csv"
+    assert main(["generate", "--system", "map1d", "--M", "1000", "--N", "8",
+                 "--seed", "4", "--out", str(data)]) == 0
+    src = str(Path(specguard.__file__).resolve().parents[1])
+    outputs = []
+    for count in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "SPECGUARD_THREADS"}
+        env["OPENBLAS_NUM_THREADS"] = count
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run_dir = tmp_path / f"threads{count}"
+        run_dir.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "specguard", "sweep", "--data", str(data),
+             "--re-min", "-1.2", "--re-max", "1.2", "--n-re", "7",
+             "--im-min", "-1.2", "--im-max", "1.2", "--n-im", "5",
+             "--iid", "--out", "s.json", "--csv", "s.csv"],
+            cwd=run_dir, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(((run_dir / "s.json").read_bytes(), (run_dir / "s.csv").read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -215,6 +215,65 @@ class TestSweep:
         assert not out.exists()
 
 
+class TestThreadSettings:
+    GRID = TestSweep.GRID
+
+    @pytest.mark.parametrize("value", ["abc", "-4", "0"])
+    def test_bad_environment_value_is_usage_error(
+        self, value, var_csv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("SPECGUARD_THREADS", value)
+        out = tmp_path / "s.json"
+        code, _, err = _run(
+            capsys, "sweep", "--data", var_csv, *self.GRID, "--iid", "--out", str(out)
+        )
+        assert code == 2
+        assert err.startswith("usage error:") and "SPECGUARD_THREADS" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "cluster"])
+    def test_nonpositive_flag_is_usage_error(self, command, var_csv, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        extra = ["--level", "1.0"] if command == "cluster" else []
+        code, _, err = _run(
+            capsys, command, "--data", var_csv, *self.GRID, "--iid", *extra,
+            "--threads", "0", "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith("usage error:") and "--threads" in err
+        assert not out.exists()
+
+    def test_flag_overrides_a_bad_environment_value(
+        self, var_csv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("SPECGUARD_THREADS", "abc")
+        code, _, _ = _run(
+            capsys, "sweep", "--data", var_csv, *self.GRID, "--iid", "--tol", "0.3",
+            "--threads", "2", "--out", str(tmp_path / "s.json"),
+        )
+        assert code == 0
+
+    def test_help_ignores_a_bad_environment_value(self, monkeypatch, capsys):
+        monkeypatch.setenv("SPECGUARD_THREADS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert "--threads" in capsys.readouterr().out
+
+    def test_row_threads_from_environment_give_the_same_artifact(
+        self, var_csv, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "s.json"
+        argv = ["sweep", "--data", var_csv, *self.GRID, "--iid", "--tol", "0.3",
+                "--out", str(out)]
+        monkeypatch.delenv("SPECGUARD_THREADS", raising=False)
+        assert main(argv) == 0
+        first = out.read_bytes()
+        monkeypatch.setenv("SPECGUARD_THREADS", "3")
+        assert main(argv) == 0
+        assert out.read_bytes() == first
+
+
 class TestTest:
     def test_eigs_rows(self, var_csv, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -252,6 +311,16 @@ class TestTest:
         )
         assert code == 2
         assert "nothing to test" in err
+
+    def test_window_larger_than_sample_fails(self, tmp_path, capsys):
+        data, out = tmp_path / "v.csv", tmp_path / "t.json"
+        assert main(["generate", "--system", "var", "--M", "50", "--out", str(data)]) == 0
+        code, _, err = _run(
+            capsys, "test", "--data", str(data), "--eigs", "--LM", "60", "--out", str(out)
+        )
+        assert code == 3
+        assert "kernel half-width 60 >= M=50" in err
+        assert not out.exists()
 
     def test_bad_lambda_is_usage_error(self, var_csv, tmp_path, capsys):
         code, _, err = _run(

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from specguard.charmatrix import edmd_matrix, eigensystem, gram_matrices
+from specguard.charmatrix import char_context, edmd_matrix, eigensystem, gram_matrices
 from specguard.errors import CostGuardError, ResolutionGuardError, ShapeError
 from specguard.generators import VarSpec, expanding_map_f, var_benchmark_7d
-from specguard.ingest import DictionarySpec, evaluate_dictionary
+from specguard.ingest import DictionarySpec, SnapshotSeries, evaluate_dictionary
 from specguard.oracle import (
     CheckResult,
     QuadratureMoments,
@@ -25,8 +27,15 @@ from specguard.oracle import (
     var_p_power,
     var_v_exact,
 )
-from specguard.pseudospec import STATUS_AT_EIGENVALUE, PowerIterSettings
-from specguard.variance import KernelSpec, variance_apply
+from specguard.pseudospec import (
+    STATUS_AT_EIGENVALUE,
+    STATUS_CONVERGED,
+    STATUS_MAX_ITERS,
+    PowerIterSettings,
+    p_hat,
+    s_apply,
+)
+from specguard.variance import KernelSpec, prepare_factors, variance_apply
 
 
 def _scalar_spec(a=0.5, sx=1.0, sxi=1.0):
@@ -252,6 +261,41 @@ class TestSMatrixBruteforce:
     def test_cost_guard(self):
         with pytest.raises(CostGuardError, match="n <= 8"):
             s_matrix_bruteforce(lambda q: q, 9)
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        l_window=st.integers(1, 7),
+        mus=st.lists(st.floats(-0.6, 0.6, exclude_min=True, exclude_max=True), max_size=2),
+        radius=st.floats(1.0, 1.4),
+        angle=st.floats(0.0, 2.0 * np.pi),
+    )
+    def test_windowed_bracket_contains_bruteforce_radius(
+        self, seed, n, l_window, mus, radius, angle
+    ):
+        # A stationary VAR trajectory (spectral radius <= 0.8), the setting
+        # the windowed covariance assumes.
+        rng = np.random.default_rng(seed)
+        m = 300
+        t = rng.normal(size=(n, n))
+        t *= min(1.0, 0.8 / float(np.max(np.abs(np.linalg.eigvals(t)))))
+        x = np.empty((m + 1, n))
+        x[0] = rng.normal(size=n)
+        for k in range(m):
+            x[k + 1] = t @ x[k] + rng.normal(size=n)
+        series = SnapshotSeries(x[:-1].astype(complex), x[1:].astype(complex), "trajectory")
+        kernel = KernelSpec.windowed(l_window, tuple(mus))
+        lam = radius * np.exp(1j * angle)
+        ctx = char_context(gram_matrices(series), lam)
+        assume(not ctx.singular_flag)
+        factors = prepare_factors(series, lam)
+        _, rho = s_matrix_bruteforce(lambda q: s_apply(q, ctx, series, kernel, factors), n)
+        est = p_hat(lam, series, kernel)
+        assert est.status in (STATUS_CONVERGED, STATUS_MAX_ITERS)
+        assert est.lower * (1 - 1e-9) <= 1.0 / rho <= est.upper * (1 + 1e-9), (
+            f"1/rho={1.0 / rho:.9g} outside [{est.lower:.9g}, {est.upper:.9g}]"
+        )
 
 
 class TestRunOracleChecks:

@@ -16,7 +16,7 @@ from scipy import stats as scipy_stats
 from scipy.special import erfc
 
 from specguard.charmatrix import gram_matrices
-from specguard.errors import AtEigenvalueError, NotSPDError, ShapeError
+from specguard.errors import AtEigenvalueError, NotSPDError, ShapeError, WindowTooLargeError
 from specguard.ingest import SnapshotSeries
 from specguard.pseudospec import (
     PEstimate,
@@ -200,6 +200,13 @@ class TestSpectrumTest:
             assert res.p_value == 1.0
             assert not res.rejects(0.05)
         assert max(report.eigen_residuals) < 1e-8
+
+    def test_window_too_large_raises(self):
+        # Every EDMD eigenvalue is at_eigenvalue and never applies the kernel,
+        # so the window must be checked up front.
+        series = _series(50, 3, seed=5)
+        with pytest.raises(WindowTooLargeError, match="half-width 60 >= M=50"):
+            spectrum_test(series, KernelSpec.windowed(60))
 
     def test_repeated_eigenvalue_flags_conjecture(self):
         rng = np.random.default_rng(11)
