@@ -17,12 +17,11 @@ import argparse
 import datetime
 import hashlib
 import json
-import os
 import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _blas
 from .charmatrix import edmd_matrix, eigensystem, gram_matrices
 from .errors import SpecguardError, UsageError
 from .generators import (
@@ -175,24 +174,6 @@ def _resolve_kernel(
     return KernelSpec.windowed(l_window, mu_list), warnings
 
 
-def _row_threads(args: argparse.Namespace) -> int:
-    """Grid rows swept in parallel: ``--threads``, else SPECGUARD_THREADS, else 1."""
-    if args.threads is not None:
-        if args.threads < 1:
-            raise UsageError(f"--threads must be >= 1, got {args.threads}")
-        return args.threads
-    env = os.environ.get("SPECGUARD_THREADS", "")
-    if not env:
-        return 1
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise UsageError(f"SPECGUARD_THREADS must be an integer >= 1, got {env!r}")
-    return threads
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
@@ -256,13 +237,10 @@ def _grid_sweep(
     args: argparse.Namespace,
 ) -> tuple[SnapshotSeries, KernelSpec, list[str], SweepResult]:
     """The sweep/cluster prelude: load -> kernel -> settings -> grid -> sweep."""
-    threads = _row_threads(args)
     series = _load_series(args)
     kernel, warnings = _resolve_kernel(args, series)
     grid = GridSpec(args.re_min, args.re_max, args.n_re, args.im_min, args.im_max, args.n_im)
-    result = sweep(
-        grid, series, kernel, _settings(args), threads=threads, floor=args.rcond_floor
-    )
+    result = sweep(grid, series, kernel, _settings(args), floor=args.rcond_floor)
     return series, kernel, warnings, result
 
 
@@ -337,9 +315,10 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     series, kernel, warnings, result = _grid_sweep(args)
-    gram = gram_matrices(series)
-    k_hat, _ = edmd_matrix(gram, floor=args.rcond_floor)
-    eigs = [m.eigenvalue for m in eigensystem(k_hat)]
+    with _blas.single_thread():
+        gram = gram_matrices(series)
+        k_hat, _ = edmd_matrix(gram, floor=args.rcond_floor)
+        eigs = [m.eigenvalue for m in eigensystem(k_hat)]
     report = cluster_eigenvalues(result, eigs, args.level, series.M)
     artifact = {
         "schema": "specguard/v1/clusters",
@@ -424,9 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--im-min", type=float, required=True)
     grid.add_argument("--im-max", type=float, required=True)
     grid.add_argument("--n-im", type=int, required=True)
-    grid.add_argument("--threads", type=int, default=None,
-                      help="grid rows swept in parallel (default: SPECGUARD_THREADS, "
-                           "else 1); BLAS runs on one thread inside each estimate")
 
     p_gen = sub.add_parser("generate", help="sample a built-in system to a snapshot file")
     p_gen.add_argument("--system", choices=("var", "map1d", "lorenz63"), required=True)

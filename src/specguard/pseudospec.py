@@ -10,17 +10,19 @@ at every step, a two-sided bracket on 1/rho(S) from the generalized pencil
 Q v = sigma S[Q] v; iteration stops once the bracket is relatively tight.
 The bracket endpoints are valid bounds for P(lambda-hat) at every iterate,
 converged or not.
+
+There is one iteration loop, and it runs a batch of points in lockstep: a
+grid sweep batches each column of the grid, and every other estimate is a
+batch of one.  Within a batch the congruence with C^{-1}, the positivity
+policy of V and the pencil bracket are stacked numpy linalg calls.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import _blas
 from .charmatrix import CharContext, GramPair, char_context, gram_matrices
@@ -37,7 +39,10 @@ from .variance import (
     FactorCache,
     KernelSpec,
     _check_window,
+    _ct,
+    _finalize_psd_stack,
     _hermitize,
+    _RealIidCovariance,
     prepare_factors,
     variance_apply,
 )
@@ -111,38 +116,53 @@ class PEstimate:
         return self.status == STATUS_CONVERGED
 
 
-def _pencil_bracket(
-    q: np.ndarray, s_of_q: np.ndarray
-) -> tuple[float, float, bool, np.ndarray]:
-    """Extreme generalized eigenvalues of Q v = sigma S[Q] v.
+def _ridged_cholesky(s_of_q: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool, bool]:
+    """Cholesky factor of one S[Q], ridged by round-off if needed.
 
-    Returns (sigma_min, sigma_max, jitter_applied, s_used) where ``s_used``
-    is the (possibly ridged) matrix whose Cholesky factor was used.
+    Returns (factor, s_used, ridged, failed); a failed factor is the identity.
     """
-    s_used = s_of_q
-    jittered = False
+    n = s_of_q.shape[0]
     try:
-        chol = np.linalg.cholesky(s_used)
+        return np.linalg.cholesky(s_of_q), s_of_q, False, False
     except np.linalg.LinAlgError:
-        n = s_of_q.shape[0]
-        ridge = _JITTER_REL * max(float(np.trace(s_of_q).real), 0.0) / n
-        if ridge <= 0.0:
-            raise DegenerateSError(
-                "S[Q] is not positive definite and has non-positive trace"
-            ) from None
-        s_used = s_of_q + ridge * np.eye(n)
-        jittered = True
-        try:
-            chol = np.linalg.cholesky(s_used)
-        except np.linalg.LinAlgError:
-            raise DegenerateSError(
-                "S[Q] is not positive definite (Cholesky failed after ridge)"
-            ) from None
+        pass
+    ridge = _JITTER_REL * max(float(np.trace(s_of_q).real), 0.0) / n
+    if ridge <= 0.0:
+        return np.eye(n, dtype=complex), s_of_q, False, True
+    s_used = s_of_q + ridge * np.eye(n)
+    try:
+        return np.linalg.cholesky(s_used), s_used, True, False
+    except np.linalg.LinAlgError:
+        return np.eye(n, dtype=complex), s_used, True, True
+
+
+def _pencil(
+    q: np.ndarray, s_of_q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Extreme generalized eigenvalues of Q_k v = sigma S[Q_k] v over a stack.
+
+    Returns (sigma_min, sigma_max, ridged, failed, s_used) per matrix.
+    When S[Q_k] has no Cholesky factor it is ridged by round-off; sigma_min
+    of the ridged pencil is still a lower bound, but sigma_max is not an
+    upper one, so it is reported as inf.  ``failed`` marks an S[Q_k] that
+    stays indefinite after the ridge; its endpoints are meaningless.
+    """
+    ridged = np.zeros(len(q), dtype=bool)
+    failed = np.zeros(len(q), dtype=bool)
+    s_used = s_of_q
+    try:
+        chol = np.linalg.cholesky(s_of_q)
+    except np.linalg.LinAlgError:
+        chol = np.empty_like(s_of_q)
+        s_used = s_of_q.copy()
+        for k in range(len(q)):
+            chol[k], s_used[k], ridged[k], failed[k] = _ridged_cholesky(s_of_q[k])
     # L^{-1} Q L^{-*} shares the pencil's eigenvalues and is Hermitian.
-    half = solve_triangular(chol, q, lower=True)
-    reduced = solve_triangular(chol, half.conj().T, lower=True).conj().T
+    half = np.linalg.solve(chol, q)
+    reduced = _ct(np.linalg.solve(chol, _ct(half)))
     sig = np.linalg.eigvalsh(_hermitize(reduced))
-    return float(sig[0]), float(sig[-1]), jittered, s_used
+    upper = np.where(ridged, np.inf, sig[:, -1])
+    return sig[:, 0], upper, ridged, failed, s_used
 
 
 def bracket(q: np.ndarray, s_of_q: np.ndarray) -> tuple[float, float]:
@@ -151,15 +171,108 @@ def bracket(q: np.ndarray, s_of_q: np.ndarray) -> tuple[float, float]:
     For PSD Q and PD S[Q], every point of the pseudospectrum estimate lies
     between the extreme generalized eigenvalues of Q v = sigma S[Q] v.
     If Q happens to be a fixed direction (S[Q] proportional to Q) the two
-    endpoints coincide.
+    endpoints coincide.  An S[Q] that needed a round-off ridge to factor
+    keeps its lower endpoint and gets an upper endpoint of inf.
 
     Raises
     ------
     DegenerateSError
         If S[Q] is not positive definite even after a round-off ridge.
     """
-    lo, hi, _, _ = _pencil_bracket(np.asarray(q, complex), np.asarray(s_of_q, complex))
-    return lo, hi
+    lo, hi, _, failed, _ = _pencil(
+        np.asarray(q, complex)[np.newaxis], np.asarray(s_of_q, complex)[np.newaxis]
+    )
+    if failed[0]:
+        raise DegenerateSError("S[Q] is not positive definite, even after a round-off ridge")
+    return float(lo[0]), float(hi[0])
+
+
+#: ``apply_s(live, q)``: S[Q] for the iterates ``q`` (k, N, N) of the batch
+#: points ``live``, and the NumericError of each point whose application
+#: failed, keyed by position in ``live``.
+_BatchApply = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, dict[int, NumericError]]]
+
+
+def _iterate(
+    apply_s: _BatchApply,
+    q: np.ndarray,
+    settings: PowerIterSettings,
+    history: list | None = None,
+) -> list[PEstimate | NumericError]:
+    """The certified power iteration, run in lockstep over a batch of points.
+
+    ``q`` (B, N, N) holds each point's starting iterate.  A point leaves
+    the batch when it converges, degenerates, or its S application fails
+    (its entry is then that NumericError); the rest stop at ``max_iters``.
+    ``history``, for one-point batches, receives every step's
+    (lower, upper).
+
+    ``q_final`` is the trace-one iterate whose pencil produced the returned
+    bracket, so it can seed a warm start at a nearby spectral point.
+    """
+    q = np.array(q, dtype=complex)
+    out: list[PEstimate | NumericError | None] = [None] * len(q)
+    lower = np.zeros(len(q))
+    upper = np.full(len(q), np.inf)
+    jitter = np.zeros(len(q), dtype=bool)
+
+    def finish(points: np.ndarray, iterations: int, status: str) -> None:
+        for i in points:
+            out[i] = PEstimate(
+                lower=float(lower[i]),
+                upper=float(upper[i]),
+                iterations=iterations,
+                q_final=q[i].copy(),
+                status=status,
+                jitter_applied=bool(jitter[i]),
+            )
+
+    live = np.arange(len(q))
+    iterations = 0
+    for iterations in range(1, settings.max_iters + 1):
+        if not len(live):
+            break
+        s_of_q, errors = apply_s(live, q[live])
+        for pos, exc in errors.items():
+            out[live[pos]] = exc
+        ok = np.array([pos not in errors for pos in range(len(live))], dtype=bool)
+        live = live[ok]
+        if not len(live):
+            break
+        lo, hi, ridged, failed, s_used = _pencil(q[live], _hermitize(s_of_q[ok]))
+        finish(live[failed], iterations, STATUS_DEGENERATE_S)
+        live, lo, hi, s_used = live[~failed], lo[~failed], hi[~failed], s_used[~failed]
+        lower[live] = np.maximum(lo, 0.0)
+        upper[live] = hi
+        jitter[live] |= ridged[~failed]
+        if history is not None:
+            history.extend((float(lower[i]), float(upper[i])) for i in live)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            done = (lower[live] > 0.0) & (upper[live] / lower[live] <= 1.0 + settings.rel_tol)
+        finish(live[done], iterations, STATUS_CONVERGED)
+        live, s_used = live[~done], s_used[~done]
+        trace = np.trace(s_used, axis1=-2, axis2=-1).real
+        bad = ~np.isfinite(trace) | (trace <= 0.0)
+        finish(live[bad], iterations, STATUS_DEGENERATE_S)
+        live = live[~bad]
+        q[live] = s_used[~bad] / trace[~bad, np.newaxis, np.newaxis]
+    finish(live, iterations, STATUS_MAX_ITERS)
+    return out
+
+
+def _start(settings: PowerIterSettings, dim: int) -> np.ndarray:
+    """The first iterate: the validated warm start, else I / N."""
+    if settings.warm_start is None:
+        return np.eye(dim, dtype=complex) / dim
+    q = np.array(settings.warm_start, dtype=complex)
+    if q.shape != (dim, dim):
+        raise ShapeError(f"warm_start shape {q.shape} != ({dim}, {dim})")
+    if abs(np.trace(q).real - 1.0) > 1e-8:
+        raise ShapeError("warm_start must have unit trace")
+    q = _hermitize(q)
+    if float(np.linalg.eigvalsh(q)[0]) < -1e-8:
+        raise ShapeError("warm_start must be positive semidefinite")
+    return q
 
 
 def power_iterate(
@@ -186,66 +299,13 @@ def power_iterate(
     """
     if settings is None:
         settings = PowerIterSettings()
-    if settings.warm_start is not None:
-        q = np.array(settings.warm_start, dtype=complex)
-        if q.shape != (dim, dim):
-            raise ShapeError(f"warm_start shape {q.shape} != ({dim}, {dim})")
-        if abs(np.trace(q).real - 1.0) > 1e-8:
-            raise ShapeError("warm_start must have unit trace")
-        q = _hermitize(q)
-        if float(np.linalg.eigvalsh(q)[0]) < -1e-8:
-            raise ShapeError("warm_start must be positive semidefinite")
-    else:
-        q = np.eye(dim, dtype=complex) / dim
-
-    lower, upper = 0.0, float("inf")
-    jitter_any = False
-    iterations = 0
-    for iterations in range(1, settings.max_iters + 1):
-        r = _hermitize(apply_s(q))
-        try:
-            lo, hi, jittered, s_used = _pencil_bracket(q, r)
-        except DegenerateSError:
-            return PEstimate(
-                lower=lower,
-                upper=upper,
-                iterations=iterations,
-                q_final=q,
-                status=STATUS_DEGENERATE_S,
-                jitter_applied=jitter_any,
-            )
-        jitter_any = jitter_any or jittered
-        lower, upper = max(lo, 0.0), hi
-        if history is not None:
-            history.append((lower, upper))
-        if lower > 0.0 and upper / lower <= 1.0 + settings.rel_tol:
-            return PEstimate(
-                lower=lower,
-                upper=upper,
-                iterations=iterations,
-                q_final=q,
-                status=STATUS_CONVERGED,
-                jitter_applied=jitter_any,
-            )
-        trace = float(np.trace(s_used).real)
-        if not np.isfinite(trace) or trace <= 0.0:
-            return PEstimate(
-                lower=lower,
-                upper=upper,
-                iterations=iterations,
-                q_final=q,
-                status=STATUS_DEGENERATE_S,
-                jitter_applied=jitter_any,
-            )
-        q = s_used / trace
-    return PEstimate(
-        lower=lower,
-        upper=upper,
-        iterations=iterations,
-        q_final=q,
-        status=STATUS_MAX_ITERS,
-        jitter_applied=jitter_any,
+    (est,) = _iterate(
+        lambda live, q: (apply_s(q[0])[np.newaxis], {}),
+        _start(settings, dim)[np.newaxis],
+        settings,
+        history,
     )
+    return est
 
 
 def _off_spectrum_factors(
@@ -303,6 +363,117 @@ def s_star_apply(
     return _hermitize((t1 - t2 - t2.conj().T) / m + q)
 
 
+def _congruence(ctxs: list[CharContext]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``(live, q) -> C^{-*} Q C^{-1}`` at the batch points ``live``.
+
+    Two stacked solves with each point's equilibrated C^*, the same
+    computation as :meth:`CharContext.inv_congruence` for a whole batch.
+    """
+    scale = np.stack([ctx.scale for ctx in ctxs])[:, :, np.newaxis]
+    c_eq_h = np.stack([_ct(ctx.c_hat / np.outer(ctx.scale, ctx.scale)) for ctx in ctxs])
+
+    def apply(live: np.ndarray, q: np.ndarray) -> np.ndarray:
+        s, a = scale[live], c_eq_h[live]
+        y = np.linalg.solve(a, q / s) / s
+        return _ct(np.linalg.solve(a, _ct(y) / s) / s)
+
+    return apply
+
+
+class _Covariance:
+    """The covariance application V for one series and kernel.
+
+    The iid kernel on a real-valued series (every imaginary part exactly
+    zero, checked once here) runs in real arithmetic through
+    :class:`_RealIidCovariance`; every other series or kernel calls
+    :func:`variance_apply` point by point.
+    """
+
+    def __init__(self, series: SnapshotSeries, kernel: KernelSpec) -> None:
+        self.series = series
+        self.kernel = kernel
+        self.real = None
+        if _RealIidCovariance.applies(series, kernel):
+            self.real = _RealIidCovariance(series)
+        else:
+            self.ut = np.ascontiguousarray(series.a.T)   # u_m = a_m at every lambda
+
+    def at(self, ctxs: list[CharContext]) -> _BatchApply:
+        """``(live, w) -> (V[W] stack, errors)`` at the points of ``ctxs``."""
+        lam = np.array([ctx.lam for ctx in ctxs])
+        if self.real is not None:
+            c_hat = np.stack([ctx.c_hat for ctx in ctxs])
+
+            def apply_real(live: np.ndarray, w: np.ndarray):
+                result, _, errors = _finalize_psd_stack(self.real(lam[live], c_hat[live], w), w)
+                return result, errors
+
+            return apply_real
+
+        series, kernel, ut = self.series, self.kernel, self.ut
+        c_mean: list[np.ndarray | None] = [None] * len(ctxs)
+
+        def apply_each(live: np.ndarray, w: np.ndarray):
+            result = np.empty_like(w)
+            errors: dict[int, NumericError] = {}
+            for pos, i in enumerate(live):
+                # The factors of prepare_factors, rebuilt per application so
+                # that a batch keeps only each point's N x N mean between
+                # applications, not its (N, M) factors.
+                vt = np.conj(lam[i]) * ut
+                vt -= series.b.T
+                if c_mean[i] is None:
+                    c_mean[i] = ut @ vt.conj().T / series.M
+                factors = FactorCache(complex(lam[i]), ut, vt, c_mean[i])
+                try:
+                    result[pos] = variance_apply(w[pos], lam[i], series, kernel, factors).result
+                except NumericError as exc:
+                    errors[pos] = exc
+            return result, errors
+
+        return apply_each
+
+
+def _estimate(
+    ctxs: list[CharContext],
+    apply_v: _BatchApply,
+    starts: np.ndarray,
+    settings: PowerIterSettings,
+    history: list | None = None,
+) -> list[PEstimate | NumericError]:
+    """Power iteration on S[Q] = V[C^{-*} Q C^{-1}] at off-spectrum points."""
+    congruence = _congruence(ctxs)
+    return _iterate(
+        lambda live, q: apply_v(live, congruence(live, q)), starts, settings, history
+    )
+
+
+def _estimate_one(
+    ctx: CharContext,
+    apply_v: _BatchApply,
+    settings: PowerIterSettings | None,
+    history: list | None,
+) -> PEstimate:
+    """:func:`_estimate` at one point; raises the NumericError of a failed V."""
+    if settings is None:
+        settings = PowerIterSettings()
+    (est,) = _estimate([ctx], apply_v, _start(settings, ctx.dim)[np.newaxis], settings, history)
+    if isinstance(est, NumericError):
+        raise est
+    return est
+
+
+def _at_eigenvalue(n: int) -> PEstimate:
+    """The estimate where C(lam) is singular: P is exactly 0 there."""
+    return PEstimate(
+        lower=0.0,
+        upper=0.0,
+        iterations=0,
+        q_final=np.eye(n, dtype=complex) / n,
+        status=STATUS_AT_EIGENVALUE,
+    )
+
+
 def p_hat(
     lam: complex,
     series: SnapshotSeries,
@@ -315,10 +486,12 @@ def p_hat(
 
     Returns an ``at_eigenvalue`` estimate with both endpoints 0 when
     C(lam) is numerically singular, i.e. lam is an eigenvalue of the
-    EDMD matrix; P vanishes exactly on the spectrum.
+    EDMD matrix; P vanishes exactly on the spectrum.  Runs with BLAS on
+    one thread (see :mod:`specguard._blas`).
     """
-    gram = gram_matrices(series)
-    return _p_hat_from_gram(gram, lam, series, kernel, settings, history, floor)
+    with _blas.single_thread():
+        gram = gram_matrices(series)
+        return _p_hat_from_gram(gram, lam, series, kernel, settings, history, floor)
 
 
 def _certified_estimate(
@@ -329,24 +502,18 @@ def _certified_estimate(
 ) -> PEstimate:
     """Power iteration on S[Q] = V[C^{-*} Q C^{-1}] at ctx's spectral point.
 
-    ``make_v`` returns the covariance application V; it is called only off
-    the spectrum, so its set-up is skipped where C(lam) is singular and the
-    estimate is pinned to ``at_eigenvalue`` with both endpoints 0.  V's
-    set-up and the iteration run with BLAS on one thread (see
-    :mod:`specguard._blas`); the caller's thread counts are restored after.
+    ``make_v`` returns the covariance application V of one matrix; it is
+    called only off the spectrum, so its set-up is skipped where C(lam) is
+    singular and the estimate is pinned to ``at_eigenvalue`` with both
+    endpoints 0.  V's set-up and the iteration run with BLAS on one thread
+    (see :mod:`specguard._blas`); the caller's thread counts are restored
+    after.
     """
-    n = ctx.dim
     if ctx.singular_flag:
-        return PEstimate(
-            lower=0.0,
-            upper=0.0,
-            iterations=0,
-            q_final=np.eye(n, dtype=complex) / n,
-            status=STATUS_AT_EIGENVALUE,
-        )
+        return _at_eigenvalue(ctx.dim)
     with _blas.single_thread():
         v = make_v()
-        return power_iterate(lambda q: v(ctx.inv_congruence(q)), n, settings, history)
+        return _estimate_one(ctx, lambda live, w: (v(w[0])[np.newaxis], {}), settings, history)
 
 
 def _p_hat_from_gram(
@@ -358,11 +525,11 @@ def _p_hat_from_gram(
     history: list | None = None,
     floor: float | None = None,
 ) -> PEstimate:
-    def make_v() -> Callable[[np.ndarray], np.ndarray]:
-        factors = prepare_factors(series, lam)
-        return lambda w: variance_apply(w, lam, series, kernel, factors).result
-
-    return _certified_estimate(char_context(gram, lam, floor), make_v, settings, history)
+    """:func:`p_hat` from the series' Gram matrices, in the caller's BLAS scope."""
+    ctx = char_context(gram, lam, floor)
+    if ctx.singular_flag:
+        return _at_eigenvalue(ctx.dim)
+    return _estimate_one(ctx, _Covariance(series, kernel).at([ctx]), settings, history)
 
 
 def p_sym_fixed_q(
@@ -539,24 +706,20 @@ def sweep(
     series: SnapshotSeries,
     kernel: KernelSpec,
     settings: PowerIterSettings | None = None,
-    threads: int = 1,
     floor: float | None = None,
 ) -> SweepResult:
     """Evaluate the certified bracket over a complex grid.
 
-    Rows (fixed imaginary part) are processed left to right with the
-    previous point's final iterate as a warm start; distinct rows may run
-    on a thread pool.  Per-point numerical failures are recorded in the
-    status field and never abort the sweep; configuration errors, such as
-    a kernel window that does not fit the sample, raise before any point
-    is evaluated.
+    The grid is marched column by column, left to right.  The off-spectrum
+    points of a column iterate together as one batch, and each starts from
+    the final iterate of its left neighbour when that one converged.  The
+    whole sweep runs with BLAS on one thread (see :mod:`specguard._blas`).
+    Per-point numerical failures are recorded in the status field and never
+    abort the sweep; configuration errors, such as a kernel window that does
+    not fit the sample, raise before any point is evaluated.
     """
     if settings is None:
         settings = PowerIterSettings()
-    if threads < 1:
-        raise ShapeError(f"threads must be >= 1, got {threads}")
-    _check_window(kernel, series.M)
-    gram = gram_matrices(series)
     re_axis, im_axis = grid.axes()
     shape = (grid.n_im, grid.n_re)
     lower = np.zeros(shape)
@@ -564,30 +727,42 @@ def sweep(
     iters = np.zeros(shape, dtype=int)
     status = np.empty(shape, dtype=object)
 
-    def run_row(i: int) -> None:
-        warm: np.ndarray | None = None
-        for j, re in enumerate(re_axis):
-            lam = complex(re, im_axis[i])
-            point_settings = dataclasses.replace(settings, warm_start=warm)
-            try:
-                est = _p_hat_from_gram(gram, lam, series, kernel, point_settings, floor=floor)
-            except NumericError:
-                lower[i, j], upper[i, j] = 0.0, float("inf")
-                iters[i, j] = 0
-                status[i, j] = STATUS_DEGENERATE_S
-                warm = None
-                continue
-            lower[i, j], upper[i, j] = est.lower, est.upper
-            iters[i, j] = est.iterations
-            status[i, j] = est.status
-            warm = est.q_final if est.converged else None
+    def degenerate(i: int, j: int) -> None:
+        lower[i, j], upper[i, j], status[i, j] = 0.0, float("inf"), STATUS_DEGENERATE_S
 
-    if threads == 1:
-        for i in range(grid.n_im):
-            run_row(i)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_row, range(grid.n_im)))
+    with _blas.single_thread():
+        _check_window(kernel, series.M)
+        gram = gram_matrices(series)
+        covariance = _Covariance(series, kernel)
+        n = gram.dim
+        warm: list[np.ndarray | None] = [None] * grid.n_im
+        for j, re in enumerate(re_axis):
+            rows, ctxs, starts = [], [], []
+            for i, im in enumerate(im_axis):
+                start, warm[i] = warm[i], None
+                try:
+                    ctx = char_context(gram, complex(re, im), floor)
+                except NumericError:
+                    degenerate(i, j)
+                    continue
+                if ctx.singular_flag:
+                    status[i, j] = STATUS_AT_EIGENVALUE
+                    continue
+                rows.append(i)
+                ctxs.append(ctx)
+                starts.append(np.eye(n, dtype=complex) / n if start is None else start)
+            if not rows:
+                continue
+            ests = _estimate(ctxs, covariance.at(ctxs), np.stack(starts), settings)
+            for i, est in zip(rows, ests):
+                if isinstance(est, NumericError):
+                    degenerate(i, j)
+                    continue
+                lower[i, j], upper[i, j] = est.lower, est.upper
+                iters[i, j] = est.iterations
+                status[i, j] = est.status
+                if est.converged:
+                    warm[i] = est.q_final
 
     return SweepResult(
         re_axis=re_axis,

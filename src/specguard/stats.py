@@ -22,6 +22,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import erf, erfc
 
+from . import _blas
 from .charmatrix import char_context, edmd_matrix, eigensystem, gram_matrices
 from .errors import AtEigenvalueError, NotSPDError, ShapeError
 from .ingest import SnapshotSeries
@@ -198,23 +199,26 @@ def spectrum_test(
 
     A kernel window that does not fit the sample raises before any point
     is tested, even though at-eigenvalue points never apply the kernel.
+    The fit and every estimate run with BLAS on one thread (see
+    :mod:`specguard._blas`).
     """
     _check_window(kernel, series.M)
-    gram = gram_matrices(series)
-    k_hat, rcond = edmd_matrix(gram, floor)
-    modes = eigensystem(k_hat)
-    vals = np.array([m.eigenvalue for m in modes])
-    results = []
-    residuals = []
-    for mode in modes:
-        mult = int(
-            np.sum(np.abs(vals - mode.eigenvalue) <= 1e-8 * max(1.0, abs(mode.eigenvalue)))
-        )
-        est = _p_hat_from_gram(gram, mode.eigenvalue, series, kernel, settings, floor=floor)
-        results.append(
-            eig_test(mode.eigenvalue, est, series.M, multiplicity=mult, alphas=alphas)
-        )
-        residuals.append(mode.residual)
+    with _blas.single_thread():
+        gram = gram_matrices(series)
+        k_hat, rcond = edmd_matrix(gram, floor)
+        modes = eigensystem(k_hat)
+        vals = np.array([m.eigenvalue for m in modes])
+        results = []
+        residuals = []
+        for mode in modes:
+            mult = int(
+                np.sum(np.abs(vals - mode.eigenvalue) <= 1e-8 * max(1.0, abs(mode.eigenvalue)))
+            )
+            est = _p_hat_from_gram(gram, mode.eigenvalue, series, kernel, settings, floor=floor)
+            results.append(
+                eig_test(mode.eigenvalue, est, series.M, multiplicity=mult, alphas=alphas)
+            )
+            residuals.append(mode.residual)
     return SpectralReport(
         results=tuple(results),
         eigen_residuals=tuple(residuals),

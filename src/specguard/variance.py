@@ -14,6 +14,9 @@ Two evaluation routes are provided: a direct reference implementation
 and a production path (`variance_apply`) that exploits the rank-one
 structure to run in O(L * M * N + M * N^2) time.  The two must agree to
 near machine precision; tests enforce a 1e-10 relative Frobenius bound.
+For the iid kernel on real-valued data, the certified estimates apply V in
+real arithmetic to a whole batch of points at once
+(`_RealIidCovariance`), held to the same bound.
 """
 
 from __future__ import annotations
@@ -361,36 +364,55 @@ def _check_window(kernel: KernelSpec, m_samples: int) -> None:
         )
 
 
+def _ct(mat: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(mat.conj(), -1, -2)
+
+
 def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
+    return 0.5 * (mat + _ct(mat))
+
+
+def _finalize_psd_stack(
+    raw: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict[int, NumericError]]:
+    """Symmetrize each V[Q_k] of a stack and apply the negative-eigenvalue policy.
+
+    Round-off-scale negative eigenvalues are clipped to zero (flagged).
+    Structurally negative eigenvalues are an error only when the input Q_k
+    was PSD, since then a PSD result is mathematically guaranteed; for
+    indefinite Q_k the result is legitimately indefinite and is returned
+    as-is.  Returns the results, the per-matrix repair flags, and the
+    errors keyed by stack position.
+    """
+    sym = _hermitize(raw)
+    w = np.linalg.eigvalsh(sym)
+    repaired = np.zeros(len(sym), dtype=bool)
+    errors: dict[int, NumericError] = {}
+    for k in np.flatnonzero(w[:, 0] < 0.0):
+        wmin = float(w[k, 0])
+        scale = float(np.abs(w[k]).max())
+        if wmin >= -PSD_CLIP_TOL * scale:
+            wk, vecs = np.linalg.eigh(sym[k])
+            sym[k] = _hermitize((vecs * np.clip(wk, 0.0, None)) @ vecs.conj().T)
+            repaired[k] = True
+            continue
+        wq = np.linalg.eigvalsh(_hermitize(np.asarray(q[k], dtype=complex)))
+        q_scale = float(np.abs(wq).max(initial=0.0))
+        if wq[0] >= -1e-12 * max(q_scale, 1.0):
+            errors[int(k)] = NumericError(
+                f"covariance application lost positivity (min eig {wmin:.3e} at "
+                f"scale {scale:.3e}) despite PSD input"
+            )
+    return sym, repaired, errors
 
 
 def _finalize_psd(raw: np.ndarray, q: np.ndarray) -> VarianceApplication:
-    """Symmetrize and apply the negative-eigenvalue repair policy.
-
-    Round-off-scale negative eigenvalues are clipped to zero (flagged).
-    Structurally negative eigenvalues raise only when the input Q was PSD,
-    since then a PSD result is mathematically guaranteed; for indefinite Q
-    the result is legitimately indefinite and is returned as-is.
-    """
-    sym = _hermitize(raw)
-    w, vecs = np.linalg.eigh(sym)
-    wmin = float(w[0])
-    if wmin >= 0.0:
-        return VarianceApplication(sym, False)
-    scale = float(np.abs(w).max())
-    if wmin >= -PSD_CLIP_TOL * scale:
-        wc = np.clip(w, 0.0, None)
-        repaired = _hermitize((vecs * wc) @ vecs.conj().T)
-        return VarianceApplication(repaired, True)
-    wq = np.linalg.eigvalsh(_hermitize(np.asarray(q, dtype=complex)))
-    q_scale = float(np.abs(wq).max(initial=0.0))
-    if wq[0] >= -1e-12 * max(q_scale, 1.0):
-        raise NumericError(
-            f"covariance application lost positivity (min eig {wmin:.3e} at "
-            f"scale {scale:.3e}) despite PSD input"
-        )
-    return VarianceApplication(sym, False)
+    """:func:`_finalize_psd_stack` for one matrix; raises its NumericError."""
+    sym, repaired, errors = _finalize_psd_stack(raw[np.newaxis], np.asarray(q)[np.newaxis])
+    if errors:
+        raise errors[0]
+    return VarianceApplication(sym[0], bool(repaired[0]))
 
 
 def variance_apply(
@@ -453,6 +475,100 @@ def variance_apply(
     tilde -= coef * (c_hat.conj().T @ qc)
 
     return _finalize_psd(tilde + tilde.conj().T, q)
+
+
+class _RealIidCovariance:
+    """V[W] of the iid kernel on a real-valued series, in real arithmetic.
+
+    With u_m = a_m and v_m = conj(lam) a_m - b_m for real a_m, b_m, the iid
+    estimator (1/M) sum_m (u_m^* W u_m) v_m v_m^* - C^* W C becomes
+
+        V[W] = (1/M)(|lam|^2 X_aa - conj(lam) X_ab - lam X_ba + X_bb) - C^* W C,
+        X = sum_m s_m z_m z_m^T,  z_m = [a_m; b_m],  s_m = a_m^T Re(W) a_m,
+
+    so one real (2N, M) array serves every lambda.  One W takes the direct
+    form X = z^T diag(s) z.  A stack of W builds the packed (upper-triangle)
+    Khatri-Rao products z_m (x) z_m one block of samples at a time, a-a
+    pairs first, so the s of every W is one GEMM against that leading
+    part and the packed X of every W one more.  No M-sized Khatri-Rao stack
+    is kept: a block is at most ``BLOCK`` samples, and when even that would
+    exceed ``MAX_BLOCK_ENTRIES`` (large N) each W takes the direct form.
+    """
+
+    #: samples per Khatri-Rao block.
+    BLOCK = 512
+    #: largest Khatri-Rao block, in float64 entries (8 MB).
+    MAX_BLOCK_ENTRIES = 1 << 20
+
+    def __init__(self, series: SnapshotSeries) -> None:
+        n = series.N
+        self.n = n
+        self.m = series.M
+        self.zt = np.concatenate((series.a.real.T, series.b.real.T))
+        # Packed pairs (i, j), i <= j, as runs j = j0..j1-1 for each i:
+        # a-a first, then a-b, then b-b.
+        self.runs = (
+            [(i, i, n) for i in range(n)]
+            + [(i, n, 2 * n) for i in range(n)]
+            + [(n + i, n + i, 2 * n) for i in range(n)]
+        )
+        self.rows = np.concatenate([np.full(j1 - j0, i) for i, j0, j1 in self.runs])
+        self.cols = np.concatenate([np.arange(j0, j1) for _, j0, j1 in self.runs])
+        self.n_aa = n * (n + 1) // 2
+        # s_m = sum_{i <= j} (R_ij + R_ji) a_mi a_mj, the diagonal counted once.
+        aa_i, aa_j = self.rows[: self.n_aa], self.cols[: self.n_aa]
+        self.pair_weight = np.where(aa_i == aa_j, 0.5, 1.0)
+        block = min(self.BLOCK, self.m)
+        self.kr = None
+        if block * len(self.rows) <= self.MAX_BLOCK_ENTRIES:
+            self.kr = np.empty((len(self.rows), block))
+
+    @staticmethod
+    def applies(series: SnapshotSeries, kernel: KernelSpec) -> bool:
+        """True for the iid kernel on a series whose imaginary parts are all zero."""
+        return kernel.mode == "iid" and not series.a.imag.any() and not series.b.imag.any()
+
+    def second_moments(self, w: np.ndarray) -> np.ndarray:
+        """X = sum_m s_m z_m z_m^T for each W of the stack, shape (k, 2N, 2N)."""
+        r = np.ascontiguousarray(w.real)
+        n, zt = self.n, self.zt
+        if len(w) == 1 or self.kr is None:
+            at = zt[:n]
+            out = np.empty((len(w), 2 * n, 2 * n))
+            for k in range(len(w)):
+                s = np.einsum("im,im->m", r[k].T @ at, at)
+                out[k] = zt @ (zt * s).T
+            return out
+        r_pairs = (r + np.swapaxes(r, -1, -2))[:, self.rows[: self.n_aa], self.cols[: self.n_aa]]
+        r_pairs *= self.pair_weight
+        packed = np.zeros((len(self.rows), len(w)))
+        block = self.kr.shape[1]
+        for start in range(0, self.m, block):
+            zb = zt[:, start : start + block]
+            kr = self.kr[:, : zb.shape[1]]
+            pos = 0
+            for i, j0, j1 in self.runs:
+                np.multiply(zb[i], zb[j0:j1], out=kr[pos : pos + j1 - j0])
+                pos += j1 - j0
+            packed += kr @ (r_pairs @ kr[: self.n_aa]).T
+        x = np.empty((len(w), 2 * n, 2 * n))
+        x[:, self.rows, self.cols] = packed.T
+        x[:, self.cols, self.rows] = packed.T
+        return x
+
+    def __call__(self, lam: np.ndarray, c_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """V[W_k] before the positivity policy, at points lam_k with C(lam_k) = c_hat_k."""
+        n = self.n
+        x = self.second_moments(w)
+        lam = lam[:, np.newaxis, np.newaxis]
+        x_ab = x[:, :n, n:]
+        moment = (
+            (lam * lam.conj()).real * x[:, :n, :n]
+            - lam.conj() * x_ab
+            - lam * np.swapaxes(x_ab, -1, -2)
+            + x[:, n:, n:]
+        )
+        return moment / self.m - _ct(c_hat) @ w @ c_hat
 
 
 def variance_apply_naive(

@@ -454,7 +454,7 @@ def test_external_snapshot_pipeline_smoke(tmp_path, capsys):
             "--re-min", "0.9", "--re-max", "1.1", "--n-re", "3",
             "--im-min", "-0.1", "--im-max", "0.1", "--n-im", "3",
             "--tau", "auto", "--mu", "auto:3", "--tol", "0.5",
-            "--log-time", "0.05", "--threads", "1", "--out", str(sweep_out),
+            "--log-time", "0.05", "--out", str(sweep_out),
         ]
     )
     capsys.readouterr()

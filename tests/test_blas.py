@@ -1,4 +1,4 @@
-"""BLAS thread control: one thread inside each certified estimate, the
+"""BLAS thread control: one thread over each sweep, estimate and fit, the
 caller's counts restored afterwards, and results that do not depend on the
 thread setting the process started with.
 """
@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 import specguard
-from specguard import _blas
-from specguard import pseudospec
+from specguard import _blas, cli, pseudospec, stats
 from specguard.charmatrix import char_context, gram_matrices
 from specguard.cli import main
 from specguard.ingest import SnapshotSeries
@@ -51,10 +50,10 @@ def two_threads():
         set_(count)
 
 
-def _series(m=400, n=4, seed=0):
+def _series(m=400, n=4, seed=0, real=False):
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-    b = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    a = rng.normal(size=(m, n)) + (0 if real else 1j) * rng.normal(size=(m, n))
+    b = rng.normal(size=(m, n)) + (0 if real else 1j) * rng.normal(size=(m, n))
     return SnapshotSeries(a, b, "iid")
 
 
@@ -92,7 +91,7 @@ def test_restored_after_p_hat(two_threads):
     assert _counts() == [2] * len(COPIES)
 
 
-def test_row_pool_runs_on_one_thread_and_restores(two_threads, monkeypatch):
+def test_sweep_runs_on_one_thread_and_restores(two_threads, monkeypatch):
     seen = []
     apply = pseudospec.variance_apply
 
@@ -101,9 +100,56 @@ def test_row_pool_runs_on_one_thread_and_restores(two_threads, monkeypatch):
         return apply(*args, **kwargs)
 
     monkeypatch.setattr(pseudospec, "variance_apply", recording_apply)
-    result = sweep(GridSpec(1.1, 1.5, 4, -0.3, 0.3, 6), _series(), KernelSpec.iid(), threads=3)
+    result = sweep(GridSpec(1.1, 1.5, 4, -0.3, 0.3, 6), _series(), KernelSpec.iid())
     assert result.iterations.sum() == len(seen) > 0
     assert all(counts == [1] * len(COPIES) for counts in seen)
+    assert _counts() == [2] * len(COPIES)
+
+
+@pytest.mark.parametrize("entry", ["sweep", "p_hat", "spectrum_test"])
+def test_fit_and_char_context_run_on_one_thread(two_threads, monkeypatch, entry):
+    seen = {}
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            seen.setdefault(name, []).append(_counts())
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for module in (pseudospec, stats):
+        for name in ("gram_matrices", "char_context", "edmd_matrix", "eigensystem"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    series = _series(real=True)
+    if entry == "sweep":
+        sweep(GridSpec(1.1, 1.5, 3, -0.3, 0.3, 3), series, KernelSpec.iid())
+    elif entry == "p_hat":
+        p_hat(1.3 + 0.2j, series, KernelSpec.iid())
+    else:
+        stats.spectrum_test(series, KernelSpec.iid())
+    assert {"gram_matrices", "char_context"} <= set(seen)
+    assert all(counts == [1] * len(COPIES) for calls in seen.values() for counts in calls)
+    assert _counts() == [2] * len(COPIES)
+
+
+def test_cluster_refit_runs_on_one_thread(two_threads, monkeypatch, tmp_path):
+    data = tmp_path / "map.csv"
+    assert main(["generate", "--system", "map1d", "--M", "300", "--N", "4",
+                 "--seed", "4", "--out", str(data)]) == 0
+    seen = []
+    fit = cli.edmd_matrix
+
+    def recording_fit(*args, **kwargs):
+        seen.append(_counts())
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "edmd_matrix", recording_fit)
+    assert main(["cluster", "--data", str(data), "--iid", "--level", "1.0",
+                 "--re-min", "-1", "--re-max", "1", "--n-re", "3",
+                 "--im-min", "-1", "--im-max", "1", "--n-im", "3",
+                 "--out", str(tmp_path / "c.json")]) == 0
+    assert seen == [[1] * len(COPIES)]
     assert _counts() == [2] * len(COPIES)
 
 

@@ -168,7 +168,7 @@ class TestSweep:
         # The manifest records the command, so a rerun must repeat --out too.
         out1 = tmp_path / "s1.json"
         argv = ["sweep", "--data", var_csv, *self.GRID, "--iid", "--tol", "0.3",
-                "--threads", "1", "--out", str(out1)]
+                "--out", str(out1)]
         assert main(argv) == 0
         first = out1.read_bytes()
         assert main(argv) == 0
@@ -194,7 +194,7 @@ class TestSweep:
             capsys, "sweep", "--data", var_csv,
             "--re-min", "1.05", "--re-max", "1.15", "--n-re", "2",
             "--im-min", "0.05", "--im-max", "0.1", "--n-im", "2",
-            "--iid", "--tol", "0.3", "--threads", "1", "--log-time", "0.5",
+            "--iid", "--tol", "0.3", "--log-time", "0.5",
             "--csv", str(csv_path), "--out", str(out),
         )
         assert code == 0
@@ -213,65 +213,6 @@ class TestSweep:
         assert code == 3
         assert "half-width 60 >= M=50" in err
         assert not out.exists()
-
-
-class TestThreadSettings:
-    GRID = TestSweep.GRID
-
-    @pytest.mark.parametrize("value", ["abc", "-4", "0"])
-    def test_bad_environment_value_is_usage_error(
-        self, value, var_csv, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("SPECGUARD_THREADS", value)
-        out = tmp_path / "s.json"
-        code, _, err = _run(
-            capsys, "sweep", "--data", var_csv, *self.GRID, "--iid", "--out", str(out)
-        )
-        assert code == 2
-        assert err.startswith("usage error:") and "SPECGUARD_THREADS" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["sweep", "cluster"])
-    def test_nonpositive_flag_is_usage_error(self, command, var_csv, tmp_path, capsys):
-        out = tmp_path / "s.json"
-        extra = ["--level", "1.0"] if command == "cluster" else []
-        code, _, err = _run(
-            capsys, command, "--data", var_csv, *self.GRID, "--iid", *extra,
-            "--threads", "0", "--out", str(out),
-        )
-        assert code == 2
-        assert err.startswith("usage error:") and "--threads" in err
-        assert not out.exists()
-
-    def test_flag_overrides_a_bad_environment_value(
-        self, var_csv, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("SPECGUARD_THREADS", "abc")
-        code, _, _ = _run(
-            capsys, "sweep", "--data", var_csv, *self.GRID, "--iid", "--tol", "0.3",
-            "--threads", "2", "--out", str(tmp_path / "s.json"),
-        )
-        assert code == 0
-
-    def test_help_ignores_a_bad_environment_value(self, monkeypatch, capsys):
-        monkeypatch.setenv("SPECGUARD_THREADS", "abc")
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--help"])
-        assert exc.value.code == 0
-        assert "--threads" in capsys.readouterr().out
-
-    def test_row_threads_from_environment_give_the_same_artifact(
-        self, var_csv, tmp_path, monkeypatch, capsys
-    ):
-        out = tmp_path / "s.json"
-        argv = ["sweep", "--data", var_csv, *self.GRID, "--iid", "--tol", "0.3",
-                "--out", str(out)]
-        monkeypatch.delenv("SPECGUARD_THREADS", raising=False)
-        assert main(argv) == 0
-        first = out.read_bytes()
-        monkeypatch.setenv("SPECGUARD_THREADS", "3")
-        assert main(argv) == 0
-        assert out.read_bytes() == first
 
 
 class TestTest:
@@ -380,7 +321,7 @@ class TestKernelFlags:
             capsys, "sweep", "--data", traj_csv,
             "--re-min", "1.2", "--re-max", "1.3", "--n-re", "2",
             "--im-min", "0.0", "--im-max", "0.1", "--n-im", "2",
-            "--tau", "auto", "--mu", "auto:2", "--tol", "0.3", "--threads", "1",
+            "--tau", "auto", "--mu", "auto:2", "--tol", "0.3",
             "--out", str(out),
         )
         assert code == 0
@@ -396,7 +337,7 @@ class TestCluster:
             capsys, "cluster", "--data", var_csv,
             "--re-min", "0.85", "--re-max", "1.15", "--n-re", "4",
             "--im-min", "-0.1", "--im-max", "0.1", "--n-im", "3",
-            "--iid", "--level", "2.0", "--tol", "0.3", "--threads", "1",
+            "--iid", "--level", "2.0", "--tol", "0.3",
             "--out", str(out),
         )
         assert code == 0
@@ -452,7 +393,7 @@ class TestManifestCommand:
 class TestParserSurface:
     IO = {"--data", "--format", "--rcond-floor", "--out"}
     ESTIMATE = {"--iid", "--LM", "--tau", "--mu", "--tol", "--max-iters"}
-    GRID = {"--re-min", "--re-max", "--n-re", "--im-min", "--im-max", "--n-im", "--threads"}
+    GRID = {"--re-min", "--re-max", "--n-re", "--im-min", "--im-max", "--n-im"}
     OPTIONS = {
         "generate": {"--system", "--mode", "--N", "--M", "--seed", "--format", "--out"},
         "edmd": IO,

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 
 from specguard.charmatrix import char_context, edmd_matrix, eigensystem, gram_matrices
 from specguard.errors import (
     AtEigenvalueError,
     NotSPDError,
+    NumericError,
     ShapeError,
     UnsupportedModeError,
     WindowTooLargeError,
@@ -24,6 +27,7 @@ from specguard.pseudospec import (
     STATUS_CONVERGED,
     STATUS_DEGENERATE_S,
     STATUS_MAX_ITERS,
+    _pencil,
     bracket,
     p_hat,
     p_sym_fixed_q,
@@ -33,6 +37,7 @@ from specguard.pseudospec import (
     s_star_apply,
     sweep,
 )
+from specguard import pseudospec
 from specguard.variance import KernelSpec, prepare_factors
 
 
@@ -155,6 +160,37 @@ class TestPowerIterate:
     def test_negative_operator_degenerates(self):
         est = power_iterate(lambda q: -q, dim=2)
         assert est.status == STATUS_DEGENERATE_S
+
+    def test_ridged_step_reports_no_upper_bound(self):
+        # A rank-one S[Q] has no Cholesky factor until ridged; the ridged
+        # pencil's sigma_max undercuts the true one, so it is no bound.
+        u = np.array([1.0, 1.0j])
+        p = np.outer(u, u.conj())
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(p)
+        lo, hi = bracket(np.eye(2, dtype=complex) / 2, p)
+        assert hi == float("inf")
+        assert_allclose(lo, 0.25, rtol=1e-10)
+        hist: list = []
+        est = power_iterate(
+            lambda q: np.trace(q).real * p, 2, PowerIterSettings(max_iters=4), history=hist
+        )
+        # Step 2 pins Q to S[Q]: without the inf upper it would "converge".
+        assert [h[1] for h in hist] == [float("inf")] * 4
+        assert not est.converged
+        assert est.status == STATUS_MAX_ITERS
+        assert est.upper == float("inf") and est.lower > 0.0
+        assert est.jitter_applied
+
+    def test_ridge_in_a_batch_leaves_the_other_points_alone(self):
+        u = np.array([1.0, 1.0j])
+        q = np.stack([np.eye(2, dtype=complex) / 2, _random_psd(2, 3)])
+        s = np.stack([np.outer(u, u.conj()), _random_psd(2, 4)])
+        lo, hi, ridged, failed, _ = _pencil(q, s)
+        assert ridged.tolist() == [True, False] and not failed.any()
+        assert hi[0] == float("inf")
+        alone = bracket(q[1], s[1])
+        assert (lo[1], hi[1]) == alone
 
     def test_warm_start_validation(self):
         apply_s = _congruence_operator(3, 15)
@@ -318,10 +354,10 @@ class TestGridSpec:
 
 
 class TestSweep:
-    def _small_sweep(self, threads=1):
+    def _small_sweep(self):
         s = _series(120, 3, seed=60)
         grid = GridSpec(1.1, 1.5, 3, -0.2, 0.2, 2)
-        return sweep(grid, s, KernelSpec.iid(), PowerIterSettings(rel_tol=0.05), threads=threads)
+        return sweep(grid, s, KernelSpec.iid(), PowerIterSettings(rel_tol=0.05))
 
     def test_shapes_and_statuses(self):
         res = self._small_sweep()
@@ -335,14 +371,6 @@ class TestSweep:
         conv = res.status == STATUS_CONVERGED
         assert np.all(res.lower[conv] > 0)
         assert np.all(res.upper[conv] >= res.lower[conv])
-
-    def test_thread_count_does_not_change_results(self):
-        r1 = self._small_sweep(threads=1)
-        r3 = self._small_sweep(threads=3)
-        assert_array_equal(r1.status, r3.status)
-        assert_array_equal(r1.lower, r3.lower)
-        assert_array_equal(r1.upper, r3.upper)
-        assert_array_equal(r1.iterations, r3.iterations)
 
     def test_single_point_grid_at_eigenvalue(self):
         s = _series(100, 3, seed=61)
@@ -376,12 +404,98 @@ class TestSweep:
         assert lines[0] == "re,im,lower,upper,iterations,status"
         assert len(lines) == 1 + 2 * 3
 
-    def test_thread_validation(self):
-        s = _series(50, 2, seed=63)
-        with pytest.raises(ShapeError):
-            sweep(GridSpec(1, 1.2, 2, 0, 0, 1), s, KernelSpec.iid(), threads=0)
-
     def test_window_too_large_raises_instead_of_marking_cells(self):
         s = _series(50, 2, seed=64)
         with pytest.raises(WindowTooLargeError, match="half-width 60 >= M=50"):
             sweep(GridSpec(1.1, 1.3, 3, 0.0, 0.2, 3), s, KernelSpec.windowed(60))
+
+
+class TestSweepEngine:
+    """The column-batched sweep against one-point p_hat calls."""
+
+    @staticmethod
+    def _data(kind):
+        rng = np.random.default_rng(70)
+        m, n = 300, 3
+        t = rng.uniform(-0.6, 0.6, size=(n, n))
+        if kind == "complex":
+            a = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+            b = a @ t.T + 0.3 * (rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
+        else:
+            a = rng.normal(size=(m, n))
+            b = a @ t.T + 0.3 * rng.normal(size=(m, n))
+        series = SnapshotSeries(a, b, "trajectory")
+        kernel = KernelSpec.windowed(2, (-0.3,)) if kind == "windowed" else KernelSpec.iid()
+        return series, kernel
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "windowed"])
+    def test_cells_match_p_hat_with_the_same_warm_start(self, kind):
+        series, kernel = self._data(kind)
+        eig = eigensystem(edmd_matrix(gram_matrices(series))[0])[0].eigenvalue
+        d = 0.35
+        grid = GridSpec(eig.real - d, eig.real + d, 5, eig.imag - d, eig.imag + d, 3)
+        settings = PowerIterSettings(rel_tol=0.05)
+        res = sweep(grid, series, kernel, settings)
+        assert res.status[1, 2] == STATUS_AT_EIGENVALUE
+        assert np.sum(res.status == STATUS_CONVERGED) >= 10
+        warm = [None] * grid.n_im
+        for j in range(grid.n_re):
+            for i in range(grid.n_im):
+                point = dataclasses.replace(settings, warm_start=warm[i])
+                est = p_hat(res.point(i, j), series, kernel, point)
+                assert res.status[i, j] == est.status, (i, j)
+                assert res.iterations[i, j] == est.iterations, (i, j)
+                assert_allclose(
+                    [res.lower[i, j], res.upper[i, j]], [est.lower, est.upper], rtol=1e-10
+                )
+                warm[i] = est.q_final if est.converged else None
+
+    def test_real_iid_sweep_skips_the_complex_factors(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("complex path used")
+
+        monkeypatch.setattr(pseudospec, "prepare_factors", forbidden)
+        monkeypatch.setattr(pseudospec, "variance_apply", forbidden)
+        series, kernel = self._data("real")
+        res = sweep(GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3), series, kernel)
+        assert np.all(res.status == STATUS_CONVERGED)
+
+    def test_a_failed_point_leaves_its_column_alone(self, monkeypatch):
+        series, kernel = self._data("complex")
+        grid = GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3)
+        clean = sweep(grid, series, kernel)
+        bad = clean.point(2, 1)
+        apply = pseudospec.variance_apply
+
+        def failing(w, lam, *args, **kwargs):
+            if lam == bad:
+                raise NumericError("lost positivity")
+            return apply(w, lam, *args, **kwargs)
+
+        monkeypatch.setattr(pseudospec, "variance_apply", failing)
+        res = sweep(grid, series, kernel)
+        assert res.status[2, 1] == STATUS_DEGENERATE_S
+        assert (res.lower[2, 1], res.upper[2, 1], res.iterations[2, 1]) == (0.0, float("inf"), 0)
+        others = np.ones(res.shape, dtype=bool)
+        others[2, 1:] = False    # the failed cell, and its right neighbour's warm start
+        assert np.array_equal(res.status[others], clean.status[others])
+        assert_allclose(res.lower[others], clean.lower[others], rtol=1e-12)
+        assert_allclose(res.upper[others], clean.upper[others], rtol=1e-12)
+
+    def test_tiny_imaginary_parts_take_the_complex_path(self, monkeypatch):
+        series, kernel = self._data("real")
+        a = series.a.copy()
+        a[7, 1] += 1e-300j
+        tiny = SnapshotSeries(a, series.b, "iid")
+        calls = []
+        apply = pseudospec.variance_apply
+
+        def recording(*args, **kwargs):
+            calls.append(1)
+            return apply(*args, **kwargs)
+
+        monkeypatch.setattr(pseudospec, "variance_apply", recording)
+        sweep(GridSpec(1.1, 1.5, 2, -0.2, 0.2, 2), series, kernel)
+        assert calls == []
+        res = sweep(GridSpec(1.1, 1.5, 2, -0.2, 0.2, 2), tiny, kernel)
+        assert len(calls) == res.iterations.sum() > 0

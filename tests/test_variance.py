@@ -17,10 +17,13 @@ from specguard.errors import (
     UnstableKernelError,
     WindowTooLargeError,
 )
+from specguard.charmatrix import char_context, gram_matrices
 from specguard.ingest import SnapshotSeries
 from specguard.variance import (
     KernelSpec,
     _finalize_psd,
+    _finalize_psd_stack,
+    _RealIidCovariance,
     default_mu_list,
     estimate_tau,
     kappa_w,
@@ -315,6 +318,35 @@ class TestVarianceApply:
         s = _series(10, 2, seed=34)
         with pytest.raises(WindowTooLargeError):
             variance_apply(np.eye(2), 1.0, s, KernelSpec.windowed(10))
+
+
+class TestRealIidCovariance:
+    """The real-arithmetic iid V against the materialized reference."""
+
+    @pytest.mark.parametrize(
+        "batch, form", [(1, "direct"), (3, "blocks"), (3, "direct per W")]
+    )
+    def test_equals_naive(self, batch, form):
+        m = 2 * _RealIidCovariance.BLOCK + 37    # a partial last block
+        s = _series(m, 4, seed=40, complex_data=False)
+        assert _RealIidCovariance.applies(s, KernelSpec.iid())
+        v = _RealIidCovariance(s)
+        if form == "direct per W":
+            v.kr = None    # what a block too large for MAX_BLOCK_ENTRIES gives
+        lams = np.array([1.1 + 0.3j, -0.7 + 0.9j, 0.4 - 1.3j])[:batch]
+        gram = gram_matrices(s)
+        c_hat = np.stack([char_context(gram, lam).c_hat for lam in lams])
+        w = np.stack([_random_psd(4, 41 + k) for k in range(batch)])
+        fast, _, errors = _finalize_psd_stack(v(lams, c_hat, w), w)
+        assert errors == {}
+        for k, lam in enumerate(lams):
+            slow = variance_apply_naive(w[k], lam, s, KernelSpec.iid()).result
+            assert np.linalg.norm(fast[k] - slow) <= 1e-10 * np.linalg.norm(slow)
+
+    def test_only_iid_on_real_data(self):
+        real = _series(50, 2, seed=42, complex_data=False)
+        assert not _RealIidCovariance.applies(real, KernelSpec.windowed(2))
+        assert not _RealIidCovariance.applies(_series(50, 2, seed=42), KernelSpec.iid())
 
 
 class TestPsdRepairPolicy:
