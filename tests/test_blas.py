@@ -91,7 +91,7 @@ def test_restored_after_p_hat(two_threads):
     assert _counts() == [2] * len(COPIES)
 
 
-def test_sweep_runs_on_one_thread_and_restores(two_threads, monkeypatch):
+def test_row_pool_runs_on_one_thread_and_restores(two_threads, monkeypatch):
     seen = []
     apply = pseudospec.variance_apply
 
