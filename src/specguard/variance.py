@@ -16,7 +16,10 @@ structure to run in O(L * M * N + M * N^2) time.  The two must agree to
 near machine precision; tests enforce a 1e-10 relative Frobenius bound.
 For the iid kernel on real-valued data, the certified estimates apply V in
 real arithmetic to a whole batch of points at once
-(`_RealIidCovariance`), held to the same bound.
+(`_RealIidCovariance`), held to the same bound.  There V[W] is linear in
+Re(W) through a fourth-moment tensor of the data, built once per sweep
+from the M samples, after which a batched application never reads the
+samples again.
 """
 
 from __future__ import annotations
@@ -486,13 +489,20 @@ class _RealIidCovariance:
         V[W] = (1/M)(|lam|^2 X_aa - conj(lam) X_ab - lam X_ba + X_bb) - C^* W C,
         X = sum_m s_m z_m z_m^T,  z_m = [a_m; b_m],  s_m = a_m^T Re(W) a_m,
 
-    so one real (2N, M) array serves every lambda.  One W takes the direct
-    form X = z^T diag(s) z.  A stack of W builds the packed (upper-triangle)
-    Khatri-Rao products z_m (x) z_m one block of samples at a time, a-a
-    pairs first, so the s of every W is one GEMM against that leading
-    part and the packed X of every W one more.  No M-sized Khatri-Rao stack
-    is kept: a block is at most ``BLOCK`` samples, and when even that would
-    exceed ``MAX_BLOCK_ENTRIES`` (large N) each W takes the direct form.
+    so one real (2N, M) array serves every lambda.  X is linear in the
+    packed (upper-triangle) pairs r of Re(W) + Re(W)^T, through the
+    fourth-moment tensor
+
+        T = sum_m (a_m (x) a_m)_packed (z_m (x) z_m)_packed^T,
+
+    an (N(N+1)/2, N(2N+1)) real matrix that depends on the data alone:
+    the packed X of W is r^T T.  The first stack of W (more than one
+    matrix) builds T from Khatri-Rao blocks of at most ``BLOCK`` samples;
+    from then on every W costs one small GEMM and no pass over the M
+    samples.  Before that, a lone W takes the direct form
+    X = z^T diag(s) z, so a single-point estimate never pays for T.  When
+    a Khatri-Rao block would exceed ``MAX_BLOCK_ENTRIES`` (large N) T is
+    never built and each W takes the direct form.
     """
 
     #: samples per Khatri-Rao block.
@@ -518,22 +528,41 @@ class _RealIidCovariance:
         # s_m = sum_{i <= j} (R_ij + R_ji) a_mi a_mj, the diagonal counted once.
         aa_i, aa_j = self.rows[: self.n_aa], self.cols[: self.n_aa]
         self.pair_weight = np.where(aa_i == aa_j, 0.5, 1.0)
-        block = min(self.BLOCK, self.m)
-        self.kr = None
-        if block * len(self.rows) <= self.MAX_BLOCK_ENTRIES:
-            self.kr = np.empty((len(self.rows), block))
+        self.block = min(self.BLOCK, self.m)
+        self.tensor: np.ndarray | None = None
 
     @staticmethod
     def applies(series: SnapshotSeries, kernel: KernelSpec) -> bool:
         """True for the iid kernel on a series whose imaginary parts are all zero."""
         return kernel.mode == "iid" and not series.a.imag.any() and not series.b.imag.any()
 
+    def _build_tensor(self) -> np.ndarray:
+        """T = sum_m (a_m (x) a_m)_packed (z_m (x) z_m)_packed^T, one block at a time."""
+        zt, block = self.zt, self.block
+        tensor = np.zeros((self.n_aa, len(self.rows)))
+        kr_buf = np.empty((len(self.rows), block))
+        for start in range(0, self.m, block):
+            zb = zt[:, start : start + block]
+            kr = kr_buf[:, : zb.shape[1]]
+            pos = 0
+            for i, j0, j1 in self.runs:
+                np.multiply(zb[i], zb[j0:j1], out=kr[pos : pos + j1 - j0])
+                pos += j1 - j0
+            tensor += kr[: self.n_aa] @ kr.T
+        return tensor
+
     def second_moments(self, w: np.ndarray) -> np.ndarray:
         """X = sum_m s_m z_m z_m^T for each W of the stack, shape (k, 2N, 2N)."""
         r = np.ascontiguousarray(w.real)
-        n, zt = self.n, self.zt
-        if len(w) == 1 or self.kr is None:
-            at = zt[:n]
+        n = self.n
+        if (
+            self.tensor is None
+            and len(w) > 1
+            and self.block * len(self.rows) <= self.MAX_BLOCK_ENTRIES
+        ):
+            self.tensor = self._build_tensor()
+        if self.tensor is None:
+            at, zt = self.zt[:n], self.zt
             out = np.empty((len(w), 2 * n, 2 * n))
             for k in range(len(w)):
                 s = np.einsum("im,im->m", r[k].T @ at, at)
@@ -541,19 +570,10 @@ class _RealIidCovariance:
             return out
         r_pairs = (r + np.swapaxes(r, -1, -2))[:, self.rows[: self.n_aa], self.cols[: self.n_aa]]
         r_pairs *= self.pair_weight
-        packed = np.zeros((len(self.rows), len(w)))
-        block = self.kr.shape[1]
-        for start in range(0, self.m, block):
-            zb = zt[:, start : start + block]
-            kr = self.kr[:, : zb.shape[1]]
-            pos = 0
-            for i, j0, j1 in self.runs:
-                np.multiply(zb[i], zb[j0:j1], out=kr[pos : pos + j1 - j0])
-                pos += j1 - j0
-            packed += kr @ (r_pairs @ kr[: self.n_aa]).T
+        packed = r_pairs @ self.tensor
         x = np.empty((len(w), 2 * n, 2 * n))
-        x[:, self.rows, self.cols] = packed.T
-        x[:, self.cols, self.rows] = packed.T
+        x[:, self.rows, self.cols] = packed
+        x[:, self.cols, self.rows] = packed
         return x
 
     def __call__(self, lam: np.ndarray, c_hat: np.ndarray, w: np.ndarray) -> np.ndarray:

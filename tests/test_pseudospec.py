@@ -38,7 +38,7 @@ from specguard.pseudospec import (
     sweep,
 )
 from specguard import pseudospec
-from specguard.variance import KernelSpec, prepare_factors
+from specguard.variance import KernelSpec, _RealIidCovariance, prepare_factors
 
 
 def _series(m, n, seed=0):
@@ -459,6 +459,29 @@ class TestSweepEngine:
         series, kernel = self._data("real")
         res = sweep(GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3), series, kernel)
         assert np.all(res.status == STATUS_CONVERGED)
+
+    def test_p_hat_never_builds_the_real_iid_tensor(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("tensor built for a single point")
+
+        monkeypatch.setattr(_RealIidCovariance, "_build_tensor", forbidden)
+        series, kernel = self._data("real")
+        for lam in (1.3 + 0.1j, 1.2 - 0.2j):
+            assert p_hat(lam, series, kernel).status == STATUS_CONVERGED
+
+    def test_a_real_iid_sweep_builds_the_tensor_once(self, monkeypatch):
+        builds = []
+        build = _RealIidCovariance._build_tensor
+
+        def counting(self):
+            builds.append(self)
+            return build(self)
+
+        monkeypatch.setattr(_RealIidCovariance, "_build_tensor", counting)
+        series, kernel = self._data("real")
+        res = sweep(GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3), series, kernel)
+        assert np.all(res.status == STATUS_CONVERGED)
+        assert len(builds) == 1
 
     def test_a_failed_point_leaves_its_column_alone(self, monkeypatch):
         series, kernel = self._data("complex")

@@ -323,25 +323,53 @@ class TestVarianceApply:
 class TestRealIidCovariance:
     """The real-arithmetic iid V against the materialized reference."""
 
-    @pytest.mark.parametrize(
-        "batch, form", [(1, "direct"), (3, "blocks"), (3, "direct per W")]
-    )
-    def test_equals_naive(self, batch, form):
-        m = 2 * _RealIidCovariance.BLOCK + 37    # a partial last block
-        s = _series(m, 4, seed=40, complex_data=False)
+    M = 2 * _RealIidCovariance.BLOCK + 37    # a partial last block
+    LAMS = np.array([1.1 + 0.3j, -0.7 + 0.9j, 0.4 - 1.3j])
+
+    def _setup(self):
+        s = _series(self.M, 4, seed=40, complex_data=False)
         assert _RealIidCovariance.applies(s, KernelSpec.iid())
-        v = _RealIidCovariance(s)
-        if form == "direct per W":
-            v.kr = None    # what a block too large for MAX_BLOCK_ENTRIES gives
-        lams = np.array([1.1 + 0.3j, -0.7 + 0.9j, 0.4 - 1.3j])[:batch]
+        return s, _RealIidCovariance(s)
+
+    @staticmethod
+    def _assert_matches_naive(v, s, lams, seed):
         gram = gram_matrices(s)
         c_hat = np.stack([char_context(gram, lam).c_hat for lam in lams])
-        w = np.stack([_random_psd(4, 41 + k) for k in range(batch)])
+        w = np.stack([_random_psd(4, seed + k) for k in range(len(lams))])
         fast, _, errors = _finalize_psd_stack(v(lams, c_hat, w), w)
         assert errors == {}
         for k, lam in enumerate(lams):
             slow = variance_apply_naive(w[k], lam, s, KernelSpec.iid()).result
             assert np.linalg.norm(fast[k] - slow) <= 1e-10 * np.linalg.norm(slow)
+
+    @pytest.mark.parametrize(
+        "batch, form", [(1, "direct"), (3, "blocks"), (3, "direct per W")]
+    )
+    def test_equals_naive(self, batch, form, monkeypatch):
+        if form == "direct per W":
+            # Below one Khatri-Rao block, as a large N gives: no tensor.
+            monkeypatch.setattr(_RealIidCovariance, "MAX_BLOCK_ENTRIES", 1)
+        s, v = self._setup()
+        self._assert_matches_naive(v, s, self.LAMS[:batch], seed=41)
+        assert (v.tensor is not None) == (form == "blocks")
+
+    def test_a_lone_w_before_any_batch_leaves_the_tensor_unbuilt(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("tensor built for a lone W")
+
+        monkeypatch.setattr(_RealIidCovariance, "_build_tensor", forbidden)
+        s, v = self._setup()
+        for k in range(len(self.LAMS)):
+            self._assert_matches_naive(v, s, self.LAMS[k : k + 1], seed=50 + k)
+        assert v.tensor is None
+
+    def test_after_the_build_no_application_reads_the_samples(self):
+        s, v = self._setup()
+        self._assert_matches_naive(v, s, self.LAMS[:2], seed=60)
+        assert v.tensor is not None
+        v.zt = None
+        self._assert_matches_naive(v, s, self.LAMS, seed=61)
+        self._assert_matches_naive(v, s, self.LAMS[2:], seed=62)
 
     def test_only_iid_on_real_data(self):
         real = _series(50, 2, seed=42, complex_data=False)
