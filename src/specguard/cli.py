@@ -41,7 +41,17 @@ from .ingest import (
     write_snapshots,
 )
 from .oracle import run_oracle_checks
-from .pseudospec import GridSpec, PowerIterSettings, SweepResult, p_hat, sweep
+from .pseudospec import (
+    STATUS_AT_EIGENVALUE,
+    STATUS_CONVERGED,
+    STATUS_DEGENERATE_S,
+    STATUS_MAX_ITERS,
+    GridSpec,
+    PowerIterSettings,
+    SweepResult,
+    p_hat,
+    sweep,
+)
 from .stats import cluster_eigenvalues, eig_test, spectrum_test
 from .variance import KernelSpec, default_mu_list, estimate_tau, window_length
 
@@ -244,6 +254,12 @@ def _grid_sweep(
     return series, kernel, warnings, result
 
 
+def _status_counts(result: SweepResult) -> str:
+    """How many grid points ended in each status, e.g. "7 converged, 2 max_iters, ..."."""
+    statuses = (STATUS_CONVERGED, STATUS_MAX_ITERS, STATUS_AT_EIGENVALUE, STATUS_DEGENERATE_S)
+    return ", ".join(f"{int(np.sum(result.status == s))} {s}" for s in statuses)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     _, kernel, warnings, result = _grid_sweep(args)
     artifact = {
@@ -257,11 +273,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(result.to_csv_text(log_time=args.log_time))
-    n_conv = int(np.sum(result.status == "converged"))
-    print(
-        f"swept {args.n_re}x{args.n_im} grid: {n_conv}/{args.n_re * args.n_im} "
-        f"converged; wrote {args.out}"
-    )
+    print(f"swept {args.n_re}x{args.n_im} grid: {_status_counts(result)}; wrote {args.out}")
     return EXIT_OK
 
 
@@ -333,7 +345,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     sizes = [len(c.eig_indices) for c in report.clusters]
     print(
         f"{len(report.clusters)} clusters at level {args.level:g} "
-        f"(eigenvalue counts {sizes}); {len(report.unresolved)} unresolved"
+        f"(eigenvalue counts {sizes}); {len(report.unresolved)} unresolved; "
+        f"grid: {_status_counts(result)}"
     )
     return EXIT_OK
 

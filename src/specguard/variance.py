@@ -19,7 +19,9 @@ real arithmetic to a whole batch of points at once
 (`_RealIidCovariance`), held to the same bound.  There V[W] is linear in
 Re(W) through a fourth-moment tensor of the data, built once per sweep
 from the M samples, after which a batched application never reads the
-samples again.
+samples again.  A lone W before that build, or any W when the tensor is
+too large to build, streams once through the samples in cache-sized
+blocks, with no temporary that grows with M.
 """
 
 from __future__ import annotations
@@ -502,10 +504,14 @@ class _RealIidCovariance:
     samples.  Before that, a lone W takes the direct form
     X = z^T diag(s) z, so a single-point estimate never pays for T.  When
     a Khatri-Rao block would exceed ``MAX_BLOCK_ENTRIES`` (large N) T is
-    never built and each W takes the direct form.
+    never built and each W takes the direct form.  The direct form is one
+    pass over the same sample blocks, each W of the stack in turn while a
+    block is in cache: s from R^T a into an (N, ``BLOCK``) buffer, z diag(s)
+    into a (2N, ``BLOCK``) buffer, and one small GEMM added to X.  No
+    temporary grows with M.
     """
 
-    #: samples per Khatri-Rao block.
+    #: samples per block, for the tensor build and the direct form alike.
     BLOCK = 512
     #: largest Khatri-Rao block, in float64 entries (8 MB).
     MAX_BLOCK_ENTRIES = 1 << 20
@@ -536,13 +542,16 @@ class _RealIidCovariance:
         """True for the iid kernel on a series whose imaginary parts are all zero."""
         return kernel.mode == "iid" and not series.a.imag.any() and not series.b.imag.any()
 
+    def _sample_blocks(self):
+        """The (2N, <= ``block``) column blocks of z, in sample order."""
+        for start in range(0, self.m, self.block):
+            yield self.zt[:, start : start + self.block]
+
     def _build_tensor(self) -> np.ndarray:
         """T = sum_m (a_m (x) a_m)_packed (z_m (x) z_m)_packed^T, one block at a time."""
-        zt, block = self.zt, self.block
         tensor = np.zeros((self.n_aa, len(self.rows)))
-        kr_buf = np.empty((len(self.rows), block))
-        for start in range(0, self.m, block):
-            zb = zt[:, start : start + block]
+        kr_buf = np.empty((len(self.rows), self.block))
+        for zb in self._sample_blocks():
             kr = kr_buf[:, : zb.shape[1]]
             pos = 0
             for i, j0, j1 in self.runs:
@@ -550,6 +559,21 @@ class _RealIidCovariance:
                 pos += j1 - j0
             tensor += kr[: self.n_aa] @ kr.T
         return tensor
+
+    def _direct(self, r: np.ndarray) -> np.ndarray:
+        """X = z^T diag(s) z for each R of the stack, in one pass over the blocks."""
+        n = self.n
+        out = np.zeros((len(r), 2 * n, 2 * n))
+        y_buf = np.empty((n, self.block))
+        zs_buf = np.empty((2 * n, self.block))
+        for zb in self._sample_blocks():
+            ab = zb[:n]
+            y, zs = y_buf[:, : zb.shape[1]], zs_buf[:, : zb.shape[1]]
+            for k in range(len(r)):
+                np.matmul(r[k].T, ab, out=y)
+                np.multiply(zb, np.einsum("im,im->m", y, ab), out=zs)
+                out[k] += zb @ zs.T
+        return out
 
     def second_moments(self, w: np.ndarray) -> np.ndarray:
         """X = sum_m s_m z_m z_m^T for each W of the stack, shape (k, 2N, 2N)."""
@@ -562,12 +586,7 @@ class _RealIidCovariance:
         ):
             self.tensor = self._build_tensor()
         if self.tensor is None:
-            at, zt = self.zt[:n], self.zt
-            out = np.empty((len(w), 2 * n, 2 * n))
-            for k in range(len(w)):
-                s = np.einsum("im,im->m", r[k].T @ at, at)
-                out[k] = zt @ (zt * s).T
-            return out
+            return self._direct(r)
         r_pairs = (r + np.swapaxes(r, -1, -2))[:, self.rows[: self.n_aa], self.cols[: self.n_aa]]
         r_pairs *= self.pair_weight
         packed = r_pairs @ self.tensor

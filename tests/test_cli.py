@@ -11,6 +11,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import runpy
 import shutil
 import subprocess
@@ -41,6 +42,15 @@ def _run_module(cwd, *argv):
         [sys.executable, "-m", "specguard", *argv],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def _status_counts(line):
+    """The per-status point counts a sweep or cluster summary line prints."""
+    found = re.findall(r"(\d+) (converged|max_iters|at_eigenvalue|degenerate_s)\b", line)
+    assert sorted(name for _, name in found) == [
+        "at_eigenvalue", "converged", "degenerate_s", "max_iters"
+    ]
+    return {name: int(count) for count, name in found}
 
 
 def _sha256(path):
@@ -175,6 +185,8 @@ class TestSweep:
         stdout = capsys.readouterr().out
         assert out1.read_bytes() == first
         assert "swept 3x3 grid" in stdout
+        for line in stdout.splitlines():
+            assert sum(_status_counts(line).values()) == 9
 
         doc = json.loads(out1.read_text())
         assert doc["schema"] == "specguard/v1/sweep"
@@ -342,6 +354,7 @@ class TestCluster:
         )
         assert code == 0
         assert "clusters at level 2" in stdout
+        assert sum(_status_counts(stdout).values()) == 12
         doc = json.loads(out.read_text())
         assert doc["schema"] == "specguard/v1/clusters"
         assert len(doc["eigenvalues"]) == 7

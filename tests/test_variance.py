@@ -7,6 +7,8 @@ that both preserve positive semidefiniteness.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -323,11 +325,12 @@ class TestVarianceApply:
 class TestRealIidCovariance:
     """The real-arithmetic iid V against the materialized reference."""
 
-    M = 2 * _RealIidCovariance.BLOCK + 37    # a partial last block
+    BLOCK = _RealIidCovariance.BLOCK
+    M = 2 * BLOCK + 37    # a partial last block
     LAMS = np.array([1.1 + 0.3j, -0.7 + 0.9j, 0.4 - 1.3j])
 
-    def _setup(self):
-        s = _series(self.M, 4, seed=40, complex_data=False)
+    def _setup(self, m=M):
+        s = _series(m, 4, seed=40, complex_data=False)
         assert _RealIidCovariance.applies(s, KernelSpec.iid())
         return s, _RealIidCovariance(s)
 
@@ -341,17 +344,48 @@ class TestRealIidCovariance:
         for k, lam in enumerate(lams):
             slow = variance_apply_naive(w[k], lam, s, KernelSpec.iid()).result
             assert np.linalg.norm(fast[k] - slow) <= 1e-10 * np.linalg.norm(slow)
+        return w
 
     @pytest.mark.parametrize(
-        "batch, form", [(1, "direct"), (3, "blocks"), (3, "direct per W")]
+        "batch, form, m",
+        [
+            pytest.param(1, "direct", M, id="1-direct"),
+            pytest.param(3, "blocks", M, id="3-blocks"),
+            pytest.param(3, "direct per W", M, id="3-direct per W"),
+            pytest.param(1, "direct", BLOCK - 100, id="1-direct-one partial block"),
+            pytest.param(3, "direct per W", BLOCK - 100, id="3-direct per W-one partial block"),
+            pytest.param(1, "direct", 3 * BLOCK + 37, id="1-direct-3 blocks + 37"),
+            pytest.param(3, "direct per W", 3 * BLOCK + 37, id="3-direct per W-3 blocks + 37"),
+        ],
     )
-    def test_equals_naive(self, batch, form, monkeypatch):
+    def test_equals_naive(self, batch, form, m, monkeypatch):
         if form == "direct per W":
             # Below one Khatri-Rao block, as a large N gives: no tensor.
             monkeypatch.setattr(_RealIidCovariance, "MAX_BLOCK_ENTRIES", 1)
-        s, v = self._setup()
-        self._assert_matches_naive(v, s, self.LAMS[:batch], seed=41)
+        s, v = self._setup(m)
+        w = self._assert_matches_naive(v, s, self.LAMS[:batch], seed=41)
         assert (v.tensor is not None) == (form == "blocks")
+        if batch > 1:
+            # The direct and tensor routes agree on the same stack.
+            direct = v._direct(np.ascontiguousarray(w.real))
+            if v.tensor is None:
+                v.tensor = v._build_tensor()
+            tensor = v.second_moments(w)
+            for k in range(batch):
+                err = np.linalg.norm(direct[k] - tensor[k])
+                assert err <= 1e-12 * np.linalg.norm(tensor[k])
+
+    def test_a_lone_w_builds_no_temporary_that_grows_with_m(self):
+        s = _series(20_000, 10, seed=43, complex_data=False)
+        v = _RealIidCovariance(s)
+        w = _random_psd(10, 44)[np.newaxis]
+        tracemalloc.start()
+        try:
+            v.second_moments(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < v.zt.nbytes / 4
 
     def test_a_lone_w_before_any_batch_leaves_the_tensor_unbuilt(self, monkeypatch):
         def forbidden(self):
