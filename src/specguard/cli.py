@@ -49,6 +49,7 @@ from .pseudospec import (
     GridSpec,
     PowerIterSettings,
     SweepResult,
+    _series_gram,
     p_hat,
     sweep,
 )
@@ -155,8 +156,7 @@ def _resolve_kernel(
                 top_k = int(args.mu.split(":", 1)[1])
             except ValueError:
                 raise UsageError(f"bad --mu value {args.mu!r}") from None
-            gram = gram_matrices(series)
-            k_hat, _ = edmd_matrix(gram, floor=args.rcond_floor)
+            k_hat, _ = edmd_matrix(_series_gram(series), floor=args.rcond_floor)
             eigs = [m.eigenvalue for m in eigensystem(k_hat)]
             mu_list, notes = default_mu_list(eigs, top_k)
             warnings.extend(notes)
@@ -328,8 +328,7 @@ def cmd_test(args: argparse.Namespace) -> int:
 def cmd_cluster(args: argparse.Namespace) -> int:
     series, kernel, warnings, result = _grid_sweep(args)
     with _blas.single_thread():
-        gram = gram_matrices(series)
-        k_hat, _ = edmd_matrix(gram, floor=args.rcond_floor)
+        k_hat, _ = edmd_matrix(_series_gram(series), floor=args.rcond_floor)
         eigs = [m.eigenvalue for m in eigensystem(k_hat)]
     report = cluster_eigenvalues(result, eigs, args.level, series.M)
     artifact = {

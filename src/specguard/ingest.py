@@ -19,13 +19,15 @@ JSON mirrors this with explicit arrays under schema "specguard/v1/snapshots".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
-from typing import Literal
+from typing import Callable, Literal, TypeVar
 
 import numpy as np
 
+from . import _blas
 from .errors import FormatError, InsufficientDataError, ShapeError
 
 __all__ = [
@@ -107,6 +109,32 @@ class DictionarySpec:
         return DictionarySpec("identity", state_dim, state_dim=state_dim)
 
 
+_T = TypeVar("_T")
+
+
+class _Memo:
+    """Statistics of one series that every estimate on it shares.
+
+    Each entry is built on first use, under one BLAS thread so that its
+    bits do not depend on the caller's thread settings, and lives as long
+    as the series.  The keys in use are "gram" (the Gram pair), "real"
+    (whether every imaginary part is zero) and "real_iid" (the real iid
+    covariance with its fourth-moment tensor).
+    """
+
+    def __init__(self) -> None:
+        self._values: dict[str, object] = {}
+        self._lock = threading.RLock()
+
+    def get_or_build(self, key: str, build: Callable[[], _T]) -> _T:
+        """The entry ``key``, from ``build()`` if it is not there yet."""
+        with self._lock:
+            if key not in self._values:
+                with _blas.single_thread():
+                    self._values[key] = build()
+            return self._values[key]
+
+
 @dataclass(frozen=True)
 class SnapshotSeries:
     """Ordered observable pairs with sampling metadata.
@@ -114,7 +142,9 @@ class SnapshotSeries:
     a and b are (M, N) complex arrays; row m holds psi(X_m) and psi(Y_m).
     For sampling_kind "trajectory" the row order is the time order, so lag
     structure is meaningful. Instances are immutable after construction and
-    safe to share across threads.
+    safe to share across threads: a and b are read-only arrays the series
+    owns (a caller's array is copied, never frozen), and the data
+    statistics that estimates share are computed once, in ``_memo``.
     """
 
     a: np.ndarray
@@ -122,6 +152,7 @@ class SnapshotSeries:
     sampling_kind: Literal["iid", "trajectory"]
     dt: float | None = None
     dictionary_meta: DictionarySpec | str = "external"
+    _memo: _Memo = field(default_factory=_Memo, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         a = np.ascontiguousarray(self.a, dtype=complex)
@@ -134,10 +165,23 @@ class SnapshotSeries:
             raise FormatError(f"unknown sampling_kind {self.sampling_kind!r}")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise FormatError("series contains non-finite entries")
+        # Own the data, so that no caller can change it after the memo is filled.
+        if np.may_share_memory(a, self.a):
+            a = a.copy()
+        if np.may_share_memory(b, self.b):
+            b = b.copy()
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    def __reduce__(self):
+        # A pickled or copied series is rebuilt through __init__: its arrays
+        # come back read-only and its memo empty.
+        return (
+            SnapshotSeries,
+            (self.a, self.b, self.sampling_kind, self.dt, self.dictionary_meta),
+        )
 
     @property
     def M(self) -> int:

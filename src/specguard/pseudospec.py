@@ -380,11 +380,16 @@ def _congruence(ctxs: list[CharContext]) -> Callable[[np.ndarray, np.ndarray], n
     return apply
 
 
+def _series_gram(series: SnapshotSeries) -> GramPair:
+    """The series' Gram pair, computed on first use and kept with the series."""
+    return series._memo.get_or_build("gram", lambda: gram_matrices(series))
+
+
 class _Covariance:
     """The covariance application V for one series and kernel.
 
     The iid kernel on a real-valued series (every imaginary part exactly
-    zero, checked once here) runs in real arithmetic through
+    zero) runs in real arithmetic through the series' shared
     :class:`_RealIidCovariance`; every other series or kernel calls
     :func:`variance_apply` point by point.
     """
@@ -394,7 +399,7 @@ class _Covariance:
         self.kernel = kernel
         self.real = None
         if _RealIidCovariance.applies(series, kernel):
-            self.real = _RealIidCovariance(series)
+            self.real = _RealIidCovariance.of(series)
         else:
             self.ut = np.ascontiguousarray(series.a.T)   # u_m = a_m at every lambda
 
@@ -488,10 +493,19 @@ def p_hat(
     C(lam) is numerically singular, i.e. lam is an eigenvalue of the
     EDMD matrix; P vanishes exactly on the spectrum.  Runs with BLAS on
     one thread (see :mod:`specguard._blas`).
+
+    The data work that depends on the series alone is done once per
+    series and shared by every later estimate on it: the Gram matrices
+    and, for the iid kernel on a real series, the fourth-moment tensor of
+    :class:`~specguard.variance._RealIidCovariance`.  The first estimate
+    on such a series pays for the tensor; the result does not depend on
+    which estimates ran before.
     """
     with _blas.single_thread():
-        gram = gram_matrices(series)
-        return _p_hat_from_gram(gram, lam, series, kernel, settings, history, floor)
+        ctx = char_context(_series_gram(series), lam, floor)
+        if ctx.singular_flag:
+            return _at_eigenvalue(ctx.dim)
+        return _estimate_one(ctx, _Covariance(series, kernel).at([ctx]), settings, history)
 
 
 def _certified_estimate(
@@ -516,22 +530,6 @@ def _certified_estimate(
         return _estimate_one(ctx, lambda live, w: (v(w[0])[np.newaxis], {}), settings, history)
 
 
-def _p_hat_from_gram(
-    gram: GramPair,
-    lam: complex,
-    series: SnapshotSeries,
-    kernel: KernelSpec,
-    settings: PowerIterSettings | None = None,
-    history: list | None = None,
-    floor: float | None = None,
-) -> PEstimate:
-    """:func:`p_hat` from the series' Gram matrices, in the caller's BLAS scope."""
-    ctx = char_context(gram, lam, floor)
-    if ctx.singular_flag:
-        return _at_eigenvalue(ctx.dim)
-    return _estimate_one(ctx, _Covariance(series, kernel).at([ctx]), settings, history)
-
-
 def p_sym_fixed_q(
     lam: complex,
     q: np.ndarray,
@@ -552,8 +550,7 @@ def p_sym_fixed_q(
     """
     if kernel.mode != "iid":
         raise UnsupportedModeError("p_sym_fixed_q requires an iid kernel")
-    gram = gram_matrices(series)
-    ctx = char_context(gram, lam, floor)
+    ctx = char_context(_series_gram(series), lam, floor)
     if ctx.singular_flag:
         return 0.0
     factors = prepare_factors(series, lam)
@@ -732,7 +729,7 @@ def sweep(
 
     with _blas.single_thread():
         _check_window(kernel, series.M)
-        gram = gram_matrices(series)
+        gram = _series_gram(series)
         covariance = _Covariance(series, kernel)
         n = gram.dim
         warm: list[np.ndarray | None] = [None] * grid.n_im

@@ -23,7 +23,7 @@ from scipy import ndimage
 from scipy.special import erf, erfc
 
 from . import _blas
-from .charmatrix import char_context, edmd_matrix, eigensystem, gram_matrices
+from .charmatrix import char_context, edmd_matrix, eigensystem
 from .errors import AtEigenvalueError, NotSPDError, ShapeError
 from .ingest import SnapshotSeries
 from .pseudospec import (
@@ -33,7 +33,8 @@ from .pseudospec import (
     PEstimate,
     PowerIterSettings,
     SweepResult,
-    _p_hat_from_gram,
+    _series_gram,
+    p_hat,
 )
 from .variance import KernelSpec, _check_window, _hermitize, prepare_factors
 
@@ -200,12 +201,11 @@ def spectrum_test(
     A kernel window that does not fit the sample raises before any point
     is tested, even though at-eigenvalue points never apply the kernel.
     The fit and every estimate run with BLAS on one thread (see
-    :mod:`specguard._blas`).
+    :mod:`specguard._blas`), and share the series' Gram matrices.
     """
     _check_window(kernel, series.M)
     with _blas.single_thread():
-        gram = gram_matrices(series)
-        k_hat, rcond = edmd_matrix(gram, floor)
+        k_hat, rcond = edmd_matrix(_series_gram(series), floor)
         modes = eigensystem(k_hat)
         vals = np.array([m.eigenvalue for m in modes])
         results = []
@@ -214,7 +214,7 @@ def spectrum_test(
             mult = int(
                 np.sum(np.abs(vals - mode.eigenvalue) <= 1e-8 * max(1.0, abs(mode.eigenvalue)))
             )
-            est = _p_hat_from_gram(gram, mode.eigenvalue, series, kernel, settings, floor=floor)
+            est = p_hat(mode.eigenvalue, series, kernel, settings, floor=floor)
             results.append(
                 eig_test(mode.eigenvalue, est, series.M, multiplicity=mult, alphas=alphas)
             )
@@ -471,8 +471,7 @@ def r_estimate(
     direction exists); total cost O(M N^2) instead of M singular value
     decompositions.
     """
-    gram = gram_matrices(series)
-    ctx = char_context(gram, lam, floor)
+    ctx = char_context(_series_gram(series), lam, floor)
     if ctx.singular_flag:
         raise AtEigenvalueError(
             f"lambda={lam:.6g} is numerically an EDMD eigenvalue; "

@@ -17,11 +17,11 @@ near machine precision; tests enforce a 1e-10 relative Frobenius bound.
 For the iid kernel on real-valued data, the certified estimates apply V in
 real arithmetic to a whole batch of points at once
 (`_RealIidCovariance`), held to the same bound.  There V[W] is linear in
-Re(W) through a fourth-moment tensor of the data, built once per sweep
-from the M samples, after which a batched application never reads the
-samples again.  A lone W before that build, or any W when the tensor is
-too large to build, streams once through the samples in cache-sized
-blocks, with no temporary that grows with M.
+Re(W) through a fourth-moment tensor of the data, built once per series
+from the M samples and kept with the series, after which no application
+reads the samples again.  Only when the tensor is too large to build does
+each application stream once through the samples, in cache-sized blocks,
+with no temporary that grows with M.
 """
 
 from __future__ import annotations
@@ -498,17 +498,17 @@ class _RealIidCovariance:
         T = sum_m (a_m (x) a_m)_packed (z_m (x) z_m)_packed^T,
 
     an (N(N+1)/2, N(2N+1)) real matrix that depends on the data alone:
-    the packed X of W is r^T T.  The first stack of W (more than one
-    matrix) builds T from Khatri-Rao blocks of at most ``BLOCK`` samples;
-    from then on every W costs one small GEMM and no pass over the M
-    samples.  Before that, a lone W takes the direct form
-    X = z^T diag(s) z, so a single-point estimate never pays for T.  When
-    a Khatri-Rao block would exceed ``MAX_BLOCK_ENTRIES`` (large N) T is
-    never built and each W takes the direct form.  The direct form is one
-    pass over the same sample blocks, each W of the stack in turn while a
-    block is in cache: s from R^T a into an (N, ``BLOCK``) buffer, z diag(s)
-    into a (2N, ``BLOCK``) buffer, and one small GEMM added to X.  No
-    temporary grows with M.
+    the packed X of W is r^T T.  Construction builds T from Khatri-Rao
+    blocks of at most ``BLOCK`` samples and then drops z, so every W costs
+    one small GEMM and no pass over the M samples, whatever the batch size
+    or the order of the calls.  :meth:`of` keeps one instance per series,
+    so every estimate on the series shares one T.  When a Khatri-Rao block
+    would exceed ``MAX_BLOCK_ENTRIES`` (N >= 32 once M >= 512) T is never
+    built, z is kept and each W takes the direct form X = z^T diag(s) z:
+    one pass over the same sample blocks, each W of the stack in turn while
+    a block is in cache: s from R^T a into an (N, ``BLOCK``) buffer,
+    z diag(s) into a (2N, ``BLOCK``) buffer, and one small GEMM added to X.
+    No temporary grows with M.
     """
 
     #: samples per block, for the tensor build and the direct form alike.
@@ -536,11 +536,24 @@ class _RealIidCovariance:
         self.pair_weight = np.where(aa_i == aa_j, 0.5, 1.0)
         self.block = min(self.BLOCK, self.m)
         self.tensor: np.ndarray | None = None
+        if self.block * len(self.rows) <= self.MAX_BLOCK_ENTRIES:
+            self.tensor = self._build_tensor()
+            self.zt = None
 
     @staticmethod
     def applies(series: SnapshotSeries, kernel: KernelSpec) -> bool:
-        """True for the iid kernel on a series whose imaginary parts are all zero."""
-        return kernel.mode == "iid" and not series.a.imag.any() and not series.b.imag.any()
+        """True for the iid kernel on a series whose imaginary parts are all zero.
+
+        The scan of the imaginary parts runs once per series.
+        """
+        return kernel.mode == "iid" and series._memo.get_or_build(
+            "real", lambda: not series.a.imag.any() and not series.b.imag.any()
+        )
+
+    @classmethod
+    def of(cls, series: SnapshotSeries) -> "_RealIidCovariance":
+        """The covariance of a real series, built on first use and kept with it."""
+        return series._memo.get_or_build("real_iid", lambda: cls(series))
 
     def _sample_blocks(self):
         """The (2N, <= ``block``) column blocks of z, in sample order."""
@@ -579,12 +592,6 @@ class _RealIidCovariance:
         """X = sum_m s_m z_m z_m^T for each W of the stack, shape (k, 2N, 2N)."""
         r = np.ascontiguousarray(w.real)
         n = self.n
-        if (
-            self.tensor is None
-            and len(w) > 1
-            and self.block * len(self.rows) <= self.MAX_BLOCK_ENTRIES
-        ):
-            self.tensor = self._build_tensor()
         if self.tensor is None:
             return self._direct(r)
         r_pairs = (r + np.swapaxes(r, -1, -2))[:, self.rows[: self.n_aa], self.cols[: self.n_aa]]

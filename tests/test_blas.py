@@ -86,6 +86,14 @@ def test_v_runs_on_one_thread(two_threads):
     assert _counts() == [2] * len(COPIES)
 
 
+def test_the_series_memo_fills_on_one_thread(two_threads):
+    series, seen = _series(real=True), []
+    series._memo.get_or_build("probe", lambda: seen.append(_counts()))
+    series._memo.get_or_build("probe", lambda: seen.append(_counts()))
+    assert seen == [[1] * len(COPIES)]
+    assert _counts() == [2] * len(COPIES)
+
+
 def test_restored_after_p_hat(two_threads):
     p_hat(1.3 + 0.2j, _series(), KernelSpec.iid())
     assert _counts() == [2] * len(COPIES)

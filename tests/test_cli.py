@@ -361,6 +361,27 @@ class TestCluster:
         assert len(doc["report"]["clusters"]) >= 1
         assert "grid" in doc
 
+    def test_the_refit_reuses_the_sweeps_gram(self, var_csv, tmp_path, capsys, monkeypatch):
+        from specguard import pseudospec
+
+        calls = []
+        gram_matrices = pseudospec.gram_matrices
+
+        def counting(series):
+            calls.append(series)
+            return gram_matrices(series)
+
+        monkeypatch.setattr(pseudospec, "gram_matrices", counting)
+        code, _, _ = _run(
+            capsys, "cluster", "--data", var_csv,
+            "--re-min", "0.85", "--re-max", "1.15", "--n-re", "2",
+            "--im-min", "-0.1", "--im-max", "0.1", "--n-im", "2",
+            "--iid", "--level", "2.0", "--tol", "0.3",
+            "--out", str(tmp_path / "clusters.json"),
+        )
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestOracleCheckCommand:
     def test_passing_suite(self, tmp_path, capsys):

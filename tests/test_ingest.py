@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -36,6 +38,29 @@ class TestSnapshotSeries:
         s = _random_series()
         with pytest.raises(ValueError):
             s.a[0, 0] = 0.0
+
+    def test_the_callers_arrays_stay_theirs(self):
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+        b = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+        whole = SnapshotSeries(a, b, "iid")
+        head = SnapshotSeries(a[:5], b[:5], "iid")
+        saved = whole.a.copy(), whole.b.copy()
+        assert a.flags.writeable and b.flags.writeable
+        a[0, 0] = 7.0
+        b[:] = 0.0
+        assert_array_equal(whole.a, saved[0])
+        assert_array_equal(whole.b, saved[1])
+        assert_array_equal(head.a, saved[0][:5])
+        assert_array_equal(head.b, saved[1][:5])
+
+    def test_a_pickled_series_starts_with_an_empty_memo(self):
+        s = _random_series()
+        s._memo.get_or_build("gram", lambda: "filled")
+        back = pickle.loads(pickle.dumps(s))
+        assert_array_equal(back.a, s.a)
+        assert not back.a.flags.writeable
+        assert back._memo.get_or_build("gram", lambda: "rebuilt") == "rebuilt"
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ShapeError):

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -37,7 +41,7 @@ from specguard.pseudospec import (
     s_star_apply,
     sweep,
 )
-from specguard import pseudospec
+from specguard import pseudospec, stats
 from specguard.variance import KernelSpec, _RealIidCovariance, prepare_factors
 
 
@@ -460,14 +464,94 @@ class TestSweepEngine:
         res = sweep(GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3), series, kernel)
         assert np.all(res.status == STATUS_CONVERGED)
 
-    def test_p_hat_never_builds_the_real_iid_tensor(self, monkeypatch):
+    @staticmethod
+    def _count(monkeypatch, owner, name):
+        calls = []
+        fn = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    def test_estimates_on_one_series_share_one_gram_and_one_tensor(self, monkeypatch):
+        builds = self._count(monkeypatch, _RealIidCovariance, "_build_tensor")
+        grams = self._count(monkeypatch, pseudospec, "gram_matrices")
+        series, kernel = self._data("real")
+        for lam in (1.3 + 0.1j, 1.2 - 0.2j, -1.3 + 0j, 0.9j):
+            assert p_hat(lam, series, kernel).status == STATUS_CONVERGED
+        res = sweep(GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3), series, kernel)
+        assert np.all(res.status == STATUS_CONVERGED)
+        assert (len(builds), len(grams)) == (1, 1)
+        p_sym_lower(1.3 + 0.1j, series, kernel)
+        stats.spectrum_test(series, kernel)
+        assert (len(builds), len(grams)) == (1, 1)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_a_warm_memo_gives_the_cold_estimate_bit_for_bit(self, kind):
+        series, kernel = self._data(kind)
+        lam = 1.3 + 0.1j
+        cold = p_hat(lam, series, kernel)
+        assert p_hat(-1.2 + 0.4j, series, kernel).status == STATUS_CONVERGED
+        sweep(GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3), series, kernel)
+        warm = p_hat(lam, series, kernel)
+        assert (warm.lower, warm.upper, warm.iterations, warm.status) == (
+            cold.lower, cold.upper, cold.iterations, cold.status
+        )
+        assert np.array_equal(warm.q_final, cold.q_final)
+
+    def test_the_memo_does_not_keep_its_series_alive(self):
+        series, kernel = self._data("real")
+        p_hat(1.3 + 0.1j, series, kernel)
+        memo, covariance = series._memo, _RealIidCovariance.of(series)
+        ref = weakref.ref(series)
+        del series
+        gc.collect()
+        assert ref() is None
+        assert memo.get_or_build("real_iid", None) is covariance
+        assert covariance.tensor is not None and covariance.zt is None
+
+    @pytest.mark.parametrize("kind", ["complex", "windowed"])
+    def test_complex_or_windowed_series_never_build_the_tensor(self, kind, monkeypatch):
         def forbidden(self):
-            raise AssertionError("tensor built for a single point")
+            raise AssertionError("tensor built off the real iid path")
 
         monkeypatch.setattr(_RealIidCovariance, "_build_tensor", forbidden)
+        series, kernel = self._data(kind)
+        assert p_hat(1.3 + 0.1j, series, kernel).status == STATUS_CONVERGED
+        res = sweep(GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3), series, kernel)
+        assert np.all(res.status == STATUS_CONVERGED)
+
+    def test_concurrent_first_estimates_build_the_tensor_once(self, monkeypatch):
+        lams = [1.3 + 0.1j, 1.2 - 0.2j, -1.3 + 0j, 0.9j] * 3
         series, kernel = self._data("real")
-        for lam in (1.3 + 0.1j, 1.2 - 0.2j):
-            assert p_hat(lam, series, kernel).status == STATUS_CONVERGED
+        expected = [p_hat(lam, series, kernel) for lam in lams[:4]]
+        builds = self._count(monkeypatch, _RealIidCovariance, "_build_tensor")
+        series, _ = self._data("real")
+        results = [None] * len(lams)
+        barrier = threading.Barrier(len(lams))
+
+        def worker(k):
+            barrier.wait(timeout=60)
+            results[k] = p_hat(lams[k], series, kernel)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=worker, args=(k,)) for k in range(len(lams))]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert len(builds) == 1
+        for k, est in enumerate(results):
+            ref = expected[k % 4]
+            assert (est.lower, est.upper, est.iterations) == (ref.lower, ref.upper, ref.iterations)
 
     def test_a_real_iid_sweep_builds_the_tensor_once(self, monkeypatch):
         builds = []

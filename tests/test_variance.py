@@ -359,7 +359,7 @@ class TestRealIidCovariance:
         ],
     )
     def test_equals_naive(self, batch, form, m, monkeypatch):
-        if form == "direct per W":
+        if form != "blocks":
             # Below one Khatri-Rao block, as a large N gives: no tensor.
             monkeypatch.setattr(_RealIidCovariance, "MAX_BLOCK_ENTRIES", 1)
         s, v = self._setup(m)
@@ -367,17 +367,20 @@ class TestRealIidCovariance:
         assert (v.tensor is not None) == (form == "blocks")
         if batch > 1:
             # The direct and tensor routes agree on the same stack.
-            direct = v._direct(np.ascontiguousarray(w.real))
-            if v.tensor is None:
-                v.tensor = v._build_tensor()
-            tensor = v.second_moments(w)
+            monkeypatch.setattr(_RealIidCovariance, "MAX_BLOCK_ENTRIES", 1)
+            direct = _RealIidCovariance(s).second_moments(w)
+            monkeypatch.undo()
+            tensor = _RealIidCovariance(s).second_moments(w)
             for k in range(batch):
                 err = np.linalg.norm(direct[k] - tensor[k])
                 assert err <= 1e-12 * np.linalg.norm(tensor[k])
 
-    def test_a_lone_w_builds_no_temporary_that_grows_with_m(self):
+    def test_a_lone_w_builds_no_temporary_that_grows_with_m(self, monkeypatch):
+        # The direct form, which a dictionary too large for the tensor takes.
+        monkeypatch.setattr(_RealIidCovariance, "MAX_BLOCK_ENTRIES", 1)
         s = _series(20_000, 10, seed=43, complex_data=False)
         v = _RealIidCovariance(s)
+        assert v.tensor is None
         w = _random_psd(10, 44)[np.newaxis]
         tracemalloc.start()
         try:
@@ -387,21 +390,21 @@ class TestRealIidCovariance:
             tracemalloc.stop()
         assert peak < v.zt.nbytes / 4
 
-    def test_a_lone_w_before_any_batch_leaves_the_tensor_unbuilt(self, monkeypatch):
-        def forbidden(self):
-            raise AssertionError("tensor built for a lone W")
+    def test_a_lone_w_takes_the_tensor_like_any_stack(self, monkeypatch):
+        def forbidden(self, r):
+            raise AssertionError("direct form used under the cap")
 
-        monkeypatch.setattr(_RealIidCovariance, "_build_tensor", forbidden)
+        monkeypatch.setattr(_RealIidCovariance, "_direct", forbidden)
         s, v = self._setup()
+        assert v.tensor is not None
         for k in range(len(self.LAMS)):
             self._assert_matches_naive(v, s, self.LAMS[k : k + 1], seed=50 + k)
-        assert v.tensor is None
 
     def test_after_the_build_no_application_reads_the_samples(self):
         s, v = self._setup()
-        self._assert_matches_naive(v, s, self.LAMS[:2], seed=60)
         assert v.tensor is not None
-        v.zt = None
+        assert v.zt is None
+        self._assert_matches_naive(v, s, self.LAMS[:2], seed=60)
         self._assert_matches_naive(v, s, self.LAMS, seed=61)
         self._assert_matches_naive(v, s, self.LAMS[2:], seed=62)
 
