@@ -6,7 +6,7 @@ The characteristic matrix at a complex point ``lam`` is
 
 which is singular exactly when ``lam`` is an eigenvalue of the EDMD matrix
 ``K = Psi_XX^{-1} Psi_XY``.  Downstream code only ever needs solves with
-C(lam) and its conjugate transpose, so this module hands out an LU context
+C(lam) and its condition estimate, so this module hands out an LU context
 rather than an inverse.
 
 Observable dictionaries routinely mix scales (a constant next to cubed state
@@ -164,7 +164,7 @@ class CharContext:
     """LU-factorized characteristic matrix C(lam) = lam Psi_XX - Psi_XY.
 
     The factorization is of the equilibrated matrix S^{-1} C S^{-1} with
-    ``S = diag(scale)``; the solve methods fold the scales back in, so to
+    ``S = diag(scale)``; :meth:`solve` folds the scales back in, so to
     callers this behaves exactly like a factorization of ``c_hat``.
 
     ``singular_flag`` is set when the condition estimate puts ``lam``
@@ -192,15 +192,6 @@ class CharContext:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve C x = rhs."""
         return self._scaled(lu_solve((self.lu, self.piv), self._scaled(rhs)))
-
-    def solve_h(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve C^* x = rhs (conjugate-transpose system, same factorization)."""
-        return self._scaled(lu_solve((self.lu, self.piv), self._scaled(rhs), trans=2))
-
-    def inv_congruence(self, q: np.ndarray) -> np.ndarray:
-        """Return C^{-*} Q C^{-1} using two triangular-solve passes."""
-        y = self.solve_h(q)
-        return self.solve_h(y.conj().T).conj().T
 
 
 def char_context(gram: GramPair, lam: complex, floor: float | None = None) -> CharContext:

@@ -54,7 +54,7 @@ class UnsupportedModeError(SpecguardError):
 
 
 class DegenerateSError(SpecguardError):
-    """S[Q] could not be made positive definite even after jitter."""
+    """S[Q] could not be made positive definite even after a round-off ridge."""
 
 
 class AtEigenvalueError(SpecguardError):
@@ -70,7 +70,7 @@ class ResolutionGuardError(SpecguardError):
 
 
 class NumericError(SpecguardError):
-    """Numerical failure: non-convergent eigensolver, PSD violation, etc."""
+    """Numerical failure, such as a failed condition estimate or eigensolver."""
 
 
 class UsageError(SpecguardError):

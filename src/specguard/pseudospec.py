@@ -13,8 +13,13 @@ converged or not.
 
 There is one iteration loop, and it runs a batch of points in lockstep: a
 grid sweep batches each column of the grid, and every other estimate is a
-batch of one.  Within a batch the congruence with C^{-1}, the positivity
-policy of V and the pencil bracket are stacked numpy linalg calls.
+batch of one.  Within a batch the congruence with C^{-1}, the application
+of V and the pencil bracket are stacked numpy linalg calls.
+
+Positivity is tested in one place: the pencil's Cholesky factorization of
+S[Q].  An S[Q] that fails it by round-off gets a ridge of 1e-12 tr/N (its
+upper endpoint becomes inf); one that fails it even then ends its point as
+``degenerate_s``.  V itself repairs nothing.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from .variance import (
     KernelSpec,
     _check_window,
     _ct,
-    _finalize_psd_stack,
     _hermitize,
     _RealIidCovariance,
     prepare_factors,
@@ -188,9 +192,8 @@ def bracket(q: np.ndarray, s_of_q: np.ndarray) -> tuple[float, float]:
 
 
 #: ``apply_s(live, q)``: S[Q] for the iterates ``q`` (k, N, N) of the batch
-#: points ``live``, and the NumericError of each point whose application
-#: failed, keyed by position in ``live``.
-_BatchApply = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, dict[int, NumericError]]]
+#: points ``live``.
+_BatchApply = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _iterate(
@@ -198,12 +201,13 @@ def _iterate(
     q: np.ndarray,
     settings: PowerIterSettings,
     history: list | None = None,
-) -> list[PEstimate | NumericError]:
+) -> list[PEstimate]:
     """The certified power iteration, run in lockstep over a batch of points.
 
     ``q`` (B, N, N) holds each point's starting iterate.  A point leaves
-    the batch when it converges, degenerates, or its S application fails
-    (its entry is then that NumericError); the rest stop at ``max_iters``.
+    the batch when it converges or degenerates (its S[Q] does not factor
+    even after a round-off ridge, or has no positive trace); the rest stop
+    at ``max_iters``.
     ``history``, for one-point batches, receives every step's
     (lower, upper).
 
@@ -211,7 +215,7 @@ def _iterate(
     bracket, so it can seed a warm start at a nearby spectral point.
     """
     q = np.array(q, dtype=complex)
-    out: list[PEstimate | NumericError | None] = [None] * len(q)
+    out: list[PEstimate | None] = [None] * len(q)
     lower = np.zeros(len(q))
     upper = np.full(len(q), np.inf)
     jitter = np.zeros(len(q), dtype=bool)
@@ -232,14 +236,7 @@ def _iterate(
     for iterations in range(1, settings.max_iters + 1):
         if not len(live):
             break
-        s_of_q, errors = apply_s(live, q[live])
-        for pos, exc in errors.items():
-            out[live[pos]] = exc
-        ok = np.array([pos not in errors for pos in range(len(live))], dtype=bool)
-        live = live[ok]
-        if not len(live):
-            break
-        lo, hi, ridged, failed, s_used = _pencil(q[live], _hermitize(s_of_q[ok]))
+        lo, hi, ridged, failed, s_used = _pencil(q[live], _hermitize(apply_s(live, q[live])))
         finish(live[failed], iterations, STATUS_DEGENERATE_S)
         live, lo, hi, s_used = live[~failed], lo[~failed], hi[~failed], s_used[~failed]
         lower[live] = np.maximum(lo, 0.0)
@@ -300,7 +297,7 @@ def power_iterate(
     if settings is None:
         settings = PowerIterSettings()
     (est,) = _iterate(
-        lambda live, q: (apply_s(q[0])[np.newaxis], {}),
+        lambda live, q: apply_s(q[0])[np.newaxis],
         _start(settings, dim)[np.newaxis],
         settings,
         history,
@@ -329,7 +326,7 @@ def s_apply(
 ) -> np.ndarray:
     """One application S[Q] = V[C^{-*} Q C^{-1}] at ctx's spectral point."""
     factors = _off_spectrum_factors(ctx, series, factors, "S")
-    w = ctx.inv_congruence(np.asarray(q, dtype=complex))
+    w = _congruence([ctx])(np.array([0]), np.asarray(q, dtype=complex)[np.newaxis])[0]
     return variance_apply(w, ctx.lam, series, kernel, factors).result
 
 
@@ -366,8 +363,7 @@ def s_star_apply(
 def _congruence(ctxs: list[CharContext]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """``(live, q) -> C^{-*} Q C^{-1}`` at the batch points ``live``.
 
-    Two stacked solves with each point's equilibrated C^*, the same
-    computation as :meth:`CharContext.inv_congruence` for a whole batch.
+    Two stacked solves with each point's equilibrated C^*.
     """
     scale = np.stack([ctx.scale for ctx in ctxs])[:, :, np.newaxis]
     c_eq_h = np.stack([_ct(ctx.c_hat / np.outer(ctx.scale, ctx.scale)) for ctx in ctxs])
@@ -404,23 +400,17 @@ class _Covariance:
             self.ut = np.ascontiguousarray(series.a.T)   # u_m = a_m at every lambda
 
     def at(self, ctxs: list[CharContext]) -> _BatchApply:
-        """``(live, w) -> (V[W] stack, errors)`` at the points of ``ctxs``."""
+        """``(live, w) -> V[W]`` stack at the points of ``ctxs``."""
         lam = np.array([ctx.lam for ctx in ctxs])
         if self.real is not None:
             c_hat = np.stack([ctx.c_hat for ctx in ctxs])
-
-            def apply_real(live: np.ndarray, w: np.ndarray):
-                result, _, errors = _finalize_psd_stack(self.real(lam[live], c_hat[live], w), w)
-                return result, errors
-
-            return apply_real
+            return lambda live, w: self.real(lam[live], c_hat[live], w)
 
         series, kernel, ut = self.series, self.kernel, self.ut
         c_mean: list[np.ndarray | None] = [None] * len(ctxs)
 
         def apply_each(live: np.ndarray, w: np.ndarray):
             result = np.empty_like(w)
-            errors: dict[int, NumericError] = {}
             for pos, i in enumerate(live):
                 # The factors of prepare_factors, rebuilt per application so
                 # that a batch keeps only each point's N x N mean between
@@ -430,11 +420,8 @@ class _Covariance:
                 if c_mean[i] is None:
                     c_mean[i] = ut @ vt.conj().T / series.M
                 factors = FactorCache(complex(lam[i]), ut, vt, c_mean[i])
-                try:
-                    result[pos] = variance_apply(w[pos], lam[i], series, kernel, factors).result
-                except NumericError as exc:
-                    errors[pos] = exc
-            return result, errors
+                result[pos] = variance_apply(w[pos], lam[i], series, kernel, factors).result
+            return result
 
         return apply_each
 
@@ -445,7 +432,7 @@ def _estimate(
     starts: np.ndarray,
     settings: PowerIterSettings,
     history: list | None = None,
-) -> list[PEstimate | NumericError]:
+) -> list[PEstimate]:
     """Power iteration on S[Q] = V[C^{-*} Q C^{-1}] at off-spectrum points."""
     congruence = _congruence(ctxs)
     return _iterate(
@@ -459,12 +446,10 @@ def _estimate_one(
     settings: PowerIterSettings | None,
     history: list | None,
 ) -> PEstimate:
-    """:func:`_estimate` at one point; raises the NumericError of a failed V."""
+    """:func:`_estimate` at one point."""
     if settings is None:
         settings = PowerIterSettings()
     (est,) = _estimate([ctx], apply_v, _start(settings, ctx.dim)[np.newaxis], settings, history)
-    if isinstance(est, NumericError):
-        raise est
     return est
 
 
@@ -499,7 +484,8 @@ def p_hat(
     and, for the iid kernel on a real series, the fourth-moment tensor of
     :class:`~specguard.variance._RealIidCovariance`.  The first estimate
     on such a series pays for the tensor; the result does not depend on
-    which estimates ran before.
+    which estimates ran before.  A point whose S[Q] loses positivity
+    returns a ``degenerate_s`` estimate; it does not raise.
     """
     with _blas.single_thread():
         ctx = char_context(_series_gram(series), lam, floor)
@@ -527,7 +513,7 @@ def _certified_estimate(
         return _at_eigenvalue(ctx.dim)
     with _blas.single_thread():
         v = make_v()
-        return _estimate_one(ctx, lambda live, w: (v(w[0])[np.newaxis], {}), settings, history)
+        return _estimate_one(ctx, lambda live, w: v(w[0])[np.newaxis], settings, history)
 
 
 def p_sym_fixed_q(
@@ -546,7 +532,13 @@ def p_sym_fixed_q(
 
     for a fixed positive definite Q.  Supported for iid sampling kernels
     only (the adjoint expansion requires it); for N = 1 both branches
-    collapse to the plain estimator.
+    collapse to the plain estimator.  The primal bound is the lower
+    endpoint of :func:`bracket` at Q.
+
+    Raises
+    ------
+    DegenerateSError
+        If S[Q] is not positive definite, even after a round-off ridge.
     """
     if kernel.mode != "iid":
         raise UnsupportedModeError("p_sym_fixed_q requires an iid kernel")
@@ -560,17 +552,13 @@ def p_sym_fixed_q(
     if w[0] <= 0.0:
         raise NotSPDError(f"test matrix must be positive definite (min eig {w[0]:.3e})")
     root = (vecs * np.sqrt(w)) @ vecs.conj().T
-    inv_root = (vecs / np.sqrt(w)) @ vecs.conj().T
     q_inv = (vecs / w) @ vecs.conj().T
 
-    s_q = s_apply(q, ctx, series, kernel, factors)
-    primal = np.linalg.eigvalsh(_hermitize(inv_root @ s_q @ inv_root))[-1]
+    primal, _ = bracket(q, s_apply(q, ctx, series, kernel, factors))
 
     s_star_qinv = s_star_apply(q_inv, ctx, series, kernel, factors)
     dual = np.linalg.eigvalsh(_hermitize(root @ s_star_qinv @ root))[-1]
-
-    branches = [1.0 / v if v > 0.0 else float("inf") for v in (primal, dual)]
-    return min(branches)
+    return min(primal, 1.0 / dual if dual > 0.0 else float("inf"))
 
 
 def p_sym_lower(
@@ -724,9 +712,6 @@ def sweep(
     iters = np.zeros(shape, dtype=int)
     status = np.empty(shape, dtype=object)
 
-    def degenerate(i: int, j: int) -> None:
-        lower[i, j], upper[i, j], status[i, j] = 0.0, float("inf"), STATUS_DEGENERATE_S
-
     with _blas.single_thread():
         _check_window(kernel, series.M)
         gram = _series_gram(series)
@@ -740,7 +725,7 @@ def sweep(
                 try:
                     ctx = char_context(gram, complex(re, im), floor)
                 except NumericError:
-                    degenerate(i, j)
+                    lower[i, j], upper[i, j], status[i, j] = 0.0, float("inf"), STATUS_DEGENERATE_S
                     continue
                 if ctx.singular_flag:
                     status[i, j] = STATUS_AT_EIGENVALUE
@@ -752,9 +737,6 @@ def sweep(
                 continue
             ests = _estimate(ctxs, covariance.at(ctxs), np.stack(starts), settings)
             for i, est in zip(rows, ests):
-                if isinstance(est, NumericError):
-                    degenerate(i, j)
-                    continue
                 lower[i, j], upper[i, j] = est.lower, est.upper
                 iters[i, j] = est.iterations
                 status[i, j] = est.status

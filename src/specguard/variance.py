@@ -14,6 +14,10 @@ Two evaluation routes are provided: a direct reference implementation
 and a production path (`variance_apply`) that exploits the rank-one
 structure to run in O(L * M * N + M * N^2) time.  The two must agree to
 near machine precision; tests enforce a 1e-10 relative Frobenius bound.
+Both return V[Q] as computed, Hermitian but never repaired for
+positivity: V is linear in Q, and an indefinite Q keeps its indefinite
+image.  The certified estimates test positivity once, on S[Q], when the
+pencil of :mod:`specguard.pseudospec` Cholesky-factors it.
 For the iid kernel on real-valued data, the certified estimates apply V in
 real arithmetic to a whole batch of points at once
 (`_RealIidCovariance`), held to the same bound.  There V[W] is linear in
@@ -31,12 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charmatrix import snapshot_factors
-from .errors import (
-    NumericError,
-    ShapeError,
-    UnstableKernelError,
-    WindowTooLargeError,
-)
+from .errors import ShapeError, UnstableKernelError, WindowTooLargeError
 from .ingest import SnapshotSeries
 
 __all__ = [
@@ -56,9 +55,6 @@ __all__ = [
 
 #: mu within this distance of 1 makes the deflation factor blow up.
 MU_GUARD = 0.05
-
-#: relative size below which a negative eigenvalue of V[Q] is clipped.
-PSD_CLIP_TOL = 1e-10
 
 
 def kappa_w(x: np.ndarray | float) -> np.ndarray | float:
@@ -327,7 +323,6 @@ class VarianceApplication:
     """Result of applying V[.] to one Hermitian matrix."""
 
     result: np.ndarray
-    psd_repair_applied: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,48 +371,6 @@ def _ct(mat: np.ndarray) -> np.ndarray:
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + _ct(mat))
-
-
-def _finalize_psd_stack(
-    raw: np.ndarray, q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, dict[int, NumericError]]:
-    """Symmetrize each V[Q_k] of a stack and apply the negative-eigenvalue policy.
-
-    Round-off-scale negative eigenvalues are clipped to zero (flagged).
-    Structurally negative eigenvalues are an error only when the input Q_k
-    was PSD, since then a PSD result is mathematically guaranteed; for
-    indefinite Q_k the result is legitimately indefinite and is returned
-    as-is.  Returns the results, the per-matrix repair flags, and the
-    errors keyed by stack position.
-    """
-    sym = _hermitize(raw)
-    w = np.linalg.eigvalsh(sym)
-    repaired = np.zeros(len(sym), dtype=bool)
-    errors: dict[int, NumericError] = {}
-    for k in np.flatnonzero(w[:, 0] < 0.0):
-        wmin = float(w[k, 0])
-        scale = float(np.abs(w[k]).max())
-        if wmin >= -PSD_CLIP_TOL * scale:
-            wk, vecs = np.linalg.eigh(sym[k])
-            sym[k] = _hermitize((vecs * np.clip(wk, 0.0, None)) @ vecs.conj().T)
-            repaired[k] = True
-            continue
-        wq = np.linalg.eigvalsh(_hermitize(np.asarray(q[k], dtype=complex)))
-        q_scale = float(np.abs(wq).max(initial=0.0))
-        if wq[0] >= -1e-12 * max(q_scale, 1.0):
-            errors[int(k)] = NumericError(
-                f"covariance application lost positivity (min eig {wmin:.3e} at "
-                f"scale {scale:.3e}) despite PSD input"
-            )
-    return sym, repaired, errors
-
-
-def _finalize_psd(raw: np.ndarray, q: np.ndarray) -> VarianceApplication:
-    """:func:`_finalize_psd_stack` for one matrix; raises its NumericError."""
-    sym, repaired, errors = _finalize_psd_stack(raw[np.newaxis], np.asarray(q)[np.newaxis])
-    if errors:
-        raise errors[0]
-    return VarianceApplication(sym[0], bool(repaired[0]))
 
 
 def variance_apply(
@@ -479,7 +432,7 @@ def variance_apply(
     coef = float(np.sum(kt * (m + lags) / m))
     tilde -= coef * (c_hat.conj().T @ qc)
 
-    return _finalize_psd(tilde + tilde.conj().T, q)
+    return VarianceApplication(tilde + tilde.conj().T)
 
 
 class _RealIidCovariance:
@@ -603,7 +556,7 @@ class _RealIidCovariance:
         return x
 
     def __call__(self, lam: np.ndarray, c_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """V[W_k] before the positivity policy, at points lam_k with C(lam_k) = c_hat_k."""
+        """V[W_k] at the points lam_k with C(lam_k) = c_hat_k, Hermitian up to round-off."""
         n = self.n
         x = self.second_moments(w)
         lam = lam[:, np.newaxis, np.newaxis]
@@ -654,7 +607,7 @@ def variance_apply_naive(
         total += wgt * gam
         if lag > 0:
             total += wgt * gam.conj().T
-    return _finalize_psd(total, q)
+    return VarianceApplication(_hermitize(total))
 
 
 def variance_exact_iid(q: np.ndarray, lam: complex, moments) -> np.ndarray:

@@ -18,6 +18,7 @@ from specguard.charmatrix import (
 )
 from specguard.errors import IllConditionedGramError, InsufficientDataError, ShapeError
 from specguard.ingest import SnapshotSeries
+from specguard.pseudospec import _congruence
 
 
 def _series(m=60, n=4, seed=0):
@@ -114,9 +115,9 @@ class TestCharContext:
         b2 = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
         assert_allclose(ctx.solve(b1), np.linalg.solve(c, b1), atol=1e-11)
         assert_allclose(ctx.solve(b2), np.linalg.solve(c, b2), atol=1e-11)
-        assert_allclose(ctx.solve_h(b1), np.linalg.solve(c.conj().T, b1), atol=1e-11)
 
     def test_inv_congruence(self):
+        """The engine's C^{-*} Q C^{-1}, built from a context, against dense inverses."""
         g = gram_matrices(_series(m=70, n=4, seed=10))
         ctx = char_context(g, 0.9 - 0.2j)
         rng = np.random.default_rng(11)
@@ -124,7 +125,8 @@ class TestCharContext:
         q = q @ q.conj().T
         c_inv = np.linalg.inv(ctx.c_hat)
         expected = c_inv.conj().T @ q @ c_inv
-        assert_allclose(ctx.inv_congruence(q), expected, atol=1e-11)
+        got = _congruence([ctx])(np.array([0]), q[np.newaxis])[0]
+        assert_allclose(got, expected, atol=1e-11)
 
     def test_residual_backward_stable(self):
         """The stored factorization must reproduce C to near round-off."""

@@ -16,7 +16,6 @@ from specguard.charmatrix import char_context, edmd_matrix, eigensystem, gram_ma
 from specguard.errors import (
     AtEigenvalueError,
     NotSPDError,
-    NumericError,
     ShapeError,
     UnsupportedModeError,
     WindowTooLargeError,
@@ -567,6 +566,24 @@ class TestSweepEngine:
         assert np.all(res.status == STATUS_CONVERGED)
         assert len(builds) == 1
 
+    def test_a_negative_v_makes_p_hat_degenerate(self, monkeypatch):
+        # V[W] -> -V[W]: S[Q] is negative definite, so its Cholesky fails
+        # even after the round-off ridge, on the complex and the real route.
+        apply, real = pseudospec.variance_apply, _RealIidCovariance.__call__
+
+        def negated(*args, **kwargs):
+            out = apply(*args, **kwargs)
+            return dataclasses.replace(out, result=-out.result)
+
+        monkeypatch.setattr(pseudospec, "variance_apply", negated)
+        monkeypatch.setattr(_RealIidCovariance, "__call__", lambda self, *a: -real(self, *a))
+        for kind in ("complex", "real"):
+            series, kernel = self._data(kind)
+            est = p_hat(1.3 + 0.1j, series, kernel)
+            assert est.status == STATUS_DEGENERATE_S
+            assert 0.0 <= est.lower <= est.upper
+            assert est.iterations == 1
+
     def test_a_failed_point_leaves_its_column_alone(self, monkeypatch):
         series, kernel = self._data("complex")
         grid = GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3)
@@ -574,15 +591,14 @@ class TestSweepEngine:
         bad = clean.point(2, 1)
         apply = pseudospec.variance_apply
 
-        def failing(w, lam, *args, **kwargs):
-            if lam == bad:
-                raise NumericError("lost positivity")
-            return apply(w, lam, *args, **kwargs)
+        def negated_at_bad(w, lam, *args, **kwargs):
+            out = apply(w, lam, *args, **kwargs)
+            return dataclasses.replace(out, result=-out.result) if lam == bad else out
 
-        monkeypatch.setattr(pseudospec, "variance_apply", failing)
+        monkeypatch.setattr(pseudospec, "variance_apply", negated_at_bad)
         res = sweep(grid, series, kernel)
         assert res.status[2, 1] == STATUS_DEGENERATE_S
-        assert (res.lower[2, 1], res.upper[2, 1], res.iterations[2, 1]) == (0.0, float("inf"), 0)
+        assert (res.lower[2, 1], res.upper[2, 1], res.iterations[2, 1]) == (0.0, float("inf"), 1)
         others = np.ones(res.shape, dtype=bool)
         others[2, 1:] = False    # the failed cell, and its right neighbour's warm start
         assert np.array_equal(res.status[others], clean.status[others])

@@ -13,18 +13,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from specguard.errors import (
-    NumericError,
-    ShapeError,
-    UnstableKernelError,
-    WindowTooLargeError,
-)
+from specguard.errors import ShapeError, UnstableKernelError, WindowTooLargeError
 from specguard.charmatrix import char_context, gram_matrices
 from specguard.ingest import SnapshotSeries
 from specguard.variance import (
     KernelSpec,
-    _finalize_psd,
-    _finalize_psd_stack,
     _RealIidCovariance,
     default_mu_list,
     estimate_tau,
@@ -302,7 +295,6 @@ class TestVarianceApply:
         a1 = variance_apply(q1, lam, s, kernel)
         a2 = variance_apply(q2, lam, s, kernel)
         combo = variance_apply(2.0 * q1 - 0.7 * q2, lam, s, kernel)
-        assert not (a1.psd_repair_applied or a2.psd_repair_applied)
         assert_allclose(
             combo.result, 2.0 * a1.result - 0.7 * a2.result, atol=1e-11
         )
@@ -339,8 +331,7 @@ class TestRealIidCovariance:
         gram = gram_matrices(s)
         c_hat = np.stack([char_context(gram, lam).c_hat for lam in lams])
         w = np.stack([_random_psd(4, seed + k) for k in range(len(lams))])
-        fast, _, errors = _finalize_psd_stack(v(lams, c_hat, w), w)
-        assert errors == {}
+        fast = v(lams, c_hat, w)
         for k, lam in enumerate(lams):
             slow = variance_apply_naive(w[k], lam, s, KernelSpec.iid()).result
             assert np.linalg.norm(fast[k] - slow) <= 1e-10 * np.linalg.norm(slow)
@@ -415,20 +406,17 @@ class TestRealIidCovariance:
 
 
 class TestPsdRepairPolicy:
-    def test_roundoff_negative_clipped_and_flagged(self):
-        raw = np.diag([1.0, -1e-13]).astype(complex)
-        out = _finalize_psd(raw, np.eye(2, dtype=complex))
-        assert out.psd_repair_applied
-        assert np.linalg.eigvalsh(out.result)[0] >= 0.0
-
-    def test_structural_negative_with_psd_input_raises(self):
-        raw = np.diag([1.0, -0.5]).astype(complex)
-        with pytest.raises(NumericError, match="positivity"):
-            _finalize_psd(raw, np.eye(2, dtype=complex))
+    """V repairs nothing; positivity is tested on S[Q] by the pencil."""
 
     def test_indefinite_input_passes_through(self):
-        raw = np.diag([1.0, -0.5]).astype(complex)
-        q = np.diag([1.0, -1.0]).astype(complex)
-        out = _finalize_psd(raw, q)
-        assert not out.psd_repair_applied
-        assert_allclose(out.result, raw)
+        s = _series(150, 3, seed=45)
+        rng = np.random.default_rng(46)
+        basis = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        q = (basis * np.array([1.0, 0.0, -1.0])) @ basis.conj().T
+        lam = 1.1 + 0.3j
+        fast = variance_apply(q, lam, s, KernelSpec.iid()).result
+        slow = variance_apply_naive(q, lam, s, KernelSpec.iid()).result
+        assert np.linalg.norm(fast - slow) <= 1e-10 * np.linalg.norm(slow)
+        w_fast, w_slow = np.linalg.eigvalsh(fast), np.linalg.eigvalsh(slow)
+        assert w_slow[0] < -0.1 * w_slow[-1]
+        assert_allclose(w_fast, w_slow, rtol=0, atol=1e-10 * np.linalg.norm(slow))
