@@ -15,16 +15,22 @@ factorizations therefore work on the symmetrically equilibrated matrix
 ``D^{-1/2} A D^{-1/2}`` with ``D = diag(Psi_XX)``; reported ``rcond`` values
 refer to the equilibrated system, i.e. they measure intrinsic near-dependence
 between observables rather than scale imbalance.
+
+:func:`char_contexts` builds the contexts of many points at once, as a grid
+sweep needs them a column at a time: the equilibrated matrices and their
+1-norms are formed as one stack, and each point then costs one LAPACK
+``getrf`` and one ``gecon``.  :func:`char_context` is the same code at a
+single point, and :func:`edmd_matrix` factors Psi_XX with the same pair of
+LAPACK calls.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_solve
 
 from .errors import IllConditionedGramError, InsufficientDataError, NumericError, ShapeError
 from .ingest import SnapshotSeries
@@ -36,6 +42,7 @@ __all__ = [
     "gram_matrices",
     "edmd_matrix",
     "char_context",
+    "char_contexts",
     "eigensystem",
     "snapshot_factors",
     "rcond_floor",
@@ -43,6 +50,9 @@ __all__ = [
 
 #: rcond below ``RCOND_FLOOR_COEFF * N`` is treated as numerically singular.
 RCOND_FLOOR_COEFF = 1e-10
+
+# Every matrix factored here is complex: GramPair stores its matrices so.
+_GETRF, _GECON = get_lapack_funcs(("getrf", "gecon"), dtype=np.complex128)
 
 
 def rcond_floor(n: int) -> float:
@@ -122,7 +132,7 @@ def edmd_matrix(gram: GramPair, floor: float | None = None) -> tuple[np.ndarray,
     """
     s = _equil_scale(gram.psi_xx)
     ss = np.outer(s, s)
-    lu, piv, rc = _factor_with_rcond(gram.psi_xx / ss)
+    ((lu, piv, rc),) = _factor_stack((gram.psi_xx / ss)[np.newaxis])
     limit = rcond_floor(gram.dim) if floor is None else float(floor)
     if rc < limit:
         raise IllConditionedGramError(
@@ -135,28 +145,30 @@ def edmd_matrix(gram: GramPair, floor: float | None = None) -> tuple[np.ndarray,
     return k_hat, rc
 
 
-def _factor_with_rcond(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """LU-factor ``mat`` and estimate its reciprocal 1-norm condition."""
-    if mat.shape == (1, 1):
-        # LAPACK's estimator is vacuous at N=1: rcond is 1 unless exactly 0.
-        val = mat[0, 0]
-        rc = 1.0 if val != 0.0 else 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lu, piv = lu_factor(mat)
-        return lu, piv, rc
-    anorm = np.linalg.norm(mat, 1)
-    with warnings.catch_warnings():
-        # scipy warns on exactly-zero pivots; singularity is reported via rcond.
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(mat)
-    if anorm == 0.0:
-        return lu, piv, 0.0
-    gecon, = get_lapack_funcs(("gecon",), (lu,))
-    rc, info = gecon(lu, anorm, norm="1")
-    if info < 0:
-        raise NumericError(f"gecon failed with info={info}")
-    return lu, piv, float(rc)
+def _factor_stack(mats: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """LU-factor each matrix of a stack and estimate its reciprocal 1-norm condition.
+
+    A matrix with an exactly zero pivot is factored all the same: its
+    singularity shows in rcond.
+    """
+    anorm = np.abs(mats).sum(axis=1).max(axis=1)
+    if not np.all(np.isfinite(anorm)):
+        raise NumericError("cannot factor a matrix with non-finite entries")
+    out = []
+    for mat, norm in zip(mats, anorm):
+        lu, piv, info = _GETRF(mat)
+        if info < 0:  # pragma: no cover - only on an illegal argument
+            raise NumericError(f"getrf failed with info={info}")
+        if mat.shape == (1, 1):
+            # LAPACK's estimator is vacuous at N=1: rcond is 1 unless exactly 0.
+            rc = 1.0 if lu[0, 0] != 0.0 else 0.0
+        else:
+            # gecon returns rcond 0 for a matrix whose 1-norm is 0.
+            rc, info = _GECON(lu, norm, norm="1")
+            if info < 0:  # pragma: no cover - only on an illegal argument
+                raise NumericError(f"gecon failed with info={info}")
+        out.append((lu, piv, float(rc)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -194,24 +206,54 @@ class CharContext:
         return self._scaled(lu_solve((self.lu, self.piv), self._scaled(rhs)))
 
 
+def char_contexts(
+    gram: GramPair, lams, floor: float | None = None
+) -> list[CharContext]:
+    """Factor C(lam) at each point of ``lams`` for repeated solves there.
+
+    The contexts of all points are built in one pass: the equilibration
+    scale once, the characteristic and equilibrated matrices as one stack,
+    their 1-norms as one reduction, and then one LAPACK LU and condition
+    estimate per point.  ``floor`` overrides the default ``rcond_floor(N)``
+    singularity threshold.
+
+    Raises
+    ------
+    ShapeError
+        If a point is not finite.
+    NumericError
+        If C(lam) overflows at a point.
+    """
+    lams = np.asarray(lams, dtype=complex).reshape(-1)
+    if not np.all(np.isfinite(lams)):
+        bad = lams[~np.isfinite(lams)][0]
+        raise ShapeError(f"spectral point {bad} is not finite")
+    s = _equil_scale(gram.psi_xx)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+        c_hat = lams[:, np.newaxis, np.newaxis] * gram.psi_xx - gram.psi_xy
+        eq = c_hat / np.outer(s, s)
+    factors = _factor_stack(eq)
+    limit = rcond_floor(gram.dim) if floor is None else float(floor)
+    return [
+        CharContext(
+            lam=complex(lam),
+            c_hat=c,
+            lu=lu,
+            piv=piv,
+            scale=s,
+            rcond=rc,
+            singular_flag=rc < limit,
+        )
+        for lam, c, (lu, piv, rc) in zip(lams, c_hat, factors)
+    ]
+
+
 def char_context(gram: GramPair, lam: complex, floor: float | None = None) -> CharContext:
     """Factor C(lam) once for repeated solves at a fixed spectral point.
 
-    ``floor`` overrides the default ``rcond_floor(N)`` singularity threshold.
+    The one-point case of :func:`char_contexts`, whose errors it raises.
     """
-    c_hat = lam * gram.psi_xx - gram.psi_xy
-    s = _equil_scale(gram.psi_xx)
-    lu, piv, rc = _factor_with_rcond(c_hat / np.outer(s, s))
-    limit = rcond_floor(gram.dim) if floor is None else float(floor)
-    return CharContext(
-        lam=complex(lam),
-        c_hat=c_hat,
-        lu=lu,
-        piv=piv,
-        scale=s,
-        rcond=rc,
-        singular_flag=rc < limit,
-    )
+    return char_contexts(gram, [lam], floor)[0]
 
 
 class EigenMode(NamedTuple):

@@ -14,6 +14,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import datetime
 import hashlib
 import json
@@ -114,9 +115,12 @@ def _write_json(obj: dict, path: str) -> None:
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError:
         raise UsageError(f"cannot parse complex number from {text!r}") from None
+    if not cmath.isfinite(value):
+        raise UsageError(f"complex number {text!r} is not finite")
+    return value
 
 
 def _load_series(args: argparse.Namespace) -> SnapshotSeries:

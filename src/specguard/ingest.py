@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import threading
+import warnings
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -246,36 +247,71 @@ def _parse_csv_header(line: str) -> tuple[int, str, float | None]:
     return n, kind, dt
 
 
+def _parse_csv_rows(lines: list[str], n: int) -> np.ndarray:
+    """The data rows, parsed one by one so that an error names its row.
+
+    ``lines`` are the non-blank lines after the header.
+    """
+    rows = []
+    for idx, ln in enumerate(lines):
+        cells = ln.split(",")
+        if len(cells) != 4 * n:
+            raise ShapeError(
+                f"row {idx}: expected {4 * n} columns for N={n}, got {len(cells)}"
+            )
+        try:
+            vals = np.array([float(c) for c in cells])
+        except ValueError as exc:
+            raise FormatError(f"row {idx}: non-numeric entry ({exc})") from exc
+        if not np.all(np.isfinite(vals)):
+            raise FormatError(f"row {idx}: non-finite entry")
+        rows.append(vals)
+    return np.vstack(rows) if rows else np.empty((0, 4 * n))
+
+
+def _load_csv(path: Path) -> tuple[np.ndarray, int, str, float | None]:
+    """The numeric block of a v1 CSV file, with the header's N, kind and dt.
+
+    Blank lines are skipped.  The block is parsed in one pass; a file that
+    pass rejects, or whose width is wrong, is parsed again row by row, so
+    that the error names the offending row.
+    """
+    with open(path) as fh:
+        header = ""
+        while not header.strip():
+            header = fh.readline()
+            if not header:
+                raise FormatError(f"{path} is empty")
+        n, kind, dt = _parse_csv_header(header.strip("\r\n"))
+        try:
+            with warnings.catch_warnings():
+                # A header with no data rows is reported below, by count.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                flat = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except ValueError:
+            flat = None
+    if flat is None or (len(flat) and flat.shape[1] != 4 * n):
+        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+        return _parse_csv_rows(lines[1:], n), n, kind, dt
+    finite = np.all(np.isfinite(flat), axis=1)
+    if not np.all(finite):
+        raise FormatError(f"row {int(np.argmax(~finite))}: non-finite entry")
+    return flat, n, kind, dt
+
+
 def load_snapshots(path: str | Path, format: str = "csv") -> SnapshotSeries:
     """Load a snapshot series, validating width, finiteness, and M >= 2.
 
-    Raises FormatError for a malformed header or a non-finite row (the row
-    index is named), ShapeError for inconsistent row width, and
+    Raises FormatError for a malformed header or a non-numeric or
+    non-finite row, ShapeError for inconsistent row width (both name the
+    row, counting data rows from 0 and skipping blank lines), and
     InsufficientDataError when fewer than two pairs are present.
     """
     path = Path(path)
     if format == "csv":
-        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-        if not lines:
-            raise FormatError(f"{path} is empty")
-        n, kind, dt = _parse_csv_header(lines[0])
-        rows = []
-        for idx, ln in enumerate(lines[1:]):
-            cells = ln.split(",")
-            if len(cells) != 4 * n:
-                raise ShapeError(
-                    f"row {idx}: expected {4 * n} columns for N={n}, got {len(cells)}"
-                )
-            try:
-                vals = np.array([float(c) for c in cells])
-            except ValueError as exc:
-                raise FormatError(f"row {idx}: non-numeric entry ({exc})") from exc
-            if not np.all(np.isfinite(vals)):
-                raise FormatError(f"row {idx}: non-finite entry")
-            rows.append(vals)
-        if len(rows) < 2:
-            raise InsufficientDataError(f"{path} holds {len(rows)} pairs; need at least 2")
-        flat = np.vstack(rows)
+        flat, n, kind, dt = _load_csv(path)
+        if len(flat) < 2:
+            raise InsufficientDataError(f"{path} holds {len(flat)} pairs; need at least 2")
         a = flat[:, : 2 * n : 2] + 1j * flat[:, 1 : 2 * n : 2]
         b = flat[:, 2 * n :: 2] + 1j * flat[:, 2 * n + 1 :: 2]
         return SnapshotSeries(a, b, kind, dt=dt)

@@ -30,12 +30,11 @@ from typing import Callable
 import numpy as np
 
 from . import _blas
-from .charmatrix import CharContext, GramPair, char_context, gram_matrices
+from .charmatrix import CharContext, GramPair, char_context, char_contexts, gram_matrices
 from .errors import (
     AtEigenvalueError,
     DegenerateSError,
     NotSPDError,
-    NumericError,
     ShapeError,
     UnsupportedModeError,
 )
@@ -366,7 +365,7 @@ def _congruence(ctxs: list[CharContext]) -> Callable[[np.ndarray, np.ndarray], n
     Two stacked solves with each point's equilibrated C^*.
     """
     scale = np.stack([ctx.scale for ctx in ctxs])[:, :, np.newaxis]
-    c_eq_h = np.stack([_ct(ctx.c_hat / np.outer(ctx.scale, ctx.scale)) for ctx in ctxs])
+    c_eq_h = _ct(np.stack([ctx.c_hat for ctx in ctxs]) / (scale * _ct(scale)))
 
     def apply(live: np.ndarray, q: np.ndarray) -> np.ndarray:
         s, a = scale[live], c_eq_h[live]
@@ -604,6 +603,9 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.n_re < 1 or self.n_im < 1:
             raise ShapeError("grid needs at least one point per axis")
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not np.all(np.isfinite(bounds)):
+            raise ShapeError(f"grid bounds must be finite, got {bounds}")
         if self.re_max < self.re_min or self.im_max < self.im_min:
             raise ShapeError("grid bounds must satisfy max >= min")
 
@@ -695,13 +697,16 @@ def sweep(
 ) -> SweepResult:
     """Evaluate the certified bracket over a complex grid.
 
-    The grid is marched column by column, left to right.  The off-spectrum
-    points of a column iterate together as one batch, and each starts from
-    the final iterate of its left neighbour when that one converged.  The
-    whole sweep runs with BLAS on one thread (see :mod:`specguard._blas`).
-    Per-point numerical failures are recorded in the status field and never
-    abort the sweep; configuration errors, such as a kernel window that does
-    not fit the sample, raise before any point is evaluated.
+    The grid is marched column by column, left to right.  Each column's
+    characteristic matrices are factored by one :func:`char_contexts`
+    call; its off-spectrum points then iterate together as one batch, and
+    each starts from the final iterate of its left neighbour when that one
+    converged.  The whole sweep runs with BLAS on one thread (see
+    :mod:`specguard._blas`).  How each point's iteration ended is recorded
+    in the status field and never aborts the sweep; configuration errors,
+    such as a kernel window that does not fit the sample, raise before any
+    point is evaluated, and a characteristic matrix that overflows raises
+    :class:`~specguard.errors.NumericError`.
     """
     if settings is None:
         settings = PowerIterSettings()
@@ -719,14 +724,11 @@ def sweep(
         n = gram.dim
         warm: list[np.ndarray | None] = [None] * grid.n_im
         for j, re in enumerate(re_axis):
+            lams = np.full(grid.n_im, re, dtype=complex)
+            lams.imag = im_axis
             rows, ctxs, starts = [], [], []
-            for i, im in enumerate(im_axis):
+            for i, ctx in enumerate(char_contexts(gram, lams, floor)):
                 start, warm[i] = warm[i], None
-                try:
-                    ctx = char_context(gram, complex(re, im), floor)
-                except NumericError:
-                    lower[i, j], upper[i, j], status[i, j] = 0.0, float("inf"), STATUS_DEGENERATE_S
-                    continue
                 if ctx.singular_flag:
                     status[i, j] = STATUS_AT_EIGENVALUE
                     continue

@@ -5,18 +5,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import get_lapack_funcs, lu_factor
 
 from specguard.charmatrix import (
     CharContext,
     GramPair,
     char_context,
+    char_contexts,
     edmd_matrix,
     eigensystem,
     gram_matrices,
     rcond_floor,
     snapshot_factors,
 )
-from specguard.errors import IllConditionedGramError, InsufficientDataError, ShapeError
+from specguard.errors import (
+    IllConditionedGramError,
+    InsufficientDataError,
+    NumericError,
+    ShapeError,
+)
 from specguard.ingest import SnapshotSeries
 from specguard.pseudospec import _congruence
 
@@ -179,6 +186,73 @@ class TestCharContext:
         assert not ctx.singular_flag
         strict = char_context(g, 1.1 + 0.2j, floor=2 * ctx.rcond)
         assert strict.singular_flag
+
+
+def _same_context(got: CharContext, want: CharContext) -> None:
+    """Field-for-field, bit-for-bit equality of two contexts."""
+    assert got.lam == want.lam
+    assert (got.rcond, got.singular_flag) == (want.rcond, want.singular_flag)
+    for name in ("c_hat", "lu", "piv", "scale"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestCharContexts:
+    def test_a_column_across_an_eigenvalue_matches_each_point(self):
+        g = gram_matrices(_series(m=80, n=5, seed=20))
+        k_hat, _ = edmd_matrix(g)
+        eig = eigensystem(k_hat)[1].eigenvalue
+        lams = [complex(eig.real, y) for y in np.linspace(-1.5, 1.5, 12)]
+        lams.insert(5, eig)
+        ctxs = char_contexts(g, lams)
+        assert len(ctxs) == len(lams)
+        assert [c.singular_flag for c in ctxs].count(True) == 1 and ctxs[5].singular_flag
+        s = np.sqrt(g.psi_xx.diagonal().real)
+        gecon = get_lapack_funcs("gecon", dtype=complex)
+        for lam, ctx in zip(lams, ctxs):
+            _same_context(ctx, char_context(g, lam))
+            # The per-point reference: scipy's LU, numpy's 1-norm, LAPACK's estimate.
+            eq = (lam * g.psi_xx - g.psi_xy) / np.outer(s, s)
+            lu, piv = lu_factor(eq)
+            assert ctx.lu.tobytes() == lu.tobytes() and ctx.piv.tobytes() == piv.tobytes()
+            assert ctx.rcond == gecon(lu, np.linalg.norm(eq, 1), norm="1")[0]
+
+    def test_floor_applies_to_every_point(self):
+        g = gram_matrices(_series(m=100, n=3, seed=16))
+        lams = [1.1 + 0.2j, 1.3 - 0.4j]
+        rcs = [c.rcond for c in char_contexts(g, lams)]
+        assert rcs[0] != rcs[1]
+        flags = [c.singular_flag for c in char_contexts(g, lams, floor=np.mean(rcs))]
+        assert flags == [rc == min(rcs) for rc in rcs]
+
+    def test_scalar_case(self):
+        a = np.ones((4, 1)) * 2.0
+        g = gram_matrices(SnapshotSeries(a, a, "iid"))
+        lams = [0.5, 1.0, 1.5 + 1j]
+        ctxs = char_contexts(g, lams)
+        assert [c.rcond for c in ctxs] == [1.0, 0.0, 1.0]
+        for lam, ctx in zip(lams, ctxs):
+            _same_context(ctx, char_context(g, lam))
+
+    def test_all_zero_gram(self):
+        g = GramPair(np.zeros((3, 3)), np.zeros((3, 3)), 5)
+        ctxs = char_contexts(g, [0.5, 2j])
+        assert [(c.rcond, c.singular_flag) for c in ctxs] == [(0.0, True), (0.0, True)]
+        for lam, ctx in zip([0.5, 2j], ctxs):
+            _same_context(ctx, char_context(g, lam))
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf), -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        g = gram_matrices(_series())
+        with pytest.raises(ShapeError, match="not finite"):
+            char_contexts(g, [1.0, bad])
+        with pytest.raises(ShapeError, match="not finite"):
+            char_context(g, bad)
+
+    def test_overflowing_matrix_raises(self):
+        with pytest.raises(NumericError, match="non-finite"):
+            char_context(gram_matrices(_series()), 1.7e308 + 1.7e308j)
 
 
 class TestEigensystem:

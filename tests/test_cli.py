@@ -226,6 +226,17 @@ class TestSweep:
         assert "half-width 60 >= M=50" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [("--re-max", "inf"), ("--im-min", "nan")])
+    def test_non_finite_grid_bound_fails(self, var_csv, tmp_path, capsys, flag, value):
+        argv = list(self.GRID)
+        argv[argv.index(flag) + 1] = value
+        out = tmp_path / "s.json"
+        code, _, err = _run(capsys, "sweep", "--data", var_csv, *argv, "--iid", "--out", str(out))
+        assert code == 3
+        assert "grid bounds must be finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTest:
     def test_eigs_rows(self, var_csv, tmp_path, capsys):
@@ -282,6 +293,16 @@ class TestTest:
         )
         assert code == 2
         assert "cannot parse complex" in err
+
+    @pytest.mark.parametrize("text", ["nan+0j", "1+infj", "1e999"])
+    def test_non_finite_lambda_is_usage_error(self, var_csv, tmp_path, capsys, text):
+        out = tmp_path / "r.json"
+        code, _, err = _run(
+            capsys, "test", "--data", var_csv, "--lambda", text, "--iid", "--out", str(out)
+        )
+        assert code == 2
+        assert f"usage error: complex number '{text}' is not finite" in err
+        assert not out.exists()
 
 
 class TestKernelFlags:

@@ -13,6 +13,7 @@ from specguard.ingest import (
     CSV_MAGIC,
     DictionarySpec,
     SnapshotSeries,
+    _parse_csv_rows,
     delay_embed,
     evaluate_dictionary,
     load_snapshots,
@@ -136,6 +137,91 @@ class TestRoundTrip:
         path.write_text('{"schema": "other/v9", "N": 1}')
         with pytest.raises(FormatError, match="schema"):
             load_snapshots(path, format="json")
+
+
+class TestCsvLayout:
+    """What the CSV loader accepts beyond the writer's exact layout, and what it names."""
+
+    HEADER = f"{CSV_MAGIC} N=1 kind=iid dt=none"
+    ROWS = ["1.5,-0.25,2.0,0.5", "3.0,0.0,-4.0,1e-3", "0.125,2.0,5.0,-6.0"]
+
+    def _load(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        return load_snapshots(path)
+
+    def _expected(self):
+        flat = np.array([[float(c) for c in row.split(",")] for row in self.ROWS])
+        return flat[:, 0] + 1j * flat[:, 1], flat[:, 2] + 1j * flat[:, 3]
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["plain", "blank_lines", "whitespace_line", "crlf", "spaces", "leading_blank"],
+    )
+    def test_accepted_layouts_give_the_same_series(self, tmp_path, layout):
+        rows, header = list(self.ROWS), self.HEADER
+        if layout == "blank_lines":
+            text = "\n\n".join([header, *rows]) + "\n\n"
+        elif layout == "whitespace_line":
+            text = "\n".join([header, rows[0], "  \t", *rows[1:]]) + "\n"
+        elif layout == "crlf":
+            text = "\r\n".join([header, *rows]) + "\r\n"
+        elif layout == "spaces":
+            rows = [" " + row.replace(",", " , ") + " " for row in rows]
+            text = "\n".join([header, *rows]) + "\n"
+        elif layout == "leading_blank":
+            text = "\n \n" + "\n".join([header, *rows])
+        else:
+            text = "\n".join([header, *rows]) + "\n"
+        series = self._load(tmp_path, text)
+        a, b = self._expected()
+        assert_array_equal(series.a[:, 0], a)
+        assert_array_equal(series.b[:, 0], b)
+
+    def test_the_one_pass_parse_equals_the_row_by_row_parse(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_snapshots(_random_series(m=40, n=3, seed=5), path)
+        lines = path.read_text().splitlines()
+        flat = _parse_csv_rows(lines[1:], 3)
+        series = load_snapshots(path)
+        assert series.a.real.tobytes() == np.ascontiguousarray(flat[:, 0:6:2]).tobytes()
+        assert series.b.imag.tobytes() == np.ascontiguousarray(flat[:, 7::2]).tobytes()
+
+    def test_a_comment_line_after_the_header_is_an_error(self, tmp_path):
+        text = "\n".join([self.HEADER, "# a comment", *self.ROWS]) + "\n"
+        with pytest.raises(ShapeError, match="row 0: expected 4 columns for N=1, got 1"):
+            self._load(tmp_path, text)
+        text = "\n".join([self.HEADER, self.ROWS[0], "#1,2,3,4", *self.ROWS[1:]]) + "\n"
+        with pytest.raises(FormatError, match="row 1: non-numeric entry"):
+            self._load(tmp_path, text)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_rows_are_named(self, tmp_path, cell):
+        rows = list(self.ROWS)
+        rows[2] = rows[2].replace("5.0", cell)
+        with pytest.raises(FormatError, match="row 2: non-finite entry"):
+            self._load(tmp_path, "\n".join([self.HEADER, *rows]) + "\n")
+
+    def test_the_first_bad_row_is_named_whatever_its_fault(self, tmp_path):
+        rows = list(self.ROWS)
+        rows[1] = rows[1].replace("3.0", "nan")
+        rows[2] = rows[2].replace("5.0", "x")
+        with pytest.raises(FormatError, match="row 1: non-finite entry"):
+            self._load(tmp_path, "\n".join([self.HEADER, *rows]) + "\n")
+        rows = [row + ",7.0" for row in self.ROWS]
+        with pytest.raises(ShapeError, match="row 0: expected 4 columns for N=1, got 5"):
+            self._load(tmp_path, "\n".join([self.HEADER, *rows]) + "\n")
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_an_empty_file_is_a_format_error(self, tmp_path, text):
+        with pytest.raises(FormatError, match="is empty"):
+            self._load(tmp_path, text)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_pairs_are_rejected(self, tmp_path, count):
+        text = "\n".join([self.HEADER, *self.ROWS[:count]]) + "\n"
+        with pytest.raises(InsufficientDataError, match=f"holds {count} pairs; need at least 2"):
+            self._load(tmp_path, text)
 
 
 class TestDictionarySpec:

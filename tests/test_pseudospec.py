@@ -16,6 +16,7 @@ from specguard.charmatrix import char_context, edmd_matrix, eigensystem, gram_ma
 from specguard.errors import (
     AtEigenvalueError,
     NotSPDError,
+    NumericError,
     ShapeError,
     UnsupportedModeError,
     WindowTooLargeError,
@@ -355,6 +356,14 @@ class TestGridSpec:
         with pytest.raises(ShapeError):
             GridSpec(1, 0, 2, 0, 1, 2)
 
+    @pytest.mark.parametrize("field", ["re_min", "re_max", "im_min", "im_max"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_bound_rejected(self, field, value):
+        bounds = dict(re_min=-1.0, re_max=1.0, n_re=3, im_min=-1.0, im_max=1.0, n_im=3)
+        bounds[field] = value
+        with pytest.raises(ShapeError, match="finite"):
+            GridSpec(**bounds)
+
 
 class TestSweep:
     def _small_sweep(self):
@@ -551,6 +560,33 @@ class TestSweepEngine:
         for k, est in enumerate(results):
             ref = expected[k % 4]
             assert (est.lower, est.upper, est.iterations) == (ref.lower, ref.upper, ref.iterations)
+
+    def test_each_column_is_factored_by_one_char_contexts_call(self, monkeypatch):
+        columns = []
+        build = pseudospec.char_contexts
+
+        def recording(gram, lams, floor=None):
+            columns.append(lams)
+            return build(gram, lams, floor)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-point char_context in a sweep")
+
+        monkeypatch.setattr(pseudospec, "char_contexts", recording)
+        monkeypatch.setattr(pseudospec, "char_context", forbidden)
+        series, kernel = self._data("real")
+        grid = GridSpec(1.1, 1.5, 41, -0.2, 0.2, 3)
+        res = sweep(grid, series, kernel, PowerIterSettings(max_iters=1))
+        re_axis, im_axis = grid.axes()
+        assert len(columns) == 41
+        for re, lams in zip(re_axis, columns):
+            assert np.array_equal(lams, [complex(re, im) for im in im_axis])
+        assert np.all(res.iterations == 1)
+
+    def test_an_overflowing_characteristic_matrix_fails_the_sweep(self):
+        series, kernel = self._data("real")
+        with pytest.raises(NumericError, match="non-finite"):
+            sweep(GridSpec(1.7e308, 1.7e308, 1, 1.7e308, 1.7e308, 1), series, kernel)
 
     def test_a_real_iid_sweep_builds_the_tensor_once(self, monkeypatch):
         builds = []
