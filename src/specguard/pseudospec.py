@@ -45,6 +45,7 @@ from .variance import (
     _check_window,
     _ct,
     _hermitize,
+    _is_real,
     _RealIidCovariance,
     prepare_factors,
     variance_apply,
@@ -610,10 +611,20 @@ class GridSpec:
             raise ShapeError("grid bounds must satisfy max >= min")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.linspace(self.re_min, self.re_max, self.n_re),
-            np.linspace(self.im_min, self.im_max, self.n_im),
-        )
+        """The real and imaginary grid axes, each ``np.linspace`` of its bounds.
+
+        When im_min == -im_max the imaginary axis is made exactly symmetric,
+        so that a sweep of a real series can mirror the rows below the real
+        axis: its lower half is the negated upper half and an odd midpoint
+        is 0.  That moves no value by more than 2 ulp of im_max.
+        """
+        im_axis = np.linspace(self.im_min, self.im_max, self.n_im)
+        if self.im_min == -self.im_max:
+            half = self.n_im // 2
+            im_axis[:half] = -im_axis[::-1][:half]
+            if self.n_im % 2:
+                im_axis[half] = 0.0
+        return np.linspace(self.re_min, self.re_max, self.n_re), im_axis
 
 
 @dataclass(frozen=True, eq=False)
@@ -688,6 +699,12 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
+def _mirror_partners(im_axis: np.ndarray) -> np.ndarray:
+    """Row k's partner: the row whose imaginary part is exactly -im_axis[k] > 0, else k."""
+    upper_rows = {float(v): i for i, v in enumerate(im_axis) if v > 0.0}
+    return np.array([upper_rows.get(-float(v), k) for k, v in enumerate(im_axis)], dtype=int)
+
+
 def sweep(
     grid: GridSpec,
     series: SnapshotSeries,
@@ -707,6 +724,17 @@ def sweep(
     such as a kernel window that does not fit the sample, raise before any
     point is evaluated, and a characteristic matrix that overflows raises
     :class:`~specguard.errors.NumericError`.
+
+    On a real series (every imaginary part exactly zero) the estimator is
+    symmetric about the real axis: C(conj lam) = conj C(lam) for the mean
+    and for every sample, and the kernel weights are real, so
+    S_{conj lam}[conj Q] = conj S_lam[Q] and the bracket, status and
+    iteration count at conj lam are those at lam.  The sweep then
+    evaluates only the upper half-plane: a row whose imaginary part is
+    the exact negative of another row's is not evaluated, and its cells
+    are copied from that partner row, ``iterations`` included.
+    :meth:`GridSpec.axes` makes a grid with im_min == -im_max exactly
+    symmetric.  A complex series evaluates every row.
     """
     if settings is None:
         settings = PowerIterSettings()
@@ -719,15 +747,17 @@ def sweep(
 
     with _blas.single_thread():
         _check_window(kernel, series.M)
+        partner = _mirror_partners(im_axis) if _is_real(series) else np.arange(grid.n_im)
+        evaluated = np.flatnonzero(partner == np.arange(grid.n_im))
         gram = _series_gram(series)
         covariance = _Covariance(series, kernel)
         n = gram.dim
         warm: list[np.ndarray | None] = [None] * grid.n_im
         for j, re in enumerate(re_axis):
-            lams = np.full(grid.n_im, re, dtype=complex)
-            lams.imag = im_axis
+            lams = np.full(len(evaluated), re, dtype=complex)
+            lams.imag = im_axis[evaluated]
             rows, ctxs, starts = [], [], []
-            for i, ctx in enumerate(char_contexts(gram, lams, floor)):
+            for i, ctx in zip(evaluated, char_contexts(gram, lams, floor)):
                 start, warm[i] = warm[i], None
                 if ctx.singular_flag:
                     status[i, j] = STATUS_AT_EIGENVALUE
@@ -745,6 +775,7 @@ def sweep(
                 if est.converged:
                     warm[i] = est.q_final
 
+    lower, upper, iters, status = (field[partner] for field in (lower, upper, iters, status))
     return SweepResult(
         re_axis=re_axis,
         im_axis=im_axis,

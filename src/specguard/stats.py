@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.special import erf, erfc
 
 from . import _blas
 from .charmatrix import char_context, edmd_matrix, eigensystem
@@ -60,6 +58,9 @@ __all__ = [
 #: ratio of neighboring bracket values that flags a possibly under-resolved grid.
 UNDER_RESOLUTION_RATIO = 10.0
 
+_erf = np.vectorize(math.erf, otypes=[float])
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
 
 def chi2_cdf(k: int, x: np.ndarray | float) -> np.ndarray | float:
     """Chi-square CDF for k in {1, 2} via closed forms.
@@ -70,7 +71,7 @@ def chi2_cdf(k: int, x: np.ndarray | float) -> np.ndarray | float:
     if np.any(xa < 0.0):
         raise ValueError("chi2_cdf requires x >= 0")
     if k == 1:
-        out = erf(np.sqrt(xa / 2.0))
+        out = _erf(np.sqrt(xa / 2.0))
     elif k == 2:
         out = 1.0 - np.exp(-xa / 2.0)
     else:
@@ -88,7 +89,7 @@ def p_value_from_mphat(c: np.ndarray | float) -> np.ndarray | float:
     ca = np.asarray(c, dtype=float)
     if np.any(ca < 0.0):
         raise ValueError("M * P_hat must be >= 0")
-    out = np.maximum(erfc(np.sqrt(ca / 2.0)), np.exp(-ca))
+    out = np.maximum(_erfc(np.sqrt(ca / 2.0)), np.exp(-ca))
     return out if np.ndim(c) else float(out)
 
 
@@ -405,7 +406,7 @@ def cluster_eigenvalues(
             mask[cell] = True
             warnings.extend(_under_resolution_note(sweep_result, vals, cell, k))
 
-    labels, n_components = ndimage.label(mask)
+    labels = _label_components(mask)
     by_label: dict[int, list[tuple[int, int]]] = {}
     for i, j in zip(*np.nonzero(labels)):
         by_label.setdefault(int(labels[i, j]), []).append((int(i), int(j)))
@@ -432,6 +433,31 @@ def cluster_eigenvalues(
         unresolved=tuple(sorted(set(unresolved))),
         warnings=tuple(warnings),
     )
+
+
+def _label_components(mask: np.ndarray) -> np.ndarray:
+    """Label the 4-connected components of a boolean grid.
+
+    Background cells get 0 and the components 1, 2, ... in the raster
+    order of their first cell.
+    """
+    n_im, n_re = mask.shape
+    cells = mask.tolist()
+    labels = np.zeros(mask.shape, dtype=int)
+    count = 0
+    for start in zip(*np.nonzero(mask)):
+        if labels[start]:
+            continue
+        count += 1
+        labels[start] = count
+        stack = [start]
+        while stack:
+            i, j = stack.pop()
+            for ii, jj in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+                if 0 <= ii < n_im and 0 <= jj < n_re and cells[ii][jj] and not labels[ii, jj]:
+                    labels[ii, jj] = count
+                    stack.append((ii, jj))
+    return labels
 
 
 def _under_resolution_note(

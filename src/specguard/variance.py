@@ -356,6 +356,16 @@ def prepare_factors(series: SnapshotSeries, lam: complex) -> FactorCache:
     return FactorCache(complex(lam), ut, vt, c_hat)
 
 
+def _is_real(series: SnapshotSeries) -> bool:
+    """True when every imaginary part of the series is exactly zero.
+
+    The scan runs once per series; its answer is kept in the series memo.
+    """
+    return series._memo.get_or_build(
+        "real", lambda: not series.a.imag.any() and not series.b.imag.any()
+    )
+
+
 def _check_window(kernel: KernelSpec, m_samples: int) -> None:
     if kernel.half_width >= m_samples:
         raise WindowTooLargeError(
@@ -495,13 +505,8 @@ class _RealIidCovariance:
 
     @staticmethod
     def applies(series: SnapshotSeries, kernel: KernelSpec) -> bool:
-        """True for the iid kernel on a series whose imaginary parts are all zero.
-
-        The scan of the imaginary parts runs once per series.
-        """
-        return kernel.mode == "iid" and series._memo.get_or_build(
-            "real", lambda: not series.a.imag.any() and not series.b.imag.any()
-        )
+        """True for the iid kernel on a real-valued series (see :func:`_is_real`)."""
+        return kernel.mode == "iid" and _is_real(series)
 
     @classmethod
     def of(cls, series: SnapshotSeries) -> "_RealIidCovariance":

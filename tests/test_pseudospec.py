@@ -350,6 +350,19 @@ class TestGridSpec:
         assert_allclose(re, [-1.0, -0.5, 0.0, 0.5, 1.0])
         assert_allclose(im, [0.0, 1.0, 2.0])
 
+    @pytest.mark.parametrize("bound, n", [(1.2, 41), (1.0, 41), (1.5, 61)])
+    def test_symmetric_bounds_give_an_exactly_symmetric_imaginary_axis(self, bound, n):
+        re, im = GridSpec(-bound, bound, n, -bound, bound, n).axes()
+        ref = np.linspace(-bound, bound, n)
+        assert np.array_equal(im, -im[::-1])
+        assert (im[0], im[-1]) == (-bound, bound)
+        assert np.max(np.abs(im - ref)) <= 2 * np.spacing(bound)
+        assert np.array_equal(re, ref)
+
+    def test_asymmetric_bounds_keep_linspace(self):
+        _, im = GridSpec(0.0, 1.0, 2, -1.2, 1.3, 41).axes()
+        assert np.array_equal(im, np.linspace(-1.2, 1.3, 41))
+
     def test_validation(self):
         with pytest.raises(ShapeError):
             GridSpec(0, 1, 0, 0, 1, 2)
@@ -579,9 +592,67 @@ class TestSweepEngine:
         res = sweep(grid, series, kernel, PowerIterSettings(max_iters=1))
         re_axis, im_axis = grid.axes()
         assert len(columns) == 41
+        # A real series passes only the rows on or above the real axis.
         for re, lams in zip(re_axis, columns):
-            assert np.array_equal(lams, [complex(re, im) for im in im_axis])
+            assert np.array_equal(lams, [complex(re, im) for im in im_axis if im >= 0.0])
         assert np.all(res.iterations == 1)
+
+    @staticmethod
+    def _rotation_data(kernel):
+        """A real series whose EDMD matrix has a conjugate eigenvalue pair."""
+        rng = np.random.default_rng(71)
+        m = 300
+        t = np.array([[0.5, -0.4, 0.0], [0.4, 0.5, 0.0], [0.0, 0.1, -0.3]])
+        a = rng.normal(size=(m, 3))
+        b = a @ t.T + 0.3 * rng.normal(size=(m, 3))
+        series = SnapshotSeries(a, b, "trajectory")
+        eig = next(
+            mode.eigenvalue
+            for mode in eigensystem(edmd_matrix(gram_matrices(series))[0])
+            if mode.eigenvalue.imag > 0.1
+        )
+        y = abs(eig.imag)
+        grid = GridSpec(eig.real - 0.3, eig.real + 0.3, 5, -y, y, 3)
+        kernels = {"iid": KernelSpec.iid(), "windowed": KernelSpec.windowed(2, (-0.3,))}
+        return series, kernels[kernel], grid
+
+    @pytest.mark.parametrize("kernel", ["iid", "windowed"])
+    def test_mirrored_cells_match_p_hat_with_the_same_warm_start(self, kernel):
+        series, kernel, grid = self._rotation_data(kernel)
+        settings = PowerIterSettings(rel_tol=0.05)
+        res = sweep(grid, series, kernel, settings)
+        # Row 0 mirrors row 2; the conjugate pair sits in the middle column.
+        assert res.status[0, 2] == res.status[2, 2] == STATUS_AT_EIGENVALUE
+        assert np.sum(res.status == STATUS_CONVERGED) >= 10
+        for field in (res.lower, res.upper, res.iterations, res.status):
+            assert np.array_equal(field[0], field[2])
+        warm = None
+        for j in range(grid.n_re):
+            point = dataclasses.replace(settings, warm_start=warm)
+            est = p_hat(res.point(0, j), series, kernel, point)
+            assert res.status[0, j] == est.status, j
+            assert res.iterations[0, j] == est.iterations, j
+            assert_allclose([res.lower[0, j], res.upper[0, j]], [est.lower, est.upper], rtol=1e-10)
+            warm = est.q_final if est.converged else None
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "tiny"])
+    def test_only_a_real_series_skips_the_mirrored_rows(self, kind, monkeypatch):
+        series, kernel = self._data("complex" if kind == "complex" else "real")
+        if kind == "tiny":
+            a = series.a.copy()
+            a[7, 1] += 1e-300j
+            series = SnapshotSeries(a, series.b, "iid")
+        columns = self._count(monkeypatch, pseudospec, "char_contexts")
+        points = []
+        build = pseudospec._estimate
+        monkeypatch.setattr(
+            pseudospec, "_estimate",
+            lambda ctxs, *args: points.extend(ctxs) or build(ctxs, *args),
+        )
+        res = sweep(GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3), series, kernel)
+        assert np.all(res.status == STATUS_CONVERGED)
+        assert len(columns) == 3
+        assert len(points) == (6 if kind == "real" else 9)
 
     def test_an_overflowing_characteristic_matrix_fails_the_sweep(self):
         series, kernel = self._data("real")

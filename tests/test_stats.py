@@ -8,6 +8,10 @@ expected memberships and cluster layouts can be written down by hand.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from specguard.pseudospec import (
     SweepResult,
 )
 from specguard.stats import (
+    _label_components,
     chi2_cdf,
     cluster_eigenvalues,
     confidence_region,
@@ -392,6 +397,38 @@ class TestClusterEigenvalues:
             "n_cells": 1,
             "cells": [[0, 0]],
         }
+
+
+class TestLabelComponents:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_partition_matches_scipy_ndimage(self, seed):
+        from scipy import ndimage
+
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(1, 30, size=2))
+        mask = rng.random(shape) < rng.uniform(0.2, 0.8)
+        labels = _label_components(mask)
+        ref, n_ref = ndimage.label(mask)
+        assert_array_equal(labels > 0, mask)
+        pairs = set(zip(labels[mask].tolist(), ref[mask].tolist()))
+        assert len(pairs) == n_ref == labels.max()
+
+    def test_importing_the_cli_loads_neither_ndimage_nor_special(self):
+        import specguard
+
+        src = str(Path(specguard.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = (
+            "import sys, specguard.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.ndimage', 'scipy.special'))))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 def _dense_radius(lam, q, series):
