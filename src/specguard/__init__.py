@@ -13,7 +13,6 @@ from .charmatrix import (
     edmd_matrix,
     eigensystem,
     gram_matrices,
-    snapshot_factors,
 )
 from .errors import SpecguardError
 from .generators import (
@@ -112,7 +111,6 @@ __all__ = [
     "edmd_matrix",
     "char_context",
     "eigensystem",
-    "snapshot_factors",
     # variance
     "KernelSpec",
     "VarianceApplication",

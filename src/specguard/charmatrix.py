@@ -44,7 +44,6 @@ __all__ = [
     "char_context",
     "char_contexts",
     "eigensystem",
-    "snapshot_factors",
     "rcond_floor",
 ]
 
@@ -283,19 +282,3 @@ def eigensystem(k_hat: np.ndarray) -> list[EigenMode]:
         res = float(np.linalg.norm(k_hat @ v - vals[idx] * v))
         modes.append(EigenMode(complex(vals[idx]), v, res))
     return modes
-
-
-def snapshot_factors(series: SnapshotSeries, lam: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-one factors of the per-sample characteristic matrices.
-
-    Each sample contributes C_m = u_m v_m^* with u_m = a_m and
-    v_m = conj(lam) a_m - b_m, so that (1/M) sum_m C_m = C(lam).
-
-    Returns
-    -------
-    u, v : ndarray, shape (M, N)
-        Row m holds u_m (resp. v_m).
-    """
-    u = series.a
-    v = np.conj(lam) * series.a - series.b
-    return u, v

@@ -234,16 +234,18 @@ def _parse_csv_header(line: str) -> tuple[int, str, float | None]:
         tok.split("=", 1) for tok in line[len(CSV_MAGIC):].split() if "=" in tok
     )
     try:
-        n = int(fields["N"])
-        kind = fields["kind"]
-        dt_tok = fields["dt"]
+        n_tok, kind, dt_tok = fields["N"], fields["kind"], fields["dt"]
     except KeyError as exc:
         raise FormatError(f"header missing field {exc}") from exc
-    if n < 1:
-        raise FormatError(f"header declares N={n}")
+    if not n_tok.isdigit() or int(n_tok) < 1:
+        raise FormatError(f"header field N={n_tok!r} is not a positive integer")
+    n = int(n_tok)
     if kind not in ("iid", "trajectory"):
         raise FormatError(f"header declares unknown kind {kind!r}")
-    dt = None if dt_tok == "none" else float(dt_tok)
+    try:
+        dt = None if dt_tok == "none" else float(dt_tok)
+    except ValueError:
+        raise FormatError(f"header field dt={dt_tok!r} is neither a number nor 'none'") from None
     return n, kind, dt
 
 
@@ -302,8 +304,10 @@ def _load_csv(path: Path) -> tuple[np.ndarray, int, str, float | None]:
 def load_snapshots(path: str | Path, format: str = "csv") -> SnapshotSeries:
     """Load a snapshot series, validating width, finiteness, and M >= 2.
 
-    Raises FormatError for a malformed header or a non-numeric or
-    non-finite row, ShapeError for inconsistent row width (both name the
+    Raises FormatError for a malformed header, a non-numeric or
+    non-finite row, invalid JSON or a missing or mistyped JSON field,
+    ShapeError for inconsistent row width or JSON arrays whose shapes
+    disagree with each other or with the declared N (CSV errors name the
     row, counting data rows from 0 and skipping blank lines), and
     InsufficientDataError when fewer than two pairs are present.
     """
@@ -316,20 +320,41 @@ def load_snapshots(path: str | Path, format: str = "csv") -> SnapshotSeries:
         b = flat[:, 2 * n :: 2] + 1j * flat[:, 2 * n + 1 :: 2]
         return SnapshotSeries(a, b, kind, dt=dt)
     if format == "json":
-        doc = json.loads(path.read_text())
+        try:
+            doc = json.loads(path.read_text())
+        except ValueError as exc:
+            raise FormatError(f"{path} is not valid JSON ({exc})") from None
+        if not isinstance(doc, dict):
+            raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
         if doc.get("schema") != JSON_SCHEMA:
             raise FormatError(f"expected schema {JSON_SCHEMA!r}, got {doc.get('schema')!r}")
-        kind = doc["kind"]
-        a = np.asarray(doc["a_re"], dtype=float) + 1j * np.asarray(doc["a_im"], dtype=float)
-        b = np.asarray(doc["b_re"], dtype=float) + 1j * np.asarray(doc["b_im"], dtype=float)
-        if a.ndim != 2 or a.shape != b.shape:
-            raise ShapeError(f"JSON arrays disagree in shape: {a.shape} vs {b.shape}")
+        missing = [k for k in ("N", "kind", "a_re", "a_im", "b_re", "b_im") if k not in doc]
+        if missing:
+            raise FormatError(f"JSON missing field {missing[0]!r}")
+        n, dt = doc["N"], doc.get("dt")
+        if type(n) is not int or n < 1:
+            raise FormatError(f"JSON field 'N' must be a positive integer, got {n!r}")
+        if dt is not None and type(dt) not in (int, float):
+            raise FormatError(f"JSON field 'dt' must be a number or null, got {dt!r}")
+        parts = {}
+        for name in ("a_re", "a_im", "b_re", "b_im"):
+            try:
+                parts[name] = np.asarray(doc[name], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise FormatError(f"JSON field {name!r} is not a numeric matrix ({exc})") from None
+        shapes = {name: arr.shape for name, arr in parts.items()}
+        if len(set(shapes.values())) != 1 or parts["a_re"].ndim != 2:
+            raise ShapeError(f"JSON arrays must be (M, N) matrices of one shape, got {shapes}")
+        if parts["a_re"].shape[1] != n:
+            raise ShapeError(f"JSON declares N={n}, but its arrays have {shapes['a_re'][1]} columns")
+        a = parts["a_re"] + 1j * parts["a_im"]
+        b = parts["b_re"] + 1j * parts["b_im"]
         finite = np.all(np.isfinite(a), axis=1) & np.all(np.isfinite(b), axis=1)
         if not np.all(finite):
             raise FormatError(f"non-finite entry in row {int(np.argmin(finite))}")
         if a.shape[0] < 2:
             raise InsufficientDataError(f"{path} holds {a.shape[0]} pairs; need at least 2")
-        return SnapshotSeries(a, b, kind, dt=doc.get("dt"))
+        return SnapshotSeries(a, b, doc["kind"], dt=dt)
     raise FormatError(f"unknown snapshot format {format!r}")
 
 

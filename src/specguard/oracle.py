@@ -33,7 +33,7 @@ from .pseudospec import (
     p_hat,
     s_apply,
 )
-from .variance import KernelSpec, prepare_factors, variance_exact_iid
+from .variance import KernelSpec, variance_exact_iid
 
 __all__ = [
     "var_p_exact",
@@ -341,10 +341,7 @@ def _check_bruteforce_rho(perturb: float, seed: int) -> CheckResult:
     lam = 1.15 + 0.25j
     gram = gram_matrices(series)
     ctx = char_context(gram, lam)
-    factors = prepare_factors(series, lam)
-    _, rho = s_matrix_bruteforce(
-        lambda q: s_apply(q, ctx, series, kernel, factors), n
-    )
+    _, rho = s_matrix_bruteforce(lambda q: s_apply(q, ctx, series, kernel), n)
     target = (1.0 / rho) * (1.0 + perturb)
     est = p_hat(lam, series, kernel, PowerIterSettings(rel_tol=1e-6, max_iters=500))
     if not est.converged:

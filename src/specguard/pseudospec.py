@@ -14,7 +14,10 @@ converged or not.
 There is one iteration loop, and it runs a batch of points in lockstep: a
 grid sweep batches each column of the grid, and every other estimate is a
 batch of one.  Within a batch the congruence with C^{-1}, the application
-of V and the pencil bracket are stacked numpy linalg calls.
+of V and the pencil bracket are stacked numpy linalg calls, except that
+V goes point by point from the per-sample factors of
+:mod:`specguard.variance` on every route but the real iid one
+(see :class:`_Covariance`).
 
 Positivity is tested in one place: the pencil's Cholesky factorization of
 S[Q].  An S[Q] that fails it by round-off gets a ridge of 1e-12 tr/N (its
@@ -40,14 +43,15 @@ from .errors import (
 )
 from .ingest import SnapshotSeries
 from .variance import (
-    FactorCache,
     KernelSpec,
     _check_window,
     _ct,
+    _factor_mean,
     _hermitize,
     _is_real,
     _RealIidCovariance,
-    prepare_factors,
+    _sample_factors,
+    _variance_apply,
     variance_apply,
 )
 
@@ -305,55 +309,49 @@ def power_iterate(
     return est
 
 
-def _off_spectrum_factors(
-    ctx: CharContext, series: SnapshotSeries, factors: FactorCache | None, op: str
-) -> FactorCache:
-    """Factors at ctx's point; raises AtEigenvalueError where ``op`` is undefined."""
+def _check_off_spectrum(ctx: CharContext, op: str) -> None:
+    """Raise AtEigenvalueError where C(lam) is singular and ``op`` is undefined."""
     if ctx.singular_flag:
         raise AtEigenvalueError(
             f"lambda={ctx.lam:.6g} is numerically an EDMD eigenvalue "
             f"(rcond={ctx.rcond:.3e}); {op} is undefined there"
         )
-    return prepare_factors(series, ctx.lam) if factors is None else factors
 
 
 def s_apply(
-    q: np.ndarray,
-    ctx: CharContext,
-    series: SnapshotSeries,
-    kernel: KernelSpec,
-    factors: FactorCache | None = None,
+    q: np.ndarray, ctx: CharContext, series: SnapshotSeries, kernel: KernelSpec
 ) -> np.ndarray:
-    """One application S[Q] = V[C^{-*} Q C^{-1}] at ctx's spectral point."""
-    factors = _off_spectrum_factors(ctx, series, factors, "S")
+    """One application S[Q] = V[C^{-*} Q C^{-1}] at ctx's spectral point.
+
+    V is :func:`~specguard.variance.variance_apply`, which builds the
+    per-sample factors at ctx's point.
+    """
+    _check_off_spectrum(ctx, "S")
     w = _congruence([ctx])(np.array([0]), np.asarray(q, dtype=complex)[np.newaxis])[0]
-    return variance_apply(w, ctx.lam, series, kernel, factors).result
+    return variance_apply(w, ctx.lam, series, kernel).result
 
 
 def s_star_apply(
-    q: np.ndarray,
-    ctx: CharContext,
-    series: SnapshotSeries,
-    kernel: KernelSpec | None = None,
-    factors: FactorCache | None = None,
+    q: np.ndarray, ctx: CharContext, series: SnapshotSeries, kernel: KernelSpec
 ) -> np.ndarray:
     """Adjoint application S*[Q] = (1/M) sum_m D_m Q D_m^* (iid sampling only).
 
     D_m = C^{-1}(C_m - C); adjointness <S[A], B> = <A, S*[B]> holds in the
     Frobenius inner product.  The expansion is only the adjoint of S when
-    the covariance kernel is the iid one, hence the mode guard.
+    the covariance kernel is the iid one, hence the mode guard.  The
+    factors u, v come from :func:`~specguard.variance._sample_factors`.
     """
-    if kernel is not None and kernel.mode != "iid":
+    if kernel.mode != "iid":
         raise UnsupportedModeError(
             "S* is implemented for the iid kernel only; windowed covariance "
             "has no rank-one adjoint expansion here"
         )
-    factors = _off_spectrum_factors(ctx, series, factors, "S*")
+    _check_off_spectrum(ctx, "S*")
     q = np.asarray(q, dtype=complex)
-    m = factors.m_samples
+    m = series.M
+    ut, vt = _sample_factors(series, ctx.lam)
     # D_m = g_m v_m^* - I with g_m = C^{-1} u_m.
-    g = ctx.solve(factors.ut)
-    vt = factors.vt
+    g = ctx.solve(ut)
     s_vals = np.sum(vt.conj() * (q @ vt), axis=0).real
     t1 = (g * s_vals[np.newaxis, :]) @ g.conj().T
     t2 = g @ (q @ vt).conj().T
@@ -386,18 +384,22 @@ class _Covariance:
 
     The iid kernel on a real-valued series (every imaginary part exactly
     zero) runs in real arithmetic through the series' shared
-    :class:`_RealIidCovariance`; every other series or kernel calls
-    :func:`variance_apply` point by point.
+    :class:`_RealIidCovariance`.  Every other series or kernel applies
+    :func:`~specguard.variance._variance_apply` point by point to the
+    factors of :func:`~specguard.variance._sample_factors`, building u once
+    per estimate, each point's N x N mean once per point and v for every
+    application, so that a batch keeps no (N, M) array per point.  The
+    kernel window is checked once, on construction.
     """
 
     def __init__(self, series: SnapshotSeries, kernel: KernelSpec) -> None:
+        _check_window(kernel, series.M)
         self.series = series
         self.kernel = kernel
         self.real = None
+        self.ut = None
         if _RealIidCovariance.applies(series, kernel):
             self.real = _RealIidCovariance.of(series)
-        else:
-            self.ut = np.ascontiguousarray(series.a.T)   # u_m = a_m at every lambda
 
     def at(self, ctxs: list[CharContext]) -> _BatchApply:
         """``(live, w) -> V[W]`` stack at the points of ``ctxs``."""
@@ -406,21 +408,15 @@ class _Covariance:
             c_hat = np.stack([ctx.c_hat for ctx in ctxs])
             return lambda live, w: self.real(lam[live], c_hat[live], w)
 
-        series, kernel, ut = self.series, self.kernel, self.ut
         c_mean: list[np.ndarray | None] = [None] * len(ctxs)
 
         def apply_each(live: np.ndarray, w: np.ndarray):
             result = np.empty_like(w)
             for pos, i in enumerate(live):
-                # The factors of prepare_factors, rebuilt per application so
-                # that a batch keeps only each point's N x N mean between
-                # applications, not its (N, M) factors.
-                vt = np.conj(lam[i]) * ut
-                vt -= series.b.T
+                self.ut, vt = _sample_factors(self.series, lam[i], self.ut)
                 if c_mean[i] is None:
-                    c_mean[i] = ut @ vt.conj().T / series.M
-                factors = FactorCache(complex(lam[i]), ut, vt, c_mean[i])
-                result[pos] = variance_apply(w[pos], lam[i], series, kernel, factors).result
+                    c_mean[i] = _factor_mean(self.ut, vt)
+                result[pos] = _variance_apply(w[pos], self.ut, vt, c_mean[i], self.kernel)
             return result
 
         return apply_each
@@ -545,7 +541,6 @@ def p_sym_fixed_q(
     ctx = char_context(_series_gram(series), lam, floor)
     if ctx.singular_flag:
         return 0.0
-    factors = prepare_factors(series, lam)
 
     q = _hermitize(np.asarray(q, dtype=complex))
     w, vecs = np.linalg.eigh(q)
@@ -554,9 +549,9 @@ def p_sym_fixed_q(
     root = (vecs * np.sqrt(w)) @ vecs.conj().T
     q_inv = (vecs / w) @ vecs.conj().T
 
-    primal, _ = bracket(q, s_apply(q, ctx, series, kernel, factors))
+    primal, _ = bracket(q, s_apply(q, ctx, series, kernel))
 
-    s_star_qinv = s_star_apply(q_inv, ctx, series, kernel, factors)
+    s_star_qinv = s_star_apply(q_inv, ctx, series, kernel)
     dual = np.linalg.eigvalsh(_hermitize(root @ s_star_qinv @ root))[-1]
     return min(primal, 1.0 / dual if dual > 0.0 else float("inf"))
 
@@ -746,7 +741,6 @@ def sweep(
     status = np.empty(shape, dtype=object)
 
     with _blas.single_thread():
-        _check_window(kernel, series.M)
         partner = _mirror_partners(im_axis) if _is_real(series) else np.arange(grid.n_im)
         evaluated = np.flatnonzero(partner == np.arange(grid.n_im))
         gram = _series_gram(series)

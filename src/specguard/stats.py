@@ -34,7 +34,7 @@ from .pseudospec import (
     _series_gram,
     p_hat,
 )
-from .variance import KernelSpec, _check_window, _hermitize, prepare_factors
+from .variance import KernelSpec, _check_window, _hermitize, _sample_factors
 
 __all__ = [
     "chi2_cdf",
@@ -510,10 +510,10 @@ def r_estimate(
     root = (vecs * np.sqrt(w)) @ vecs.conj().T
     inv_root = (vecs / np.sqrt(w)) @ vecs.conj().T
 
-    factors = prepare_factors(series, lam)
-    n, m = factors.dim, factors.m_samples
-    a_cols = root @ ctx.solve(factors.ut)      # Q^{1/2} C^{-1} u_m
-    v_cols = inv_root @ factors.vt             # Q^{-1/2} v_m
+    n, m = series.N, series.M
+    ut, vt = _sample_factors(series, lam)
+    a_cols = root @ ctx.solve(ut)      # Q^{1/2} C^{-1} u_m
+    v_cols = inv_root @ vt             # Q^{-1/2} v_m
 
     if n == 1:
         return float(np.max(np.abs(a_cols[0] * v_cols[0].conj() - 1.0)))

@@ -14,6 +14,11 @@ Two evaluation routes are provided: a direct reference implementation
 and a production path (`variance_apply`) that exploits the rank-one
 structure to run in O(L * M * N + M * N^2) time.  The two must agree to
 near machine precision; tests enforce a 1e-10 relative Frobenius bound.
+The per-sample factors u, v (one (N, M) column per sample) and their mean
+C = (1/M) u v^* are built only by `_sample_factors` and `_factor_mean`.
+`variance_apply` builds both at its ``lam`` and calls the core
+`_variance_apply`; the engine of :mod:`specguard.pseudospec` calls the core
+itself, keeping each point's N x N mean and rebuilding v per application.
 Both return V[Q] as computed, Hermitian but never repaired for
 positivity: V is linear in Q, and an indefinite Q keeps its indefinite
 image.  The certified estimates test positivity once, on S[Q], when the
@@ -34,20 +39,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charmatrix import snapshot_factors
 from .errors import ShapeError, UnstableKernelError, WindowTooLargeError
 from .ingest import SnapshotSeries
 
 __all__ = [
     "KernelSpec",
     "VarianceApplication",
-    "FactorCache",
     "kappa_w",
     "metastability_kernel",
     "window_length",
     "estimate_tau",
     "default_mu_list",
-    "prepare_factors",
     "variance_apply",
     "variance_apply_naive",
     "variance_exact_iid",
@@ -249,8 +251,8 @@ def estimate_tau(
         max_lag = min(50, m // 10)
     max_lag = max(1, min(max_lag, m - 1))
 
-    cache = prepare_factors(series, lam)
-    ut, vt, c_hat = cache.ut, cache.vt, cache.c_hat
+    ut, vt = _sample_factors(series, lam)
+    c_hat = _factor_mean(ut, vt)
     # t_m = tr(C_m^* C) = u_m^* C v_m
     tvec = np.sum(ut.conj() * (c_hat @ vt), axis=0)
     cnorm2 = float(np.linalg.norm(c_hat) ** 2)
@@ -325,35 +327,26 @@ class VarianceApplication:
     result: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class FactorCache:
-    """Per-(series, lambda) arrays reused across variance applications.
+def _sample_factors(
+    series: SnapshotSeries, lam: complex, ut: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-one factors of the per-sample characteristic matrices at ``lam``.
 
-    ``ut``/``vt`` hold the rank-one factors column-per-sample and ``c_hat``
-    their mean outer product, i.e. the characteristic matrix at ``lam``.
+    Each sample contributes C_m = u_m v_m^* with u_m = a_m and
+    v_m = conj(lam) a_m - b_m.  Returns u and v as C-contiguous (N, M)
+    arrays, column m for sample m.  u does not depend on lam: pass the
+    ``ut`` of an earlier call on the same series to skip transposing ``a``.
     """
-
-    lam: complex
-    ut: np.ndarray        # (N, M)
-    vt: np.ndarray        # (N, M)
-    c_hat: np.ndarray     # (N, N)
-
-    @property
-    def m_samples(self) -> int:
-        return self.ut.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.ut.shape[0]
+    if ut is None:
+        ut = np.ascontiguousarray(series.a.T)
+    vt = np.conj(lam) * ut
+    vt -= series.b.T
+    return ut, vt
 
 
-def prepare_factors(series: SnapshotSeries, lam: complex) -> FactorCache:
-    """Build the rank-one factor cache for repeated applications at ``lam``."""
-    u, v = snapshot_factors(series, lam)
-    ut = np.ascontiguousarray(u.T)
-    vt = np.ascontiguousarray(v.T)
-    c_hat = ut @ vt.conj().T / series.M
-    return FactorCache(complex(lam), ut, vt, c_hat)
+def _factor_mean(ut: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """C(lam) = (1/M) sum_m u_m v_m^*, the mean of the per-sample matrices."""
+    return ut @ vt.conj().T / ut.shape[1]
 
 
 def _is_real(series: SnapshotSeries) -> bool:
@@ -384,13 +377,23 @@ def _hermitize(mat: np.ndarray) -> np.ndarray:
 
 
 def variance_apply(
-    q: np.ndarray,
-    lam: complex,
-    series: SnapshotSeries,
-    kernel: KernelSpec,
-    factors: FactorCache | None = None,
+    q: np.ndarray, lam: complex, series: SnapshotSeries, kernel: KernelSpec
 ) -> VarianceApplication:
     """Apply the kernel-weighted covariance V[Q] via the rank-one expansion.
+
+    Builds the factors and their mean at ``lam`` and applies the core,
+    :func:`_variance_apply`; raises WindowTooLargeError if the kernel's
+    window does not fit the M samples.
+    """
+    _check_window(kernel, series.M)
+    ut, vt = _sample_factors(series, lam)
+    return VarianceApplication(_variance_apply(q, ut, vt, _factor_mean(ut, vt), kernel))
+
+
+def _variance_apply(
+    q: np.ndarray, ut: np.ndarray, vt: np.ndarray, c_hat: np.ndarray, kernel: KernelSpec
+) -> np.ndarray:
+    """V[Q] from the factors ``ut``, ``vt`` of :func:`_sample_factors` and their mean.
 
     Expanding the centered products and folding negative lags yields
 
@@ -403,19 +406,10 @@ def variance_apply(
     weights w_j = sum_{l >= j} kt(l).  For the iid kernel this reduces to
     the single-lag estimator (1/M) sum (u_m^* Q u_m) v_m v_m^* - C^* Q C.
 
-    Parameters
-    ----------
-    q : ndarray, shape (N, N)
-        Hermitian test matrix.
-    factors : FactorCache, optional
-        Precomputed factors at ``lam``; pass when applying repeatedly.
+    The caller has checked that the kernel's window fits the M samples.
     """
-    if factors is None:
-        factors = prepare_factors(series, lam)
-    m = factors.m_samples
-    _check_window(kernel, m)
+    m = ut.shape[1]
     q = np.asarray(q, dtype=complex)
-    ut, vt, c_hat = factors.ut, factors.vt, factors.c_hat
     kt = kernel.tilde_weights()
     lt = kernel.half_width
 
@@ -442,7 +436,7 @@ def variance_apply(
     coef = float(np.sum(kt * (m + lags) / m))
     tilde -= coef * (c_hat.conj().T @ qc)
 
-    return VarianceApplication(tilde + tilde.conj().T)
+    return tilde + tilde.conj().T
 
 
 class _RealIidCovariance:
@@ -587,12 +581,12 @@ def variance_apply_naive(
     kernel weights; negative lags enter through Gamma_{-l} = Gamma_l^*.
     Quadratic in memory (M x N x N); intended for validation, not production.
     """
-    factors = prepare_factors(series, lam)
-    m, n = factors.m_samples, factors.dim
+    m, n = series.M, series.N
     _check_window(kernel, m)
     q = np.asarray(q, dtype=complex)
-    c_stack = np.einsum("im,jm->mij", factors.ut, factors.vt.conj())
-    d_stack = c_stack - factors.c_hat[np.newaxis, :, :]
+    ut, vt = _sample_factors(series, lam)
+    c_stack = np.einsum("im,jm->mij", ut, vt.conj())
+    d_stack = c_stack - _factor_mean(ut, vt)[np.newaxis, :, :]
 
     total = np.zeros((n, n), dtype=complex)
     for lag in range(kernel.half_width + 1):

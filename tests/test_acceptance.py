@@ -52,7 +52,6 @@ from specguard.pseudospec import (
 from specguard.stats import cluster_eigenvalues
 from specguard.variance import (
     KernelSpec,
-    prepare_factors,
     variance_apply,
     variance_apply_naive,
 )
@@ -130,10 +129,7 @@ def test_c2_bruteforce_operator_equivalence():
         series = SnapshotSeries(a.astype(complex), b.astype(complex), "iid")
         lam = rng.uniform(1.0, 1.4) * np.exp(2j * np.pi * rng.uniform())
         ctx = char_context(gram_matrices(series), lam)
-        factors = prepare_factors(series, lam)
-        _, rho = s_matrix_bruteforce(
-            lambda q: s_apply(q, ctx, series, IID, factors), n
-        )
+        _, rho = s_matrix_bruteforce(lambda q: s_apply(q, ctx, series, IID), n)
         est = p_hat(lam, series, IID)
         assert est.status in (STATUS_CONVERGED, STATUS_MAX_ITERS)
         target = 1.0 / rho
@@ -315,8 +311,7 @@ def test_c8_property_suites():
         kernel = IID if trial % 2 else KernelSpec.windowed(1 + trial % 2)
         lam = 1.2 * np.exp(2j * np.pi * rng.uniform())
         ctx = char_context(gram_matrices(series), lam)
-        factors = prepare_factors(series, lam)
-        out = s_apply(_random_psd(rng, n), ctx, series, kernel, factors)
+        out = s_apply(_random_psd(rng, n), ctx, series, kernel)
         floor = -1e-10 * max(1.0, float(np.linalg.norm(out)))
         assert np.linalg.eigvalsh(out)[0] >= floor, f"s_apply trial {trial}"
 
@@ -346,10 +341,9 @@ def test_c8_property_suites():
         )
         lam = 1.25 * np.exp(2j * np.pi * rng.uniform())
         ctx = char_context(gram_matrices(series), lam)
-        factors = prepare_factors(series, lam)
         q1, q2 = _random_psd(rng, n), _random_psd(rng, n)
-        lhs = np.trace(s_apply(q1, ctx, series, IID, factors).conj().T @ q2)
-        rhs = np.trace(q1.conj().T @ s_star_apply(q2, ctx, series, IID, factors))
+        lhs = np.trace(s_apply(q1, ctx, series, IID).conj().T @ q2)
+        rhs = np.trace(q1.conj().T @ s_star_apply(q2, ctx, series, IID))
         assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
 
     # kernel Fourier non-negativity

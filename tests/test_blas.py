@@ -101,13 +101,13 @@ def test_restored_after_p_hat(two_threads):
 
 def test_row_pool_runs_on_one_thread_and_restores(two_threads, monkeypatch):
     seen = []
-    apply = pseudospec.variance_apply
+    apply = pseudospec._variance_apply
 
     def recording_apply(*args, **kwargs):
         seen.append(_counts())
         return apply(*args, **kwargs)
 
-    monkeypatch.setattr(pseudospec, "variance_apply", recording_apply)
+    monkeypatch.setattr(pseudospec, "_variance_apply", recording_apply)
     result = sweep(GridSpec(1.1, 1.5, 4, -0.3, 0.3, 6), _series(), KernelSpec.iid())
     assert result.iterations.sum() == len(seen) > 0
     assert all(counts == [1] * len(COPIES) for counts in seen)

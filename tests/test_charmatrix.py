@@ -16,7 +16,6 @@ from specguard.charmatrix import (
     eigensystem,
     gram_matrices,
     rcond_floor,
-    snapshot_factors,
 )
 from specguard.errors import (
     IllConditionedGramError,
@@ -273,14 +272,3 @@ class TestEigensystem:
         for m in modes:
             direct = np.linalg.norm(k @ m.right_vec - m.eigenvalue * m.right_vec)
             assert_allclose(m.residual, direct, atol=1e-15)
-
-
-def test_snapshot_factors_average_to_c_hat():
-    s = _series(m=50, n=4, seed=18)
-    g = gram_matrices(s)
-    lam = 0.7 + 0.9j
-    u, v = snapshot_factors(s, lam)
-    c_sum = np.zeros((4, 4), dtype=complex)
-    for m in range(s.M):
-        c_sum += np.outer(u[m], v[m].conj())
-    assert_allclose(c_sum / s.M, lam * g.psi_xx - g.psi_xy, atol=1e-12)

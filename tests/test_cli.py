@@ -154,6 +154,17 @@ class TestEdmd:
         assert code == 3
         assert "error:" in err and "singular" in err
 
+    def test_a_malformed_data_file_is_a_format_error(self, tmp_path, capsys):
+        bad_json, bad_csv = tmp_path / "bad.json", tmp_path / "bad.csv"
+        bad_json.write_text('{"schema": "specguard/v1/snapshots", "N": 1}')
+        bad_csv.write_text("# specguard-snapshots v1 N=x kind=iid dt=none\n1,0,2,0\n3,0,4,0\n")
+        for path, field in ((bad_json, "'kind'"), (bad_csv, "N='x'")):
+            out = tmp_path / "e.json"
+            code, _, err = _run(capsys, "edmd", "--data", str(path), "--out", str(out))
+            assert code == 3
+            assert err.startswith("error:") and field in err
+            assert not out.exists()
+
     def test_rcond_floor_override(self, lorenz_csv, tmp_path, capsys):
         out = tmp_path / "lorenz_edmd.json"
         code, _, _ = _run(

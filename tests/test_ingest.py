@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import numpy as np
@@ -137,6 +138,38 @@ class TestRoundTrip:
         path.write_text('{"schema": "other/v9", "N": 1}')
         with pytest.raises(FormatError, match="schema"):
             load_snapshots(path, format="json")
+
+    GOOD_JSON = {
+        "schema": "specguard/v1/snapshots", "N": 1, "kind": "iid", "dt": None,
+        "a_re": [[1.0], [2.0]], "a_im": [[0.0], [0.0]],
+        "b_re": [[3.0], [4.0]], "b_im": [[0.0], [0.0]],
+    }
+
+    @pytest.mark.parametrize(
+        "fmt,text,error,match",
+        [
+            ("json", json.dumps({k: v for k, v in GOOD_JSON.items() if k != "kind"}),
+             FormatError, "missing field 'kind'"),
+            ("json", json.dumps({**GOOD_JSON, "a_re": [[1.0], [2.0, 3.0]]}),
+             FormatError, "field 'a_re' is not a numeric matrix"),
+            ("json", json.dumps([GOOD_JSON]), FormatError, "expected a JSON object, got list"),
+            ("json", json.dumps(GOOD_JSON)[:-1], FormatError, "is not valid JSON"),
+            ("csv", f"{CSV_MAGIC} N=x kind=iid dt=none\n1,0,2,0\n3,0,4,0\n",
+             FormatError, "N='x' is not a positive integer"),
+            ("csv", f"{CSV_MAGIC} N=1 kind=iid dt=abc\n1,0,2,0\n3,0,4,0\n",
+             FormatError, "dt='abc' is neither a number nor 'none'"),
+            ("json", json.dumps({**GOOD_JSON, "N": 3}),
+             ShapeError, "declares N=3, but its arrays have 1 columns"),
+        ],
+        ids=["no-kind", "ragged", "list", "syntax", "csv-N", "csv-dt", "json-N"],
+    )
+    def test_malformed_files_raise_a_named_error(self, tmp_path, fmt, text, error, match):
+        path = tmp_path / f"bad.{fmt}"
+        path.write_text(text)
+        with pytest.raises(error, match=match):
+            load_snapshots(path, format=fmt)
+        path.write_text(json.dumps(self.GOOD_JSON))
+        assert load_snapshots(path, format="json").N == 1
 
 
 class TestCsvLayout:

@@ -35,7 +35,7 @@ from specguard.pseudospec import (
     p_hat,
     s_apply,
 )
-from specguard.variance import KernelSpec, prepare_factors, variance_apply
+from specguard.variance import KernelSpec, variance_apply
 
 
 def _scalar_spec(a=0.5, sx=1.0, sxi=1.0):
@@ -289,8 +289,7 @@ class TestSMatrixBruteforce:
         lam = radius * np.exp(1j * angle)
         ctx = char_context(gram_matrices(series), lam)
         assume(not ctx.singular_flag)
-        factors = prepare_factors(series, lam)
-        _, rho = s_matrix_bruteforce(lambda q: s_apply(q, ctx, series, kernel, factors), n)
+        _, rho = s_matrix_bruteforce(lambda q: s_apply(q, ctx, series, kernel), n)
         est = p_hat(lam, series, kernel)
         assert est.status in (STATUS_CONVERGED, STATUS_MAX_ITERS)
         assert est.lower * (1 - 1e-9) <= 1.0 / rho <= est.upper * (1 + 1e-9), (

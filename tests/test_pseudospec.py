@@ -42,7 +42,12 @@ from specguard.pseudospec import (
     sweep,
 )
 from specguard import pseudospec, stats
-from specguard.variance import KernelSpec, _RealIidCovariance, prepare_factors
+from specguard.variance import (
+    KernelSpec,
+    _RealIidCovariance,
+    _sample_factors,
+    variance_apply,
+)
 
 
 def _series(m, n, seed=0):
@@ -232,7 +237,6 @@ class TestAppliers:
         g = gram_matrices(s)
         lam = 1.2 + 0.5j
         ctx = char_context(g, lam)
-        factors = prepare_factors(s, lam)
         rng = np.random.default_rng(22)
         worst = 0.0
         for _ in range(5):
@@ -240,8 +244,8 @@ class TestAppliers:
             a = 0.5 * (a + a.conj().T)
             b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             b = 0.5 * (b + b.conj().T)
-            sa = s_apply(a, ctx, s, KernelSpec.iid(), factors)
-            sb = s_star_apply(b, ctx, s, KernelSpec.iid(), factors)
+            sa = s_apply(a, ctx, s, KernelSpec.iid())
+            sb = s_star_apply(b, ctx, s, KernelSpec.iid())
             lhs = np.trace(sa.conj().T @ b)
             rhs = np.trace(a.conj().T @ sb)
             scale = max(abs(lhs), abs(rhs), 1e-30)
@@ -286,10 +290,7 @@ class TestPHat:
         g = gram_matrices(s)
         lam = 1.25 + 0.3j
         ctx = char_context(g, lam)
-        factors = prepare_factors(s, lam)
-        _, rho = s_matrix_bruteforce(
-            lambda q: s_apply(q, ctx, s, KernelSpec.iid(), factors), 3
-        )
+        _, rho = s_matrix_bruteforce(lambda q: s_apply(q, ctx, s, KernelSpec.iid()), 3)
         est = p_hat(lam, s, KernelSpec.iid(), PowerIterSettings(rel_tol=1e-8, max_iters=800))
         assert est.lower <= 1.0 / rho <= est.upper
 
@@ -479,11 +480,28 @@ class TestSweepEngine:
         def forbidden(*args, **kwargs):
             raise AssertionError("complex path used")
 
-        monkeypatch.setattr(pseudospec, "prepare_factors", forbidden)
-        monkeypatch.setattr(pseudospec, "variance_apply", forbidden)
+        monkeypatch.setattr(pseudospec, "_sample_factors", forbidden)
+        monkeypatch.setattr(pseudospec, "_variance_apply", forbidden)
         series, kernel = self._data("real")
         res = sweep(GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3), series, kernel)
         assert np.all(res.status == STATUS_CONVERGED)
+
+    @pytest.mark.parametrize("kind", ["complex", "windowed"])
+    def test_the_engine_applies_v_as_variance_apply_does(self, kind):
+        # The first application at a point builds the point's mean and the
+        # later ones reuse it; each is the public variance_apply bit for bit.
+        series, kernel = self._data(kind)
+        lams = [1.3 + 0.1j, 0.9 - 0.4j]
+        gram = gram_matrices(series)
+        apply_v = pseudospec._Covariance(series, kernel).at(
+            [char_context(gram, lam) for lam in lams]
+        )
+        w = np.stack([_random_psd(3, 80 + k) for k in range(len(lams))])
+        for _ in range(2):
+            out = apply_v(np.arange(len(lams)), w)
+            for k, lam in enumerate(lams):
+                expected = variance_apply(w[k], lam, series, kernel).result
+                assert_allclose(out[k], expected, rtol=0, atol=0)
 
     @staticmethod
     def _count(monkeypatch, owner, name):
@@ -676,13 +694,12 @@ class TestSweepEngine:
     def test_a_negative_v_makes_p_hat_degenerate(self, monkeypatch):
         # V[W] -> -V[W]: S[Q] is negative definite, so its Cholesky fails
         # even after the round-off ridge, on the complex and the real route.
-        apply, real = pseudospec.variance_apply, _RealIidCovariance.__call__
+        apply, real = pseudospec._variance_apply, _RealIidCovariance.__call__
 
         def negated(*args, **kwargs):
-            out = apply(*args, **kwargs)
-            return dataclasses.replace(out, result=-out.result)
+            return -apply(*args, **kwargs)
 
-        monkeypatch.setattr(pseudospec, "variance_apply", negated)
+        monkeypatch.setattr(pseudospec, "_variance_apply", negated)
         monkeypatch.setattr(_RealIidCovariance, "__call__", lambda self, *a: -real(self, *a))
         for kind in ("complex", "real"):
             series, kernel = self._data(kind)
@@ -695,14 +712,15 @@ class TestSweepEngine:
         series, kernel = self._data("complex")
         grid = GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3)
         clean = sweep(grid, series, kernel)
-        bad = clean.point(2, 1)
-        apply = pseudospec.variance_apply
+        # The point is told by its v factor, which no other grid point shares.
+        _, v_bad = _sample_factors(series, clean.point(2, 1))
+        apply = pseudospec._variance_apply
 
-        def negated_at_bad(w, lam, *args, **kwargs):
-            out = apply(w, lam, *args, **kwargs)
-            return dataclasses.replace(out, result=-out.result) if lam == bad else out
+        def negated_at_bad(w, ut, vt, *args, **kwargs):
+            out = apply(w, ut, vt, *args, **kwargs)
+            return -out if np.array_equal(vt, v_bad) else out
 
-        monkeypatch.setattr(pseudospec, "variance_apply", negated_at_bad)
+        monkeypatch.setattr(pseudospec, "_variance_apply", negated_at_bad)
         res = sweep(grid, series, kernel)
         assert res.status[2, 1] == STATUS_DEGENERATE_S
         assert (res.lower[2, 1], res.upper[2, 1], res.iterations[2, 1]) == (0.0, float("inf"), 1)
@@ -718,13 +736,13 @@ class TestSweepEngine:
         a[7, 1] += 1e-300j
         tiny = SnapshotSeries(a, series.b, "iid")
         calls = []
-        apply = pseudospec.variance_apply
+        apply = pseudospec._variance_apply
 
         def recording(*args, **kwargs):
             calls.append(1)
             return apply(*args, **kwargs)
 
-        monkeypatch.setattr(pseudospec, "variance_apply", recording)
+        monkeypatch.setattr(pseudospec, "_variance_apply", recording)
         sweep(GridSpec(1.1, 1.5, 2, -0.2, 0.2, 2), series, kernel)
         assert calls == []
         res = sweep(GridSpec(1.1, 1.5, 2, -0.2, 0.2, 2), tiny, kernel)

@@ -19,11 +19,12 @@ from specguard.ingest import SnapshotSeries
 from specguard.variance import (
     KernelSpec,
     _RealIidCovariance,
+    _factor_mean,
+    _sample_factors,
     default_mu_list,
     estimate_tau,
     kappa_w,
     metastability_kernel,
-    prepare_factors,
     variance_apply,
     variance_apply_naive,
     window_length,
@@ -237,6 +238,21 @@ KERNEL_CASES = [
 ]
 
 
+def test_sample_factors_average_to_c_hat():
+    s = _series(50, 4, seed=18)
+    g = gram_matrices(s)
+    lam = 0.7 + 0.9j
+    ut, vt = _sample_factors(s, lam)
+    assert ut.shape == vt.shape == (4, 50)
+    assert ut.flags.c_contiguous and vt.flags.c_contiguous
+    c_sum = np.zeros((4, 4), dtype=complex)
+    for m in range(s.M):
+        c_sum += np.outer(ut[:, m], vt[:, m].conj())
+    assert_allclose(c_sum / s.M, lam * g.psi_xx - g.psi_xy, atol=1e-12)
+    assert_allclose(_factor_mean(ut, vt), c_sum / s.M, atol=1e-12)
+    assert _sample_factors(s, -lam, ut)[0] is ut
+
+
 class TestVarianceApply:
     @pytest.mark.parametrize("kernel", KERNEL_CASES)
     def test_fast_equals_naive(self, kernel):
@@ -263,10 +279,11 @@ class TestVarianceApply:
         lam = 1.3 + 0.1j
         q = _random_psd(3, 26)
         out = variance_apply(q, lam, s, KernelSpec.iid()).result
-        cache = prepare_factors(s, lam)
+        ut, vt = _sample_factors(s, lam)
+        c_hat = _factor_mean(ut, vt)
         gamma0 = np.zeros((3, 3), dtype=complex)
         for m in range(s.M):
-            c_m = np.outer(cache.ut[:, m], cache.vt[:, m].conj()) - cache.c_hat
+            c_m = np.outer(ut[:, m], vt[:, m].conj()) - c_hat
             gamma0 += c_m.conj().T @ q @ c_m
         assert_allclose(out, gamma0 / s.M, atol=1e-12)
 
@@ -298,15 +315,6 @@ class TestVarianceApply:
         assert_allclose(
             combo.result, 2.0 * a1.result - 0.7 * a2.result, atol=1e-11
         )
-
-    def test_factor_cache_reused(self):
-        s = _series(60, 3, seed=32)
-        lam = 0.9 + 0.4j
-        cache = prepare_factors(s, lam)
-        q = _random_psd(3, 33)
-        with_cache = variance_apply(q, lam, s, KernelSpec.iid(), cache).result
-        without = variance_apply(q, lam, s, KernelSpec.iid()).result
-        assert_allclose(with_cache, without, rtol=0, atol=0)
 
     def test_window_too_large(self):
         s = _series(10, 2, seed=34)
