@@ -6,6 +6,9 @@ more on waking threads than it saves.  :func:`single_thread` sets every
 OpenBLAS copy mapped into the process to one thread and restores the
 caller's counts when the outermost scope exits.  Other BLAS builds, and
 platforms without ``/proc/self/maps``, are left alone.
+
+The copies are discovered once, at the first entry into a scope; a copy
+mapped in later (by importing scipy after that, say) is not governed.
 """
 
 from __future__ import annotations

@@ -1,27 +1,29 @@
-"""Gram matrices, the EDMD operator, and factorized characteristic matrices.
+"""Gram matrices, the EDMD operator, and inverted characteristic matrices.
 
 The characteristic matrix at a complex point ``lam`` is
 
     C(lam) = lam * Psi_XX - Psi_XY,
 
 which is singular exactly when ``lam`` is an eigenvalue of the EDMD matrix
-``K = Psi_XX^{-1} Psi_XY``.  Downstream code only ever needs solves with
-C(lam) and its condition estimate, so this module hands out an LU context
-rather than an inverse.
+``K = Psi_XX^{-1} Psi_XY``.  Downstream code only ever needs C(lam)^{-1}
+applied to small N x N or (N, M) blocks, many times at each point, so this
+module inverts each characteristic matrix once and hands out a context
+whose solves are matrix products.
 
 Observable dictionaries routinely mix scales (a constant next to cubed state
-variables), which makes the raw Gram look far more singular than it is.  All
-factorizations therefore work on the symmetrically equilibrated matrix
-``D^{-1/2} A D^{-1/2}`` with ``D = diag(Psi_XX)``; reported ``rcond`` values
-refer to the equilibrated system, i.e. they measure intrinsic near-dependence
-between observables rather than scale imbalance.
+variables), which makes the raw Gram look far more singular than it is.
+Every inverse and condition number is therefore taken of the symmetrically
+equilibrated matrix ``D^{-1/2} A D^{-1/2}`` with ``D = diag(Psi_XX)``;
+reported ``rcond`` values refer to the equilibrated system, i.e. they
+measure intrinsic near-dependence between observables rather than scale
+imbalance.  ``rcond`` is the exact reciprocal 1-norm condition number
+``1 / (||A||_1 ||A^{-1}||_1)``, taken from the inverse, not an estimate.
 
 :func:`char_contexts` builds the contexts of many points at once, as a grid
-sweep needs them a column at a time: the equilibrated matrices and their
-1-norms are formed as one stack, and each point then costs one LAPACK
-``getrf`` and one ``gecon``.  :func:`char_context` is the same code at a
-single point, and :func:`edmd_matrix` factors Psi_XX with the same pair of
-LAPACK calls.
+sweep needs them a column at a time: the equilibrated matrices, their
+1-norms and their inverses are each formed as one stack.
+:func:`char_context` is the same code at a single point, and
+:func:`edmd_matrix` takes the rcond of Psi_XX the same way.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_solve
 
 from .errors import IllConditionedGramError, InsufficientDataError, NumericError, ShapeError
 from .ingest import SnapshotSeries
@@ -49,9 +50,6 @@ __all__ = [
 
 #: rcond below ``RCOND_FLOOR_COEFF * N`` is treated as numerically singular.
 RCOND_FLOOR_COEFF = 1e-10
-
-# Every matrix factored here is complex: GramPair stores its matrices so.
-_GETRF, _GECON = get_lapack_funcs(("getrf", "gecon"), dtype=np.complex128)
 
 
 def rcond_floor(n: int) -> float:
@@ -121,73 +119,88 @@ def edmd_matrix(gram: GramPair, floor: float | None = None) -> tuple[np.ndarray,
     -------
     k_hat : ndarray, shape (N, N)
     rcond : float
-        Reciprocal 1-norm condition estimate of the equilibrated Psi_XX.
+        Reciprocal 1-norm condition number of the equilibrated Psi_XX.
 
     Raises
     ------
     IllConditionedGramError
-        If rcond falls below the floor; the estimate is attached to the
-        exception.
+        If rcond falls below the floor, or is 0 (Psi_XX exactly singular);
+        rcond is attached to the exception.
     """
     s = _equil_scale(gram.psi_xx)
     ss = np.outer(s, s)
-    ((lu, piv, rc),) = _factor_stack((gram.psi_xx / ss)[np.newaxis])
-    limit = rcond_floor(gram.dim) if floor is None else float(floor)
-    if rc < limit:
+    eq = gram.psi_xx / ss
+    _, (rc,) = _invert_stack(eq[np.newaxis])
+    if _is_singular(rc, gram.dim, floor):
         raise IllConditionedGramError(
             f"Psi_XX numerically singular (rcond={rc:.3e}); "
             "reduce the dictionary or collect more data",
             rcond=rc,
         )
-    # K = S^{-1} K_tilde S undoes the equilibration of both Gram matrices.
-    k_hat = lu_solve((lu, piv), gram.psi_xy / ss) * (s[np.newaxis, :] / s[:, np.newaxis])
-    return k_hat, rc
+    # K = S^{-1} K_tilde S undoes the equilibration of both Gram matrices.  K
+    # comes from a backward-stable solve, not the inverse: its constant mode
+    # must sit at eigenvalue 1 to near round-off.
+    k_hat = np.linalg.solve(eq, gram.psi_xy / ss) * (s[np.newaxis, :] / s[:, np.newaxis])
+    return k_hat, float(rc)
 
 
-def _factor_stack(mats: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """LU-factor each matrix of a stack and estimate its reciprocal 1-norm condition.
+def _invert_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse and reciprocal 1-norm condition number of each matrix of a stack.
 
-    A matrix with an exactly zero pivot is factored all the same: its
-    singularity shows in rcond.
+    rcond is exact, ``1 / (||A||_1 ||A^{-1}||_1)``, so it never exceeds
+    LAPACK's ``gecon`` estimate.  The stack is inverted in one call; only
+    when that raises (some matrix is exactly singular) is it inverted one
+    matrix at a time, and an exactly singular matrix gets rcond 0 and an
+    inverse of NaNs.  An inverse that overflows also gets rcond 0.  At
+    N = 1 rcond is exactly 1 unless the matrix is exactly 0.
     """
     anorm = np.abs(mats).sum(axis=1).max(axis=1)
     if not np.all(np.isfinite(anorm)):
-        raise NumericError("cannot factor a matrix with non-finite entries")
-    out = []
-    for mat, norm in zip(mats, anorm):
-        lu, piv, info = _GETRF(mat)
-        if info < 0:  # pragma: no cover - only on an illegal argument
-            raise NumericError(f"getrf failed with info={info}")
-        if mat.shape == (1, 1):
-            # LAPACK's estimator is vacuous at N=1: rcond is 1 unless exactly 0.
-            rc = 1.0 if lu[0, 0] != 0.0 else 0.0
-        else:
-            # gecon returns rcond 0 for a matrix whose 1-norm is 0.
-            rc, info = _GECON(lu, norm, norm="1")
-            if info < 0:  # pragma: no cover - only on an illegal argument
-                raise NumericError(f"gecon failed with info={info}")
-        out.append((lu, piv, float(rc)))
-    return out
+        raise NumericError("cannot invert a matrix with non-finite entries")
+    try:
+        inv = np.linalg.inv(mats)
+    except np.linalg.LinAlgError:
+        inv = np.full_like(mats, np.nan)
+        for k, mat in enumerate(mats):
+            try:
+                inv[k] = np.linalg.inv(mat)
+            except np.linalg.LinAlgError:
+                pass
+    if mats.shape[1] == 1:
+        return inv, np.where(mats[:, 0, 0] != 0.0, 1.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = anorm * np.abs(inv).sum(axis=1).max(axis=1)
+        rcond = np.where(np.isfinite(cond), 1.0 / cond, 0.0)
+    return inv, rcond
+
+
+def _is_singular(rcond: float, n: int, floor: float | None) -> bool:
+    """Whether rcond puts a matrix numerically on the singular set.
+
+    An exactly singular matrix (rcond 0) is singular under any floor.
+    """
+    limit = rcond_floor(n) if floor is None else float(floor)
+    return bool(rcond < limit or rcond == 0.0)
 
 
 @dataclass(frozen=True)
 class CharContext:
-    """LU-factorized characteristic matrix C(lam) = lam Psi_XX - Psi_XY.
+    """Inverted characteristic matrix C(lam) = lam Psi_XX - Psi_XY.
 
-    The factorization is of the equilibrated matrix S^{-1} C S^{-1} with
-    ``S = diag(scale)``; :meth:`solve` folds the scales back in, so to
-    callers this behaves exactly like a factorization of ``c_hat``.
+    ``inv`` is C^{-1}: the inverse of the equilibrated matrix S^{-1} C S^{-1}
+    with ``S = diag(Psi_XX)^{1/2}``, scaled back by S^{-1} on both sides.
+    ``rcond`` is the exact reciprocal 1-norm condition number of the
+    equilibrated matrix.
 
-    ``singular_flag`` is set when the condition estimate puts ``lam``
-    numerically on the spectrum of the EDMD matrix; solves are then
-    meaningless and callers should branch before using them.
+    ``singular_flag`` is set when rcond puts ``lam`` numerically on the
+    spectrum of the EDMD matrix; solves are then meaningless (at an exactly
+    singular C, ``inv`` is all NaN) and callers should branch before using
+    them.
     """
 
     lam: complex
     c_hat: np.ndarray
-    lu: np.ndarray
-    piv: np.ndarray
-    scale: np.ndarray
+    inv: np.ndarray
     rcond: float
     singular_flag: bool
 
@@ -195,26 +208,20 @@ class CharContext:
     def dim(self) -> int:
         return self.c_hat.shape[0]
 
-    def _scaled(self, rhs: np.ndarray) -> np.ndarray:
-        if rhs.ndim == 1:
-            return rhs / self.scale
-        return rhs / self.scale[:, np.newaxis]
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve C x = rhs."""
-        return self._scaled(lu_solve((self.lu, self.piv), self._scaled(rhs)))
+        """Solve C x = rhs, as one product with the stored inverse."""
+        return self.inv @ rhs
 
 
 def char_contexts(
     gram: GramPair, lams, floor: float | None = None
 ) -> list[CharContext]:
-    """Factor C(lam) at each point of ``lams`` for repeated solves there.
+    """Invert C(lam) at each point of ``lams`` for repeated solves there.
 
     The contexts of all points are built in one pass: the equilibration
-    scale once, the characteristic and equilibrated matrices as one stack,
-    their 1-norms as one reduction, and then one LAPACK LU and condition
-    estimate per point.  ``floor`` overrides the default ``rcond_floor(N)``
-    singularity threshold.
+    scale once, then the characteristic and equilibrated matrices, their
+    1-norms and their inverses, each as one stack.  ``floor`` overrides the
+    default ``rcond_floor(N)`` singularity threshold.
 
     Raises
     ------
@@ -228,27 +235,25 @@ def char_contexts(
         bad = lams[~np.isfinite(lams)][0]
         raise ShapeError(f"spectral point {bad} is not finite")
     s = _equil_scale(gram.psi_xx)
+    ss = np.outer(s, s)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
         c_hat = lams[:, np.newaxis, np.newaxis] * gram.psi_xx - gram.psi_xy
-        eq = c_hat / np.outer(s, s)
-    factors = _factor_stack(eq)
-    limit = rcond_floor(gram.dim) if floor is None else float(floor)
+        eq = c_hat / ss
+    inv_eq, rcond = _invert_stack(eq)
     return [
         CharContext(
             lam=complex(lam),
             c_hat=c,
-            lu=lu,
-            piv=piv,
-            scale=s,
-            rcond=rc,
-            singular_flag=rc < limit,
+            inv=inv_k,
+            rcond=float(rc),
+            singular_flag=_is_singular(rc, gram.dim, floor),
         )
-        for lam, c, (lu, piv, rc) in zip(lams, c_hat, factors)
+        for lam, c, inv_k, rc in zip(lams, c_hat, inv_eq / ss, rcond)
     ]
 
 
 def char_context(gram: GramPair, lam: complex, floor: float | None = None) -> CharContext:
-    """Factor C(lam) once for repeated solves at a fixed spectral point.
+    """Invert C(lam) once for repeated solves at a fixed spectral point.
 
     The one-point case of :func:`char_contexts`, whose errors it raises.
     """

@@ -70,7 +70,7 @@ class ResolutionGuardError(SpecguardError):
 
 
 class NumericError(SpecguardError):
-    """Numerical failure, such as a failed condition estimate or eigensolver."""
+    """Numerical failure, such as a non-finite matrix or a failed eigensolver."""
 
 
 class UsageError(SpecguardError):

@@ -166,8 +166,8 @@ def _pencil(
         for k in range(len(q)):
             chol[k], s_used[k], ridged[k], failed[k] = _ridged_cholesky(s_of_q[k])
     # L^{-1} Q L^{-*} shares the pencil's eigenvalues and is Hermitian.
-    half = np.linalg.solve(chol, q)
-    reduced = _ct(np.linalg.solve(chol, _ct(half)))
+    chol_inv = np.linalg.inv(chol)
+    reduced = chol_inv @ q @ _ct(chol_inv)
     sig = np.linalg.eigvalsh(_hermitize(reduced))
     upper = np.where(ridged, np.inf, sig[:, -1])
     return sig[:, 0], upper, ridged, failed, s_used
@@ -361,15 +361,14 @@ def s_star_apply(
 def _congruence(ctxs: list[CharContext]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """``(live, q) -> C^{-*} Q C^{-1}`` at the batch points ``live``.
 
-    Two stacked solves with each point's equilibrated C^*.
+    Each point's C^{-1} is stacked once, from its context, and every
+    application is two stacked matrix products.
     """
-    scale = np.stack([ctx.scale for ctx in ctxs])[:, :, np.newaxis]
-    c_eq_h = _ct(np.stack([ctx.c_hat for ctx in ctxs]) / (scale * _ct(scale)))
+    c_inv = np.stack([ctx.inv for ctx in ctxs])
 
     def apply(live: np.ndarray, q: np.ndarray) -> np.ndarray:
-        s, a = scale[live], c_eq_h[live]
-        y = np.linalg.solve(a, q / s) / s
-        return _ct(np.linalg.solve(a, _ct(y) / s) / s)
+        c = c_inv[live]
+        return _ct(c) @ (q @ c)
 
     return apply
 
@@ -710,7 +709,7 @@ def sweep(
     """Evaluate the certified bracket over a complex grid.
 
     The grid is marched column by column, left to right.  Each column's
-    characteristic matrices are factored by one :func:`char_contexts`
+    characteristic matrices are inverted by one :func:`char_contexts`
     call; its off-spectrum points then iterate together as one batch, and
     each starts from the final iterate of its left neighbour when that one
     converged.  The whole sweep runs with BLAS on one thread (see

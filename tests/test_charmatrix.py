@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import get_lapack_funcs, lu_factor
 
 from specguard.charmatrix import (
     CharContext,
@@ -72,7 +71,7 @@ class TestEdmdMatrix:
         assert err.value.rcond < rcond_floor(6)
 
     def test_rcond_ignores_observable_scale(self):
-        """Rescaling an observable by 1e6 must not change the rcond estimate.
+        """Rescaling an observable by 1e6 must not change rcond.
 
         Conditioning is measured after symmetric diagonal equilibration, so
         only intrinsic near-dependence between observables counts.
@@ -107,6 +106,12 @@ class TestEdmdMatrix:
         assert rc < rcond_floor(2)
         assert np.all(np.isfinite(k_hat))
 
+    def test_exactly_singular_raises_under_any_floor(self):
+        g = GramPair(np.ones((2, 2)), np.eye(2), 5)
+        with pytest.raises(IllConditionedGramError) as err:
+            edmd_matrix(g, floor=0.0)
+        assert err.value.rcond == 0.0
+
 
 class TestCharContext:
     def test_solve_matches_dense(self):
@@ -134,8 +139,37 @@ class TestCharContext:
         got = _congruence([ctx])(np.array([0]), q[np.newaxis])[0]
         assert_allclose(got, expected, atol=1e-11)
 
+    @pytest.mark.parametrize("seed", [30, 31, 32, 33])
+    def test_congruence_near_an_eigenvalue(self, seed):
+        """The stored-inverse congruence keeps its accuracy as C(lam) nears singular.
+
+        Walk lam toward an EDMD eigenvalue until rcond falls below a drawn
+        target in [1e-7, 1e-3], then compare with C^{-*} Q C^{-1} formed by
+        two backward-stable solves.
+        """
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 11))
+        g = gram_matrices(_series(m=20 * n, n=n, seed=seed))
+        eig = eigensystem(edmd_matrix(g)[0])[int(rng.integers(n))].eigenvalue
+        target = 10.0 ** -rng.uniform(3, 7)
+        step = 0.1 * np.exp(2j * np.pi * rng.uniform())
+        for _ in range(60):
+            ctx = char_context(g, eig + step)
+            if ctx.rcond <= target:
+                break
+            step /= 2
+        assert 1e-8 <= ctx.rcond <= 1e-3
+        q = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        q = q @ q.conj().T
+        c_h = ctx.c_hat.conj().T
+        left = np.linalg.solve(c_h, q)                            # C^{-*} Q
+        expected = np.linalg.solve(c_h, left.conj().T).conj().T   # C^{-*} Q C^{-1}
+        got = _congruence([ctx])(np.array([0]), q[np.newaxis])[0]
+        err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
+        assert err <= 1e-13 / ctx.rcond
+
     def test_residual_backward_stable(self):
-        """The stored factorization must reproduce C to near round-off."""
+        """Solves with the stored inverse must reproduce C to near round-off."""
         g = gram_matrices(_series(m=90, n=6, seed=12))
         ctx = char_context(g, 1.4 + 0.1j)
         rng = np.random.default_rng(13)
@@ -175,6 +209,7 @@ class TestCharContext:
         # lam = 1 makes C = psi_xx - psi_xy = 0 exactly
         assert char_context(g, 1.0).rcond == 0.0
         assert char_context(g, 1.0).singular_flag
+        assert char_context(g, 1.0, floor=0.0).singular_flag
         off = char_context(g, 1.5)
         assert off.rcond == 1.0
         assert not off.singular_flag
@@ -191,7 +226,7 @@ def _same_context(got: CharContext, want: CharContext) -> None:
     """Field-for-field, bit-for-bit equality of two contexts."""
     assert got.lam == want.lam
     assert (got.rcond, got.singular_flag) == (want.rcond, want.singular_flag)
-    for name in ("c_hat", "lu", "piv", "scale"):
+    for name in ("c_hat", "inv"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
@@ -208,14 +243,12 @@ class TestCharContexts:
         assert len(ctxs) == len(lams)
         assert [c.singular_flag for c in ctxs].count(True) == 1 and ctxs[5].singular_flag
         s = np.sqrt(g.psi_xx.diagonal().real)
-        gecon = get_lapack_funcs("gecon", dtype=complex)
         for lam, ctx in zip(lams, ctxs):
             _same_context(ctx, char_context(g, lam))
-            # The per-point reference: scipy's LU, numpy's 1-norm, LAPACK's estimate.
+            # The per-point reference: numpy's inverse and exact 1-norm condition number.
             eq = (lam * g.psi_xx - g.psi_xy) / np.outer(s, s)
-            lu, piv = lu_factor(eq)
-            assert ctx.lu.tobytes() == lu.tobytes() and ctx.piv.tobytes() == piv.tobytes()
-            assert ctx.rcond == gecon(lu, np.linalg.norm(eq, 1), norm="1")[0]
+            assert ctx.inv.tobytes() == (np.linalg.inv(eq) / np.outer(s, s)).tobytes()
+            assert ctx.rcond == 1.0 / np.linalg.cond(eq, 1)
 
     def test_floor_applies_to_every_point(self):
         g = gram_matrices(_series(m=100, n=3, seed=16))

@@ -7,6 +7,7 @@ expected memberships and cluster layouts can be written down by hand.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -413,22 +414,39 @@ class TestLabelComponents:
         pairs = set(zip(labels[mask].tolist(), ref[mask].tolist()))
         assert len(pairs) == n_ref == labels.max()
 
-    def test_importing_the_cli_loads_neither_ndimage_nor_special(self):
+    def test_importing_the_cli_loads_neither_ndimage_nor_special(self, tmp_path):
+        """No scipy module at all, after the import and after running commands."""
         import specguard
+        from specguard.cli import main
 
+        assert main(["generate", "--system", "map1d", "--M", "200", "--N", "4",
+                     "--seed", "4", "--out", str(tmp_path / "map.csv")]) == 0
+        commands = [
+            ["cluster", "--data", "map.csv", "--iid", "--level", "1.0",
+             "--re-min", "-1", "--re-max", "1", "--n-re", "3",
+             "--im-min", "-1", "--im-max", "1", "--n-im", "3", "--out", "c.json"],
+            ["edmd", "--data", "map.csv", "--out", "e.json"],
+            ["test", "--data", "map.csv", "--lambda", "0.5+0.5j", "--iid", "--out", "t.json"],
+        ]
         src = str(Path(specguard.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         probe = (
-            "import sys, specguard.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.ndimage', 'scipy.special'))))"
+            "import json, sys, specguard.cli\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "after_import = scipy_modules()\n"
+            "codes = [specguard.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([after_import, codes, scipy_modules()]))"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+            [sys.executable, "-c", probe, json.dumps(commands)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        after_import, codes, after_runs = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert codes == [0, 0, 0]
+        assert after_import == after_runs == []
 
 
 def _dense_radius(lam, q, series):
