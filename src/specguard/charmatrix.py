@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _blas
 from .errors import IllConditionedGramError, InsufficientDataError, NumericError, ShapeError
 from .ingest import SnapshotSeries
 
@@ -287,3 +288,13 @@ def eigensystem(k_hat: np.ndarray) -> list[EigenMode]:
         res = float(np.linalg.norm(k_hat @ v - vals[idx] * v))
         modes.append(EigenMode(complex(vals[idx]), v, res))
     return modes
+
+
+def _fit(gram: GramPair, floor: float | None = None) -> tuple[list[EigenMode], float]:
+    """The EDMD modes of ``gram`` and the rcond of its Psi_XX, with BLAS on one thread.
+
+    :func:`edmd_matrix` then :func:`eigensystem`, whose errors it raises.
+    """
+    with _blas.single_thread():
+        k_hat, rcond = edmd_matrix(gram, floor)
+        return eigensystem(k_hat), rcond

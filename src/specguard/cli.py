@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__, _blas
-from .charmatrix import edmd_matrix, eigensystem, gram_matrices
+from .charmatrix import _fit
 from .errors import SpecguardError, UsageError
 from .generators import (
     RNG_ALGORITHM,
@@ -160,9 +160,8 @@ def _resolve_kernel(
                 top_k = int(args.mu.split(":", 1)[1])
             except ValueError:
                 raise UsageError(f"bad --mu value {args.mu!r}") from None
-            k_hat, _ = edmd_matrix(_series_gram(series), floor=args.rcond_floor)
-            eigs = [m.eigenvalue for m in eigensystem(k_hat)]
-            mu_list, notes = default_mu_list(eigs, top_k)
+            modes, _ = _fit(_series_gram(series), args.rcond_floor)
+            mu_list, notes = default_mu_list([m.eigenvalue for m in modes], top_k)
             warnings.extend(notes)
         else:
             mu_list = tuple(_parse_complex(tok) for tok in args.mu.split(","))
@@ -173,7 +172,8 @@ def _resolve_kernel(
         l_window = args.LM
     else:
         if args.tau == "auto":
-            tau = estimate_tau(series)
+            with _blas.single_thread():
+                tau = estimate_tau(series)
             warnings.append(f"estimated correlation time tau={tau:.4g}")
         else:
             try:
@@ -224,9 +224,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_edmd(args: argparse.Namespace) -> int:
     series = _load_series(args)
-    gram = gram_matrices(series)
-    k_hat, rcond = edmd_matrix(gram, floor=args.rcond_floor)
-    modes = eigensystem(k_hat)
+    modes, rcond = _fit(_series_gram(series), args.rcond_floor)
     artifact = {
         "schema": "specguard/v1/edmd",
         "manifest": _manifest("edmd", args, input_path=args.data),
@@ -300,20 +298,7 @@ def cmd_test(args: argparse.Namespace) -> int:
         lam = _parse_complex(text)
         est = p_hat(lam, series, kernel, settings, floor=args.rcond_floor)
         res = eig_test(lam, est, series.M, alphas=alphas)
-        rows.append(
-            {
-                "index": None,
-                "lambda": {"re": lam.real, "im": lam.imag},
-                "residual": None,
-                "m_p_hat": res.m_p_hat,
-                "p_value": res.p_value,
-                "reject": {f"{a:g}": bool(r) for a, r in res.reject_at},
-                "status": res.status,
-                "testable": res.testable,
-                "conjectured_bound": res.conjectured_bound,
-                "source": "user",
-            }
-        )
+        rows.append({"index": None, "residual": None, **res.to_json_dict(), "source": "user"})
     artifact = {
         "schema": "specguard/v1/report",
         "manifest": _manifest(
@@ -331,9 +316,8 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     series, kernel, warnings, result = _grid_sweep(args)
-    with _blas.single_thread():
-        k_hat, _ = edmd_matrix(_series_gram(series), floor=args.rcond_floor)
-        eigs = [m.eigenvalue for m in eigensystem(k_hat)]
+    modes, _ = _fit(_series_gram(series), args.rcond_floor)
+    eigs = [m.eigenvalue for m in modes]
     report = cluster_eigenvalues(result, eigs, args.level, series.M)
     artifact = {
         "schema": "specguard/v1/clusters",

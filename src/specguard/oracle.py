@@ -29,7 +29,7 @@ from .ingest import DictionarySpec, SnapshotSeries, _trig_eval
 from .pseudospec import (
     PEstimate,
     PowerIterSettings,
-    _certified_estimate,
+    _estimate_points,
     p_hat,
     s_apply,
 )
@@ -121,6 +121,19 @@ class VarMoments:
         return rinvh @ inner @ rinv + trq * self.spec.sigma_xi
 
 
+def _exact_estimate(
+    gram: GramPair,
+    v: Callable[[np.ndarray], np.ndarray],
+    lam: complex,
+    settings: PowerIterSettings | None,
+) -> PEstimate:
+    """The certified estimate at ``lam`` whose V, exact, is ``v`` of one matrix."""
+    (est,) = _estimate_points(
+        gram, lambda ctxs: lambda live, w: v(w[0])[np.newaxis], [lam], settings
+    )
+    return est
+
+
 def var_p_power(
     spec: VarSpec, lam: complex, settings: PowerIterSettings | None = None
 ) -> PEstimate:
@@ -129,8 +142,8 @@ def var_p_power(
     Runs the same engine as the data path, but with var_v_exact supplying
     the covariance application; the bracket must contain var_p_exact.
     """
-    ctx = char_context(VarMoments(spec).gram(), lam)
-    return _certified_estimate(ctx, lambda: functools.partial(var_v_exact, spec, lam), settings)
+    v = functools.partial(var_v_exact, spec, lam)
+    return _exact_estimate(VarMoments(spec).gram(), v, lam, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +209,7 @@ class QuadratureMoments:
         self, lam: complex, settings: PowerIterSettings | None = None
     ) -> PEstimate:
         """Certified bracket for the population pseudospectrum of the map."""
-        ctx = char_context(self.gram(), lam)
-        return _certified_estimate(ctx, lambda: functools.partial(self.exact_v, lam), settings)
+        return _exact_estimate(self.gram(), functools.partial(self.exact_v, lam), lam, settings)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,15 @@ Q v = sigma S[Q] v; iteration stops once the bracket is relatively tight.
 The bracket endpoints are valid bounds for P(lambda-hat) at every iterate,
 converged or not.
 
-There is one iteration loop, and it runs a batch of points in lockstep: a
-grid sweep batches each column of the grid, and every other estimate is a
-batch of one.  Within a batch the congruence with C^{-1}, the application
-of V and the pencil bracket are stacked numpy linalg calls, except that
-V goes point by point from the per-sample factors of
-:mod:`specguard.variance` on every route but the real iid one
-(see :class:`_Covariance`).
+Every estimate enters the iteration through :func:`_estimate_points`,
+which runs a batch of points in lockstep: a sweep's grid column, every
+EDMD eigenvalue of a spectrum test, or one point.  It inverts the batch's
+characteristic matrices in one call, pins the points on the spectrum to
+``at_eigenvalue`` and iterates the rest.  Within a batch the congruence
+with C^{-1}, the application of V and the pencil bracket are stacked
+numpy linalg calls, except that V goes point by point from the
+per-sample factors of :mod:`specguard.variance` on every route but the
+real iid one (see :class:`_Covariance`).
 
 Positivity is tested in one place: the pencil's Cholesky factorization of
 S[Q].  An S[Q] that fails it by round-off gets a ridge of 1e-12 tr/N (its
@@ -388,24 +390,24 @@ class _Covariance:
     factors of :func:`~specguard.variance._sample_factors`, building u once
     per estimate, each point's N x N mean once per point and v for every
     application, so that a batch keeps no (N, M) array per point.  The
-    kernel window is checked once, on construction.
+    kernel window is checked on construction, before any point; the route
+    is picked, and a real series' tensor built, by :meth:`at`, which the
+    estimates call only when some point is off the spectrum.
     """
 
     def __init__(self, series: SnapshotSeries, kernel: KernelSpec) -> None:
         _check_window(kernel, series.M)
         self.series = series
         self.kernel = kernel
-        self.real = None
         self.ut = None
-        if _RealIidCovariance.applies(series, kernel):
-            self.real = _RealIidCovariance.of(series)
 
     def at(self, ctxs: list[CharContext]) -> _BatchApply:
         """``(live, w) -> V[W]`` stack at the points of ``ctxs``."""
         lam = np.array([ctx.lam for ctx in ctxs])
-        if self.real is not None:
+        if _RealIidCovariance.applies(self.series, self.kernel):
+            real = _RealIidCovariance.of(self.series)
             c_hat = np.stack([ctx.c_hat for ctx in ctxs])
-            return lambda live, w: self.real(lam[live], c_hat[live], w)
+            return lambda live, w: real(lam[live], c_hat[live], w)
 
         c_mean: list[np.ndarray | None] = [None] * len(ctxs)
 
@@ -421,42 +423,57 @@ class _Covariance:
         return apply_each
 
 
-def _estimate(
-    ctxs: list[CharContext],
-    apply_v: _BatchApply,
-    starts: np.ndarray,
-    settings: PowerIterSettings,
+def _estimate_points(
+    gram: GramPair,
+    make_v: Callable[[list[CharContext]], _BatchApply],
+    lams,
+    settings: PowerIterSettings | None = None,
+    floor: float | None = None,
+    starts: list[np.ndarray | None] | None = None,
     history: list | None = None,
 ) -> list[PEstimate]:
-    """Power iteration on S[Q] = V[C^{-*} Q C^{-1}] at off-spectrum points."""
-    congruence = _congruence(ctxs)
-    return _iterate(
-        lambda live, q: apply_v(live, congruence(live, q)), starts, settings, history
-    )
+    """Certified estimates of P at the points ``lams``: the one way into :func:`_iterate`.
 
-
-def _estimate_one(
-    ctx: CharContext,
-    apply_v: _BatchApply,
-    settings: PowerIterSettings | None,
-    history: list | None,
-) -> PEstimate:
-    """:func:`_estimate` at one point."""
+    The characteristic matrices of all points are inverted by one
+    :func:`char_contexts` call.  A point where C(lam) is numerically
+    singular is an EDMD eigenvalue, where P vanishes exactly: its estimate
+    is ``at_eigenvalue`` with both endpoints 0 and no iterations.  The
+    other points run power iteration on S[Q] = V[C^{-*} Q C^{-1}] in
+    lockstep, with V from ``make_v(ctxs)`` at their contexts; ``make_v``
+    is called only when some point is off the spectrum, so its set-up is
+    skipped otherwise.  ``starts[k]`` is point k's first iterate; a None
+    entry, or ``starts=None`` for every point, means the validated
+    ``settings.warm_start``, else I / N.  ``history`` is passed on to
+    :func:`_iterate`.  Everything runs with BLAS on one thread (see
+    :mod:`specguard._blas`).
+    """
     if settings is None:
         settings = PowerIterSettings()
-    (est,) = _estimate([ctx], apply_v, _start(settings, ctx.dim)[np.newaxis], settings, history)
-    return est
-
-
-def _at_eigenvalue(n: int) -> PEstimate:
-    """The estimate where C(lam) is singular: P is exactly 0 there."""
-    return PEstimate(
-        lower=0.0,
-        upper=0.0,
-        iterations=0,
-        q_final=np.eye(n, dtype=complex) / n,
-        status=STATUS_AT_EIGENVALUE,
-    )
+    with _blas.single_thread():
+        ctxs = char_contexts(gram, lams, floor)
+        n = gram.dim
+        out: list[PEstimate | None] = [None] * len(ctxs)
+        off = []
+        for k, ctx in enumerate(ctxs):
+            if ctx.singular_flag:
+                q_final = np.eye(n, dtype=complex) / n
+                out[k] = PEstimate(0.0, 0.0, 0, q_final, STATUS_AT_EIGENVALUE)
+            else:
+                off.append(k)
+        if off:
+            if starts is None:
+                starts = [None] * len(ctxs)
+            default = _start(settings, n)
+            q = np.stack([default if starts[k] is None else starts[k] for k in off])
+            live_ctxs = [ctxs[k] for k in off]
+            apply_v = make_v(live_ctxs)
+            congruence = _congruence(live_ctxs)
+            ests = _iterate(
+                lambda live, q: apply_v(live, congruence(live, q)), q, settings, history
+            )
+            for k, est in zip(off, ests):
+                out[k] = est
+    return out
 
 
 def p_hat(
@@ -471,44 +488,35 @@ def p_hat(
 
     Returns an ``at_eigenvalue`` estimate with both endpoints 0 when
     C(lam) is numerically singular, i.e. lam is an eigenvalue of the
-    EDMD matrix; P vanishes exactly on the spectrum.  Runs with BLAS on
-    one thread (see :mod:`specguard._blas`).
+    EDMD matrix; P vanishes exactly on the spectrum.  A kernel window that
+    does not fit the sample raises :class:`~specguard.errors.WindowTooLargeError`
+    at every lam, on the spectrum too.  Runs with BLAS on one thread (see
+    :mod:`specguard._blas`).
 
     The data work that depends on the series alone is done once per
     series and shared by every later estimate on it: the Gram matrices
     and, for the iid kernel on a real series, the fourth-moment tensor of
     :class:`~specguard.variance._RealIidCovariance`.  The first estimate
-    on such a series pays for the tensor; the result does not depend on
-    which estimates ran before.  A point whose S[Q] loses positivity
-    returns a ``degenerate_s`` estimate; it does not raise.
+    off the spectrum on such a series pays for the tensor; the result does
+    not depend on which estimates ran before.  A point whose S[Q] loses
+    positivity returns a ``degenerate_s`` estimate; it does not raise.
     """
-    with _blas.single_thread():
-        ctx = char_context(_series_gram(series), lam, floor)
-        if ctx.singular_flag:
-            return _at_eigenvalue(ctx.dim)
-        return _estimate_one(ctx, _Covariance(series, kernel).at([ctx]), settings, history)
+    covariance = _Covariance(series, kernel)
+    (est,) = _estimate_points(
+        _series_gram(series), covariance.at, [lam], settings, floor, history=history
+    )
+    return est
 
 
-def _certified_estimate(
-    ctx: CharContext,
-    make_v: Callable[[], Callable[[np.ndarray], np.ndarray]],
-    settings: PowerIterSettings | None = None,
-    history: list | None = None,
-) -> PEstimate:
-    """Power iteration on S[Q] = V[C^{-*} Q C^{-1}] at ctx's spectral point.
+def _spd_root(q: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Q^{1/2} of a Hermitian positive definite Q, with the eigenpairs (w, vecs) of Q.
 
-    ``make_v`` returns the covariance application V of one matrix; it is
-    called only off the spectrum, so its set-up is skipped where C(lam) is
-    singular and the estimate is pinned to ``at_eigenvalue`` with both
-    endpoints 0.  V's set-up and the iteration run with BLAS on one thread
-    (see :mod:`specguard._blas`); the caller's thread counts are restored
-    after.
+    Raises NotSPDError, naming ``what``, when Q is not positive definite.
     """
-    if ctx.singular_flag:
-        return _at_eigenvalue(ctx.dim)
-    with _blas.single_thread():
-        v = make_v()
-        return _estimate_one(ctx, lambda live, w: v(w[0])[np.newaxis], settings, history)
+    w, vecs = np.linalg.eigh(q)
+    if w[0] <= 0.0:
+        raise NotSPDError(f"{what} must be positive definite (min eig {w[0]:.3e})")
+    return (vecs * np.sqrt(w)) @ vecs.conj().T, w, vecs
 
 
 def p_sym_fixed_q(
@@ -542,10 +550,7 @@ def p_sym_fixed_q(
         return 0.0
 
     q = _hermitize(np.asarray(q, dtype=complex))
-    w, vecs = np.linalg.eigh(q)
-    if w[0] <= 0.0:
-        raise NotSPDError(f"test matrix must be positive definite (min eig {w[0]:.3e})")
-    root = (vecs * np.sqrt(w)) @ vecs.conj().T
+    root, w, vecs = _spd_root(q, "test matrix")
     q_inv = (vecs / w) @ vecs.conj().T
 
     primal, _ = bracket(q, s_apply(q, ctx, series, kernel))
@@ -708,16 +713,17 @@ def sweep(
 ) -> SweepResult:
     """Evaluate the certified bracket over a complex grid.
 
-    The grid is marched column by column, left to right.  Each column's
-    characteristic matrices are inverted by one :func:`char_contexts`
-    call; its off-spectrum points then iterate together as one batch, and
-    each starts from the final iterate of its left neighbour when that one
-    converged.  The whole sweep runs with BLAS on one thread (see
-    :mod:`specguard._blas`).  How each point's iteration ended is recorded
-    in the status field and never aborts the sweep; configuration errors,
-    such as a kernel window that does not fit the sample, raise before any
-    point is evaluated, and a characteristic matrix that overflows raises
-    :class:`~specguard.errors.NumericError`.
+    The grid is marched column by column, left to right, and each column
+    is one call of the batched estimator: its characteristic matrices are
+    inverted by one :func:`char_contexts` call, and its off-spectrum points
+    iterate together as one batch.  Each point starts from the final
+    iterate of its left neighbour when that one converged, else from
+    ``settings.warm_start`` or I / N.  The whole sweep runs with BLAS on
+    one thread (see :mod:`specguard._blas`).  How each point's iteration
+    ended is recorded in the status field and never aborts the sweep;
+    configuration errors, such as a kernel window that does not fit the
+    sample, raise before any point is evaluated, and a characteristic
+    matrix that overflows raises :class:`~specguard.errors.NumericError`.
 
     On a real series (every imaginary part exactly zero) the estimator is
     symmetric about the real axis: C(conj lam) = conj C(lam) for the mean
@@ -744,29 +750,17 @@ def sweep(
         evaluated = np.flatnonzero(partner == np.arange(grid.n_im))
         gram = _series_gram(series)
         covariance = _Covariance(series, kernel)
-        n = gram.dim
         warm: list[np.ndarray | None] = [None] * grid.n_im
         for j, re in enumerate(re_axis):
             lams = np.full(len(evaluated), re, dtype=complex)
             lams.imag = im_axis[evaluated]
-            rows, ctxs, starts = [], [], []
-            for i, ctx in zip(evaluated, char_contexts(gram, lams, floor)):
-                start, warm[i] = warm[i], None
-                if ctx.singular_flag:
-                    status[i, j] = STATUS_AT_EIGENVALUE
-                    continue
-                rows.append(i)
-                ctxs.append(ctx)
-                starts.append(np.eye(n, dtype=complex) / n if start is None else start)
-            if not rows:
-                continue
-            ests = _estimate(ctxs, covariance.at(ctxs), np.stack(starts), settings)
-            for i, est in zip(rows, ests):
+            starts = [warm[i] for i in evaluated]
+            ests = _estimate_points(gram, covariance.at, lams, settings, floor, starts)
+            for i, est in zip(evaluated, ests):
                 lower[i, j], upper[i, j] = est.lower, est.upper
                 iters[i, j] = est.iterations
                 status[i, j] = est.status
-                if est.converged:
-                    warm[i] = est.q_final
+                warm[i] = est.q_final if est.converged else None
 
     lower, upper, iters, status = (field[partner] for field in (lower, upper, iters, status))
     return SweepResult(

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _blas
-from .charmatrix import char_context, edmd_matrix, eigensystem
-from .errors import AtEigenvalueError, NotSPDError, ShapeError
+from .charmatrix import _fit, char_context
+from .errors import ShapeError
 from .ingest import SnapshotSeries
 from .pseudospec import (
     STATUS_AT_EIGENVALUE,
@@ -31,10 +30,13 @@ from .pseudospec import (
     PEstimate,
     PowerIterSettings,
     SweepResult,
+    _check_off_spectrum,
+    _Covariance,
+    _estimate_points,
     _series_gram,
-    p_hat,
+    _spd_root,
 )
-from .variance import KernelSpec, _check_window, _hermitize, _sample_factors
+from .variance import KernelSpec, _hermitize, _sample_factors
 
 __all__ = [
     "chi2_cdf",
@@ -111,6 +113,18 @@ class EigTestResult:
     testable: bool = True
     conjectured_bound: bool = False
 
+    def to_json_dict(self) -> dict:
+        """The result as a report row, without the row's index or residual."""
+        return {
+            "lambda": {"re": self.lam.real, "im": self.lam.imag},
+            "m_p_hat": self.m_p_hat,
+            "p_value": self.p_value,
+            "reject": {f"{a:g}": bool(r) for a, r in self.reject_at},
+            "status": self.status,
+            "testable": self.testable,
+            "conjectured_bound": self.conjectured_bound,
+        }
+
     def rejects(self, alpha: float) -> bool:
         for a, flag in self.reject_at:
             if a == alpha:
@@ -167,21 +181,10 @@ class SpectralReport:
     kernel: KernelSpec
 
     def to_json_dict(self) -> dict:
-        rows = []
-        for i, res in enumerate(self.results):
-            rows.append(
-                {
-                    "index": i,
-                    "lambda": {"re": res.lam.real, "im": res.lam.imag},
-                    "residual": self.eigen_residuals[i],
-                    "m_p_hat": res.m_p_hat,
-                    "p_value": res.p_value,
-                    "reject": {f"{a:g}": bool(r) for a, r in res.reject_at},
-                    "status": res.status,
-                    "testable": res.testable,
-                    "conjectured_bound": res.conjectured_bound,
-                }
-            )
+        rows = [
+            {"index": i, "residual": residual, **res.to_json_dict()}
+            for i, (res, residual) in enumerate(zip(self.results, self.eigen_residuals))
+        ]
         return {
             "eigenvalues": rows,
             "rcond": self.rcond,
@@ -199,30 +202,26 @@ def spectrum_test(
 ) -> SpectralReport:
     """Run the eigenvalue test at every eigenvalue of the EDMD matrix.
 
-    A kernel window that does not fit the sample raises before any point
-    is tested, even though at-eigenvalue points never apply the kernel.
-    The fit and every estimate run with BLAS on one thread (see
-    :mod:`specguard._blas`), and share the series' Gram matrices.
+    A kernel window that does not fit the sample raises before the fit,
+    even though at-eigenvalue points never apply the kernel.  The fit and
+    the estimates run with BLAS on one thread (see :mod:`specguard._blas`)
+    and share the series' Gram matrices; the estimates at all eigenvalues
+    are one batch, whose characteristic matrices are inverted in one call.
     """
-    _check_window(kernel, series.M)
-    with _blas.single_thread():
-        k_hat, rcond = edmd_matrix(_series_gram(series), floor)
-        modes = eigensystem(k_hat)
-        vals = np.array([m.eigenvalue for m in modes])
-        results = []
-        residuals = []
-        for mode in modes:
-            mult = int(
-                np.sum(np.abs(vals - mode.eigenvalue) <= 1e-8 * max(1.0, abs(mode.eigenvalue)))
-            )
-            est = p_hat(mode.eigenvalue, series, kernel, settings, floor=floor)
-            results.append(
-                eig_test(mode.eigenvalue, est, series.M, multiplicity=mult, alphas=alphas)
-            )
-            residuals.append(mode.residual)
+    covariance = _Covariance(series, kernel)
+    gram = _series_gram(series)
+    modes, rcond = _fit(gram, floor)
+    vals = np.array([m.eigenvalue for m in modes])
+    ests = _estimate_points(gram, covariance.at, vals, settings, floor)
+    results = []
+    for mode, est in zip(modes, ests):
+        mult = int(
+            np.sum(np.abs(vals - mode.eigenvalue) <= 1e-8 * max(1.0, abs(mode.eigenvalue)))
+        )
+        results.append(eig_test(mode.eigenvalue, est, series.M, multiplicity=mult, alphas=alphas))
     return SpectralReport(
         results=tuple(results),
-        eigen_residuals=tuple(residuals),
+        eigen_residuals=tuple(mode.residual for mode in modes),
         rcond=rcond,
         m_samples=series.M,
         kernel=kernel,
@@ -498,16 +497,8 @@ def r_estimate(
     decompositions.
     """
     ctx = char_context(_series_gram(series), lam, floor)
-    if ctx.singular_flag:
-        raise AtEigenvalueError(
-            f"lambda={lam:.6g} is numerically an EDMD eigenvalue; "
-            "the concentration radius is undefined there"
-        )
-    q = _hermitize(np.asarray(q, dtype=complex))
-    w, vecs = np.linalg.eigh(q)
-    if w[0] <= 0.0:
-        raise NotSPDError(f"q must be positive definite (min eig {w[0]:.3e})")
-    root = (vecs * np.sqrt(w)) @ vecs.conj().T
+    _check_off_spectrum(ctx, "the concentration radius")
+    root, w, vecs = _spd_root(_hermitize(np.asarray(q, dtype=complex)), "q")
     inv_root = (vecs / np.sqrt(w)) @ vecs.conj().T
 
     n, m = series.N, series.M

@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 
 import specguard
-from specguard import _blas, cli, pseudospec, stats
-from specguard.charmatrix import char_context, gram_matrices
+from specguard import _blas, charmatrix, cli, pseudospec, stats
+from specguard.charmatrix import gram_matrices
 from specguard.cli import main
 from specguard.ingest import SnapshotSeries
 from specguard.pseudospec import (
     GridSpec,
     PowerIterSettings,
-    _certified_estimate,
+    _estimate_points,
     p_hat,
     sweep,
 )
@@ -57,8 +57,10 @@ def _series(m=400, n=4, seed=0, real=False):
     return SnapshotSeries(a, b, "iid")
 
 
-def _ctx(series, lam=1.3 + 0.2j):
-    return char_context(gram_matrices(series), lam)
+def _estimate(make_v, settings=None, lam=1.3 + 0.2j):
+    """The one estimate at ``lam`` on a fixed series, with V from ``make_v``."""
+    (est,) = _estimate_points(gram_matrices(_series()), make_v, [lam], settings)
+    return est
 
 
 def test_every_mapped_openblas_file_is_found():
@@ -74,16 +76,16 @@ def test_every_mapped_openblas_file_is_found():
 def test_v_runs_on_one_thread(two_threads):
     seen = []
 
-    def make_v():
+    def make_v(ctxs):
         seen.append(_counts())
 
-        def v(w):
+        def v(live, w):
             seen.append(_counts())
             return w
 
         return v
 
-    est = _certified_estimate(_ctx(_series()), make_v, FEW_ITERS)
+    est = _estimate(make_v, FEW_ITERS)
     assert len(seen) == 1 + est.iterations > 1
     assert all(counts == [1] * len(COPIES) for counts in seen)
     assert _counts() == [2] * len(COPIES)
@@ -128,7 +130,7 @@ def test_fit_and_char_context_run_on_one_thread(two_threads, monkeypatch, entry)
 
         return wrapped
 
-    for module in (pseudospec, stats):
+    for module in (charmatrix, pseudospec, stats):
         for name in ("gram_matrices", "char_context", "char_contexts", "edmd_matrix", "eigensystem"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
@@ -139,30 +141,46 @@ def test_fit_and_char_context_run_on_one_thread(two_threads, monkeypatch, entry)
         p_hat(1.3 + 0.2j, series, KernelSpec.iid())
     else:
         stats.spectrum_test(series, KernelSpec.iid())
-    # A sweep factors its grid a column at a time, every other entry point by point.
-    factor = "char_contexts" if entry == "sweep" else "char_context"
-    assert {"gram_matrices", factor} <= set(seen)
+    # Every entry point inverts its characteristic matrices through char_contexts.
+    assert {"gram_matrices", "char_contexts"} <= set(seen)
+    if entry == "spectrum_test":
+        assert {"edmd_matrix", "eigensystem"} <= set(seen)
     assert all(counts == [1] * len(COPIES) for calls in seen.values() for counts in calls)
     assert _counts() == [2] * len(COPIES)
 
 
-def test_cluster_refit_runs_on_one_thread(two_threads, monkeypatch, tmp_path):
+GRID_3X3 = ["--re-min", "-1", "--re-max", "1", "--n-re", "3",
+            "--im-min", "-1", "--im-max", "1", "--n-im", "3"]
+
+
+@pytest.mark.parametrize("argv, fits", [
+    pytest.param(["cluster", "--iid", "--level", "1.0", *GRID_3X3],
+                 ["edmd_matrix", "eigensystem"], id="cluster"),
+    pytest.param(["sweep", "--LM", "3", "--mu", "auto:2", *GRID_3X3],
+                 ["edmd_matrix", "eigensystem"], id="sweep-mu-auto"),
+    pytest.param(["test", "--tau", "auto", "--lambda", "1.3"], ["estimate_tau"],
+                 id="test-tau-auto"),
+    pytest.param(["edmd"], ["edmd_matrix", "eigensystem"], id="edmd"),
+])
+def test_every_cli_fit_runs_on_one_thread(two_threads, monkeypatch, tmp_path, argv, fits):
     data = tmp_path / "map.csv"
     assert main(["generate", "--system", "map1d", "--M", "300", "--N", "4",
                  "--seed", "4", "--out", str(data)]) == 0
     seen = []
-    fit = cli.edmd_matrix
 
-    def recording_fit(*args, **kwargs):
-        seen.append(_counts())
-        return fit(*args, **kwargs)
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            seen.append((name, _counts()))
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "edmd_matrix", recording_fit)
-    assert main(["cluster", "--data", str(data), "--iid", "--level", "1.0",
-                 "--re-min", "-1", "--re-max", "1", "--n-re", "3",
-                 "--im-min", "-1", "--im-max", "1", "--n-im", "3",
-                 "--out", str(tmp_path / "c.json")]) == 0
-    assert seen == [[1] * len(COPIES)]
+        return wrapped
+
+    for module, name in ((charmatrix, "edmd_matrix"), (charmatrix, "eigensystem"),
+                         (cli, "estimate_tau")):
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    command, *flags = argv
+    assert main([command, "--data", str(data), *flags, "--out", str(tmp_path / "a.json")]) == 0
+    assert seen == [(name, [1] * len(COPIES)) for name in fits]
     assert _counts() == [2] * len(COPIES)
 
 
@@ -171,9 +189,9 @@ def test_restored_when_the_estimate_raises(two_threads, where):
     def fail(*_):
         raise RuntimeError("boom")
 
-    make_v = fail if where == "make_v" else (lambda: fail)
+    make_v = fail if where == "make_v" else (lambda ctxs: fail)
     with pytest.raises(RuntimeError, match="boom"):
-        _certified_estimate(_ctx(_series()), make_v)
+        _estimate(make_v)
     assert _counts() == [2] * len(COPIES)
 
 
@@ -216,7 +234,7 @@ def test_no_copy_found_is_a_no_op(two_threads, monkeypatch):
     monkeypatch.setattr(_blas, "_discover", lambda: [])
     with _blas.single_thread():
         assert _counts() == [2] * len(COPIES)
-    est = _certified_estimate(_ctx(_series()), lambda: (lambda w: w), FEW_ITERS)
+    est = _estimate(lambda ctxs: (lambda live, w: w), FEW_ITERS)
     assert est.iterations == FEW_ITERS.max_iters
     assert _counts() == [2] * len(COPIES)
 

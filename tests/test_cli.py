@@ -297,6 +297,19 @@ class TestTest:
         assert "kernel half-width 60 >= M=50" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", [["--lambda", "1"], ["--lambda", "1.3"], ["--eigs"]])
+    def test_window_larger_than_sample_fails_at_every_point(self, tmp_path, capsys, target):
+        # lambda = 1 is an EDMD eigenvalue of the trig dictionary (its constant).
+        data, out = tmp_path / "m.csv", tmp_path / "t.json"
+        assert main(["generate", "--system", "map1d", "--M", "300", "--N", "4",
+                     "--seed", "4", "--out", str(data)]) == 0
+        code, _, err = _run(
+            capsys, "test", "--data", str(data), *target, "--LM", "500", "--out", str(out)
+        )
+        assert code == 3
+        assert "kernel half-width 500 >= M=300" in err
+        assert not out.exists()
+
     def test_bad_lambda_is_usage_error(self, var_csv, tmp_path, capsys):
         code, _, err = _run(
             capsys, "test", "--data", var_csv, "--lambda", "abc", "--iid",

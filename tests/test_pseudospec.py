@@ -300,6 +300,26 @@ class TestPHat:
         assert est.status in (STATUS_CONVERGED, STATUS_MAX_ITERS)
         assert est.upper >= est.lower >= 0.0
 
+    def test_a_window_too_large_raises_also_at_an_eigenvalue(self):
+        s = _series(50, 2, seed=34)
+        lam = eigensystem(edmd_matrix(gram_matrices(s))[0])[0].eigenvalue
+        assert p_hat(lam, s, KernelSpec.windowed(3)).status == STATUS_AT_EIGENVALUE
+        for point in (lam, 1.3 + 0.2j):
+            with pytest.raises(WindowTooLargeError, match="half-width 60 >= M=50"):
+                p_hat(point, s, KernelSpec.windowed(60))
+
+    def test_at_an_eigenvalue_of_a_real_series_no_tensor_is_built(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("tensor built for an at-eigenvalue estimate")
+
+        monkeypatch.setattr(_RealIidCovariance, "_build_tensor", forbidden)
+        rng = np.random.default_rng(35)
+        a = rng.normal(size=(120, 3))
+        s = SnapshotSeries(a, a @ rng.uniform(-0.6, 0.6, size=(3, 3)).T, "iid")
+        lam = eigensystem(edmd_matrix(gram_matrices(s))[0])[0].eigenvalue
+        assert p_hat(lam, s, KernelSpec.iid()).status == STATUS_AT_EIGENVALUE
+        assert "real_iid" not in s._memo._values
+
 
 class TestPSym:
     def test_scalar_case_collapses_to_p_hat(self):
@@ -475,6 +495,16 @@ class TestSweepEngine:
                     [res.lower[i, j], res.upper[i, j]], [est.lower, est.upper], rtol=1e-10
                 )
                 warm[i] = est.q_final if est.converged else None
+
+    def test_a_cell_without_a_converged_neighbour_starts_from_settings_warm_start(self):
+        series, kernel = self._data("complex")
+        q = _random_psd(3, 90)
+        settings = PowerIterSettings(rel_tol=0.05, warm_start=q / np.trace(q).real)
+        res = sweep(GridSpec(1.3, 1.3, 1, -0.2, 0.2, 3), series, kernel, settings)
+        for i in range(3):
+            est = p_hat(res.point(i, 0), series, kernel, settings)
+            assert (res.iterations[i, 0], res.status[i, 0]) == (est.iterations, est.status)
+            assert (res.lower[i, 0], res.upper[i, 0]) == (est.lower, est.upper)
 
     def test_real_iid_sweep_skips_the_complex_factors(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -662,15 +692,32 @@ class TestSweepEngine:
             series = SnapshotSeries(a, series.b, "iid")
         columns = self._count(monkeypatch, pseudospec, "char_contexts")
         points = []
-        build = pseudospec._estimate
+        build = pseudospec._estimate_points
         monkeypatch.setattr(
-            pseudospec, "_estimate",
-            lambda ctxs, *args: points.extend(ctxs) or build(ctxs, *args),
+            pseudospec, "_estimate_points",
+            lambda gram, make_v, lams, *args: points.extend(lams)
+            or build(gram, make_v, lams, *args),
         )
         res = sweep(GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3), series, kernel)
         assert np.all(res.status == STATUS_CONVERGED)
         assert len(columns) == 3
         assert len(points) == (6 if kind == "real" else 9)
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "windowed"])
+    @pytest.mark.parametrize("floor", [None, 1e-300])
+    def test_spectrum_test_is_one_batch_that_matches_p_hat(self, kind, floor, monkeypatch):
+        # Under the default floor every EDMD eigenvalue is at_eigenvalue; a
+        # floor of 1e-300 puts them off the spectrum, where they iterate.
+        series, kernel = self._data(kind)
+        columns = self._count(monkeypatch, pseudospec, "char_contexts")
+        report = stats.spectrum_test(series, kernel, floor=floor)
+        assert len(columns) == 1
+        modes = eigensystem(edmd_matrix(gram_matrices(series))[0])
+        for mode, res in zip(modes, report.results):
+            est = p_hat(mode.eigenvalue, series, kernel, floor=floor)
+            expected = STATUS_AT_EIGENVALUE if floor is None else STATUS_CONVERGED
+            assert res.status == est.status == expected
+            assert_allclose(res.m_p_hat, series.M * est.lower, rtol=1e-10)
 
     def test_an_overflowing_characteristic_matrix_fails_the_sweep(self):
         series, kernel = self._data("real")
