@@ -50,8 +50,8 @@ from .pseudospec import (
     GridSpec,
     PowerIterSettings,
     SweepResult,
+    _series_estimates,
     _series_gram,
-    p_hat,
     sweep,
 )
 from .stats import cluster_eigenvalues, eig_test, spectrum_test
@@ -294,11 +294,13 @@ def cmd_test(args: argparse.Namespace) -> int:
         for row in body["eigenvalues"]:
             row["source"] = "eigs"
             rows.append(row)
-    for text in args.point or []:
-        lam = _parse_complex(text)
-        est = p_hat(lam, series, kernel, settings, floor=args.rcond_floor)
-        res = eig_test(lam, est, series.M, alphas=alphas)
-        rows.append({"index": None, "residual": None, **res.to_json_dict(), "source": "user"})
+    if args.point:
+        # All user points are one batch, estimated after the EDMD eigenvalues'.
+        lams = [_parse_complex(text) for text in args.point]
+        ests = _series_estimates(series, kernel, lams, settings, args.rcond_floor)
+        for lam, est in zip(lams, ests):
+            res = eig_test(lam, est, series.M, alphas=alphas)
+            rows.append({"index": None, "residual": None, **res.to_json_dict(), "source": "user"})
     artifact = {
         "schema": "specguard/v1/report",
         "manifest": _manifest(

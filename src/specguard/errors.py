@@ -28,10 +28,6 @@ class NotSPDError(SpecguardError):
 class IntegratorError(SpecguardError):
     """ODE integration produced a non-finite state."""
 
-    def __init__(self, message: str, step_index: int | None = None):
-        super().__init__(message)
-        self.step_index = step_index
-
 
 class IllConditionedGramError(SpecguardError):
     """Gram matrix reciprocal condition number below the floor."""

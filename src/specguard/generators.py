@@ -285,7 +285,5 @@ def gen_lorenz63(
             break
         state = _rk4_sample(state, spec.dt_sample, spec.substeps)
         if not np.all(np.isfinite(state)):
-            raise IntegratorError(
-                f"Lorenz-63 state non-finite at sample {step + 1}", step_index=step + 1
-            )
+            raise IntegratorError(f"Lorenz-63 state non-finite at sample {step + 1}")
     return out

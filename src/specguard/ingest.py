@@ -152,7 +152,6 @@ class SnapshotSeries:
     b: np.ndarray
     sampling_kind: Literal["iid", "trajectory"]
     dt: float | None = None
-    dictionary_meta: DictionarySpec | str = "external"
     _memo: _Memo = field(default_factory=_Memo, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -179,10 +178,7 @@ class SnapshotSeries:
     def __reduce__(self):
         # A pickled or copied series is rebuilt through __init__: its arrays
         # come back read-only and its memo empty.
-        return (
-            SnapshotSeries,
-            (self.a, self.b, self.sampling_kind, self.dt, self.dictionary_meta),
-        )
+        return (SnapshotSeries, (self.a, self.b, self.sampling_kind, self.dt))
 
     @property
     def M(self) -> int:
@@ -435,7 +431,7 @@ def evaluate_dictionary(
         b = np.hstack([ones, _monomial_eval(y, exps)])
     else:
         raise ShapeError(f"unknown dictionary variant {dict_spec.variant!r}")
-    return SnapshotSeries(a, b, sampling_kind, dt=dt, dictionary_meta=dict_spec)
+    return SnapshotSeries(a, b, sampling_kind, dt=dt)
 
 
 def delay_embed(
@@ -481,4 +477,4 @@ def delay_embed(
     leads = np.arange(M) + n_delays
     a = window(leads)
     b = window(leads + step)
-    return SnapshotSeries(a, b, "trajectory", dt=dt, dictionary_meta=dict_spec)
+    return SnapshotSeries(a, b, "trajectory", dt=dt)

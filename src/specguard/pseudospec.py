@@ -91,11 +91,12 @@ class PowerIterSettings:
 
     ``rel_tol`` bounds the final bracket width: iteration stops when
     upper/lower <= 1 + rel_tol.  Iterates are always trace-normalized.
+    Where an iteration starts is not a setting: a sweep cell starts from
+    its converged left neighbour's ``q_final``, every other point from I / N.
     """
 
     rel_tol: float = 0.1
     max_iters: int = 200
-    warm_start: np.ndarray | None = None   # PSD, trace 1; e.g. q_final of a neighbor
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0.0:
@@ -263,21 +264,6 @@ def _iterate(
     return out
 
 
-def _start(settings: PowerIterSettings, dim: int) -> np.ndarray:
-    """The first iterate: the validated warm start, else I / N."""
-    if settings.warm_start is None:
-        return np.eye(dim, dtype=complex) / dim
-    q = np.array(settings.warm_start, dtype=complex)
-    if q.shape != (dim, dim):
-        raise ShapeError(f"warm_start shape {q.shape} != ({dim}, {dim})")
-    if abs(np.trace(q).real - 1.0) > 1e-8:
-        raise ShapeError("warm_start must have unit trace")
-    q = _hermitize(q)
-    if float(np.linalg.eigvalsh(q)[0]) < -1e-8:
-        raise ShapeError("warm_start must be positive semidefinite")
-    return q
-
-
 def power_iterate(
     apply_s: Callable[[np.ndarray], np.ndarray],
     dim: int,
@@ -285,6 +271,8 @@ def power_iterate(
     history: list | None = None,
 ) -> PEstimate:
     """Run the certified power iteration against an arbitrary S-applier.
+
+    The iteration starts from I / N.
 
     Parameters
     ----------
@@ -294,17 +282,12 @@ def power_iterate(
         Matrix dimension N.
     history : list, optional
         If given, the per-iteration (lower, upper) pairs are appended.
-
-    Notes
-    -----
-    ``q_final`` is the trace-one iterate whose pencil produced the returned
-    bracket, so it can seed a warm start at a nearby spectral point.
     """
     if settings is None:
         settings = PowerIterSettings()
     (est,) = _iterate(
         lambda live, q: apply_s(q[0])[np.newaxis],
-        _start(settings, dim)[np.newaxis],
+        np.eye(dim, dtype=complex)[np.newaxis] / dim,
         settings,
         history,
     )
@@ -430,7 +413,6 @@ def _estimate_points(
     settings: PowerIterSettings | None = None,
     floor: float | None = None,
     starts: list[np.ndarray | None] | None = None,
-    history: list | None = None,
 ) -> list[PEstimate]:
     """Certified estimates of P at the points ``lams``: the one way into :func:`_iterate`.
 
@@ -441,10 +423,9 @@ def _estimate_points(
     other points run power iteration on S[Q] = V[C^{-*} Q C^{-1}] in
     lockstep, with V from ``make_v(ctxs)`` at their contexts; ``make_v``
     is called only when some point is off the spectrum, so its set-up is
-    skipped otherwise.  ``starts[k]`` is point k's first iterate; a None
-    entry, or ``starts=None`` for every point, means the validated
-    ``settings.warm_start``, else I / N.  ``history`` is passed on to
-    :func:`_iterate`.  Everything runs with BLAS on one thread (see
+    skipped otherwise.  ``starts[k]`` is point k's first iterate, such as
+    a neighbour's ``q_final``; a None entry, or ``starts=None``, means
+    I / N.  Everything runs with BLAS on one thread (see
     :mod:`specguard._blas`).
     """
     if settings is None:
@@ -461,19 +442,31 @@ def _estimate_points(
             else:
                 off.append(k)
         if off:
-            if starts is None:
-                starts = [None] * len(ctxs)
-            default = _start(settings, n)
+            starts = starts or [None] * len(ctxs)
+            default = np.eye(n, dtype=complex) / n
             q = np.stack([default if starts[k] is None else starts[k] for k in off])
             live_ctxs = [ctxs[k] for k in off]
             apply_v = make_v(live_ctxs)
             congruence = _congruence(live_ctxs)
-            ests = _iterate(
-                lambda live, q: apply_v(live, congruence(live, q)), q, settings, history
-            )
+            ests = _iterate(lambda live, q: apply_v(live, congruence(live, q)), q, settings)
             for k, est in zip(off, ests):
                 out[k] = est
     return out
+
+
+def _series_estimates(
+    series: SnapshotSeries,
+    kernel: KernelSpec,
+    lams,
+    settings: PowerIterSettings | None = None,
+    floor: float | None = None,
+) -> list[PEstimate]:
+    """:func:`_estimate_points` at ``lams`` on a series, as one batch from I / N.
+
+    The kernel window is checked first, on the spectrum too.
+    """
+    covariance = _Covariance(series, kernel)
+    return _estimate_points(_series_gram(series), covariance.at, lams, settings, floor)
 
 
 def p_hat(
@@ -481,7 +474,6 @@ def p_hat(
     series: SnapshotSeries,
     kernel: KernelSpec,
     settings: PowerIterSettings | None = None,
-    history: list | None = None,
     floor: float | None = None,
 ) -> PEstimate:
     """Certified bracket for the sampling pseudospectrum at one point.
@@ -490,8 +482,8 @@ def p_hat(
     C(lam) is numerically singular, i.e. lam is an eigenvalue of the
     EDMD matrix; P vanishes exactly on the spectrum.  A kernel window that
     does not fit the sample raises :class:`~specguard.errors.WindowTooLargeError`
-    at every lam, on the spectrum too.  Runs with BLAS on one thread (see
-    :mod:`specguard._blas`).
+    at every lam, on the spectrum too.  The iteration starts from I / N.
+    Runs with BLAS on one thread (see :mod:`specguard._blas`).
 
     The data work that depends on the series alone is done once per
     series and shared by every later estimate on it: the Gram matrices
@@ -501,10 +493,7 @@ def p_hat(
     not depend on which estimates ran before.  A point whose S[Q] loses
     positivity returns a ``degenerate_s`` estimate; it does not raise.
     """
-    covariance = _Covariance(series, kernel)
-    (est,) = _estimate_points(
-        _series_gram(series), covariance.at, [lam], settings, floor, history=history
-    )
+    (est,) = _series_estimates(series, kernel, [lam], settings, floor)
     return est
 
 
@@ -519,6 +508,7 @@ def _spd_root(q: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndar
     return (vecs * np.sqrt(w)) @ vecs.conj().T, w, vecs
 
 
+@_blas.single_thread()
 def p_sym_fixed_q(
     lam: complex,
     q: np.ndarray,
@@ -536,7 +526,8 @@ def p_sym_fixed_q(
     for a fixed positive definite Q.  Supported for iid sampling kernels
     only (the adjoint expansion requires it); for N = 1 both branches
     collapse to the plain estimator.  The primal bound is the lower
-    endpoint of :func:`bracket` at Q.
+    endpoint of :func:`bracket` at Q.  Runs with BLAS on one thread (see
+    :mod:`specguard._blas`).
 
     Raises
     ------
@@ -717,8 +708,8 @@ def sweep(
     is one call of the batched estimator: its characteristic matrices are
     inverted by one :func:`char_contexts` call, and its off-spectrum points
     iterate together as one batch.  Each point starts from the final
-    iterate of its left neighbour when that one converged, else from
-    ``settings.warm_start`` or I / N.  The whole sweep runs with BLAS on
+    iterate (``q_final``) of its left neighbour when that one converged,
+    else from I / N.  The whole sweep runs with BLAS on
     one thread (see :mod:`specguard._blas`).  How each point's iteration
     ended is recorded in the status field and never aborts the sweep;
     configuration errors, such as a kernel window that does not fit the

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .charmatrix import _fit, char_context
 from .errors import ShapeError
 from .ingest import SnapshotSeries
@@ -31,12 +32,11 @@ from .pseudospec import (
     PowerIterSettings,
     SweepResult,
     _check_off_spectrum,
-    _Covariance,
-    _estimate_points,
+    _series_estimates,
     _series_gram,
     _spd_root,
 )
-from .variance import KernelSpec, _hermitize, _sample_factors
+from .variance import KernelSpec, _check_window, _hermitize, _sample_factors
 
 __all__ = [
     "chi2_cdf",
@@ -208,11 +208,10 @@ def spectrum_test(
     and share the series' Gram matrices; the estimates at all eigenvalues
     are one batch, whose characteristic matrices are inverted in one call.
     """
-    covariance = _Covariance(series, kernel)
-    gram = _series_gram(series)
-    modes, rcond = _fit(gram, floor)
+    _check_window(kernel, series.M)
+    modes, rcond = _fit(_series_gram(series), floor)
     vals = np.array([m.eigenvalue for m in modes])
-    ests = _estimate_points(gram, covariance.at, vals, settings, floor)
+    ests = _series_estimates(series, kernel, vals, settings, floor)
     results = []
     for mode, est in zip(modes, ests):
         mult = int(
@@ -486,6 +485,7 @@ def _under_resolution_note(
 # ---------------------------------------------------------------------------
 
 
+@_blas.single_thread()
 def r_estimate(
     lam: complex, q: np.ndarray, series: SnapshotSeries, floor: float | None = None
 ) -> float:
@@ -494,7 +494,7 @@ def r_estimate(
     Each per-sample matrix is a rank-one update of -I, so its norm reduces
     to a 2x2 block on span{a_m, v_m} (plus 1 whenever a complement
     direction exists); total cost O(M N^2) instead of M singular value
-    decompositions.
+    decompositions.  Runs with BLAS on one thread (see :mod:`specguard._blas`).
     """
     ctx = char_context(_series_gram(series), lam, floor)
     _check_off_spectrum(ctx, "the concentration radius")

@@ -45,6 +45,7 @@ from specguard.pseudospec import (
     GridSpec,
     PowerIterSettings,
     p_hat,
+    power_iterate,
     s_apply,
     s_star_apply,
     sweep,
@@ -360,8 +361,14 @@ def test_c8_property_suites():
             _complex_randn(rng, 200, n), _complex_randn(rng, 200, n), "iid"
         )
         lam = 1.2 * np.exp(2j * np.pi * rng.uniform())
+        ctx = char_context(gram_matrices(series), lam)
         history: list = []
-        p_hat(lam, series, IID, PowerIterSettings(rel_tol=1e-4, max_iters=300), history)
+        power_iterate(
+            lambda q: s_apply(q, ctx, series, IID),
+            n,
+            PowerIterSettings(rel_tol=1e-4, max_iters=300),
+            history,
+        )
         for (lo0, hi0), (lo1, hi1) in zip(history, history[1:]):
             total += 1
             monotone += int(lo1 >= lo0 * (1 - 1e-9) and hi1 <= hi0 * (1 + 1e-9))

@@ -23,6 +23,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import specguard
+from specguard import pseudospec
 from specguard.cli import build_parser, main
 from specguard.generators import RNG_ALGORITHM
 
@@ -280,6 +281,30 @@ class TestTest:
         assert row["reject"] == {"0.1": True}
         assert row["m_p_hat"] > 10.0
 
+    def test_user_points_are_one_batch_after_the_eigenvalues(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        data, out = tmp_path / "m.csv", tmp_path / "t.json"
+        assert main(["generate", "--system", "map1d", "--M", "300", "--N", "4",
+                     "--seed", "4", "--out", str(data)]) == 0
+        sizes = []
+        build = pseudospec.char_contexts
+        monkeypatch.setattr(
+            pseudospec, "char_contexts",
+            lambda gram, lams, *args: sizes.append(len(lams)) or build(gram, lams, *args),
+        )
+        points = ["1.3", "0.5+0.5j", "-1.2"]
+        code, stdout, _ = _run(
+            capsys, "test", "--data", str(data), "--eigs", "--iid",
+            *(arg for text in points for arg in ("--lambda", text)), "--out", str(out),
+        )
+        assert code == 0
+        assert sizes == [4, 3]
+        rows = json.loads(out.read_text())["results"]
+        assert [row["source"] for row in rows] == ["eigs"] * 4 + ["user"] * 3
+        lams = [complex(row["lambda"]["re"], row["lambda"]["im"]) for row in rows[4:]]
+        assert lams == [1.3, 0.5 + 0.5j, -1.2]
+
     def test_requires_a_target(self, var_csv, tmp_path, capsys):
         code, _, err = _run(
             capsys, "test", "--data", var_csv, "--iid", "--out", str(tmp_path / "r.json")
@@ -407,8 +432,6 @@ class TestCluster:
         assert "grid" in doc
 
     def test_the_refit_reuses_the_sweeps_gram(self, var_csv, tmp_path, capsys, monkeypatch):
-        from specguard import pseudospec
-
         calls = []
         gram_matrices = pseudospec.gram_matrices
 

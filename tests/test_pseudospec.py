@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import sys
 import threading
@@ -64,6 +63,14 @@ def _random_psd(n, seed, definite=True):
     if definite:
         out += 1e-6 * np.eye(n)
     return out
+
+
+def _one_point(series, kernel, lam, settings, start):
+    """The estimate at ``lam`` alone, as a one-point batch that starts from ``start``."""
+    covariance = pseudospec._Covariance(series, kernel)
+    gram = pseudospec._series_gram(series)
+    (est,) = pseudospec._estimate_points(gram, covariance.at, [lam], settings, starts=[start])
+    return est
 
 
 def _congruence_operator(n, seed, terms=4):
@@ -201,23 +208,16 @@ class TestPowerIterate:
         alone = bracket(q[1], s[1])
         assert (lo[1], hi[1]) == alone
 
-    def test_warm_start_validation(self):
-        apply_s = _congruence_operator(3, 15)
-        good = np.eye(3, dtype=complex) / 3
-        power_iterate(apply_s, 3, PowerIterSettings(warm_start=good))  # no raise
-        with pytest.raises(ShapeError, match="unit trace"):
-            power_iterate(apply_s, 3, PowerIterSettings(warm_start=np.eye(3, dtype=complex)))
-        bad_psd = np.diag([1.5, -0.5, 0.0]).astype(complex)
-        with pytest.raises(ShapeError, match="semidefinite"):
-            power_iterate(apply_s, 3, PowerIterSettings(warm_start=bad_psd))
-        with pytest.raises(ShapeError, match="shape"):
-            power_iterate(apply_s, 3, PowerIterSettings(warm_start=np.eye(2) / 2))
-
     def test_settings_validation(self):
         with pytest.raises(ShapeError):
             PowerIterSettings(rel_tol=0.0)
         with pytest.raises(ShapeError):
             PowerIterSettings(max_iters=0)
+
+    def test_equal_settings_compare_and_hash_equal(self):
+        a, b = PowerIterSettings(rel_tol=0.05, max_iters=7), PowerIterSettings(0.05, 7)
+        assert a == b and hash(a) == hash(b)
+        assert a != PowerIterSettings(rel_tol=0.05, max_iters=8)
 
 
 class TestAppliers:
@@ -487,24 +487,13 @@ class TestSweepEngine:
         warm = [None] * grid.n_im
         for j in range(grid.n_re):
             for i in range(grid.n_im):
-                point = dataclasses.replace(settings, warm_start=warm[i])
-                est = p_hat(res.point(i, j), series, kernel, point)
+                est = _one_point(series, kernel, res.point(i, j), settings, warm[i])
                 assert res.status[i, j] == est.status, (i, j)
                 assert res.iterations[i, j] == est.iterations, (i, j)
                 assert_allclose(
                     [res.lower[i, j], res.upper[i, j]], [est.lower, est.upper], rtol=1e-10
                 )
                 warm[i] = est.q_final if est.converged else None
-
-    def test_a_cell_without_a_converged_neighbour_starts_from_settings_warm_start(self):
-        series, kernel = self._data("complex")
-        q = _random_psd(3, 90)
-        settings = PowerIterSettings(rel_tol=0.05, warm_start=q / np.trace(q).real)
-        res = sweep(GridSpec(1.3, 1.3, 1, -0.2, 0.2, 3), series, kernel, settings)
-        for i in range(3):
-            est = p_hat(res.point(i, 0), series, kernel, settings)
-            assert (res.iterations[i, 0], res.status[i, 0]) == (est.iterations, est.status)
-            assert (res.lower[i, 0], res.upper[i, 0]) == (est.lower, est.upper)
 
     def test_real_iid_sweep_skips_the_complex_factors(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -676,8 +665,7 @@ class TestSweepEngine:
             assert np.array_equal(field[0], field[2])
         warm = None
         for j in range(grid.n_re):
-            point = dataclasses.replace(settings, warm_start=warm)
-            est = p_hat(res.point(0, j), series, kernel, point)
+            est = _one_point(series, kernel, res.point(0, j), settings, warm)
             assert res.status[0, j] == est.status, j
             assert res.iterations[0, j] == est.iterations, j
             assert_allclose([res.lower[0, j], res.upper[0, j]], [est.lower, est.upper], rtol=1e-10)
