@@ -495,6 +495,17 @@ class TestSweepEngine:
                 )
                 warm[i] = est.q_final if est.converged else None
 
+    def test_a_cell_without_a_converged_neighbour_starts_from_identity(self):
+        # A one-column sweep has no left neighbours, so every cell starts
+        # from I/N, as p_hat does.
+        series, kernel = self._data("complex")
+        settings = PowerIterSettings(rel_tol=0.05)
+        res = sweep(GridSpec(1.3, 1.3, 1, -0.2, 0.2, 3), series, kernel, settings)
+        for i in range(3):
+            est = p_hat(res.point(i, 0), series, kernel, settings)
+            assert (res.iterations[i, 0], res.status[i, 0]) == (est.iterations, est.status)
+            assert (res.lower[i, 0], res.upper[i, 0]) == (est.lower, est.upper)
+
     def test_real_iid_sweep_skips_the_complex_factors(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("complex path used")
