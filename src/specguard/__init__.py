@@ -48,8 +48,6 @@ from .pseudospec import (
     SweepResult,
     bracket,
     p_hat,
-    p_sym_fixed_q,
-    p_sym_lower,
     power_iterate,
     s_apply,
     s_star_apply,
@@ -63,11 +61,8 @@ from .stats import (
     chi2_cdf,
     cluster_eigenvalues,
     confidence_region,
-    counting_exponent,
     eig_test,
     p_value_from_mphat,
-    r_estimate,
-    sample_size_advice,
     spectrum_test,
 )
 from .variance import (
@@ -131,8 +126,6 @@ __all__ = [
     "s_apply",
     "s_star_apply",
     "p_hat",
-    "p_sym_fixed_q",
-    "p_sym_lower",
     "sweep",
     # stats
     "chi2_cdf",
@@ -145,9 +138,6 @@ __all__ = [
     "confidence_region",
     "ClusterReport",
     "cluster_eigenvalues",
-    "r_estimate",
-    "counting_exponent",
-    "sample_size_advice",
     # oracle
     "var_p_exact",
     "var_v_exact",

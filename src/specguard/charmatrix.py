@@ -178,9 +178,12 @@ def _invert_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _is_singular(rcond: float, n: int, floor: float | None) -> bool:
     """Whether rcond puts a matrix numerically on the singular set.
 
-    An exactly singular matrix (rcond 0) is singular under any floor.
+    An exactly singular matrix (rcond 0) is singular under any floor; a
+    floor that is not finite is rejected.
     """
     limit = rcond_floor(n) if floor is None else float(floor)
+    if not np.isfinite(limit):
+        raise ShapeError(f"rcond floor must be finite, got {floor}")
     return bool(rcond < limit or rcond == 0.0)
 
 

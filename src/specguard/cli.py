@@ -54,7 +54,7 @@ from .pseudospec import (
     _series_gram,
     sweep,
 )
-from .stats import cluster_eigenvalues, eig_test, spectrum_test
+from .stats import _check_alphas, cluster_eigenvalues, eig_test, spectrum_test
 from .variance import KernelSpec, default_mu_list, estimate_tau, window_length
 
 EXIT_OK = 0
@@ -286,6 +286,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     kernel, warnings = _resolve_kernel(args, series)
     settings = _settings(args)
     alphas = tuple(args.alpha) if args.alpha else (0.05, 0.01)
+    _check_alphas(alphas)
 
     rows = []
     if args.eigs:

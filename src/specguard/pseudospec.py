@@ -35,11 +35,10 @@ from typing import Callable
 import numpy as np
 
 from . import _blas
-from .charmatrix import CharContext, GramPair, char_context, char_contexts, gram_matrices
+from .charmatrix import CharContext, GramPair, char_contexts, gram_matrices
 from .errors import (
     AtEigenvalueError,
     DegenerateSError,
-    NotSPDError,
     ShapeError,
     UnsupportedModeError,
 )
@@ -71,8 +70,6 @@ __all__ = [
     "s_apply",
     "s_star_apply",
     "p_hat",
-    "p_sym_fixed_q",
-    "p_sym_lower",
     "sweep",
 ]
 
@@ -99,8 +96,8 @@ class PowerIterSettings:
     max_iters: int = 200
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0:
-            raise ShapeError(f"rel_tol must be positive, got {self.rel_tol}")
+        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0.0):
+            raise ShapeError(f"rel_tol must be positive and finite, got {self.rel_tol}")
         if self.max_iters < 1:
             raise ShapeError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -495,84 +492,6 @@ def p_hat(
     """
     (est,) = _series_estimates(series, kernel, [lam], settings, floor)
     return est
-
-
-def _spd_root(q: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Q^{1/2} of a Hermitian positive definite Q, with the eigenpairs (w, vecs) of Q.
-
-    Raises NotSPDError, naming ``what``, when Q is not positive definite.
-    """
-    w, vecs = np.linalg.eigh(q)
-    if w[0] <= 0.0:
-        raise NotSPDError(f"{what} must be positive definite (min eig {w[0]:.3e})")
-    return (vecs * np.sqrt(w)) @ vecs.conj().T, w, vecs
-
-
-@_blas.single_thread()
-def p_sym_fixed_q(
-    lam: complex,
-    q: np.ndarray,
-    series: SnapshotSeries,
-    kernel: KernelSpec,
-    floor: float | None = None,
-) -> float:
-    """Symmetrized fixed-direction lower bound on the pseudospectrum.
-
-    Evaluates min over the primal and adjoint Rayleigh bounds
-
-        1 / lambda_max(Q^{-1/2} S[Q] Q^{-1/2}),
-        1 / lambda_max(Q^{1/2} S*[Q^{-1}] Q^{1/2}),
-
-    for a fixed positive definite Q.  Supported for iid sampling kernels
-    only (the adjoint expansion requires it); for N = 1 both branches
-    collapse to the plain estimator.  The primal bound is the lower
-    endpoint of :func:`bracket` at Q.  Runs with BLAS on one thread (see
-    :mod:`specguard._blas`).
-
-    Raises
-    ------
-    DegenerateSError
-        If S[Q] is not positive definite, even after a round-off ridge.
-    """
-    if kernel.mode != "iid":
-        raise UnsupportedModeError("p_sym_fixed_q requires an iid kernel")
-    ctx = char_context(_series_gram(series), lam, floor)
-    if ctx.singular_flag:
-        return 0.0
-
-    q = _hermitize(np.asarray(q, dtype=complex))
-    root, w, vecs = _spd_root(q, "test matrix")
-    q_inv = (vecs / w) @ vecs.conj().T
-
-    primal, _ = bracket(q, s_apply(q, ctx, series, kernel))
-
-    s_star_qinv = s_star_apply(q_inv, ctx, series, kernel)
-    dual = np.linalg.eigvalsh(_hermitize(root @ s_star_qinv @ root))[-1]
-    return min(primal, 1.0 / dual if dual > 0.0 else float("inf"))
-
-
-def p_sym_lower(
-    lam: complex,
-    series: SnapshotSeries,
-    kernel: KernelSpec,
-    settings: PowerIterSettings | None = None,
-    floor: float | None = None,
-) -> float:
-    """Best symmetrized lower bound over candidate test directions.
-
-    Tries the converged power iterate (ridged to positive definite) and the
-    normalized identity, and reports the larger bound.  The result is a
-    lower bound on the symmetrized pseudospectrum, not a two-sided bracket.
-    """
-    est = p_hat(lam, series, kernel, settings, floor=floor)
-    if est.status == STATUS_AT_EIGENVALUE:
-        return 0.0
-    n = est.q_final.shape[0]
-    candidates = [np.eye(n, dtype=complex) / n]
-    if est.status in (STATUS_CONVERGED, STATUS_MAX_ITERS):
-        ridge = 1e-10 * float(np.trace(est.q_final).real) / n
-        candidates.append(est.q_final + ridge * np.eye(n))
-    return max(p_sym_fixed_q(lam, q, series, kernel, floor) for q in candidates)
 
 
 # ---------------------------------------------------------------------------

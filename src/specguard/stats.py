@@ -1,4 +1,4 @@
-"""Statistical tests and diagnostics built on the certified brackets.
+"""Statistical tests built on the certified brackets.
 
 The central quantity is M * P_hat(lambda): under the hypothesis that
 ``lambda`` belongs to the spectrum of the underlying operator, its tail is
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _blas
-from .charmatrix import _fit, char_context
+from .charmatrix import _fit
 from .errors import ShapeError
 from .ingest import SnapshotSeries
 from .pseudospec import (
@@ -31,12 +30,10 @@ from .pseudospec import (
     PEstimate,
     PowerIterSettings,
     SweepResult,
-    _check_off_spectrum,
     _series_estimates,
     _series_gram,
-    _spd_root,
 )
-from .variance import KernelSpec, _check_window, _hermitize, _sample_factors
+from .variance import KernelSpec, _check_window
 
 __all__ = [
     "chi2_cdf",
@@ -50,11 +47,6 @@ __all__ = [
     "Cluster",
     "ClusterReport",
     "cluster_eigenvalues",
-    "r_estimate",
-    "CountingBound",
-    "counting_exponent",
-    "SampleSizeAdvice",
-    "sample_size_advice",
 ]
 
 #: ratio of neighboring bracket values that flags a possibly under-resolved grid.
@@ -93,6 +85,13 @@ def p_value_from_mphat(c: np.ndarray | float) -> np.ndarray | float:
         raise ValueError("M * P_hat must be >= 0")
     out = np.maximum(_erfc(np.sqrt(ca / 2.0)), np.exp(-ca))
     return out if np.ndim(c) else float(out)
+
+
+def _check_alphas(alphas) -> None:
+    """Raise ShapeError unless every test level lies in (0, 1]."""
+    for alpha in alphas:
+        if not 0.0 < alpha <= 1.0:
+            raise ShapeError(f"alpha must be in (0, 1], got {alpha}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,8 +142,10 @@ def eig_test(
 
     Uses the certified lower endpoint, so a bracket that merely ran out of
     iterations still yields a valid (if weaker) test.  A degenerate bracket
-    is reported as not testable rather than silently accepted.
+    is reported as not testable rather than silently accepted.  Every
+    level in ``alphas`` must lie in (0, 1].
     """
+    _check_alphas(alphas)
     if m_samples < 1:
         raise ShapeError(f"m_samples must be >= 1, got {m_samples}")
     if estimate.status == STATUS_DEGENERATE_S:
@@ -207,7 +208,9 @@ def spectrum_test(
     the estimates run with BLAS on one thread (see :mod:`specguard._blas`)
     and share the series' Gram matrices; the estimates at all eigenvalues
     are one batch, whose characteristic matrices are inverted in one call.
+    A level in ``alphas`` outside (0, 1] raises before the fit too.
     """
+    _check_alphas(alphas)
     _check_window(kernel, series.M)
     modes, rcond = _fit(_series_gram(series), floor)
     vals = np.array([m.eigenvalue for m in modes])
@@ -287,8 +290,7 @@ def confidence_region(
     there: p(M * lower) > alpha.  At alpha = 1 the region is empty; as
     alpha decreases the region grows.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ShapeError(f"alpha must be in (0, 1], got {alpha}")
+    _check_alphas((alpha,))
     vals = m_samples * np.clip(sweep_result.lower, 0.0, None)
     pvals = np.asarray(p_value_from_mphat(vals))
     trusted = np.isin(
@@ -478,104 +480,3 @@ def _under_resolution_note(
                 f"{vals[ii, jj] / vals[i, j]:.1f}x at a neighboring cell"
             ]
     return []
-
-
-# ---------------------------------------------------------------------------
-# Concentration diagnostics
-# ---------------------------------------------------------------------------
-
-
-@_blas.single_thread()
-def r_estimate(
-    lam: complex, q: np.ndarray, series: SnapshotSeries, floor: float | None = None
-) -> float:
-    """Empirical concentration radius max_m ||Q^{1/2}(C^{-1}C_m - I)Q^{-1/2}||.
-
-    Each per-sample matrix is a rank-one update of -I, so its norm reduces
-    to a 2x2 block on span{a_m, v_m} (plus 1 whenever a complement
-    direction exists); total cost O(M N^2) instead of M singular value
-    decompositions.  Runs with BLAS on one thread (see :mod:`specguard._blas`).
-    """
-    ctx = char_context(_series_gram(series), lam, floor)
-    _check_off_spectrum(ctx, "the concentration radius")
-    root, w, vecs = _spd_root(_hermitize(np.asarray(q, dtype=complex)), "q")
-    inv_root = (vecs / np.sqrt(w)) @ vecs.conj().T
-
-    n, m = series.N, series.M
-    ut, vt = _sample_factors(series, lam)
-    a_cols = root @ ctx.solve(ut)      # Q^{1/2} C^{-1} u_m
-    v_cols = inv_root @ vt             # Q^{-1/2} v_m
-
-    if n == 1:
-        return float(np.max(np.abs(a_cols[0] * v_cols[0].conj() - 1.0)))
-
-    n1 = np.linalg.norm(a_cols, axis=0)
-    n2 = np.linalg.norm(v_cols, axis=0)
-    ip = np.sum(a_cols.conj() * v_cols, axis=0)           # <a_m, v_m>
-    safe_n1 = np.where(n1 > 0.0, n1, 1.0)
-    resid2 = np.clip(n2**2 - np.abs(ip) ** 2 / safe_n1**2, 0.0, None)
-    off = np.where(n1 > 0.0, n1 * np.sqrt(resid2), 0.0)
-    diag = np.where(n1 > 0.0, ip.conj() - 1.0, -1.0)
-
-    blocks = np.zeros((m, 2, 2), dtype=complex)
-    blocks[:, 0, 0] = diag
-    blocks[:, 0, 1] = off
-    blocks[:, 1, 1] = -1.0
-    sigmas = np.linalg.svd(blocks, compute_uv=False)[:, 0]
-    best = float(np.max(sigmas))
-    if n > 2:
-        best = max(best, 1.0)
-    return best
-
-
-@dataclass(frozen=True)
-class CountingBound:
-    """Exponential bound on the probability of a spurious eigenvalue."""
-
-    exponent: float
-    probability_bound: float
-    note: str
-
-
-def counting_exponent(p_star: float, r_est: float, m_samples: int) -> CountingBound:
-    """Tail exponent for observing an eigenvalue where P >= p_star.
-
-    exponent = (p_star / 2) * M / (1 + p_star * r_est / 3); the probability
-    of a spurious eigenvalue in that region is at most a constant times
-    exp(-exponent).  Requires independent snapshot pairs.
-    """
-    if p_star <= 0.0:
-        raise ShapeError(f"p_star must be positive, got {p_star}")
-    if r_est < 0.0:
-        raise ShapeError(f"r_est must be >= 0, got {r_est}")
-    if m_samples < 1:
-        raise ShapeError(f"m_samples must be >= 1, got {m_samples}")
-    exponent = (p_star / 2.0) * m_samples / (1.0 + p_star * r_est / 3.0)
-    return CountingBound(
-        exponent=float(exponent),
-        probability_bound=float(math.exp(-exponent)),
-        note=(
-            "bound holds up to an absolute constant prefactor and assumes "
-            "independent snapshot pairs"
-        ),
-    )
-
-
-@dataclass(frozen=True)
-class SampleSizeAdvice:
-    """Minimum sample sizes for a target pseudospectrum resolution."""
-
-    m_variance: int      # 2 / p_star: resolve P ~ p_star against noise
-    m_dimension: int     # 2 sqrt(N / p_star): dimension-dependent floor
-    recommended: int
-
-
-def sample_size_advice(p_star: float, n_dim: int) -> SampleSizeAdvice:
-    """Advise on M for resolving pseudospectrum values of size ``p_star``."""
-    if p_star <= 0.0:
-        raise ShapeError(f"p_star must be positive, got {p_star}")
-    if n_dim < 1:
-        raise ShapeError(f"n_dim must be >= 1, got {n_dim}")
-    m1 = math.ceil(2.0 / p_star - 1e-12)
-    m2 = math.ceil(2.0 * math.sqrt(n_dim / p_star) - 1e-12)
-    return SampleSizeAdvice(m_variance=m1, m_dimension=m2, recommended=max(m1, m2))

@@ -224,8 +224,8 @@ def window_length(tau: float, m_samples: int) -> int:
     L = round((16 M tau^4 / pi^4)^(1/5)), floored at 1 and capped at
     floor(sqrt(M)).
     """
-    if tau <= 0.0:
-        raise ShapeError(f"tau must be positive, got {tau}")
+    if not (np.isfinite(tau) and tau > 0.0):
+        raise ShapeError(f"tau must be positive and finite, got {tau}")
     if m_samples < 2:
         raise ShapeError(f"m_samples must be >= 2, got {m_samples}")
     raw = (16.0 * m_samples * tau**4 / np.pi**4) ** 0.2

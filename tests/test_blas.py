@@ -119,9 +119,7 @@ def test_row_pool_runs_on_one_thread_and_restores(two_threads, monkeypatch):
     assert _counts() == [2] * len(COPIES)
 
 
-@pytest.mark.parametrize(
-    "entry", ["sweep", "p_hat", "spectrum_test", "p_sym_fixed_q", "p_sym_lower", "r_estimate"]
-)
+@pytest.mark.parametrize("entry", ["sweep", "p_hat", "spectrum_test"])
 def test_fit_and_char_context_run_on_one_thread(two_threads, monkeypatch, entry):
     seen = {}
 
@@ -136,19 +134,13 @@ def test_fit_and_char_context_run_on_one_thread(two_threads, monkeypatch, entry)
         for name in ("gram_matrices", "char_context", "char_contexts", "edmd_matrix", "eigensystem"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
-    series, q = _series(real=True), np.eye(4, dtype=complex) / 4
+    series = _series(real=True)
     if entry == "sweep":
         sweep(GridSpec(1.1, 1.5, 3, -0.3, 0.3, 3), series, KernelSpec.iid())
     elif entry == "p_hat":
         p_hat(1.3 + 0.2j, series, KernelSpec.iid())
-    elif entry == "spectrum_test":
-        stats.spectrum_test(series, KernelSpec.iid())
-    elif entry == "p_sym_fixed_q":
-        pseudospec.p_sym_fixed_q(1.3 + 0.2j, q, series, KernelSpec.iid())
-    elif entry == "p_sym_lower":
-        pseudospec.p_sym_lower(1.3 + 0.2j, series, KernelSpec.iid())
     else:
-        stats.r_estimate(1.3 + 0.2j, q, series)
+        stats.spectrum_test(series, KernelSpec.iid())
     # Every entry point inverts its characteristic matrices through char_contexts.
     assert {"gram_matrices", "char_contexts"} <= set(seen)
     if entry == "spectrum_test":

@@ -258,6 +258,15 @@ class TestCharContexts:
         flags = [c.singular_flag for c in char_contexts(g, lams, floor=np.mean(rcs))]
         assert flags == [rc == min(rcs) for rc in rcs]
 
+    @pytest.mark.parametrize("floor", [np.nan, np.inf, -np.inf])
+    def test_non_finite_floor_rejected(self, floor):
+        # A NaN floor would otherwise flag no point and no Gram as singular.
+        g = gram_matrices(_series(m=100, n=3, seed=16))
+        with pytest.raises(ShapeError, match="rcond floor must be finite"):
+            char_contexts(g, [1.1 + 0.2j], floor=floor)
+        with pytest.raises(ShapeError, match="rcond floor must be finite"):
+            edmd_matrix(g, floor=floor)
+
     def test_scalar_case(self):
         a = np.ones((4, 1)) * 2.0
         g = gram_matrices(SnapshotSeries(a, a, "iid"))

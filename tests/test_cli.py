@@ -305,6 +305,39 @@ class TestTest:
         lams = [complex(row["lambda"]["re"], row["lambda"]["im"]) for row in rows[4:]]
         assert lams == [1.3, 0.5 + 0.5j, -1.2]
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--tau", "nan"], "tau must be positive and finite"),
+            (["--tau", "inf"], "tau must be positive and finite"),
+            (["--iid", "--tol", "nan"], "rel_tol must be positive and finite"),
+            (["--iid", "--rcond-floor", "nan"], "rcond floor must be finite"),
+            (["--iid", "--alpha", "7"], "alpha must be in (0, 1]"),
+        ],
+        ids=["tau-nan", "tau-inf", "tol-nan", "rcond-floor-nan", "alpha-7"],
+    )
+    def test_bad_setting_fails(self, traj_csv, tmp_path, capsys, flags, message):
+        out = tmp_path / "r.json"
+        code, _, err = _run(capsys, "test", "--data", traj_csv, "--eigs", *flags, "--out", str(out))
+        assert code == 3
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_a_bad_alpha_fails_before_any_estimate(self, var_csv, tmp_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an estimate ran before the alpha check")
+
+        monkeypatch.setattr(pseudospec, "char_contexts", forbidden)
+        out = tmp_path / "t.json"
+        code, _, err = _run(
+            capsys, "test", "--data", var_csv, "--iid", "--lambda", "1.5",
+            "--alpha", "0.05", "--alpha", "7", "--out", str(out),
+        )
+        assert code == 3
+        assert "alpha must be in (0, 1], got 7.0" in err
+        assert not out.exists()
+
     def test_requires_a_target(self, var_csv, tmp_path, capsys):
         code, _, err = _run(
             capsys, "test", "--data", var_csv, "--iid", "--out", str(tmp_path / "r.json")

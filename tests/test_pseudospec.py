@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 from specguard.charmatrix import char_context, edmd_matrix, eigensystem, gram_matrices
 from specguard.errors import (
     AtEigenvalueError,
-    NotSPDError,
     NumericError,
     ShapeError,
     UnsupportedModeError,
@@ -33,8 +32,6 @@ from specguard.pseudospec import (
     _pencil,
     bracket,
     p_hat,
-    p_sym_fixed_q,
-    p_sym_lower,
     power_iterate,
     s_apply,
     s_star_apply,
@@ -213,6 +210,9 @@ class TestPowerIterate:
             PowerIterSettings(rel_tol=0.0)
         with pytest.raises(ShapeError):
             PowerIterSettings(max_iters=0)
+        for rel_tol in (np.nan, np.inf):
+            with pytest.raises(ShapeError, match="rel_tol must be positive and finite"):
+                PowerIterSettings(rel_tol=rel_tol)
 
     def test_equal_settings_compare_and_hash_equal(self):
         a, b = PowerIterSettings(rel_tol=0.05, max_iters=7), PowerIterSettings(0.05, 7)
@@ -319,49 +319,6 @@ class TestPHat:
         lam = eigensystem(edmd_matrix(gram_matrices(s))[0])[0].eigenvalue
         assert p_hat(lam, s, KernelSpec.iid()).status == STATUS_AT_EIGENVALUE
         assert "real_iid" not in s._memo._values
-
-
-class TestPSym:
-    def test_scalar_case_collapses_to_p_hat(self):
-        s = _series(300, 1, seed=40)
-        lam = 1.7 + 0.2j
-        est = p_hat(lam, s, KernelSpec.iid())
-        val = p_sym_fixed_q(lam, np.array([[1.0]]), s, KernelSpec.iid())
-        assert_allclose(val, est.lower, rtol=1e-10)
-        assert_allclose(est.upper, est.lower, rtol=1e-10)
-
-    def test_lower_bounds_p_hat(self):
-        # the symmetrized quantity never exceeds the plain one
-        for seed in (50, 51, 52):
-            s = _series(160, 3, seed=seed)
-            lam = 1.2 - 0.35j
-            est = p_hat(lam, s, KernelSpec.iid(), PowerIterSettings(rel_tol=1e-8, max_iters=500))
-            val = p_sym_fixed_q(lam, np.eye(3), s, KernelSpec.iid())
-            assert val <= est.upper * (1.0 + 1e-9)
-
-    def test_best_candidate_at_least_identity(self):
-        s = _series(150, 3, seed=53)
-        lam = 1.3 + 0.2j
-        at_identity = p_sym_fixed_q(lam, np.eye(3), s, KernelSpec.iid())
-        best = p_sym_lower(lam, s, KernelSpec.iid())
-        assert best >= at_identity - 1e-12
-
-    def test_rejects_windowed_kernel(self):
-        s = _series(80, 2, seed=54)
-        with pytest.raises(UnsupportedModeError):
-            p_sym_fixed_q(1.2, np.eye(2), s, KernelSpec.windowed(2))
-
-    def test_rejects_singular_q(self):
-        s = _series(80, 2, seed=55)
-        with pytest.raises(NotSPDError):
-            p_sym_fixed_q(1.2, np.diag([1.0, 0.0]), s, KernelSpec.iid())
-
-    def test_zero_at_eigenvalue(self):
-        s = _series(90, 3, seed=56)
-        g = gram_matrices(s)
-        lam = eigensystem(edmd_matrix(g)[0])[0].eigenvalue
-        assert p_sym_fixed_q(lam, np.eye(3), s, KernelSpec.iid()) == 0.0
-        assert p_sym_lower(lam, s, KernelSpec.iid()) == 0.0
 
 
 class TestGridSpec:
@@ -554,7 +511,6 @@ class TestSweepEngine:
         res = sweep(GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3), series, kernel)
         assert np.all(res.status == STATUS_CONVERGED)
         assert (len(builds), len(grams)) == (1, 1)
-        p_sym_lower(1.3 + 0.1j, series, kernel)
         stats.spectrum_test(series, kernel)
         assert (len(builds), len(grams)) == (1, 1)
 
@@ -630,11 +586,9 @@ class TestSweepEngine:
             columns.append(lams)
             return build(gram, lams, floor)
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("per-point char_context in a sweep")
-
+        # The sweep module has no per-point factorization to reach.
+        assert not hasattr(pseudospec, "char_context")
         monkeypatch.setattr(pseudospec, "char_contexts", recording)
-        monkeypatch.setattr(pseudospec, "char_context", forbidden)
         series, kernel = self._data("real")
         grid = GridSpec(1.1, 1.5, 41, -0.2, 0.2, 3)
         res = sweep(grid, series, kernel, PowerIterSettings(max_iters=1))

@@ -20,8 +20,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats as scipy_stats
 from scipy.special import erfc
 
-from specguard.charmatrix import gram_matrices
-from specguard.errors import AtEigenvalueError, NotSPDError, ShapeError, WindowTooLargeError
+from specguard import stats
+from specguard.errors import ShapeError, WindowTooLargeError
 from specguard.ingest import SnapshotSeries
 from specguard.pseudospec import (
     PEstimate,
@@ -36,11 +36,8 @@ from specguard.stats import (
     chi2_cdf,
     cluster_eigenvalues,
     confidence_region,
-    counting_exponent,
     eig_test,
     p_value_from_mphat,
-    r_estimate,
-    sample_size_advice,
     spectrum_test,
 )
 from specguard.variance import KernelSpec
@@ -193,6 +190,11 @@ class TestEigTest:
         with pytest.raises(ShapeError, match="m_samples"):
             eig_test(1.0, _estimate(0.0), m_samples=0)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 7.0, math.nan])
+    def test_alpha_validation(self, alpha):
+        with pytest.raises(ShapeError, match="alpha"):
+            eig_test(1.0, _estimate(0.0), m_samples=10, alphas=(0.05, alpha))
+
 
 class TestSpectrumTest:
     def test_edmd_eigenvalues_are_never_rejected(self):
@@ -213,6 +215,15 @@ class TestSpectrumTest:
         series = _series(50, 3, seed=5)
         with pytest.raises(WindowTooLargeError, match="half-width 60 >= M=50"):
             spectrum_test(series, KernelSpec.windowed(60))
+
+    def test_bad_alpha_raises_before_the_fit(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fit or estimate ran before the alpha check")
+
+        monkeypatch.setattr(stats, "_fit", forbidden)
+        monkeypatch.setattr(stats, "_series_estimates", forbidden)
+        with pytest.raises(ShapeError, match="alpha"):
+            spectrum_test(_series(50, 3, seed=5), KernelSpec.iid(), alphas=(0.05, 7.0))
 
     def test_repeated_eigenvalue_flags_conjecture(self):
         rng = np.random.default_rng(11)
@@ -447,139 +458,3 @@ class TestLabelComponents:
         after_import, codes, after_runs = json.loads(proc.stdout.strip().splitlines()[-1])
         assert codes == [0, 0, 0]
         assert after_import == after_runs == []
-
-
-def _dense_radius(lam, q, series):
-    """Reference max_m ||Q^{1/2}(C^{-1}C_m - I)Q^{-1/2}||_2 via full SVDs."""
-    gram = gram_matrices(series)
-    c_hat = lam * gram.psi_xx - gram.psi_xy
-    qh = 0.5 * (np.asarray(q, dtype=complex) + np.asarray(q, dtype=complex).conj().T)
-    w, vecs = np.linalg.eigh(qh)
-    root = (vecs * np.sqrt(w)) @ vecs.conj().T
-    inv_root = (vecs / np.sqrt(w)) @ vecs.conj().T
-    cinv = np.linalg.inv(c_hat)
-    eye = np.eye(series.N)
-    best = 0.0
-    for m in range(series.M):
-        u = series.a[m]
-        v = np.conj(lam) * series.a[m] - series.b[m]
-        mat = root @ cinv @ np.outer(u, v.conj()) @ inv_root - eye
-        best = max(best, float(np.linalg.svd(mat, compute_uv=False)[0]))
-    return best
-
-
-class TestREstimate:
-    def test_matches_dense_svd_oracle(self):
-        rng = np.random.default_rng(21)
-        series = _series(40, 3, seed=21)
-        w = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        q = w @ w.conj().T / 3 + 0.1 * np.eye(3)
-        lam = 1.7 + 0.3j
-        assert_allclose(
-            r_estimate(lam, q, series), _dense_radius(lam, q, series), rtol=1e-10
-        )
-
-    def test_matches_dense_oracle_without_complement(self):
-        # N = 2: every per-sample matrix is full size, no padded direction.
-        series = _series(60, 2, seed=8)
-        q = np.diag([1.0, 3.0]).astype(complex)
-        lam = 2.0 - 0.5j
-        assert_allclose(
-            r_estimate(lam, q, series), _dense_radius(lam, q, series), rtol=1e-10
-        )
-
-    def test_scalar_branch(self):
-        series = _series(50, 1, seed=2)
-        q = np.array([[2.0]], dtype=complex)
-        lam = 1.3 + 0.0j
-        assert_allclose(
-            r_estimate(lam, q, series), _dense_radius(lam, q, series), rtol=1e-12
-        )
-
-    def test_complement_direction_floors_at_one(self):
-        series = _series(30, 4, seed=9)
-        q = np.eye(4, dtype=complex)
-        r = r_estimate(2.5 + 0.0j, q, series)
-        assert r >= 1.0
-        assert_allclose(r, _dense_radius(2.5 + 0.0j, q, series), rtol=1e-10)
-
-    def test_hermitizes_q(self):
-        rng = np.random.default_rng(4)
-        series = _series(40, 3, seed=4)
-        q = np.eye(3) + 0.2 * np.diag([1.0, 2.0, 3.0])
-        skew = rng.normal(size=(3, 3))
-        skew = skew - skew.T
-        assert_allclose(
-            r_estimate(1.5, q + skew, series),
-            r_estimate(1.5, q, series),
-            rtol=1e-12,
-        )
-
-    def test_at_eigenvalue_raises(self):
-        rng = np.random.default_rng(6)
-        a = rng.normal(size=(80, 2)) + 1j * rng.normal(size=(80, 2))
-        series = SnapshotSeries(a, a * np.array([0.5, 0.8]), "iid")
-        with pytest.raises(AtEigenvalueError, match="eigenvalue"):
-            r_estimate(0.5 + 0.0j, np.eye(2), series)
-
-    def test_indefinite_q_rejected(self):
-        series = _series(40, 2, seed=1)
-        with pytest.raises(NotSPDError, match="positive definite"):
-            r_estimate(1.5, np.diag([1.0, -1.0]), series)
-        with pytest.raises(NotSPDError, match="positive definite"):
-            r_estimate(1.5, np.diag([1.0, 0.0]), series)
-
-
-class TestCountingExponent:
-    def test_pin_without_concentration_penalty(self):
-        bound = counting_exponent(0.01, 0.0, 1000)
-        assert_allclose(bound.exponent, 5.0, rtol=1e-15)
-        assert_allclose(bound.probability_bound, math.exp(-5.0), rtol=1e-15)
-
-    def test_pin_with_radius(self):
-        bound = counting_exponent(0.05, 3.0, 500)
-        # (0.025 * 500) / (1 + 0.05 * 3 / 3) = 12.5 / 1.05
-        assert_allclose(bound.exponent, 12.5 / 1.05, rtol=1e-14)
-
-    def test_radius_only_weakens_the_bound(self):
-        base = counting_exponent(0.05, 0.0, 500)
-        worse = counting_exponent(0.05, 10.0, 500)
-        assert worse.exponent < base.exponent
-        assert worse.probability_bound > base.probability_bound
-
-    def test_note_states_independence_assumption(self):
-        assert "independent" in counting_exponent(0.1, 1.0, 100).note
-
-    def test_validation(self):
-        with pytest.raises(ShapeError, match="p_star"):
-            counting_exponent(0.0, 1.0, 100)
-        with pytest.raises(ShapeError, match="r_est"):
-            counting_exponent(0.1, -1.0, 100)
-        with pytest.raises(ShapeError, match="m_samples"):
-            counting_exponent(0.1, 1.0, 0)
-
-
-class TestSampleSizeAdvice:
-    @pytest.mark.parametrize(
-        "p_star, n_dim, expected",
-        [
-            (0.01, 100, (200, 200, 200)),
-            (0.04, 16, (50, 40, 50)),
-            (1.0, 1, (2, 2, 2)),
-        ],
-    )
-    def test_pins(self, p_star, n_dim, expected):
-        advice = sample_size_advice(p_star, n_dim)
-        assert (advice.m_variance, advice.m_dimension, advice.recommended) == expected
-
-    def test_dimension_term_can_dominate(self):
-        advice = sample_size_advice(0.5, 100)
-        assert advice.m_variance == 4
-        assert advice.m_dimension == math.ceil(2.0 * math.sqrt(200.0))
-        assert advice.recommended == advice.m_dimension
-
-    def test_validation(self):
-        with pytest.raises(ShapeError, match="p_star"):
-            sample_size_advice(0.0, 4)
-        with pytest.raises(ShapeError, match="n_dim"):
-            sample_size_advice(0.1, 0)

@@ -182,6 +182,9 @@ class TestWindowLength:
             window_length(0.0, 100)
         with pytest.raises(ShapeError):
             window_length(1.0, 1)
+        for tau in (np.nan, np.inf):
+            with pytest.raises(ShapeError, match="tau must be positive and finite"):
+                window_length(tau, 100)
 
 
 class TestEstimateTau:
