@@ -73,7 +73,6 @@ from .variance import (
     metastability_kernel,
     variance_apply,
     variance_apply_naive,
-    variance_exact_iid,
     window_length,
 )
 
@@ -115,7 +114,6 @@ __all__ = [
     "estimate_tau",
     "variance_apply",
     "variance_apply_naive",
-    "variance_exact_iid",
     # pseudospec
     "PowerIterSettings",
     "PEstimate",

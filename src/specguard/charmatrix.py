@@ -7,8 +7,8 @@ The characteristic matrix at a complex point ``lam`` is
 which is singular exactly when ``lam`` is an eigenvalue of the EDMD matrix
 ``K = Psi_XX^{-1} Psi_XY``.  Downstream code only ever needs C(lam)^{-1}
 applied to small N x N or (N, M) blocks, many times at each point, so this
-module inverts each characteristic matrix once and hands out a context
-whose solves are matrix products.
+module inverts each characteristic matrix once, so that every later solve
+is a matrix product.
 
 Observable dictionaries routinely mix scales (a constant next to cubed state
 variables), which makes the raw Gram look far more singular than it is.
@@ -19,11 +19,11 @@ measure intrinsic near-dependence between observables rather than scale
 imbalance.  ``rcond`` is the exact reciprocal 1-norm condition number
 ``1 / (||A||_1 ||A^{-1}||_1)``, taken from the inverse, not an estimate.
 
-:func:`char_contexts` builds the contexts of many points at once, as a grid
-sweep needs them a column at a time: the equilibrated matrices, their
-1-norms and their inverses are each formed as one stack.
-:func:`char_context` is the same code at a single point, and
-:func:`edmd_matrix` takes the rcond of Psi_XX the same way.
+:func:`char_contexts` inverts many points at once, as a grid sweep needs
+them a column at a time, and returns stacks that the batched estimator of
+:mod:`specguard.pseudospec` reads directly.  :func:`char_context` wraps its
+one-point result in a :class:`CharContext`, and :func:`edmd_matrix` takes
+the rcond of Psi_XX the same way.
 """
 
 from __future__ import annotations
@@ -175,8 +175,8 @@ def _invert_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv, rcond
 
 
-def _is_singular(rcond: float, n: int, floor: float | None) -> bool:
-    """Whether rcond puts a matrix numerically on the singular set.
+def _is_singular(rcond, n: int, floor: float | None):
+    """Whether each rcond (a scalar or an array) puts its matrix on the singular set.
 
     An exactly singular matrix (rcond 0) is singular under any floor; a
     floor that is not finite is rejected.
@@ -184,7 +184,7 @@ def _is_singular(rcond: float, n: int, floor: float | None) -> bool:
     limit = rcond_floor(n) if floor is None else float(floor)
     if not np.isfinite(limit):
         raise ShapeError(f"rcond floor must be finite, got {floor}")
-    return bool(rcond < limit or rcond == 0.0)
+    return (rcond < limit) | (rcond == 0.0)
 
 
 @dataclass(frozen=True)
@@ -217,20 +217,21 @@ class CharContext:
         return self.inv @ rhs
 
 
-def char_contexts(
-    gram: GramPair, lams, floor: float | None = None
-) -> list[CharContext]:
+def char_contexts(gram: GramPair, lams, floor: float | None = None) -> tuple[np.ndarray, ...]:
     """Invert C(lam) at each point of ``lams`` for repeated solves there.
 
-    The contexts of all points are built in one pass: the equilibration
-    scale once, then the characteristic and equilibrated matrices, their
-    1-norms and their inverses, each as one stack.  ``floor`` overrides the
-    default ``rcond_floor(N)`` singularity threshold.
+    All points are done in one pass: the equilibration scale once, then the
+    characteristic and equilibrated matrices, their 1-norms and their
+    inverses, each as one stack.  ``floor`` overrides the default
+    ``rcond_floor(N)`` singularity threshold.  Returns the stacks
+    ``(lams, c_hat, inv, rcond, singular)``, one entry per point: the
+    points, C(lam), C(lam)^{-1} as :class:`CharContext` describes it, rcond
+    and the singular flags.
 
     Raises
     ------
     ShapeError
-        If a point is not finite.
+        If a point is not finite, or the floor is not.
     NumericError
         If C(lam) overflows at a point.
     """
@@ -244,24 +245,16 @@ def char_contexts(
         c_hat = lams[:, np.newaxis, np.newaxis] * gram.psi_xx - gram.psi_xy
         eq = c_hat / ss
     inv_eq, rcond = _invert_stack(eq)
-    return [
-        CharContext(
-            lam=complex(lam),
-            c_hat=c,
-            inv=inv_k,
-            rcond=float(rc),
-            singular_flag=_is_singular(rc, gram.dim, floor),
-        )
-        for lam, c, inv_k, rc in zip(lams, c_hat, inv_eq / ss, rcond)
-    ]
+    return lams, c_hat, inv_eq / ss, rcond, _is_singular(rcond, gram.dim, floor)
 
 
 def char_context(gram: GramPair, lam: complex, floor: float | None = None) -> CharContext:
     """Invert C(lam) once for repeated solves at a fixed spectral point.
 
-    The one-point case of :func:`char_contexts`, whose errors it raises.
+    The one-point result of :func:`char_contexts`, whose errors it raises.
     """
-    return char_contexts(gram, [lam], floor)[0]
+    (lam,), (c_hat,), (inv,), (rcond,), (singular,) = char_contexts(gram, [lam], floor)
+    return CharContext(complex(lam), c_hat, inv, float(rcond), bool(singular))
 
 
 class EigenMode(NamedTuple):

@@ -50,11 +50,12 @@ from .pseudospec import (
     GridSpec,
     PowerIterSettings,
     SweepResult,
+    _check_log_time,
     _series_estimates,
     _series_gram,
     sweep,
 )
-from .stats import _check_alphas, cluster_eigenvalues, eig_test, spectrum_test
+from .stats import _check_alphas, _check_level, cluster_eigenvalues, eig_test, spectrum_test
 from .variance import KernelSpec, default_mu_list, estimate_tau, window_length
 
 EXIT_OK = 0
@@ -263,6 +264,8 @@ def _status_counts(result: SweepResult) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.log_time is not None:
+        _check_log_time(args.log_time)
     _, kernel, warnings, result = _grid_sweep(args)
     artifact = {
         "schema": "specguard/v1/sweep",
@@ -318,6 +321,7 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
+    _check_level(args.level)
     series, kernel, warnings, result = _grid_sweep(args)
     modes, _ = _fit(_series_gram(series), args.rcond_floor)
     eigs = [m.eigenvalue for m in modes]

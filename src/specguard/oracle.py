@@ -33,7 +33,7 @@ from .pseudospec import (
     p_hat,
     s_apply,
 )
-from .variance import KernelSpec, variance_exact_iid
+from .variance import KernelSpec, _hermitize
 
 __all__ = [
     "var_p_exact",
@@ -98,7 +98,7 @@ def var_v_exact(spec: VarSpec, lam: complex, q: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class VarMoments:
-    """Exact-moment handle for a VAR spec (plugs into variance_exact_iid)."""
+    """Exact population moments of a VAR spec: its Gram pair, C(lam) and E[C_w^* Q C_w]."""
 
     spec: VarSpec
 
@@ -129,7 +129,7 @@ def _exact_estimate(
 ) -> PEstimate:
     """The certified estimate at ``lam`` whose V, exact, is ``v`` of one matrix."""
     (est,) = _estimate_points(
-        gram, lambda ctxs: lambda live, w: v(w[0])[np.newaxis], [lam], settings
+        gram, lambda lams, c_hat: lambda live, w: v(w[0])[np.newaxis], [lam], settings
     )
     return est
 
@@ -158,8 +158,8 @@ class QuadratureMoments:
     accurate for smooth periodic integrands; ``n_nodes >= 4 N`` is enforced
     and node doubling is the standard self-convergence check.
 
-    Exposes ``psi_xx``/``psi_xy`` plus the exact-moment protocol
-    (``c_matrix``, ``expected_chc``) consumed by ``variance_exact_iid``.
+    Exposes ``psi_xx``/``psi_xy``, ``c_matrix`` and ``expected_chc``, from
+    which ``exact_v`` forms the population covariance.
     """
 
     def __init__(
@@ -203,7 +203,9 @@ class QuadratureMoments:
         return (vt * s[np.newaxis, :]) @ vt.conj().T / self.n_nodes
 
     def exact_v(self, lam: complex, q: np.ndarray) -> np.ndarray:
-        return variance_exact_iid(q, lam, self)
+        """Population covariance V[Q] = E[C_w^* Q C_w] - C^* Q C."""
+        c = self.c_matrix(lam)
+        return _hermitize(self.expected_chc(lam, q) - c.conj().T @ np.asarray(q, complex) @ c)
 
     def p_exact(
         self, lam: complex, settings: PowerIterSettings | None = None

@@ -14,12 +14,13 @@ converged or not.
 Every estimate enters the iteration through :func:`_estimate_points`,
 which runs a batch of points in lockstep: a sweep's grid column, every
 EDMD eigenvalue of a spectrum test, or one point.  It inverts the batch's
-characteristic matrices in one call, pins the points on the spectrum to
-``at_eigenvalue`` and iterates the rest.  Within a batch the congruence
-with C^{-1}, the application of V and the pencil bracket are stacked
-numpy linalg calls, except that V goes point by point from the
-per-sample factors of :mod:`specguard.variance` on every route but the
-real iid one (see :class:`_Covariance`).
+characteristic matrices in one :func:`~specguard.charmatrix.char_contexts`
+call, pins the points on the spectrum to ``at_eigenvalue`` and iterates
+the rest on the stacks that call returns; no per-point context object is
+built.  Within a batch the congruence with C^{-1}, the application of V
+and the pencil bracket are stacked numpy linalg calls, except that V goes
+point by point from the per-sample factors of :mod:`specguard.variance`
+on every route but the real iid one (see :func:`_covariance`).
 
 Positivity is tested in one place: the pencil's Cholesky factorization of
 S[Q].  An S[Q] that fails it by round-off gets a ridge of 1e-12 tr/N (its
@@ -309,7 +310,7 @@ def s_apply(
     per-sample factors at ctx's point.
     """
     _check_off_spectrum(ctx, "S")
-    w = _congruence([ctx])(np.array([0]), np.asarray(q, dtype=complex)[np.newaxis])[0]
+    w = _congruence(ctx.inv, np.asarray(q, dtype=complex))
     return variance_apply(w, ctx.lam, series, kernel).result
 
 
@@ -340,19 +341,9 @@ def s_star_apply(
     return _hermitize((t1 - t2 - t2.conj().T) / m + q)
 
 
-def _congruence(ctxs: list[CharContext]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """``(live, q) -> C^{-*} Q C^{-1}`` at the batch points ``live``.
-
-    Each point's C^{-1} is stacked once, from its context, and every
-    application is two stacked matrix products.
-    """
-    c_inv = np.stack([ctx.inv for ctx in ctxs])
-
-    def apply(live: np.ndarray, q: np.ndarray) -> np.ndarray:
-        c = c_inv[live]
-        return _ct(c) @ (q @ c)
-
-    return apply
+def _congruence(c_inv: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """C^{-*} Q C^{-1} from the stored inverse: one matrix or a stack of them."""
+    return _ct(c_inv) @ (q @ c_inv)
 
 
 def _series_gram(series: SnapshotSeries) -> GramPair:
@@ -360,52 +351,49 @@ def _series_gram(series: SnapshotSeries) -> GramPair:
     return series._memo.get_or_build("gram", lambda: gram_matrices(series))
 
 
-class _Covariance:
-    """The covariance application V for one series and kernel.
+def _covariance(
+    series: SnapshotSeries, kernel: KernelSpec
+) -> Callable[[np.ndarray, np.ndarray], _BatchApply]:
+    """V for one series and kernel: ``at(lam, c_hat)``, a batch's ``(live, w) -> V[W]``.
 
     The iid kernel on a real-valued series (every imaginary part exactly
     zero) runs in real arithmetic through the series' shared
     :class:`_RealIidCovariance`.  Every other series or kernel applies
     :func:`~specguard.variance._variance_apply` point by point to the
     factors of :func:`~specguard.variance._sample_factors`, building u once
-    per estimate, each point's N x N mean once per point and v for every
-    application, so that a batch keeps no (N, M) array per point.  The
-    kernel window is checked on construction, before any point; the route
-    is picked, and a real series' tensor built, by :meth:`at`, which the
-    estimates call only when some point is off the spectrum.
+    per batch, each point's N x N mean once per point and v for every
+    application, so that a batch keeps no (N, M) array per point and no
+    batch keeps state for the next.  The kernel window is checked at once,
+    before any point; the route is picked, and a real series' tensor
+    built, by ``at``, which the estimates call only when some point is off
+    the spectrum.
     """
+    _check_window(kernel, series.M)
 
-    def __init__(self, series: SnapshotSeries, kernel: KernelSpec) -> None:
-        _check_window(kernel, series.M)
-        self.series = series
-        self.kernel = kernel
-        self.ut = None
-
-    def at(self, ctxs: list[CharContext]) -> _BatchApply:
-        """``(live, w) -> V[W]`` stack at the points of ``ctxs``."""
-        lam = np.array([ctx.lam for ctx in ctxs])
-        if _RealIidCovariance.applies(self.series, self.kernel):
-            real = _RealIidCovariance.of(self.series)
-            c_hat = np.stack([ctx.c_hat for ctx in ctxs])
+    def at(lam: np.ndarray, c_hat: np.ndarray) -> _BatchApply:
+        if _RealIidCovariance.applies(series, kernel):
+            real = _RealIidCovariance.of(series)
             return lambda live, w: real(lam[live], c_hat[live], w)
-
-        c_mean: list[np.ndarray | None] = [None] * len(ctxs)
+        ut = np.ascontiguousarray(series.a.T)
+        c_mean: list[np.ndarray | None] = [None] * len(lam)
 
         def apply_each(live: np.ndarray, w: np.ndarray):
             result = np.empty_like(w)
             for pos, i in enumerate(live):
-                self.ut, vt = _sample_factors(self.series, lam[i], self.ut)
+                _, vt = _sample_factors(series, lam[i], ut)
                 if c_mean[i] is None:
-                    c_mean[i] = _factor_mean(self.ut, vt)
-                result[pos] = _variance_apply(w[pos], self.ut, vt, c_mean[i], self.kernel)
+                    c_mean[i] = _factor_mean(ut, vt)
+                result[pos] = _variance_apply(w[pos], ut, vt, c_mean[i], kernel)
             return result
 
         return apply_each
 
+    return at
+
 
 def _estimate_points(
     gram: GramPair,
-    make_v: Callable[[list[CharContext]], _BatchApply],
+    make_v: Callable[[np.ndarray, np.ndarray], _BatchApply],
     lams,
     settings: PowerIterSettings | None = None,
     floor: float | None = None,
@@ -414,11 +402,12 @@ def _estimate_points(
     """Certified estimates of P at the points ``lams``: the one way into :func:`_iterate`.
 
     The characteristic matrices of all points are inverted by one
-    :func:`char_contexts` call.  A point where C(lam) is numerically
-    singular is an EDMD eigenvalue, where P vanishes exactly: its estimate
-    is ``at_eigenvalue`` with both endpoints 0 and no iterations.  The
-    other points run power iteration on S[Q] = V[C^{-*} Q C^{-1}] in
-    lockstep, with V from ``make_v(ctxs)`` at their contexts; ``make_v``
+    :func:`char_contexts` call, whose stacks the batch reads directly.  A
+    point where C(lam) is numerically singular is an EDMD eigenvalue,
+    where P vanishes exactly: its estimate is ``at_eigenvalue`` with both
+    endpoints 0 and no iterations.  The other points run power iteration
+    on S[Q] = V[C^{-*} Q C^{-1}] in lockstep, with V from
+    ``make_v(lam, c_hat)``, given their points and C(lam) as stacks; ``make_v``
     is called only when some point is off the spectrum, so its set-up is
     skipped otherwise.  ``starts[k]`` is point k's first iterate, such as
     a neighbour's ``q_final``; a None entry, or ``starts=None``, means
@@ -428,24 +417,18 @@ def _estimate_points(
     if settings is None:
         settings = PowerIterSettings()
     with _blas.single_thread():
-        ctxs = char_contexts(gram, lams, floor)
-        n = gram.dim
-        out: list[PEstimate | None] = [None] * len(ctxs)
-        off = []
-        for k, ctx in enumerate(ctxs):
-            if ctx.singular_flag:
-                q_final = np.eye(n, dtype=complex) / n
-                out[k] = PEstimate(0.0, 0.0, 0, q_final, STATUS_AT_EIGENVALUE)
-            else:
-                off.append(k)
-        if off:
-            starts = starts or [None] * len(ctxs)
-            default = np.eye(n, dtype=complex) / n
+        lams, c_hat, c_inv, _, singular = char_contexts(gram, lams, floor)
+        default = np.eye(gram.dim, dtype=complex) / gram.dim
+        out: list[PEstimate | None] = [None] * len(lams)
+        for k in np.flatnonzero(singular):
+            out[k] = PEstimate(0.0, 0.0, 0, default.copy(), STATUS_AT_EIGENVALUE)
+        off = np.flatnonzero(~singular)
+        if len(off):
+            starts = starts or [None] * len(lams)
             q = np.stack([default if starts[k] is None else starts[k] for k in off])
-            live_ctxs = [ctxs[k] for k in off]
-            apply_v = make_v(live_ctxs)
-            congruence = _congruence(live_ctxs)
-            ests = _iterate(lambda live, q: apply_v(live, congruence(live, q)), q, settings)
+            apply_v = make_v(lams[off], c_hat[off])
+            c_inv = c_inv[off]
+            ests = _iterate(lambda live, q: apply_v(live, _congruence(c_inv[live], q)), q, settings)
             for k, est in zip(off, ests):
                 out[k] = est
     return out
@@ -462,8 +445,8 @@ def _series_estimates(
 
     The kernel window is checked first, on the spectrum too.
     """
-    covariance = _Covariance(series, kernel)
-    return _estimate_points(_series_gram(series), covariance.at, lams, settings, floor)
+    at = _covariance(series, kernel)
+    return _estimate_points(_series_gram(series), at, lams, settings, floor)
 
 
 def p_hat(
@@ -581,6 +564,7 @@ class SweepResult:
 
     def _log_axes(self, log_time: float) -> tuple[np.ndarray, np.ndarray]:
         """Continuous-time coordinates log(lambda)/dt per grid cell."""
+        _check_log_time(log_time)
         lam = self.re_axis[np.newaxis, :] + 1j * self.im_axis[:, np.newaxis]
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.log(lam.astype(complex)) / log_time
@@ -606,6 +590,12 @@ class SweepResult:
                     row += [repr(float(log_re[i, j])), repr(float(log_im[i, j]))]
                 lines.append(",".join(row))
         return "\n".join(lines) + "\n"
+
+
+def _check_log_time(log_time: float) -> None:
+    """Raise ShapeError unless the time step dt of log(lambda)/dt is finite and positive."""
+    if not (np.isfinite(log_time) and log_time > 0.0):
+        raise ShapeError(f"log_time must be positive and finite, got {log_time}")
 
 
 def _mirror_partners(im_axis: np.ndarray) -> np.ndarray:
@@ -659,13 +649,13 @@ def sweep(
         partner = _mirror_partners(im_axis) if _is_real(series) else np.arange(grid.n_im)
         evaluated = np.flatnonzero(partner == np.arange(grid.n_im))
         gram = _series_gram(series)
-        covariance = _Covariance(series, kernel)
+        at = _covariance(series, kernel)
         warm: list[np.ndarray | None] = [None] * grid.n_im
         for j, re in enumerate(re_axis):
             lams = np.full(len(evaluated), re, dtype=complex)
             lams.imag = im_axis[evaluated]
             starts = [warm[i] for i in evaluated]
-            ests = _estimate_points(gram, covariance.at, lams, settings, floor, starts)
+            ests = _estimate_points(gram, at, lams, settings, floor, starts)
             for i, est in zip(evaluated, ests):
                 lower[i, j], upper[i, j] = est.lower, est.upper
                 iters[i, j] = est.iterations

@@ -87,6 +87,12 @@ def p_value_from_mphat(c: np.ndarray | float) -> np.ndarray | float:
     return out if np.ndim(c) else float(out)
 
 
+def _check_level(level: float) -> None:
+    """Raise ShapeError unless the clustering level is finite."""
+    if not np.isfinite(level):
+        raise ShapeError(f"level must be finite, got {level}")
+
+
 def _check_alphas(alphas) -> None:
     """Raise ShapeError unless every test level lies in (0, 1]."""
     for alpha in alphas:
@@ -386,8 +392,9 @@ def cluster_eigenvalues(
     the level only merges clusters.  Eigenvalues falling in the bulk
     component (the largest by footprint) cannot be separated from the
     essential-spectrum approximation and are reported as unresolved, as are
-    eigenvalues outside the grid entirely.
+    eigenvalues outside the grid entirely.  A non-finite level raises ShapeError.
     """
+    _check_level(level)
     if m_samples < 1:
         raise ShapeError(f"m_samples must be >= 1, got {m_samples}")
     vals = m_samples * np.clip(sweep_result.lower, 0.0, None)

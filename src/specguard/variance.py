@@ -14,11 +14,11 @@ Two evaluation routes are provided: a direct reference implementation
 and a production path (`variance_apply`) that exploits the rank-one
 structure to run in O(L * M * N + M * N^2) time.  The two must agree to
 near machine precision; tests enforce a 1e-10 relative Frobenius bound.
-The per-sample factors u, v (one (N, M) column per sample) and their mean
-C = (1/M) u v^* are built only by `_sample_factors` and `_factor_mean`.
-`variance_apply` builds both at its ``lam`` and calls the core
-`_variance_apply`; the engine of :mod:`specguard.pseudospec` calls the core
-itself, keeping each point's N x N mean and rebuilding v per application.
+The per-sample factors v (one (N, M) column per sample, with u = a^T) and
+their mean C = (1/M) u v^* are built only by `_sample_factors` and
+`_factor_mean`.  `variance_apply` builds both at its ``lam`` and calls the
+core `_variance_apply`; the engine of :mod:`specguard.pseudospec` calls the
+core itself, with u once per batch, each point's mean once and v per application.
 Both return V[Q] as computed, Hermitian but never repaired for
 positivity: V is linear in Q, and an indefinite Q keeps its indefinite
 image.  The certified estimates test positivity once, on S[Q], when the
@@ -52,7 +52,6 @@ __all__ = [
     "default_mu_list",
     "variance_apply",
     "variance_apply_naive",
-    "variance_exact_iid",
 ]
 
 #: mu within this distance of 1 makes the deflation factor blow up.
@@ -334,8 +333,8 @@ def _sample_factors(
 
     Each sample contributes C_m = u_m v_m^* with u_m = a_m and
     v_m = conj(lam) a_m - b_m.  Returns u and v as C-contiguous (N, M)
-    arrays, column m for sample m.  u does not depend on lam: pass the
-    ``ut`` of an earlier call on the same series to skip transposing ``a``.
+    arrays, column m for sample m.  u = a^T does not depend on lam: pass
+    it as ``ut``, C-contiguous, to skip transposing ``a`` for every lam.
     """
     if ut is None:
         ut = np.ascontiguousarray(series.a.T)
@@ -608,15 +607,3 @@ def variance_apply_naive(
             total += wgt * gam.conj().T
     return VarianceApplication(_hermitize(total))
 
-
-def variance_exact_iid(q: np.ndarray, lam: complex, moments) -> np.ndarray:
-    """Population covariance V[Q] = E[C_w^* Q C_w] - C^* Q C.
-
-    ``moments`` must expose ``c_matrix(lam)`` and ``expected_chc(lam, q)``
-    (exact second moments of the per-sample characteristic matrices under
-    the sampling distribution).
-    """
-    q = np.asarray(q, dtype=complex)
-    c = moments.c_matrix(lam)
-    second = moments.expected_chc(lam, q)
-    return _hermitize(second - c.conj().T @ q @ c)

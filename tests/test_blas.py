@@ -76,7 +76,7 @@ def test_every_mapped_openblas_file_is_found():
 def test_v_runs_on_one_thread(two_threads):
     seen = []
 
-    def make_v(ctxs):
+    def make_v(lam, c_hat):
         seen.append(_counts())
 
         def v(live, w):
@@ -189,7 +189,7 @@ def test_restored_when_the_estimate_raises(two_threads, where):
     def fail(*_):
         raise RuntimeError("boom")
 
-    make_v = fail if where == "make_v" else (lambda ctxs: fail)
+    make_v = fail if where == "make_v" else (lambda lam, c_hat: fail)
     with pytest.raises(RuntimeError, match="boom"):
         _estimate(make_v)
     assert _counts() == [2] * len(COPIES)
@@ -234,7 +234,7 @@ def test_no_copy_found_is_a_no_op(two_threads, monkeypatch):
     monkeypatch.setattr(_blas, "_discover", lambda: [])
     with _blas.single_thread():
         assert _counts() == [2] * len(COPIES)
-    est = _estimate(lambda ctxs: (lambda live, w: w), FEW_ITERS)
+    est = _estimate(lambda lam, c_hat: (lambda live, w: w), FEW_ITERS)
     assert est.iterations == FEW_ITERS.max_iters
     assert _counts() == [2] * len(COPIES)
 

@@ -136,7 +136,7 @@ class TestCharContext:
         q = q @ q.conj().T
         c_inv = np.linalg.inv(ctx.c_hat)
         expected = c_inv.conj().T @ q @ c_inv
-        got = _congruence([ctx])(np.array([0]), q[np.newaxis])[0]
+        got = _congruence(ctx.inv, q)
         assert_allclose(got, expected, atol=1e-11)
 
     @pytest.mark.parametrize("seed", [30, 31, 32, 33])
@@ -164,7 +164,7 @@ class TestCharContext:
         c_h = ctx.c_hat.conj().T
         left = np.linalg.solve(c_h, q)                            # C^{-*} Q
         expected = np.linalg.solve(c_h, left.conj().T).conj().T   # C^{-*} Q C^{-1}
-        got = _congruence([ctx])(np.array([0]), q[np.newaxis])[0]
+        got = _congruence(ctx.inv, q)
         err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
         assert err <= 1e-13 / ctx.rcond
 
@@ -222,14 +222,14 @@ class TestCharContext:
         assert strict.singular_flag
 
 
-def _same_context(got: CharContext, want: CharContext) -> None:
-    """Field-for-field, bit-for-bit equality of two contexts."""
-    assert got.lam == want.lam
-    assert (got.rcond, got.singular_flag) == (want.rcond, want.singular_flag)
-    for name in ("c_hat", "inv"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        assert a.tobytes() == b.tobytes(), name
+def _same_point(stacks, k: int, want: CharContext) -> None:
+    """Point k of the stacks of char_contexts equals a context, bit for bit."""
+    lams, c_hat, inv, rcond, singular = stacks
+    assert lams[k] == want.lam
+    assert (rcond[k], singular[k]) == (want.rcond, want.singular_flag)
+    for got, ref in ((c_hat[k], want.c_hat), (inv[k], want.inv)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestCharContexts:
@@ -239,24 +239,25 @@ class TestCharContexts:
         eig = eigensystem(k_hat)[1].eigenvalue
         lams = [complex(eig.real, y) for y in np.linspace(-1.5, 1.5, 12)]
         lams.insert(5, eig)
-        ctxs = char_contexts(g, lams)
-        assert len(ctxs) == len(lams)
-        assert [c.singular_flag for c in ctxs].count(True) == 1 and ctxs[5].singular_flag
+        stacks = char_contexts(g, lams)
+        _, _, inv, rcond, singular = stacks
+        assert [len(stack) for stack in stacks] == [len(lams)] * 5
+        assert np.flatnonzero(singular).tolist() == [5]
         s = np.sqrt(g.psi_xx.diagonal().real)
-        for lam, ctx in zip(lams, ctxs):
-            _same_context(ctx, char_context(g, lam))
+        for k, lam in enumerate(lams):
+            _same_point(stacks, k, char_context(g, lam))
             # The per-point reference: numpy's inverse and exact 1-norm condition number.
             eq = (lam * g.psi_xx - g.psi_xy) / np.outer(s, s)
-            assert ctx.inv.tobytes() == (np.linalg.inv(eq) / np.outer(s, s)).tobytes()
-            assert ctx.rcond == 1.0 / np.linalg.cond(eq, 1)
+            assert inv[k].tobytes() == (np.linalg.inv(eq) / np.outer(s, s)).tobytes()
+            assert rcond[k] == 1.0 / np.linalg.cond(eq, 1)
 
     def test_floor_applies_to_every_point(self):
         g = gram_matrices(_series(m=100, n=3, seed=16))
         lams = [1.1 + 0.2j, 1.3 - 0.4j]
-        rcs = [c.rcond for c in char_contexts(g, lams)]
+        rcs = char_contexts(g, lams)[3]
         assert rcs[0] != rcs[1]
-        flags = [c.singular_flag for c in char_contexts(g, lams, floor=np.mean(rcs))]
-        assert flags == [rc == min(rcs) for rc in rcs]
+        flags = char_contexts(g, lams, floor=np.mean(rcs))[4]
+        assert flags.tolist() == [rc == min(rcs) for rc in rcs]
 
     @pytest.mark.parametrize("floor", [np.nan, np.inf, -np.inf])
     def test_non_finite_floor_rejected(self, floor):
@@ -271,17 +272,17 @@ class TestCharContexts:
         a = np.ones((4, 1)) * 2.0
         g = gram_matrices(SnapshotSeries(a, a, "iid"))
         lams = [0.5, 1.0, 1.5 + 1j]
-        ctxs = char_contexts(g, lams)
-        assert [c.rcond for c in ctxs] == [1.0, 0.0, 1.0]
-        for lam, ctx in zip(lams, ctxs):
-            _same_context(ctx, char_context(g, lam))
+        stacks = char_contexts(g, lams)
+        assert stacks[3].tolist() == [1.0, 0.0, 1.0]
+        for k, lam in enumerate(lams):
+            _same_point(stacks, k, char_context(g, lam))
 
     def test_all_zero_gram(self):
         g = GramPair(np.zeros((3, 3)), np.zeros((3, 3)), 5)
-        ctxs = char_contexts(g, [0.5, 2j])
-        assert [(c.rcond, c.singular_flag) for c in ctxs] == [(0.0, True), (0.0, True)]
-        for lam, ctx in zip([0.5, 2j], ctxs):
-            _same_context(ctx, char_context(g, lam))
+        stacks = char_contexts(g, [0.5, 2j])
+        assert list(zip(stacks[3].tolist(), stacks[4].tolist())) == [(0.0, True), (0.0, True)]
+        for k, lam in enumerate([0.5, 2j]):
+            _same_point(stacks, k, char_context(g, lam))
 
     @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf), -np.inf])
     def test_non_finite_point_rejected(self, bad):

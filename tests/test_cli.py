@@ -238,6 +238,24 @@ class TestSweep:
         assert "half-width 60 >= M=50" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "0", "-0.5", "inf"])
+    def test_bad_log_time_fails_before_the_sweep(
+        self, var_csv, tmp_path, capsys, monkeypatch, value
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep ran before the log-time check")
+
+        monkeypatch.setattr(pseudospec, "char_contexts", forbidden)
+        out, csv_path = tmp_path / "s.json", tmp_path / "s.csv"
+        code, _, err = _run(
+            capsys, "sweep", "--data", var_csv, *self.GRID, "--iid", f"--log-time={value}",
+            "--csv", str(csv_path), "--out", str(out),
+        )
+        assert code == 3
+        assert "log_time must be positive and finite" in err
+        assert "Traceback" not in err
+        assert not out.exists() and not csv_path.exists()
+
     @pytest.mark.parametrize("flag,value", [("--re-max", "inf"), ("--im-min", "nan")])
     def test_non_finite_grid_bound_fails(self, var_csv, tmp_path, capsys, flag, value):
         argv = list(self.GRID)
@@ -463,6 +481,26 @@ class TestCluster:
         assert len(doc["eigenvalues"]) == 7
         assert len(doc["report"]["clusters"]) >= 1
         assert "grid" in doc
+
+    @pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
+    def test_non_finite_level_fails_before_the_sweep(
+        self, var_csv, tmp_path, capsys, monkeypatch, level
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep ran before the level check")
+
+        monkeypatch.setattr(pseudospec, "char_contexts", forbidden)
+        out = tmp_path / "clusters.json"
+        code, _, err = _run(
+            capsys, "cluster", "--data", var_csv,
+            "--re-min", "0.85", "--re-max", "1.15", "--n-re", "2",
+            "--im-min", "-0.1", "--im-max", "0.1", "--n-im", "2",
+            "--iid", f"--level={level}", "--out", str(out),
+        )
+        assert code == 3
+        assert "level must be finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_the_refit_reuses_the_sweeps_gram(self, var_csv, tmp_path, capsys, monkeypatch):
         calls = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import sys
 import threading
 import weakref
@@ -37,7 +38,8 @@ from specguard.pseudospec import (
     s_star_apply,
     sweep,
 )
-from specguard import pseudospec, stats
+from specguard import charmatrix, pseudospec, stats
+from specguard.cli import main
 from specguard.variance import (
     KernelSpec,
     _RealIidCovariance,
@@ -64,9 +66,9 @@ def _random_psd(n, seed, definite=True):
 
 def _one_point(series, kernel, lam, settings, start):
     """The estimate at ``lam`` alone, as a one-point batch that starts from ``start``."""
-    covariance = pseudospec._Covariance(series, kernel)
+    at = pseudospec._covariance(series, kernel)
     gram = pseudospec._series_gram(series)
-    (est,) = pseudospec._estimate_points(gram, covariance.at, [lam], settings, starts=[start])
+    (est,) = pseudospec._estimate_points(gram, at, [lam], settings, starts=[start])
     return est
 
 
@@ -400,6 +402,14 @@ class TestSweep:
         assert doc["log_lambda_re"][0][0] is None
         assert_allclose(doc["log_lambda_re"][0][1], 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("log_time", [np.nan, 0.0, -0.5, np.inf])
+    def test_log_time_must_be_a_positive_finite_step(self, log_time):
+        res = self._small_sweep()
+        with pytest.raises(ShapeError, match="log_time must be positive and finite"):
+            res.to_json_dict(log_time=log_time)
+        with pytest.raises(ShapeError, match="log_time must be positive and finite"):
+            res.to_csv_text(log_time=log_time)
+
     def test_csv_layout(self):
         res = self._small_sweep()
         text = res.to_csv_text()
@@ -478,11 +488,10 @@ class TestSweepEngine:
         # The first application at a point builds the point's mean and the
         # later ones reuse it; each is the public variance_apply bit for bit.
         series, kernel = self._data(kind)
-        lams = [1.3 + 0.1j, 0.9 - 0.4j]
+        lams = np.array([1.3 + 0.1j, 0.9 - 0.4j])
         gram = gram_matrices(series)
-        apply_v = pseudospec._Covariance(series, kernel).at(
-            [char_context(gram, lam) for lam in lams]
-        )
+        c_hat = lams[:, np.newaxis, np.newaxis] * gram.psi_xx - gram.psi_xy
+        apply_v = pseudospec._covariance(series, kernel)(lams, c_hat)
         w = np.stack([_random_psd(3, 80 + k) for k in range(len(lams))])
         for _ in range(2):
             out = apply_v(np.arange(len(lams)), w)
@@ -671,6 +680,28 @@ class TestSweepEngine:
             expected = STATUS_AT_EIGENVALUE if floor is None else STATUS_CONVERGED
             assert res.status == est.status == expected
             assert_allclose(res.m_p_hat, series.M * est.lower, rtol=1e-10)
+
+    def test_no_estimate_builds_a_per_point_context(self, monkeypatch, tmp_path):
+        # The engine reads the stacks of char_contexts; CharContext is only
+        # the one-point API's (char_context, s_apply, s_star_apply).
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an estimate built a CharContext")
+
+        monkeypatch.setattr(charmatrix, "CharContext", forbidden)
+        for kind in ("real", "windowed"):
+            series, kernel = self._data(kind)
+            res = sweep(GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3), series, kernel)
+            assert np.all(res.status == STATUS_CONVERGED), kind
+            assert p_hat(1.3 + 0.1j, series, kernel).converged, kind
+            report = stats.spectrum_test(series, kernel, floor=1e-300)
+            assert all(r.status == STATUS_CONVERGED for r in report.results), kind
+        data, out = tmp_path / "m.csv", tmp_path / "t.json"
+        assert main(["generate", "--system", "map1d", "--M", "300", "--N", "4",
+                     "--seed", "4", "--out", str(data)]) == 0
+        points = ["1.3", "0.5+0.5j", "-1.2"]
+        assert main(["test", "--data", str(data), "--iid", "--out", str(out),
+                     *(arg for text in points for arg in ("--lambda", text))]) == 0
+        assert len(json.loads(out.read_text())["results"]) == len(points)
 
     def test_an_overflowing_characteristic_matrix_fails_the_sweep(self):
         series, kernel = self._data("real")

@@ -395,6 +395,12 @@ class TestClusterEigenvalues:
         with pytest.raises(ShapeError, match="m_samples"):
             cluster_eigenvalues(_grid_result(np.zeros((2, 2))), [0.0j], 1.0, 0)
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
+    def test_non_finite_level_rejected(self, level):
+        # A NaN or infinite level has no strict-JSON form in the report.
+        with pytest.raises(ShapeError, match="level must be finite"):
+            cluster_eigenvalues(_grid_result(np.zeros((2, 2))), [0.0j], level, 100)
+
     def test_json_dict_layout(self):
         vals = np.full((3, 3), 5.0)
         vals[0, 0] = 0.1
