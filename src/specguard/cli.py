@@ -18,6 +18,7 @@ import cmath
 import datetime
 import hashlib
 import json
+import re
 import sys
 
 import numpy as np
@@ -373,8 +374,21 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads -1e-3, -inf or -0.5+0.5j after a long option as its value, as argparse does not."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = [""]
+        for tok in sys.argv[1:] if args is None else args:
+            if re.match(r"-(\d|\.\d|inf|nan)", tok, re.I) and re.fullmatch(r"--[\w-]+", joined[-1]):
+                joined[-1] += "=" + tok
+            else:
+                joined.append(tok)
+        return super().parse_known_args(joined[1:], namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specguard",
         description="Certified pseudospectrum estimation for data-driven spectral analysis.",
     )

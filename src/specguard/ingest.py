@@ -118,9 +118,8 @@ class _Memo:
 
     Each entry is built on first use, under one BLAS thread so that its
     bits do not depend on the caller's thread settings, and lives as long
-    as the series.  The keys in use are "gram" (the Gram pair), "real"
-    (whether every imaginary part is zero) and "real_iid" (the real iid
-    covariance with its fourth-moment tensor).
+    as the series.  The keys in use are "gram" (the Gram pair) and
+    "real_iid" (the real iid covariance with its fourth-moment tensor).
     """
 
     def __init__(self) -> None:
@@ -140,7 +139,8 @@ class _Memo:
 class SnapshotSeries:
     """Ordered observable pairs with sampling metadata.
 
-    a and b are (M, N) complex arrays; row m holds psi(X_m) and psi(Y_m).
+    a and b are (M, N) arrays; row m holds psi(X_m) and psi(Y_m).  Both are
+    float64 if no input entry has a nonzero imaginary part, else complex128.
     For sampling_kind "trajectory" the row order is the time order, so lag
     structure is meaningful. Instances are immutable after construction and
     safe to share across threads: a and b are read-only arrays the series
@@ -155,8 +155,9 @@ class SnapshotSeries:
     _memo: _Memo = field(default_factory=_Memo, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.a, dtype=complex)
-        b = np.ascontiguousarray(self.b, dtype=complex)
+        a, b = np.asarray(self.a), np.asarray(self.b)
+        dtype = complex if any(np.iscomplexobj(x) and x.imag.any() for x in (a, b)) else float
+        a, b = (np.ascontiguousarray(x if dtype is complex else x.real, dtype=dtype) for x in (a, b))
         if a.ndim != 2 or a.shape != b.shape:
             raise ShapeError(f"a and b must be (M, N) of equal shape, got {a.shape} / {b.shape}")
         if a.shape[0] < 1 or a.shape[1] < 1:
@@ -297,6 +298,12 @@ def _load_csv(path: Path) -> tuple[np.ndarray, int, str, float | None]:
     return flat, n, kind, dt
 
 
+def _pairs(a_re, a_im, b_re, b_im) -> tuple[np.ndarray, np.ndarray]:
+    """a and b from their parts: real arrays when every imaginary part is zero."""
+    real = not (a_im.any() or b_im.any())
+    return (a_re, b_re) if real else (a_re + 1j * a_im, b_re + 1j * b_im)
+
+
 def load_snapshots(path: str | Path, format: str = "csv") -> SnapshotSeries:
     """Load a snapshot series, validating width, finiteness, and M >= 2.
 
@@ -312,8 +319,8 @@ def load_snapshots(path: str | Path, format: str = "csv") -> SnapshotSeries:
         flat, n, kind, dt = _load_csv(path)
         if len(flat) < 2:
             raise InsufficientDataError(f"{path} holds {len(flat)} pairs; need at least 2")
-        a = flat[:, : 2 * n : 2] + 1j * flat[:, 1 : 2 * n : 2]
-        b = flat[:, 2 * n :: 2] + 1j * flat[:, 2 * n + 1 :: 2]
+        a, b = _pairs(flat[:, : 2 * n : 2], flat[:, 1 : 2 * n : 2],
+                      flat[:, 2 * n :: 2], flat[:, 2 * n + 1 :: 2])
         return SnapshotSeries(a, b, kind, dt=dt)
     if format == "json":
         try:
@@ -343,8 +350,7 @@ def load_snapshots(path: str | Path, format: str = "csv") -> SnapshotSeries:
             raise ShapeError(f"JSON arrays must be (M, N) matrices of one shape, got {shapes}")
         if parts["a_re"].shape[1] != n:
             raise ShapeError(f"JSON declares N={n}, but its arrays have {shapes['a_re'][1]} columns")
-        a = parts["a_re"] + 1j * parts["a_im"]
-        b = parts["b_re"] + 1j * parts["b_im"]
+        a, b = _pairs(parts["a_re"], parts["a_im"], parts["b_re"], parts["b_im"])
         finite = np.all(np.isfinite(a), axis=1) & np.all(np.isfinite(b), axis=1)
         if not np.all(finite):
             raise FormatError(f"non-finite entry in row {int(np.argmin(finite))}")
@@ -357,12 +363,13 @@ def load_snapshots(path: str | Path, format: str = "csv") -> SnapshotSeries:
 def _trig_eval(x: np.ndarray, n_obs: int) -> np.ndarray:
     """Rows psi(x) for the Fourier dictionary {1, cos x, sin x, ..., cos(Nx/2)}."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    cols = [np.ones_like(x)]
+    out = np.empty((x.size, n_obs))
+    out[:, 0] = 1.0
     for k in range(1, (n_obs - 2) // 2 + 1):
-        cols.append(np.cos(k * x))
-        cols.append(np.sin(k * x))
-    cols.append(np.cos((n_obs // 2) * x))
-    return np.column_stack(cols)
+        out[:, 2 * k - 1] = np.cos(k * x)
+        out[:, 2 * k] = np.sin(k * x)
+    out[:, n_obs - 1] = np.cos((n_obs // 2) * x)
+    return out
 
 
 def _monomial_eval(states: np.ndarray, exps: list[tuple[int, ...]]) -> np.ndarray:

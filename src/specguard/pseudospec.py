@@ -356,14 +356,14 @@ def _covariance(
 ) -> Callable[[np.ndarray, np.ndarray], _BatchApply]:
     """V for one series and kernel: ``at(lam, c_hat)``, a batch's ``(live, w) -> V[W]``.
 
-    The iid kernel on a real-valued series (every imaginary part exactly
-    zero) runs in real arithmetic through the series' shared
-    :class:`_RealIidCovariance`.  Every other series or kernel applies
-    :func:`~specguard.variance._variance_apply` point by point to the
-    factors of :func:`~specguard.variance._sample_factors`, building u once
-    per batch, each point's N x N mean once per point and v for every
-    application, so that a batch keeps no (N, M) array per point and no
-    batch keeps state for the next.  The kernel window is checked at once,
+    The iid kernel on a real-valued (float64) series runs in real
+    arithmetic through the series' shared :class:`_RealIidCovariance`.
+    Every other series or kernel applies :func:`~specguard.variance._variance_apply`
+    point by point to the factors of :func:`~specguard.variance._sample_factors`,
+    building u once per batch (complex, so that no application casts it),
+    each point's N x N mean once per point and v for every application, so
+    that a batch keeps no (N, M) array per point and no batch keeps state
+    for the next.  The kernel window is checked at once,
     before any point; the route is picked, and a real series' tensor
     built, by ``at``, which the estimates call only when some point is off
     the spectrum.
@@ -374,7 +374,7 @@ def _covariance(
         if _RealIidCovariance.applies(series, kernel):
             real = _RealIidCovariance.of(series)
             return lambda live, w: real(lam[live], c_hat[live], w)
-        ut = np.ascontiguousarray(series.a.T)
+        ut = np.ascontiguousarray(series.a.T, dtype=complex)
         c_mean: list[np.ndarray | None] = [None] * len(lam)
 
         def apply_each(live: np.ndarray, w: np.ndarray):

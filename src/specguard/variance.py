@@ -23,14 +23,14 @@ Both return V[Q] as computed, Hermitian but never repaired for
 positivity: V is linear in Q, and an indefinite Q keeps its indefinite
 image.  The certified estimates test positivity once, on S[Q], when the
 pencil of :mod:`specguard.pseudospec` Cholesky-factors it.
-For the iid kernel on real-valued data, the certified estimates apply V in
-real arithmetic to a whole batch of points at once
-(`_RealIidCovariance`), held to the same bound.  There V[W] is linear in
-Re(W) through a fourth-moment tensor of the data, built once per series
-from the M samples and kept with the series, after which no application
-reads the samples again.  Only when the tensor is too large to build does
-each application stream once through the samples, in cache-sized blocks,
-with no temporary that grows with M.
+For the iid kernel on real-valued data, which a series stores as float64,
+the certified estimates apply V in real arithmetic to a whole batch of
+points at once (`_RealIidCovariance`), held to the same bound.  There V[W]
+is linear in Re(W) through a fourth-moment tensor of the data, built once
+per series from the M samples and kept with the series, after which no
+application reads the samples again.  Only when the tensor is too large to
+build does each application stream once through the series' own samples,
+in cache-sized blocks, with no temporary that grows with M.
 """
 
 from __future__ import annotations
@@ -337,7 +337,7 @@ def _sample_factors(
     it as ``ut``, C-contiguous, to skip transposing ``a`` for every lam.
     """
     if ut is None:
-        ut = np.ascontiguousarray(series.a.T)
+        ut = np.ascontiguousarray(series.a.T, dtype=complex)
     vt = np.conj(lam) * ut
     vt -= series.b.T
     return ut, vt
@@ -349,13 +349,8 @@ def _factor_mean(ut: np.ndarray, vt: np.ndarray) -> np.ndarray:
 
 
 def _is_real(series: SnapshotSeries) -> bool:
-    """True when every imaginary part of the series is exactly zero.
-
-    The scan runs once per series; its answer is kept in the series memo.
-    """
-    return series._memo.get_or_build(
-        "real", lambda: not series.a.imag.any() and not series.b.imag.any()
-    )
+    """True for a real-valued series, which :class:`SnapshotSeries` stores as float64."""
+    return series.a.dtype.kind == "f"
 
 
 def _check_window(kernel: KernelSpec, m_samples: int) -> None:
@@ -447,24 +442,26 @@ class _RealIidCovariance:
         V[W] = (1/M)(|lam|^2 X_aa - conj(lam) X_ab - lam X_ba + X_bb) - C^* W C,
         X = sum_m s_m z_m z_m^T,  z_m = [a_m; b_m],  s_m = a_m^T Re(W) a_m,
 
-    so one real (2N, M) array serves every lambda.  X is linear in the
-    packed (upper-triangle) pairs r of Re(W) + Re(W)^T, through the
-    fourth-moment tensor
+    so the real samples serve every lambda.  X is linear in the packed
+    (upper-triangle) pairs r of Re(W) + Re(W)^T, through the fourth-moment
+    tensor
 
         T = sum_m (a_m (x) a_m)_packed (z_m (x) z_m)_packed^T,
 
     an (N(N+1)/2, N(2N+1)) real matrix that depends on the data alone:
-    the packed X of W is r^T T.  Construction builds T from Khatri-Rao
-    blocks of at most ``BLOCK`` samples and then drops z, so every W costs
-    one small GEMM and no pass over the M samples, whatever the batch size
-    or the order of the calls.  :meth:`of` keeps one instance per series,
-    so every estimate on the series shares one T.  When a Khatri-Rao block
-    would exceed ``MAX_BLOCK_ENTRIES`` (N >= 32 once M >= 512) T is never
-    built, z is kept and each W takes the direct form X = z^T diag(s) z:
-    one pass over the same sample blocks, each W of the stack in turn while
-    a block is in cache: s from R^T a into an (N, ``BLOCK``) buffer,
-    z diag(s) into a (2N, ``BLOCK``) buffer, and one small GEMM added to X.
-    No temporary grows with M.
+    the packed X of W is r^T T.  A pass over the samples reads ``BLOCK``
+    rows of the series' own float64 a and b at a time into one (2N,
+    ``BLOCK``) buffer of z columns; no copy of the samples is kept.
+    Construction builds T from Khatri-Rao products of these blocks and
+    then drops its reference to a and b, so every W costs one small GEMM
+    and no pass over the M samples, whatever the batch size or the order
+    of the calls.  :meth:`of` keeps one instance per series, so every
+    estimate on the series shares one T.  When a Khatri-Rao block would
+    exceed ``MAX_BLOCK_ENTRIES`` (N >= 32 once M >= 512) T is never built
+    and each W takes the direct form X = z^T diag(s) z: one pass over the
+    sample blocks, each W of the stack in turn while a block is in cache:
+    s from R^T a into an (N, ``BLOCK``) buffer, z diag(s) into a (2N,
+    ``BLOCK``) buffer, and one small GEMM added to X.
     """
 
     #: samples per block, for the tensor build and the direct form alike.
@@ -476,7 +473,6 @@ class _RealIidCovariance:
         n = series.N
         self.n = n
         self.m = series.M
-        self.zt = np.concatenate((series.a.real.T, series.b.real.T))
         # Packed pairs (i, j), i <= j, as runs j = j0..j1-1 for each i:
         # a-a first, then a-b, then b-b.
         self.runs = (
@@ -491,10 +487,11 @@ class _RealIidCovariance:
         aa_i, aa_j = self.rows[: self.n_aa], self.cols[: self.n_aa]
         self.pair_weight = np.where(aa_i == aa_j, 0.5, 1.0)
         self.block = min(self.BLOCK, self.m)
+        self.samples: tuple[np.ndarray, np.ndarray] | None = (series.a, series.b)
         self.tensor: np.ndarray | None = None
         if self.block * len(self.rows) <= self.MAX_BLOCK_ENTRIES:
             self.tensor = self._build_tensor()
-            self.zt = None
+            self.samples = None
 
     @staticmethod
     def applies(series: SnapshotSeries, kernel: KernelSpec) -> bool:
@@ -507,9 +504,14 @@ class _RealIidCovariance:
         return series._memo.get_or_build("real_iid", lambda: cls(series))
 
     def _sample_blocks(self):
-        """The (2N, <= ``block``) column blocks of z, in sample order."""
+        """The (2N, <= ``block``) column blocks of z, in sample order, in one reused buffer."""
+        n, (a, b) = self.n, self.samples
+        buf = np.empty((2 * n, self.block))
         for start in range(0, self.m, self.block):
-            yield self.zt[:, start : start + self.block]
+            zb = buf[:, : min(self.block, self.m - start)]
+            zb[:n] = a[start : start + self.block].T
+            zb[n:] = b[start : start + self.block].T
+            yield zb
 
     def _build_tensor(self) -> np.ndarray:
         """T = sum_m (a_m (x) a_m)_packed (z_m (x) z_m)_packed^T, one block at a time."""

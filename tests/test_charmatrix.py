@@ -42,6 +42,16 @@ class TestGram:
         assert_allclose(g.psi_xx, xx, atol=1e-13)
         assert_allclose(g.psi_xy, xy, atol=1e-13)
 
+    def test_a_real_series_takes_real_products(self):
+        rng = np.random.default_rng(3)
+        s = SnapshotSeries(rng.normal(size=(500, 6)), rng.normal(size=(500, 6)), "iid")
+        assert s.a.dtype == float
+        g = gram_matrices(s)
+        a, b = s.a.astype(complex), s.b.astype(complex)
+        for got, want in ((g.psi_xx, a.T @ a.conj() / s.M), (g.psi_xy, a.T @ b.conj() / s.M)):
+            assert got.dtype == complex
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
     def test_psi_xx_hermitian(self):
         g = gram_matrices(_series(seed=2))
         assert_allclose(g.psi_xx, g.psi_xx.conj().T, rtol=0, atol=0)

@@ -594,6 +594,62 @@ class TestParserSurface:
             assert capsys.readouterr().out.startswith(f"usage: specguard {cmd}")
 
 
+class TestNegativeValues:
+    """A negative number in any form may follow its option after a space."""
+
+    GRID = {"--re-min": "0.8", "--re-max": "1.2", "--n-re": "2",
+            "--im-min": "-0.1", "--im-max": "0.1", "--n-im": "2"}
+
+    def _argv(self, cmd, flag, value):
+        required = {"--data": "d.csv", "--out": "o.json", "--iid": None}
+        if cmd != "test":
+            required.update(self.GRID)
+        if cmd == "cluster":
+            required["--level"] = "1"
+        required[flag] = value
+        return [cmd, *(tok for opt, val in required.items() for tok in (opt, val) if tok)]
+
+    @pytest.mark.parametrize("cmd, flag, value", [
+        ("sweep", "--re-min", "-1e-3"),
+        ("sweep", "--re-max", "-2E+1"),
+        ("cluster", "--im-min", "-.5e-1"),
+        ("sweep", "--im-max", "-1e-3"),
+        ("cluster", "--level", "-1e-3"),
+        ("cluster", "--level", "-nan"),
+        ("sweep", "--log-time", "-inf"),
+        ("sweep", "--log-time", "-Infinity"),
+        ("test", "--lambda", "-0.5+0.5j"),
+        ("test", "--lambda", "-1e-3j"),
+        ("sweep", "--mu", "-0.5+0.1j"),
+        ("sweep", "--re-min", "-1"),
+    ])
+    def test_the_spaced_form_parses_as_the_joined_form(self, cmd, flag, value):
+        argv = self._argv(cmd, flag, value)
+        spaced = build_parser().parse_args(argv)
+        i = argv.index(flag)
+        joined = build_parser().parse_args(argv[:i] + [f"{flag}={value}"] + argv[i + 2 :])
+        assert repr(vars(spaced)) == repr(vars(joined))
+        parsed = getattr(spaced, {"--lambda": "point"}.get(flag, flag[2:].replace("-", "_")))
+        expected = [value] if flag == "--lambda" else value if flag == "--mu" else float(value)
+        assert repr(parsed) == repr(expected)
+
+    @pytest.mark.parametrize("cmd, flag, message", [
+        ("sweep", "--re-min", "grid bounds must be finite"),
+        ("sweep", "--log-time", "log_time must be positive and finite"),
+        ("cluster", "--level", "level must be finite"),
+    ])
+    def test_a_spaced_non_finite_value_reaches_its_check(
+        self, var_csv, tmp_path, capsys, cmd, flag, message
+    ):
+        argv = self._argv(cmd, flag, "-inf")
+        out = tmp_path / "o.json"
+        argv[argv.index("--data") + 1], argv[argv.index("--out") + 1] = var_csv, str(out)
+        code, _, err = _run(capsys, *argv)
+        assert code == 3
+        assert message in err
+        assert not out.exists()
+
+
 class TestEntryPoint:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

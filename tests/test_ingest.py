@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,64 @@ class TestSnapshotSeries:
     def test_unknown_kind_rejected(self):
         with pytest.raises(FormatError):
             SnapshotSeries(np.zeros((3, 2)), np.zeros((3, 2)), "stream")
+
+
+class TestRealStorage:
+    """A series with no nonzero imaginary part is stored once, as float64."""
+
+    @pytest.mark.parametrize("as_complex", [False, True], ids=["real", "zero-imaginary"])
+    def test_real_data_is_stored_as_owned_read_only_float64(self, as_complex):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
+        if as_complex:
+            a, b = a.astype(complex), b.astype(complex)
+        s = SnapshotSeries(a, b, "iid")
+        for got, given in ((s.a, a), (s.b, b)):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert not got.flags.writeable and not np.may_share_memory(got, given)
+            assert_array_equal(got, given.real)
+        assert a.flags.writeable and b.flags.writeable
+
+    @pytest.mark.parametrize("where", ["a", "b"])
+    def test_one_tiny_imaginary_part_keeps_both_complex(self, where):
+        rng = np.random.default_rng(6)
+        parts = {"a": rng.normal(size=(7, 3)).astype(complex), "b": rng.normal(size=(7, 3))}
+        parts[where] = parts[where] + 0j
+        parts[where][4, 2] += 1e-300j
+        s = SnapshotSeries(parts["a"], parts["b"], "iid")
+        assert s.a.dtype == s.b.dtype == np.complex128
+        assert getattr(s, where)[4, 2].imag == 1e-300
+
+    @pytest.mark.parametrize("as_complex", [False, True], ids=["real", "zero-imaginary"])
+    def test_a_real_series_holds_its_samples_once(self, as_complex):
+        m, n = 20_000, 10
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(m, n)), rng.normal(size=(m, n))
+        if as_complex:
+            a, b = a.astype(complex), b.astype(complex)
+        tracemalloc.start()
+        try:
+            s = SnapshotSeries(a, b, "iid")
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.a.dtype == float
+        assert held <= 2 * m * n * 8 + 64 * 1024
+        # Scanning complex input for nonzero imaginary parts may take a byte per entry.
+        assert peak <= held + (m * n if as_complex else 0) + 64 * 1024
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_real_round_trip_loads_real_and_rewrites_the_same_bytes(self, tmp_path, fmt):
+        x = np.random.default_rng(8).uniform(0.0, 2 * np.pi, size=(12, 1))
+        s = evaluate_dictionary(x, (2 * x) % (2 * np.pi), DictionarySpec.trig(4), "trajectory", 0.5)
+        first, second = tmp_path / f"first.{fmt}", tmp_path / f"second.{fmt}"
+        write_snapshots(s, first, format=fmt)
+        back = load_snapshots(first, format=fmt)
+        assert back.a.dtype == back.b.dtype == np.float64
+        assert_array_equal(back.a, s.a)
+        assert_array_equal(back.b, s.b)
+        write_snapshots(back, second, format=fmt)
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestRoundTrip:

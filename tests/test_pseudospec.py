@@ -545,7 +545,9 @@ class TestSweepEngine:
         gc.collect()
         assert ref() is None
         assert memo.get_or_build("real_iid", None) is covariance
-        assert covariance.tensor is not None and covariance.zt is None
+        # Once T is built, no sample array, and no copy of one, is held.
+        assert covariance.tensor is not None and covariance.samples is None
+        assert all(covariance.m not in np.shape(x) for x in vars(covariance).values())
 
     @pytest.mark.parametrize("kind", ["complex", "windowed"])
     def test_complex_or_windowed_series_never_build_the_tensor(self, kind, monkeypatch):
@@ -649,7 +651,7 @@ class TestSweepEngine:
     def test_only_a_real_series_skips_the_mirrored_rows(self, kind, monkeypatch):
         series, kernel = self._data("complex" if kind == "complex" else "real")
         if kind == "tiny":
-            a = series.a.copy()
+            a = series.a.astype(complex)
             a[7, 1] += 1e-300j
             series = SnapshotSeries(a, series.b, "iid")
         columns = self._count(monkeypatch, pseudospec, "char_contexts")
@@ -763,9 +765,10 @@ class TestSweepEngine:
 
     def test_tiny_imaginary_parts_take_the_complex_path(self, monkeypatch):
         series, kernel = self._data("real")
-        a = series.a.copy()
+        a = series.a.astype(complex)
         a[7, 1] += 1e-300j
         tiny = SnapshotSeries(a, series.b, "iid")
+        assert tiny.a.dtype == tiny.b.dtype == complex
         calls = []
         apply = pseudospec._variance_apply
 

@@ -42,6 +42,16 @@ def _series(m, n, seed=0, complex_data=True):
     return SnapshotSeries(a, b, "iid")
 
 
+def _held_copies_of_the_samples(v, s):
+    """Arrays that ``v`` holds with a dimension of M, other than the series' own a and b."""
+    held = []
+    for value in vars(v).values():
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, np.ndarray) and s.M in x.shape and x is not s.a and x is not s.b:
+                held.append(x)
+    return held
+
+
 def _random_psd(n, seed):
     rng = np.random.default_rng(seed)
     w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -383,6 +393,9 @@ class TestRealIidCovariance:
         s = _series(20_000, 10, seed=43, complex_data=False)
         v = _RealIidCovariance(s)
         assert v.tensor is None
+        # It reads the series' own arrays and holds no (2N, M) copy of them.
+        assert v.samples[0] is s.a and v.samples[1] is s.b
+        assert not _held_copies_of_the_samples(v, s)
         w = _random_psd(10, 44)[np.newaxis]
         tracemalloc.start()
         try:
@@ -390,7 +403,7 @@ class TestRealIidCovariance:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < v.zt.nbytes / 4
+        assert peak < (s.a.nbytes + s.b.nbytes) / 4
 
     def test_a_lone_w_takes_the_tensor_like_any_stack(self, monkeypatch):
         def forbidden(self, r):
@@ -405,7 +418,8 @@ class TestRealIidCovariance:
     def test_after_the_build_no_application_reads_the_samples(self):
         s, v = self._setup()
         assert v.tensor is not None
-        assert v.zt is None
+        assert v.samples is None
+        assert not _held_copies_of_the_samples(v, s)
         self._assert_matches_naive(v, s, self.LAMS[:2], seed=60)
         self._assert_matches_naive(v, s, self.LAMS, seed=61)
         self._assert_matches_naive(v, s, self.LAMS[2:], seed=62)
