@@ -95,10 +95,8 @@ def gram_matrices(series: SnapshotSeries) -> GramPair:
             f"Gram matrices need at least 2 snapshot pairs, got {series.M}"
         )
     a, b = series.a, series.b
-    # conj() would copy a real series; it takes real products instead.
-    a_bar, b_bar = (a.conj(), b.conj()) if np.iscomplexobj(a) else (a, b)
-    psi_xx = a.T @ a_bar / series.M
-    psi_xy = a.T @ b_bar / series.M
+    psi_xx = a.T @ a.conj() / series.M
+    psi_xy = a.T @ b.conj() / series.M
     return GramPair(psi_xx, psi_xy, series.M)
 
 

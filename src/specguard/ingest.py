@@ -299,7 +299,7 @@ def _load_csv(path: Path) -> tuple[np.ndarray, int, str, float | None]:
 
 
 def _pairs(a_re, a_im, b_re, b_im) -> tuple[np.ndarray, np.ndarray]:
-    """a and b from their parts: real arrays when every imaginary part is zero."""
+    """a and b from their parts, real by SnapshotSeries' rule (the two must agree)."""
     real = not (a_im.any() or b_im.any())
     return (a_re, b_re) if real else (a_re + 1j * a_im, b_re + 1j * b_im)
 
