@@ -64,6 +64,8 @@ class GramPair:
 
     ``psi_xx`` is Hermitian by construction; ``m_samples = 0`` marks
     exact (population) moments supplied by an oracle rather than data.
+    Both are float64 when both inputs are real, as for a real series, so
+    that the EDMD fit solves a real problem; else complex128.
     """
 
     psi_xx: np.ndarray
@@ -71,8 +73,9 @@ class GramPair:
     m_samples: int
 
     def __post_init__(self) -> None:
-        xx = np.ascontiguousarray(self.psi_xx, dtype=complex)
-        xy = np.ascontiguousarray(self.psi_xy, dtype=complex)
+        xx, xy = np.asarray(self.psi_xx), np.asarray(self.psi_xy)
+        dtype = np.result_type(xx, xy, float)
+        xx, xy = np.ascontiguousarray(xx, dtype=dtype), np.ascontiguousarray(xy, dtype=dtype)
         if xx.ndim != 2 or xx.shape[0] != xx.shape[1]:
             raise ShapeError(f"psi_xx must be square, got shape {xx.shape}")
         if xy.shape != xx.shape:

@@ -144,8 +144,10 @@ class SnapshotSeries:
     For sampling_kind "trajectory" the row order is the time order, so lag
     structure is meaningful. Instances are immutable after construction and
     safe to share across threads: a and b are read-only arrays the series
-    owns (a caller's array is copied, never frozen), and the data
-    statistics that estimates share are computed once, in ``_memo``.
+    owns (a caller's array is copied, never frozen; the arrays that
+    specguard's own loaders and builders allocate are stored once, not
+    copied), and the data statistics that estimates share are computed
+    once, in ``_memo``.
     """
 
     a: np.ndarray
@@ -155,9 +157,25 @@ class SnapshotSeries:
     _memo: _Memo = field(default_factory=_Memo, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        a, b = np.asarray(self.a), np.asarray(self.b)
-        dtype = complex if any(np.iscomplexobj(x) and x.imag.any() for x in (a, b)) else float
-        a, b = (np.ascontiguousarray(x if dtype is complex else x.real, dtype=dtype) for x in (a, b))
+        self._store(self.a, self.b, adopt=False)
+
+    @classmethod
+    def _adopt(cls, a, b, sampling_kind, dt=None) -> "SnapshotSeries":
+        """A series built from arrays a builder just allocated and that nothing else references.
+
+        Validated and typed as by __init__; an array that is C-contiguous,
+        owns its data and has the stored dtype is frozen and kept, not copied.
+        """
+        series = cls.__new__(cls)
+        for name, value in (("sampling_kind", sampling_kind), ("dt", dt), ("_memo", _Memo())):
+            object.__setattr__(series, name, value)
+        series._store(a, b, adopt=True)
+        return series
+
+    def _store(self, a, b, adopt: bool) -> None:
+        given = np.asarray(a), np.asarray(b)
+        dtype = complex if any(np.iscomplexobj(x) and x.imag.any() for x in given) else float
+        a, b = (np.ascontiguousarray(x if dtype is complex else x.real, dtype=dtype) for x in given)
         if a.ndim != 2 or a.shape != b.shape:
             raise ShapeError(f"a and b must be (M, N) of equal shape, got {a.shape} / {b.shape}")
         if a.shape[0] < 1 or a.shape[1] < 1:
@@ -167,10 +185,8 @@ class SnapshotSeries:
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise FormatError("series contains non-finite entries")
         # Own the data, so that no caller can change it after the memo is filled.
-        if np.may_share_memory(a, self.a):
-            a = a.copy()
-        if np.may_share_memory(b, self.b):
-            b = b.copy()
+        a, b = (x.copy() if np.may_share_memory(x, g) and not (adopt and x.flags.owndata) else x
+                for x, g in zip((a, b), given))
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -190,23 +206,17 @@ class SnapshotSeries:
         return self.a.shape[1]
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def write_snapshots(series: SnapshotSeries, path: str | Path, format: str = "csv") -> None:
     """Write a series in the v1 CSV or JSON layout; load_snapshots inverts this."""
     path = Path(path)
     if format == "csv":
-        dt = "none" if series.dt is None else _format_float(series.dt)
+        dt = "none" if series.dt is None else repr(float(series.dt))
         lines = [f"{CSV_MAGIC} N={series.N} kind={series.sampling_kind} dt={dt}"]
-        for m in range(series.M):
-            row: list[str] = []
-            for vec in (series.a[m], series.b[m]):
-                for z in vec:
-                    row.append(_format_float(z.real))
-                    row.append(_format_float(z.imag))
-            lines.append(",".join(row))
+        ab = np.concatenate([series.a, series.b], 1)
+        if ab.dtype.kind == "c":  # the float view interleaves re and im, as the layout does
+            lines.extend(",".join(map(repr, row)) for row in ab.view(float).tolist())
+        else:  # every imaginary part of a real series is 0.0
+            lines.extend(",0.0,".join(map(repr, row)) + ",0.0" for row in ab.tolist())
         path.write_text("\n".join(lines) + "\n")
     elif format == "json":
         doc = {
@@ -321,7 +331,7 @@ def load_snapshots(path: str | Path, format: str = "csv") -> SnapshotSeries:
             raise InsufficientDataError(f"{path} holds {len(flat)} pairs; need at least 2")
         a, b = _pairs(flat[:, : 2 * n : 2], flat[:, 1 : 2 * n : 2],
                       flat[:, 2 * n :: 2], flat[:, 2 * n + 1 :: 2])
-        return SnapshotSeries(a, b, kind, dt=dt)
+        return SnapshotSeries._adopt(a, b, kind, dt=dt)
     if format == "json":
         try:
             doc = json.loads(path.read_text())
@@ -356,7 +366,7 @@ def load_snapshots(path: str | Path, format: str = "csv") -> SnapshotSeries:
             raise FormatError(f"non-finite entry in row {int(np.argmin(finite))}")
         if a.shape[0] < 2:
             raise InsufficientDataError(f"{path} holds {a.shape[0]} pairs; need at least 2")
-        return SnapshotSeries(a, b, doc["kind"], dt=dt)
+        return SnapshotSeries._adopt(a, b, doc["kind"], dt=dt)
     raise FormatError(f"unknown snapshot format {format!r}")
 
 
@@ -411,6 +421,7 @@ def evaluate_dictionary(
     y = _as_states(y_states, "y_states")
     if x.shape != y.shape:
         raise ShapeError(f"x_states {x.shape} and y_states {y.shape} differ")
+    build = SnapshotSeries._adopt
     if dict_spec.variant == "trig":
         if x.shape[1] != 1:
             raise ShapeError(f"trig dictionary needs 1-d states, got d={x.shape[1]}")
@@ -421,7 +432,7 @@ def evaluate_dictionary(
             raise ShapeError(
                 f"identity dictionary needs d={dict_spec.state_dim}, got {x.shape[1]}"
             )
-        a, b = x, y
+        a, b, build = x, y, SnapshotSeries  # the caller's own arrays: copied
     elif dict_spec.variant == "monomial_delay":
         if dict_spec.n_delays != 1:
             raise ShapeError(
@@ -438,7 +449,7 @@ def evaluate_dictionary(
         b = np.hstack([ones, _monomial_eval(y, exps)])
     else:
         raise ShapeError(f"unknown dictionary variant {dict_spec.variant!r}")
-    return SnapshotSeries(a, b, sampling_kind, dt=dt)
+    return build(a, b, sampling_kind, dt=dt)
 
 
 def delay_embed(
@@ -473,15 +484,14 @@ def delay_embed(
     mono = _monomial_eval(states, exps)  # (T, n_mono)
     n_mono = len(exps)
 
-    def window(lead_times: np.ndarray) -> np.ndarray:
-        out = np.empty((lead_times.size, dict_spec.n_obs))
+    def window(lead: int) -> np.ndarray:
+        # Rows lead, ..., lead + M - 1; delay d reads the slice d rows earlier.
+        out = np.empty((M, dict_spec.n_obs))
         out[:, 0] = 1.0
         for d in range(n_delays):
-            block = mono[lead_times - d]
-            out[:, 1 + d * n_mono : 1 + (d + 1) * n_mono] = block
+            out[:, 1 + d * n_mono : 1 + (d + 1) * n_mono] = mono[lead - d : lead - d + M]
         return out
 
-    leads = np.arange(M) + n_delays
-    a = window(leads)
-    b = window(leads + step)
-    return SnapshotSeries(a, b, "trajectory", dt=dt)
+    a = window(n_delays)
+    b = window(n_delays + step)
+    return SnapshotSeries._adopt(a, b, "trajectory", dt=dt)

@@ -49,7 +49,7 @@ class TestGram:
         g = gram_matrices(s)
         a, b = s.a.astype(complex), s.b.astype(complex)
         for got, want in ((g.psi_xx, a.T @ a.conj() / s.M), (g.psi_xy, a.T @ b.conj() / s.M)):
-            assert got.dtype == complex
+            assert got.dtype == float
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_psi_xx_hermitian(self):
@@ -317,6 +317,22 @@ class TestEigensystem:
         for m in modes:
             assert_allclose(np.linalg.norm(m.right_vec), 1.0, atol=1e-12)
             assert m.residual < 1e-10
+
+    def test_a_real_series_gives_exactly_real_eigenvalues_and_exact_pairs(self):
+        rng = np.random.default_rng(18)
+        a = rng.normal(size=(400, 6))
+        s = SnapshotSeries(a, a @ rng.normal(size=(6, 6)) + 0.1 * rng.normal(size=(400, 6)), "iid")
+        k_hat, _ = edmd_matrix(gram_matrices(s))
+        assert k_hat.dtype == float
+        vals = [m.eigenvalue for m in eigensystem(k_hat)]
+        real = [z for z in vals if z.imag == 0.0]
+        pairs = [z for z in vals if z.imag != 0.0]
+        assert real and pairs
+        # A pair is listed together, its member with positive imaginary part first.
+        for first, second in zip(pairs[::2], pairs[1::2]):
+            assert first.imag > 0 and second == first.conjugate()
+            assert vals.index(second) == vals.index(first) + 1
+        assert edmd_matrix(gram_matrices(_series(seed=19)))[0].dtype == complex
 
     def test_residual_definition(self):
         k = np.diag([2.0, 1.0]).astype(complex)

@@ -139,6 +139,67 @@ class TestRealStorage:
         assert second.read_bytes() == first.read_bytes()
 
 
+def _owned_frozen_contiguous(x: np.ndarray) -> bool:
+    return x.base is None and x.flags.owndata and x.flags.c_contiguous and not x.flags.writeable
+
+
+class TestBuiltSeriesAreStoredOnce:
+    """Series that specguard builds keep the arrays it allocated; a caller's arrays are copied."""
+
+    def test_the_identity_dictionary_copies_the_callers_arrays(self):
+        rng = np.random.default_rng(9)
+        x, y = rng.normal(size=(8, 3)), rng.normal(size=(8, 3))
+        s = evaluate_dictionary(x, y, DictionarySpec.identity(3))
+        for got, given in ((s.a, x), (s.b, y)):
+            assert not np.may_share_memory(got, given) and given.flags.writeable
+            assert _owned_frozen_contiguous(got)
+        x[0, 0] = 99.0
+        assert s.a[0, 0] != 99.0
+
+    @pytest.mark.parametrize(
+        "builder, as_complex",
+        [("trig", False), ("monomial", False), ("delay_embed", False),
+         ("csv", False), ("csv", True), ("json", False), ("json", True)],
+    )
+    def test_built_arrays_are_owned_read_only_and_contiguous(self, tmp_path, builder, as_complex):
+        rng = np.random.default_rng(10)
+        x = rng.uniform(0.0, 2 * np.pi, size=(30, 2))
+        if builder == "trig":
+            s = evaluate_dictionary(x[:, :1], x[:, 1:], DictionarySpec.trig(6))
+        elif builder == "monomial":
+            s = evaluate_dictionary(x, 2 * x, DictionarySpec.monomial_delay(2, 1, 2))
+        elif builder == "delay_embed":
+            s = delay_embed(x, DictionarySpec.monomial_delay(2, 3, 2), step=2)
+        else:
+            s = _random_series(m=30, n=4, seed=11)
+            if not as_complex:
+                s = evaluate_dictionary(x[:, :1], x[:, 1:], DictionarySpec.trig(4))
+            write_snapshots(s, tmp_path / f"s.{builder}", format=builder)
+            s = load_snapshots(tmp_path / f"s.{builder}", format=builder)
+        assert s.a.dtype == s.b.dtype == (np.complex128 if as_complex else np.float64)
+        # No view into anything: a loaded series keeps none into the parse buffer.
+        assert _owned_frozen_contiguous(s.a) and _owned_frozen_contiguous(s.b)
+        assert not np.may_share_memory(s.a, s.b)
+
+    @pytest.mark.parametrize("builder", ["trig", "delay_embed"])
+    def test_a_built_series_is_held_once_while_it_is_built(self, builder):
+        m, n = 20_000, 10
+        rng = np.random.default_rng(12)
+        x = rng.uniform(0.0, 2 * np.pi, size=(m + 4, 3))
+        tracemalloc.start()
+        try:
+            if builder == "trig":
+                s = evaluate_dictionary(x[:m, :1], x[:m, 1:2], DictionarySpec.trig(n))
+            else:
+                s = delay_embed(x, DictionarySpec.monomial_delay(1, 3, 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.M == m and s.N == n
+        # A copy of the samples would add s.a.nbytes + s.b.nbytes (20 columns of M).
+        assert peak <= s.a.nbytes + s.b.nbytes + 6 * m * 8 + 64 * 1024
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_exact_round_trip(self, tmp_path, fmt):
@@ -229,6 +290,36 @@ class TestRoundTrip:
             load_snapshots(path, format=fmt)
         path.write_text(json.dumps(self.GOOD_JSON))
         assert load_snapshots(path, format="json").N == 1
+
+
+class TestCsvWriter:
+    """The CSV writer's bytes, against a reference that formats entry by entry."""
+
+    @staticmethod
+    def _reference(s: SnapshotSeries) -> bytes:
+        dt = "none" if s.dt is None else repr(float(s.dt))
+        lines = [f"{CSV_MAGIC} N={s.N} kind={s.sampling_kind} dt={dt}"]
+        for m in range(s.M):
+            cells = []
+            for z in (*s.a[m], *s.b[m]):
+                cells += [repr(float(z.real)), repr(float(z.imag))]
+            lines.append(",".join(cells))
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("kind, dt", [("iid", None), ("trajectory", 0.25), ("trajectory", 1e-7)])
+    @pytest.mark.parametrize("as_complex", [False, True], ids=["real", "complex"])
+    def test_bytes_match_the_entry_by_entry_reference(self, tmp_path, kind, dt, as_complex):
+        rng = np.random.default_rng(13)
+        a, b = rng.normal(size=(25, 3)), rng.normal(size=(25, 3)) * 1e-300
+        a[0, 0], b[1, 2], a[2, 1] = -0.0, 5e-324, 1e300
+        if as_complex:
+            a = a + 1j * rng.normal(size=a.shape)
+            a[3, 0], b = complex(-0.0, -0.0), b - 0.0j
+        s = SnapshotSeries(a, b, kind, dt=dt)
+        assert s.a.dtype == (np.complex128 if as_complex else np.float64)
+        path = tmp_path / "s.csv"
+        write_snapshots(s, path)
+        assert path.read_bytes() == self._reference(s)
 
 
 class TestCsvLayout:
@@ -387,6 +478,20 @@ class TestDelayEmbed:
         s = delay_embed(traj, spec)
         assert_array_equal(s.a[:, 0].real, np.ones(s.M))
         assert_array_equal(s.a[:, 0].imag, np.zeros(s.M))
+
+    def test_rows_follow_the_window_with_any_step(self):
+        traj = np.random.default_rng(15).normal(size=(25, 2))
+        spec = DictionarySpec.monomial_delay(2, 3, 2)
+        exps = monomial_exponents(2, 2)
+
+        def row(t):  # the constant, then the monomials at t, t - 1, t - 2
+            return [1.0] + [float(np.prod(traj[t - d] ** np.array(e))) for d in range(3) for e in exps]
+
+        s = delay_embed(traj, spec, step=3)
+        assert s.M == 25 - 3 - 3
+        for m in (0, 7, s.M - 1):
+            assert_allclose(s.a[m], row(m + 3), rtol=1e-15)
+            assert_allclose(s.b[m], row(m + 6), rtol=1e-15)
 
     def test_too_short_trajectory(self):
         spec = DictionarySpec.monomial_delay(3, 10, 3)
