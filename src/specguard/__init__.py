@@ -6,10 +6,8 @@ brackets, eigenvalue hypothesis tests, and spectral-gap clustering.
 """
 
 from .charmatrix import (
-    CharContext,
     EigenMode,
     GramPair,
-    char_context,
     edmd_matrix,
     eigensystem,
     gram_matrices,
@@ -37,6 +35,7 @@ from .oracle import (
     VarMoments,
     run_oracle_checks,
     s_matrix_bruteforce,
+    s_star_apply,
     var_p_exact,
     var_p_power,
     var_v_exact,
@@ -46,11 +45,8 @@ from .pseudospec import (
     PEstimate,
     PowerIterSettings,
     SweepResult,
-    bracket,
     p_hat,
     power_iterate,
-    s_apply,
-    s_star_apply,
     sweep,
 )
 from .stats import (
@@ -99,11 +95,9 @@ __all__ = [
     "var_benchmark_7d",
     # charmatrix
     "GramPair",
-    "CharContext",
     "EigenMode",
     "gram_matrices",
     "edmd_matrix",
-    "char_context",
     "eigensystem",
     # variance
     "KernelSpec",
@@ -119,10 +113,7 @@ __all__ = [
     "PEstimate",
     "GridSpec",
     "SweepResult",
-    "bracket",
     "power_iterate",
-    "s_apply",
-    "s_star_apply",
     "p_hat",
     "sweep",
     # stats
@@ -143,5 +134,6 @@ __all__ = [
     "var_p_power",
     "QuadratureMoments",
     "s_matrix_bruteforce",
+    "s_star_apply",
     "run_oracle_checks",
 ]

@@ -21,9 +21,8 @@ imbalance.  ``rcond`` is the exact reciprocal 1-norm condition number
 
 :func:`char_contexts` inverts many points at once, as a grid sweep needs
 them a column at a time, and returns stacks that the batched estimator of
-:mod:`specguard.pseudospec` reads directly.  :func:`char_context` wraps its
-one-point result in a :class:`CharContext`, and :func:`edmd_matrix` takes
-the rcond of Psi_XX the same way.
+:mod:`specguard.pseudospec` reads directly; a single point is a stack of
+one.  :func:`edmd_matrix` takes the rcond of Psi_XX the same way.
 """
 
 from __future__ import annotations
@@ -39,11 +38,9 @@ from .ingest import SnapshotSeries
 
 __all__ = [
     "GramPair",
-    "CharContext",
     "EigenMode",
     "gram_matrices",
     "edmd_matrix",
-    "char_context",
     "char_contexts",
     "eigensystem",
     "rcond_floor",
@@ -190,36 +187,6 @@ def _is_singular(rcond, n: int, floor: float | None):
     return (rcond < limit) | (rcond == 0.0)
 
 
-@dataclass(frozen=True)
-class CharContext:
-    """Inverted characteristic matrix C(lam) = lam Psi_XX - Psi_XY.
-
-    ``inv`` is C^{-1}: the inverse of the equilibrated matrix S^{-1} C S^{-1}
-    with ``S = diag(Psi_XX)^{1/2}``, scaled back by S^{-1} on both sides.
-    ``rcond`` is the exact reciprocal 1-norm condition number of the
-    equilibrated matrix.
-
-    ``singular_flag`` is set when rcond puts ``lam`` numerically on the
-    spectrum of the EDMD matrix; solves are then meaningless (at an exactly
-    singular C, ``inv`` is all NaN) and callers should branch before using
-    them.
-    """
-
-    lam: complex
-    c_hat: np.ndarray
-    inv: np.ndarray
-    rcond: float
-    singular_flag: bool
-
-    @property
-    def dim(self) -> int:
-        return self.c_hat.shape[0]
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve C x = rhs, as one product with the stored inverse."""
-        return self.inv @ rhs
-
-
 def char_contexts(gram: GramPair, lams, floor: float | None = None) -> tuple[np.ndarray, ...]:
     """Invert C(lam) at each point of ``lams`` for repeated solves there.
 
@@ -228,8 +195,13 @@ def char_contexts(gram: GramPair, lams, floor: float | None = None) -> tuple[np.
     inverses, each as one stack.  ``floor`` overrides the default
     ``rcond_floor(N)`` singularity threshold.  Returns the stacks
     ``(lams, c_hat, inv, rcond, singular)``, one entry per point: the
-    points, C(lam), C(lam)^{-1} as :class:`CharContext` describes it, rcond
-    and the singular flags.
+    points; C(lam); C(lam)^{-1}, the inverse of the equilibrated matrix
+    S^{-1} C S^{-1} (``S = diag(Psi_XX)^{1/2}``) scaled back by S^{-1} on
+    both sides; rcond, the exact reciprocal 1-norm condition number of the
+    equilibrated matrix; and the singular flags, set where rcond puts the
+    point numerically on the EDMD spectrum.  Solves are meaningless there
+    (at an exactly singular C the inverse is all NaN), so callers branch
+    before using them.
 
     Raises
     ------
@@ -249,15 +221,6 @@ def char_contexts(gram: GramPair, lams, floor: float | None = None) -> tuple[np.
         eq = c_hat / ss
     inv_eq, rcond = _invert_stack(eq)
     return lams, c_hat, inv_eq / ss, rcond, _is_singular(rcond, gram.dim, floor)
-
-
-def char_context(gram: GramPair, lam: complex, floor: float | None = None) -> CharContext:
-    """Invert C(lam) once for repeated solves at a fixed spectral point.
-
-    The one-point result of :func:`char_contexts`, whose errors it raises.
-    """
-    (lam,), (c_hat,), (inv,), (rcond,), (singular,) = char_contexts(gram, [lam], floor)
-    return CharContext(complex(lam), c_hat, inv, float(rcond), bool(singular))
 
 
 class EigenMode(NamedTuple):

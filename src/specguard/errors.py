@@ -49,10 +49,6 @@ class UnsupportedModeError(SpecguardError):
     """Operation restricted to iid/exact-moment mode was called otherwise."""
 
 
-class DegenerateSError(SpecguardError):
-    """S[Q] could not be made positive definite even after a round-off ridge."""
-
-
 class AtEigenvalueError(SpecguardError):
     """The characteristic matrix is singular: lambda is a sample eigenvalue."""
 

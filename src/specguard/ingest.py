@@ -382,16 +382,14 @@ def _trig_eval(x: np.ndarray, n_obs: int) -> np.ndarray:
     return out
 
 
-def _monomial_eval(states: np.ndarray, exps: list[tuple[int, ...]]) -> np.ndarray:
-    """Rows of monomial values x^e for each exponent tuple, states (M, d)."""
-    out = np.empty((states.shape[0], len(exps)))
+def _monomial_eval(states: np.ndarray, exps: list[tuple[int, ...]], out: np.ndarray) -> None:
+    """Write the monomial values x^e of states (M, d) into the columns of ``out``, in order."""
     for j, e in enumerate(exps):
         col = np.ones(states.shape[0])
         for axis, k in enumerate(e):
             if k:
                 col = col * states[:, axis] ** k
         out[:, j] = col
-    return out
 
 
 def _as_states(x, name: str) -> np.ndarray:
@@ -444,9 +442,10 @@ def evaluate_dictionary(
                 f"monomial dictionary needs d={dict_spec.state_dim}, got {x.shape[1]}"
             )
         exps = monomial_exponents(dict_spec.max_degree, dict_spec.state_dim)
-        ones = np.ones((x.shape[0], 1))
-        a = np.hstack([ones, _monomial_eval(x, exps)])
-        b = np.hstack([ones, _monomial_eval(y, exps)])
+        a, b = np.empty((len(x), 1 + len(exps))), np.empty((len(y), 1 + len(exps)))
+        for side, states in ((a, x), (b, y)):
+            side[:, 0] = 1.0
+            _monomial_eval(states, exps, side[:, 1:])
     else:
         raise ShapeError(f"unknown dictionary variant {dict_spec.variant!r}")
     return build(a, b, sampling_kind, dt=dt)
@@ -481,8 +480,9 @@ def delay_embed(
             f"T={T} too short for n_delays={n_delays}, step={step} (need T > n_delays + step)"
         )
     exps = monomial_exponents(dict_spec.max_degree, dict_spec.state_dim)
-    mono = _monomial_eval(states, exps)  # (T, n_mono)
     n_mono = len(exps)
+    mono = np.empty((T, n_mono))
+    _monomial_eval(states, exps, mono)
 
     def window(lead: int) -> np.ndarray:
         # Rows lead, ..., lead + M - 1; delay d reads the slice d rows earlier.

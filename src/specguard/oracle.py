@@ -8,7 +8,8 @@ the estimation path (only the certified power iteration that brackets them):
 * quadrature-exact dictionary moments for 1D circle maps (spectrally
   accurate equispaced rule),
 * a brute-force dense matrix representation of any S-operator on the real
-  vector space of Hermitian matrices.
+  vector space of Hermitian matrices, and the adjoint S* of the iid data
+  operator, from its rank-one sample expansion.
 
 The `run_oracle_checks` suite cross-validates the estimation engine against
 all three and powers the ``oracle-check`` CLI subcommand.
@@ -22,18 +23,19 @@ from typing import Callable
 
 import numpy as np
 
-from .charmatrix import GramPair, char_context, edmd_matrix, eigensystem
-from .errors import CostGuardError, ResolutionGuardError, ShapeError
+from .charmatrix import GramPair, edmd_matrix, eigensystem
+from .errors import CostGuardError, ResolutionGuardError, ShapeError, UnsupportedModeError
 from .generators import VarSpec, expanding_map_f, var_benchmark_7d
 from .ingest import DictionarySpec, SnapshotSeries, _trig_eval
 from .pseudospec import (
     PEstimate,
     PowerIterSettings,
     _estimate_points,
+    _inverse_at,
+    _s_at,
     p_hat,
-    s_apply,
 )
-from .variance import KernelSpec, _hermitize
+from .variance import KernelSpec, _hermitize, _sample_factors
 
 __all__ = [
     "var_p_exact",
@@ -43,6 +45,7 @@ __all__ = [
     "QuadratureMoments",
     "hermitian_basis",
     "s_matrix_bruteforce",
+    "s_star_apply",
     "CheckResult",
     "run_oracle_checks",
 ]
@@ -273,6 +276,30 @@ def s_matrix_bruteforce(
     return mat, rho
 
 
+def s_star_apply(
+    q: np.ndarray, lam: complex, series: SnapshotSeries, kernel: KernelSpec
+) -> np.ndarray:
+    """Adjoint application S*[Q] = (1/M) sum_m D_m Q D_m^* (iid sampling only).
+
+    D_m = C^{-1}(C_m - C) at ``lam``, so <S[A], B> = <A, S*[B]> in the Frobenius
+    inner product; under any other kernel the expansion is not the adjoint of S.
+    """
+    if kernel.mode != "iid":
+        raise UnsupportedModeError(
+            "S* is implemented for the iid kernel only; windowed covariance "
+            "has no rank-one adjoint expansion here"
+        )
+    (lam,), _, (c_inv,) = _inverse_at(series, lam, None, "S*")
+    q = np.asarray(q, dtype=complex)
+    ut, vt = _sample_factors(series, lam)
+    # D_m = g_m v_m^* - I with g_m = C^{-1} u_m.
+    g, qv = c_inv @ ut, q @ vt
+    s_vals = np.sum(vt.conj() * qv, axis=0).real
+    t1 = (g * s_vals[np.newaxis, :]) @ g.conj().T
+    t2 = g @ qv.conj().T
+    return _hermitize((t1 - t2 - t2.conj().T) / series.M + q)
+
+
 # ---------------------------------------------------------------------------
 # Consistency suite
 # ---------------------------------------------------------------------------
@@ -343,9 +370,7 @@ def _check_trace_identity(perturb: float, seed: int) -> CheckResult:
 
 
 def _check_bruteforce_rho(perturb: float, seed: int) -> CheckResult:
-    """1/rho of the dense S matrix must fall inside the data-path bracket."""
-    from .charmatrix import gram_matrices  # local import to avoid cycle noise
-
+    """1/rho of the engine's dense S matrix must fall inside the data-path bracket."""
     rng = np.random.Generator(np.random.Philox(seed + 2))
     m, n = 150, 4
     a = rng.standard_normal((m, n))
@@ -353,9 +378,7 @@ def _check_bruteforce_rho(perturb: float, seed: int) -> CheckResult:
     series = SnapshotSeries(a.astype(complex), b.astype(complex), "iid")
     kernel = KernelSpec.iid()
     lam = 1.15 + 0.25j
-    gram = gram_matrices(series)
-    ctx = char_context(gram, lam)
-    _, rho = s_matrix_bruteforce(lambda q: s_apply(q, ctx, series, kernel), n)
+    _, rho = s_matrix_bruteforce(_s_at(series, kernel, lam), n)
     target = (1.0 / rho) * (1.0 + perturb)
     est = p_hat(lam, series, kernel, PowerIterSettings(rel_tol=1e-6, max_iters=500))
     if not est.converged:

@@ -16,11 +16,12 @@ which runs a batch of points in lockstep: a sweep's grid column, every
 EDMD eigenvalue of a spectrum test, or one point.  It inverts the batch's
 characteristic matrices in one :func:`~specguard.charmatrix.char_contexts`
 call, pins the points on the spectrum to ``at_eigenvalue`` and iterates
-the rest on the stacks that call returns; no per-point context object is
-built.  Within a batch the congruence with C^{-1}, the application of V
-and the pencil bracket are stacked numpy linalg calls, except that V goes
-point by point from the per-sample factors of :mod:`specguard.variance`
-on every route but the real iid one (see :func:`_covariance`).
+the rest on the S that :func:`_batch_s` composes from that call's stacks
+(the oracle applies it at one point through :func:`_s_at`).  The
+congruence with C^{-1}, V and the pencil bracket are stacked numpy linalg
+calls, except that V goes point by point from the per-sample factors of
+:mod:`specguard.variance` on every route but the real iid one (see
+:func:`_covariance`).
 
 Positivity is tested in one place: the pencil's Cholesky factorization of
 S[Q].  An S[Q] that fails it by round-off gets a ridge of 1e-12 tr/N (its
@@ -36,13 +37,8 @@ from typing import Callable
 import numpy as np
 
 from . import _blas
-from .charmatrix import CharContext, GramPair, char_contexts, gram_matrices
-from .errors import (
-    AtEigenvalueError,
-    DegenerateSError,
-    ShapeError,
-    UnsupportedModeError,
-)
+from .charmatrix import GramPair, char_contexts, gram_matrices
+from .errors import AtEigenvalueError, ShapeError
 from .ingest import SnapshotSeries
 from .variance import (
     KernelSpec,
@@ -54,7 +50,6 @@ from .variance import (
     _RealIidCovariance,
     _sample_factors,
     _variance_apply,
-    variance_apply,
 )
 
 __all__ = [
@@ -66,10 +61,7 @@ __all__ = [
     "PEstimate",
     "GridSpec",
     "SweepResult",
-    "bracket",
     "power_iterate",
-    "s_apply",
-    "s_star_apply",
     "p_hat",
     "sweep",
 ]
@@ -174,31 +166,11 @@ def _pencil(
     return sig[:, 0], upper, ridged, failed, s_used
 
 
-def bracket(q: np.ndarray, s_of_q: np.ndarray) -> tuple[float, float]:
-    """Two-sided bounds on 1/rho(S) from a single application S[Q].
-
-    For PSD Q and PD S[Q], every point of the pseudospectrum estimate lies
-    between the extreme generalized eigenvalues of Q v = sigma S[Q] v.
-    If Q happens to be a fixed direction (S[Q] proportional to Q) the two
-    endpoints coincide.  An S[Q] that needed a round-off ridge to factor
-    keeps its lower endpoint and gets an upper endpoint of inf.
-
-    Raises
-    ------
-    DegenerateSError
-        If S[Q] is not positive definite even after a round-off ridge.
-    """
-    lo, hi, _, failed, _ = _pencil(
-        np.asarray(q, complex)[np.newaxis], np.asarray(s_of_q, complex)[np.newaxis]
-    )
-    if failed[0]:
-        raise DegenerateSError("S[Q] is not positive definite, even after a round-off ridge")
-    return float(lo[0]), float(hi[0])
-
-
-#: ``apply_s(live, q)``: S[Q] for the iterates ``q`` (k, N, N) of the batch
-#: points ``live``.
+#: ``apply_s(live, q)``: the Hermitian S[Q] for the iterates ``q`` (k, N, N)
+#: of the batch points ``live``.
 _BatchApply = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: ``make_v(lams, c_hat)``: V's batch applier at the points ``lams``, C(lam) = ``c_hat``.
+_MakeV = Callable[[np.ndarray, np.ndarray], _BatchApply]
 
 
 def _iterate(
@@ -212,9 +184,8 @@ def _iterate(
     ``q`` (B, N, N) holds each point's starting iterate.  A point leaves
     the batch when it converges or degenerates (its S[Q] does not factor
     even after a round-off ridge, or has no positive trace); the rest stop
-    at ``max_iters``.
-    ``history``, for one-point batches, receives every step's
-    (lower, upper).
+    at ``max_iters``.  ``history``, for one-point batches, receives every
+    step's (lower, upper).
 
     ``q_final`` is the trace-one iterate whose pencil produced the returned
     bracket, so it can seed a warm start at a nearby spectral point.
@@ -241,7 +212,7 @@ def _iterate(
     for iterations in range(1, settings.max_iters + 1):
         if not len(live):
             break
-        lo, hi, ridged, failed, s_used = _pencil(q[live], _hermitize(apply_s(live, q[live])))
+        lo, hi, ridged, failed, s_used = _pencil(q[live], apply_s(live, q[live]))
         finish(live[failed], iterations, STATUS_DEGENERATE_S)
         live, lo, hi, s_used = live[~failed], lo[~failed], hi[~failed], s_used[~failed]
         lower[live] = np.maximum(lo, 0.0)
@@ -284,61 +255,12 @@ def power_iterate(
     if settings is None:
         settings = PowerIterSettings()
     (est,) = _iterate(
-        lambda live, q: apply_s(q[0])[np.newaxis],
+        lambda live, q: _hermitize(apply_s(q[0]))[np.newaxis],
         np.eye(dim, dtype=complex)[np.newaxis] / dim,
         settings,
         history,
     )
     return est
-
-
-def _check_off_spectrum(ctx: CharContext, op: str) -> None:
-    """Raise AtEigenvalueError where C(lam) is singular and ``op`` is undefined."""
-    if ctx.singular_flag:
-        raise AtEigenvalueError(
-            f"lambda={ctx.lam:.6g} is numerically an EDMD eigenvalue "
-            f"(rcond={ctx.rcond:.3e}); {op} is undefined there"
-        )
-
-
-def s_apply(
-    q: np.ndarray, ctx: CharContext, series: SnapshotSeries, kernel: KernelSpec
-) -> np.ndarray:
-    """One application S[Q] = V[C^{-*} Q C^{-1}] at ctx's spectral point.
-
-    V is :func:`~specguard.variance.variance_apply`, which builds the
-    per-sample factors at ctx's point.
-    """
-    _check_off_spectrum(ctx, "S")
-    w = _congruence(ctx.inv, np.asarray(q, dtype=complex))
-    return variance_apply(w, ctx.lam, series, kernel).result
-
-
-def s_star_apply(
-    q: np.ndarray, ctx: CharContext, series: SnapshotSeries, kernel: KernelSpec
-) -> np.ndarray:
-    """Adjoint application S*[Q] = (1/M) sum_m D_m Q D_m^* (iid sampling only).
-
-    D_m = C^{-1}(C_m - C); adjointness <S[A], B> = <A, S*[B]> holds in the
-    Frobenius inner product.  The expansion is only the adjoint of S when
-    the covariance kernel is the iid one, hence the mode guard.  The
-    factors u, v come from :func:`~specguard.variance._sample_factors`.
-    """
-    if kernel.mode != "iid":
-        raise UnsupportedModeError(
-            "S* is implemented for the iid kernel only; windowed covariance "
-            "has no rank-one adjoint expansion here"
-        )
-    _check_off_spectrum(ctx, "S*")
-    q = np.asarray(q, dtype=complex)
-    m = series.M
-    ut, vt = _sample_factors(series, ctx.lam)
-    # D_m = g_m v_m^* - I with g_m = C^{-1} u_m.
-    g = ctx.solve(ut)
-    s_vals = np.sum(vt.conj() * (q @ vt), axis=0).real
-    t1 = (g * s_vals[np.newaxis, :]) @ g.conj().T
-    t2 = g @ (q @ vt).conj().T
-    return _hermitize((t1 - t2 - t2.conj().T) / m + q)
 
 
 def _congruence(c_inv: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -351,9 +273,7 @@ def _series_gram(series: SnapshotSeries) -> GramPair:
     return series._memo.get_or_build("gram", lambda: gram_matrices(series))
 
 
-def _covariance(
-    series: SnapshotSeries, kernel: KernelSpec
-) -> Callable[[np.ndarray, np.ndarray], _BatchApply]:
+def _covariance(series: SnapshotSeries, kernel: KernelSpec) -> _MakeV:
     """V for one series and kernel: ``at(lam, c_hat)``, a batch's ``(live, w) -> V[W]``.
 
     The iid kernel on a real-valued (float64) series runs in real
@@ -363,10 +283,9 @@ def _covariance(
     building u once per batch (complex, so that no application casts it),
     each point's N x N mean once per point and v for every application, so
     that a batch keeps no (N, M) array per point and no batch keeps state
-    for the next.  The kernel window is checked at once,
-    before any point; the route is picked, and a real series' tensor
-    built, by ``at``, which the estimates call only when some point is off
-    the spectrum.
+    for the next.  The kernel window is checked at once, before any point;
+    the route is picked, and a real series' tensor built, by ``at``, which
+    the estimates call only when some point is off the spectrum.
     """
     _check_window(kernel, series.M)
 
@@ -391,9 +310,49 @@ def _covariance(
     return at
 
 
+def _batch_s(make_v: _MakeV, lams: np.ndarray, c_hat: np.ndarray, c_inv: np.ndarray) -> _BatchApply:
+    """S[Q] = V[C^{-*} Q C^{-1}] at off-spectrum points: the one S the estimates iterate on.
+
+    The congruence with ``c_inv``, V from ``make_v(lams, c_hat)``, then the Hermitian part.
+    """
+    apply_v = make_v(lams, c_hat)
+    return lambda live, q: _hermitize(apply_v(live, _congruence(c_inv[live], q)))
+
+
+def _inverse_at(series: SnapshotSeries, lam: complex, floor: float | None, op: str) -> tuple:
+    """``(lams, c_hat, inv)`` of :func:`char_contexts` at ``lam``, where ``op`` must be defined."""
+    lams, c_hat, c_inv, rcond, singular = char_contexts(_series_gram(series), [lam], floor)
+    if singular[0]:
+        raise AtEigenvalueError(
+            f"lambda={lams[0]:.6g} is numerically an EDMD eigenvalue "
+            f"(rcond={rcond[0]:.3e}); {op} is undefined there"
+        )
+    return lams, c_hat, c_inv
+
+
+def _s_at(
+    series: SnapshotSeries, kernel: KernelSpec, lam: complex, floor: float | None = None
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``q -> S[Q]`` at one point: a one-point :func:`_batch_s` on :func:`p_hat`'s route.
+
+    Set-up and applications run with BLAS on one thread.  Raises
+    AtEigenvalueError on the spectrum, and WindowTooLargeError if the
+    kernel window does not fit the sample.
+    """
+    make_v = _covariance(series, kernel)
+    with _blas.single_thread():
+        apply_s = _batch_s(make_v, *_inverse_at(series, lam, floor, "S"))
+
+    def at(q: np.ndarray) -> np.ndarray:
+        with _blas.single_thread():
+            return apply_s(np.zeros(1, dtype=int), np.asarray(q, dtype=complex)[np.newaxis])[0]
+
+    return at
+
+
 def _estimate_points(
     gram: GramPair,
-    make_v: Callable[[np.ndarray, np.ndarray], _BatchApply],
+    make_v: _MakeV,
     lams,
     settings: PowerIterSettings | None = None,
     floor: float | None = None,
@@ -426,9 +385,8 @@ def _estimate_points(
         if len(off):
             starts = starts or [None] * len(lams)
             q = np.stack([default if starts[k] is None else starts[k] for k in off])
-            apply_v = make_v(lams[off], c_hat[off])
-            c_inv = c_inv[off]
-            ests = _iterate(lambda live, q: apply_v(live, _congruence(c_inv[live], q)), q, settings)
+            apply_s = _batch_s(make_v, lams[off], c_hat[off], c_inv[off])
+            ests = _iterate(apply_s, q, settings)
             for k, est in zip(off, ests):
                 out[k] = est
     return out

@@ -9,20 +9,18 @@ covariance
 where C_m = u_m v_m^* are the rank-one per-sample characteristic matrices
 and C is their mean.  Negative lags are defined by Gamma_{-l} = Gamma_l^*.
 
-Two evaluation routes are provided: a direct reference implementation
-(`variance_apply_naive`) that materializes the centered snapshot matrices,
-and a production path (`variance_apply`) that exploits the rank-one
-structure to run in O(L * M * N + M * N^2) time.  The two must agree to
-near machine precision; tests enforce a 1e-10 relative Frobenius bound.
-The per-sample factors v (one (N, M) column per sample, with u = a^T) and
-their mean C = (1/M) u v^* are built only by `_sample_factors` and
-`_factor_mean`.  `variance_apply` builds both at its ``lam`` and calls the
-core `_variance_apply`; the engine of :mod:`specguard.pseudospec` calls the
-core itself, with u once per batch, each point's mean once and v per application.
-Both return V[Q] as computed, Hermitian but never repaired for
-positivity: V is linear in Q, and an indefinite Q keeps its indefinite
-image.  The certified estimates test positivity once, on S[Q], when the
-pencil of :mod:`specguard.pseudospec` Cholesky-factors it.
+The rank-one structure gives V in O(L * M * N + M * N^2) time.  The core,
+`_variance_apply`, reads the per-sample factors v (one (N, M) column per
+sample, with u = a^T) and their mean C = (1/M) u v^*, which only
+`_sample_factors` and `_factor_mean` build; the engine of
+:mod:`specguard.pseudospec` calls it with u once per batch, each point's
+mean once and v per application.  `variance_apply` is the same core at one
+``lam``, and `variance_apply_naive` a reference that materializes the
+centered snapshot matrices; the two agree to a 1e-10 relative Frobenius
+bound.  V[Q] comes back as computed, Hermitian but never repaired for
+positivity (V is linear in Q): the certified estimates test positivity
+once, on S[Q], when the pencil of :mod:`specguard.pseudospec`
+Cholesky-factors it.
 For the iid kernel on real-valued data, which a series stores as float64,
 the certified estimates apply V in real arithmetic to a whole batch of
 points at once (`_RealIidCovariance`), held to the same bound.  There V[W]

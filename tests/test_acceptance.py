@@ -14,12 +14,7 @@ import time
 import numpy as np
 from numpy.testing import assert_allclose
 
-from specguard.charmatrix import (
-    char_context,
-    edmd_matrix,
-    eigensystem,
-    gram_matrices,
-)
+from specguard.charmatrix import char_contexts, edmd_matrix, eigensystem, gram_matrices
 from specguard.cli import main
 from specguard.generators import (
     Lorenz63Spec,
@@ -37,22 +32,29 @@ from specguard.ingest import (
     evaluate_dictionary,
     write_snapshots,
 )
-from specguard.oracle import QuadratureMoments, s_matrix_bruteforce, var_p_exact, var_p_power
+from specguard.oracle import (
+    QuadratureMoments,
+    s_matrix_bruteforce,
+    s_star_apply,
+    var_p_exact,
+    var_p_power,
+)
 from specguard.pseudospec import (
     STATUS_AT_EIGENVALUE,
     STATUS_CONVERGED,
     STATUS_MAX_ITERS,
     GridSpec,
     PowerIterSettings,
+    _covariance,
+    _s_at,
     p_hat,
     power_iterate,
-    s_apply,
-    s_star_apply,
     sweep,
 )
 from specguard.stats import cluster_eigenvalues
 from specguard.variance import (
     KernelSpec,
+    _RealIidCovariance,
     variance_apply,
     variance_apply_naive,
 )
@@ -118,7 +120,12 @@ def test_c1_var_analytic_end_to_end():
 
 
 def test_c2_bruteforce_operator_equivalence():
-    """Certified data-path bracket contains 1/rho of the dense S matrix."""
+    """Certified data-path bracket contains 1/rho of the engine's dense S matrix.
+
+    Each dataset runs as given, stored real, so S takes the real-iid tensor
+    route; then times a common unit phase, stored complex, so S takes the
+    per-point route.  The phase cancels in every C_m, so P is the same.
+    """
     t0 = time.monotonic()
     for k in range(50):
         rng = np.random.default_rng(5000 + k)
@@ -127,48 +134,65 @@ def test_c2_bruteforce_operator_equivalence():
         t = rng.uniform(-0.6, 0.6, size=(n, n))
         a = rng.normal(size=(m, n))
         b = a @ t.T + 0.3 * rng.normal(size=(m, n))
-        series = SnapshotSeries(a.astype(complex), b.astype(complex), "iid")
         lam = rng.uniform(1.0, 1.4) * np.exp(2j * np.pi * rng.uniform())
-        ctx = char_context(gram_matrices(series), lam)
-        _, rho = s_matrix_bruteforce(lambda q: s_apply(q, ctx, series, IID), n)
-        est = p_hat(lam, series, IID)
-        assert est.status in (STATUS_CONVERGED, STATUS_MAX_ITERS)
-        target = 1.0 / rho
-        assert est.lower * (1 - 1e-9) <= target <= est.upper * (1 + 1e-9), (
-            f"dataset {k} (N={n}): 1/rho={target:.9g} outside "
-            f"[{est.lower:.9g}, {est.upper:.9g}]"
-        )
+        phase = np.exp(2j * np.pi * rng.uniform())
+        for route, factor in (("real", 1.0), ("complex", phase)):
+            series = SnapshotSeries(factor * a, factor * b, "iid")
+            assert (series.a.dtype == complex) == (route == "complex")
+            _, rho = s_matrix_bruteforce(_s_at(series, IID, lam), n)
+            est = p_hat(lam, series, IID)
+            assert est.status in (STATUS_CONVERGED, STATUS_MAX_ITERS)
+            target = 1.0 / rho
+            assert est.lower * (1 - 1e-9) <= target <= est.upper * (1 + 1e-9), (
+                f"dataset {k} (N={n}, {route}): 1/rho={target:.9g} outside "
+                f"[{est.lower:.9g}, {est.upper:.9g}]"
+            )
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"criterion 2 took {elapsed:.1f}s (budget 60s)"
-    print(f"criterion 2: 50/50 brackets contain 1/rho, {elapsed:.1f}s")
+    print(f"criterion 2: 50/50 brackets contain 1/rho on both routes, {elapsed:.1f}s")
+
+
+def _engine_v(q, lam, series, kernel):
+    """V[Q] at one point as the estimates apply it, through the engine's covariance."""
+    lams, c_hat, _, _, _ = char_contexts(gram_matrices(series), [lam])
+    return _covariance(series, kernel)(lams, c_hat)(np.zeros(1, dtype=int), q[np.newaxis])[0]
 
 
 def test_c3_fast_vs_naive_variance():
-    """Rank-one fast path equals the materialized reference estimator."""
+    """The engine's V equals the materialized reference estimator on both routes.
+
+    20 complex windowed configs take the per-point kernel route; 20 real
+    iid configs take the real-iid tensor route.
+    """
     t0 = time.monotonic()
     rng = np.random.default_rng(303)
     worst = 0.0
-    for k in range(20):
+    for k in range(40):
         n = int(rng.integers(1, 9))
         m = int(rng.integers(200, 501))
-        l_window = int(rng.integers(0, 21))
-        mus = (float(rng.uniform(-0.7, 0.7)),) if k % 2 else ()
-        kernel = KernelSpec.windowed(l_window, mus)
-        series = SnapshotSeries(
-            _complex_randn(rng, m, n), _complex_randn(rng, m, n), "trajectory"
-        )
+        if k < 20:
+            l_window = int(rng.integers(0, 21))
+            mus = (float(rng.uniform(-0.7, 0.7)),) if k % 2 else ()
+            kernel = KernelSpec.windowed(l_window, mus)
+            series = SnapshotSeries(
+                _complex_randn(rng, m, n), _complex_randn(rng, m, n), "trajectory"
+            )
+        else:
+            l_window, kernel = 0, IID
+            series = SnapshotSeries(rng.normal(size=(m, n)), rng.normal(size=(m, n)), "iid")
+            assert _RealIidCovariance.applies(series, kernel)
         lam = complex(rng.uniform(-1.3, 1.3), rng.uniform(-1.3, 1.3))
         h = _complex_randn(rng, n, n)
         q = h + h.conj().T
-        fast = variance_apply(q, lam, series, kernel)
-        naive = variance_apply_naive(q, lam, series, kernel)
-        scale = max(float(np.linalg.norm(naive.result)), 1e-300)
-        rel = float(np.linalg.norm(fast.result - naive.result)) / scale
+        fast = _engine_v(q, lam, series, kernel)
+        naive = variance_apply_naive(q, lam, series, kernel).result
+        scale = max(float(np.linalg.norm(naive)), 1e-300)
+        rel = float(np.linalg.norm(fast - naive)) / scale
         worst = max(worst, rel)
         assert rel <= 1e-10, f"config {k} (N={n}, M={m}, L={l_window}): rel {rel:.2e}"
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, f"criterion 3 took {elapsed:.1f}s (budget 30s)"
-    print(f"criterion 3: 20 configs, worst rel deviation {worst:.2e}, {elapsed:.1f}s")
+    print(f"criterion 3: 40 configs, worst rel deviation {worst:.2e}, {elapsed:.1f}s")
 
 
 def test_c4_test_calibration():
@@ -303,7 +327,7 @@ def test_c8_property_suites():
         floor = -1e-10 * max(1.0, float(np.linalg.norm(out)))
         assert np.linalg.eigvalsh(out)[0] >= floor, f"variance trial {trial}"
 
-    # PSD preservation of s_apply, 200 trials
+    # PSD preservation of the engine's S, 200 trials
     for trial in range(200):
         n = 2 + trial % 4
         series = SnapshotSeries(
@@ -311,10 +335,9 @@ def test_c8_property_suites():
         )
         kernel = IID if trial % 2 else KernelSpec.windowed(1 + trial % 2)
         lam = 1.2 * np.exp(2j * np.pi * rng.uniform())
-        ctx = char_context(gram_matrices(series), lam)
-        out = s_apply(_random_psd(rng, n), ctx, series, kernel)
+        out = _s_at(series, kernel, lam)(_random_psd(rng, n))
         floor = -1e-10 * max(1.0, float(np.linalg.norm(out)))
-        assert np.linalg.eigvalsh(out)[0] >= floor, f"s_apply trial {trial}"
+        assert np.linalg.eigvalsh(out)[0] >= floor, f"S trial {trial}"
 
     # real-linearity of variance_apply
     for trial in range(20):
@@ -334,17 +357,16 @@ def test_c8_property_suites():
         scale = max(1.0, float(np.linalg.norm(parts)))
         assert float(np.linalg.norm(combo - parts)) <= 1e-11 * scale
 
-    # adjointness of s_star_apply against s_apply
+    # adjointness of the oracle's S* against the engine's S
     for trial in range(20):
         n = 2 + trial % 3
         series = SnapshotSeries(
             _complex_randn(rng, 180, n), _complex_randn(rng, 180, n), "iid"
         )
         lam = 1.25 * np.exp(2j * np.pi * rng.uniform())
-        ctx = char_context(gram_matrices(series), lam)
         q1, q2 = _random_psd(rng, n), _random_psd(rng, n)
-        lhs = np.trace(s_apply(q1, ctx, series, IID).conj().T @ q2)
-        rhs = np.trace(q1.conj().T @ s_star_apply(q2, ctx, series, IID))
+        lhs = np.trace(_s_at(series, IID, lam)(q1).conj().T @ q2)
+        rhs = np.trace(q1.conj().T @ s_star_apply(q2, lam, series, IID))
         assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
 
     # kernel Fourier non-negativity
@@ -361,10 +383,9 @@ def test_c8_property_suites():
             _complex_randn(rng, 200, n), _complex_randn(rng, 200, n), "iid"
         )
         lam = 1.2 * np.exp(2j * np.pi * rng.uniform())
-        ctx = char_context(gram_matrices(series), lam)
         history: list = []
         power_iterate(
-            lambda q: s_apply(q, ctx, series, IID),
+            _s_at(series, IID, lam),
             n,
             PowerIterSettings(rel_tol=1e-4, max_iters=300),
             history,

@@ -131,7 +131,7 @@ def test_fit_and_char_context_run_on_one_thread(two_threads, monkeypatch, entry)
         return wrapped
 
     for module in (charmatrix, pseudospec, stats):
-        for name in ("gram_matrices", "char_context", "char_contexts", "edmd_matrix", "eigensystem"):
+        for name in ("gram_matrices", "char_contexts", "edmd_matrix", "eigensystem"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     series = _series(real=True)

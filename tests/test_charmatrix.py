@@ -7,9 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from specguard.charmatrix import (
-    CharContext,
     GramPair,
-    char_context,
     char_contexts,
     edmd_matrix,
     eigensystem,
@@ -123,30 +121,38 @@ class TestEdmdMatrix:
         assert err.value.rcond == 0.0
 
 
+def _one_point(g: GramPair, lam, floor=None):
+    """``(lam, c_hat, inv, rcond, singular)`` of a one-point :func:`char_contexts` call."""
+    (lam,), (c_hat,), (inv,), (rcond,), (singular,) = char_contexts(g, [lam], floor)
+    return lam, c_hat, inv, float(rcond), bool(singular)
+
+
 class TestCharContext:
+    """One point of :func:`char_contexts`: its inverse, rcond and singular flag."""
+
     def test_solve_matches_dense(self):
         g = gram_matrices(_series(m=70, n=5, seed=8))
         lam = 1.2 + 0.4j
-        ctx = char_context(g, lam)
-        assert not ctx.singular_flag
+        _, c_hat, inv, _, singular = _one_point(g, lam)
+        assert not singular
         c = lam * g.psi_xx - g.psi_xy
-        assert_allclose(ctx.c_hat, c, rtol=0, atol=0)
+        assert_allclose(c_hat, c, rtol=0, atol=0)
         rng = np.random.default_rng(9)
         b1 = rng.normal(size=5) + 1j * rng.normal(size=5)
         b2 = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-        assert_allclose(ctx.solve(b1), np.linalg.solve(c, b1), atol=1e-11)
-        assert_allclose(ctx.solve(b2), np.linalg.solve(c, b2), atol=1e-11)
+        assert_allclose(inv @ b1, np.linalg.solve(c, b1), atol=1e-11)
+        assert_allclose(inv @ b2, np.linalg.solve(c, b2), atol=1e-11)
 
     def test_inv_congruence(self):
-        """The engine's C^{-*} Q C^{-1}, built from a context, against dense inverses."""
+        """The engine's C^{-*} Q C^{-1}, built from the stored inverse, against dense inverses."""
         g = gram_matrices(_series(m=70, n=4, seed=10))
-        ctx = char_context(g, 0.9 - 0.2j)
+        _, c_hat, inv, _, _ = _one_point(g, 0.9 - 0.2j)
         rng = np.random.default_rng(11)
         q = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         q = q @ q.conj().T
-        c_inv = np.linalg.inv(ctx.c_hat)
+        c_inv = np.linalg.inv(c_hat)
         expected = c_inv.conj().T @ q @ c_inv
-        got = _congruence(ctx.inv, q)
+        got = _congruence(inv, q)
         assert_allclose(got, expected, atol=1e-11)
 
     @pytest.mark.parametrize("seed", [30, 31, 32, 33])
@@ -164,29 +170,29 @@ class TestCharContext:
         target = 10.0 ** -rng.uniform(3, 7)
         step = 0.1 * np.exp(2j * np.pi * rng.uniform())
         for _ in range(60):
-            ctx = char_context(g, eig + step)
-            if ctx.rcond <= target:
+            _, c_hat, inv, rcond, _ = _one_point(g, eig + step)
+            if rcond <= target:
                 break
             step /= 2
-        assert 1e-8 <= ctx.rcond <= 1e-3
+        assert 1e-8 <= rcond <= 1e-3
         q = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         q = q @ q.conj().T
-        c_h = ctx.c_hat.conj().T
+        c_h = c_hat.conj().T
         left = np.linalg.solve(c_h, q)                            # C^{-*} Q
         expected = np.linalg.solve(c_h, left.conj().T).conj().T   # C^{-*} Q C^{-1}
-        got = _congruence(ctx.inv, q)
+        got = _congruence(inv, q)
         err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
-        assert err <= 1e-13 / ctx.rcond
+        assert err <= 1e-13 / rcond
 
     def test_residual_backward_stable(self):
         """Solves with the stored inverse must reproduce C to near round-off."""
         g = gram_matrices(_series(m=90, n=6, seed=12))
-        ctx = char_context(g, 1.4 + 0.1j)
+        _, c_hat, inv, _, _ = _one_point(g, 1.4 + 0.1j)
         rng = np.random.default_rng(13)
         b = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
-        x = ctx.solve(b)
-        resid = np.linalg.norm(ctx.c_hat @ x - b)
-        bound = 1e-12 * np.linalg.norm(ctx.c_hat) * np.linalg.norm(x)
+        x = inv @ b
+        resid = np.linalg.norm(c_hat @ x - b)
+        bound = 1e-12 * np.linalg.norm(c_hat) * np.linalg.norm(x)
         assert resid <= bound
 
     def test_singular_at_every_eigenvalue(self):
@@ -196,8 +202,8 @@ class TestCharContext:
             g = gram_matrices(s)
             k_hat, _ = edmd_matrix(g)
             for mode in eigensystem(k_hat):
-                ctx = char_context(g, mode.eigenvalue)
-                assert ctx.singular_flag, (n, mode.eigenvalue, ctx.rcond)
+                _, _, _, rcond, singular = _one_point(g, mode.eigenvalue)
+                assert singular, (n, mode.eigenvalue, rcond)
 
     def test_not_singular_off_spectrum(self):
         g = gram_matrices(_series(m=100, n=4, seed=14))
@@ -205,11 +211,11 @@ class TestCharContext:
         eigs = np.linalg.eigvals(k_hat)
         lam = 2.0 + 2.0j
         assert np.min(np.abs(eigs - lam)) > 0.5
-        assert not char_context(g, lam).singular_flag
+        assert not _one_point(g, lam)[4]
 
     def test_large_lambda_well_conditioned(self):
         g = gram_matrices(_series(m=100, n=5, seed=15))
-        rc_far = char_context(g, 1e6).rcond
+        rc_far = _one_point(g, 1e6)[3]
         assert rc_far > 1e-3
 
     def test_scalar_rcond_is_binary(self):
@@ -217,27 +223,24 @@ class TestCharContext:
         s = SnapshotSeries(a, a, "iid")
         g = gram_matrices(s)
         # lam = 1 makes C = psi_xx - psi_xy = 0 exactly
-        assert char_context(g, 1.0).rcond == 0.0
-        assert char_context(g, 1.0).singular_flag
-        assert char_context(g, 1.0, floor=0.0).singular_flag
-        off = char_context(g, 1.5)
-        assert off.rcond == 1.0
-        assert not off.singular_flag
+        assert _one_point(g, 1.0)[3:] == (0.0, True)
+        assert _one_point(g, 1.0, floor=0.0)[4]
+        assert _one_point(g, 1.5)[3:] == (1.0, False)
 
     def test_floor_override_controls_flag(self):
         g = gram_matrices(_series(m=100, n=3, seed=16))
-        ctx = char_context(g, 1.1 + 0.2j)
-        assert not ctx.singular_flag
-        strict = char_context(g, 1.1 + 0.2j, floor=2 * ctx.rcond)
-        assert strict.singular_flag
+        _, _, _, rcond, singular = _one_point(g, 1.1 + 0.2j)
+        assert not singular
+        assert _one_point(g, 1.1 + 0.2j, floor=2 * rcond)[4]
 
 
-def _same_point(stacks, k: int, want: CharContext) -> None:
-    """Point k of the stacks of char_contexts equals a context, bit for bit."""
+def _same_point(stacks, k: int, want: tuple) -> None:
+    """Point k of the stacks of char_contexts equals a one-point call's, bit for bit."""
     lams, c_hat, inv, rcond, singular = stacks
-    assert lams[k] == want.lam
-    assert (rcond[k], singular[k]) == (want.rcond, want.singular_flag)
-    for got, ref in ((c_hat[k], want.c_hat), (inv[k], want.inv)):
+    lam, want_c_hat, want_inv, want_rcond, want_singular = want
+    assert lams[k] == lam
+    assert (rcond[k], singular[k]) == (want_rcond, want_singular)
+    for got, ref in ((c_hat[k], want_c_hat), (inv[k], want_inv)):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
 
@@ -255,7 +258,7 @@ class TestCharContexts:
         assert np.flatnonzero(singular).tolist() == [5]
         s = np.sqrt(g.psi_xx.diagonal().real)
         for k, lam in enumerate(lams):
-            _same_point(stacks, k, char_context(g, lam))
+            _same_point(stacks, k, _one_point(g, lam))
             # The per-point reference: numpy's inverse and exact 1-norm condition number.
             eq = (lam * g.psi_xx - g.psi_xy) / np.outer(s, s)
             assert inv[k].tobytes() == (np.linalg.inv(eq) / np.outer(s, s)).tobytes()
@@ -285,14 +288,14 @@ class TestCharContexts:
         stacks = char_contexts(g, lams)
         assert stacks[3].tolist() == [1.0, 0.0, 1.0]
         for k, lam in enumerate(lams):
-            _same_point(stacks, k, char_context(g, lam))
+            _same_point(stacks, k, _one_point(g, lam))
 
     def test_all_zero_gram(self):
         g = GramPair(np.zeros((3, 3)), np.zeros((3, 3)), 5)
         stacks = char_contexts(g, [0.5, 2j])
         assert list(zip(stacks[3].tolist(), stacks[4].tolist())) == [(0.0, True), (0.0, True)]
         for k, lam in enumerate([0.5, 2j]):
-            _same_point(stacks, k, char_context(g, lam))
+            _same_point(stacks, k, _one_point(g, lam))
 
     @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf), -np.inf])
     def test_non_finite_point_rejected(self, bad):
@@ -300,11 +303,11 @@ class TestCharContexts:
         with pytest.raises(ShapeError, match="not finite"):
             char_contexts(g, [1.0, bad])
         with pytest.raises(ShapeError, match="not finite"):
-            char_context(g, bad)
+            char_contexts(g, [bad])
 
     def test_overflowing_matrix_raises(self):
         with pytest.raises(NumericError, match="non-finite"):
-            char_context(gram_matrices(_series()), 1.7e308 + 1.7e308j)
+            char_contexts(gram_matrices(_series()), [1.7e308 + 1.7e308j])
 
 
 class TestEigensystem:

@@ -181,7 +181,7 @@ class TestBuiltSeriesAreStoredOnce:
         assert _owned_frozen_contiguous(s.a) and _owned_frozen_contiguous(s.b)
         assert not np.may_share_memory(s.a, s.b)
 
-    @pytest.mark.parametrize("builder", ["trig", "delay_embed"])
+    @pytest.mark.parametrize("builder", ["trig", "monomial", "delay_embed"])
     def test_a_built_series_is_held_once_while_it_is_built(self, builder):
         m, n = 20_000, 10
         rng = np.random.default_rng(12)
@@ -190,6 +190,9 @@ class TestBuiltSeriesAreStoredOnce:
         try:
             if builder == "trig":
                 s = evaluate_dictionary(x[:m, :1], x[:m, 1:2], DictionarySpec.trig(n))
+            elif builder == "monomial":
+                spec = DictionarySpec.monomial_delay(2, 1, 3)
+                s = evaluate_dictionary(x[:m], x[1 : m + 1], spec)
             else:
                 s = delay_embed(x, DictionarySpec.monomial_delay(1, 3, 3))
             _, peak = tracemalloc.get_traced_memory()

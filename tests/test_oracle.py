@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from specguard.charmatrix import char_context, edmd_matrix, eigensystem, gram_matrices
+from specguard.charmatrix import char_contexts, edmd_matrix, eigensystem, gram_matrices
 from specguard.errors import CostGuardError, ResolutionGuardError, ShapeError
 from specguard.generators import VarSpec, expanding_map_f, var_benchmark_7d
 from specguard.ingest import DictionarySpec, SnapshotSeries, evaluate_dictionary
@@ -32,8 +32,8 @@ from specguard.pseudospec import (
     STATUS_CONVERGED,
     STATUS_MAX_ITERS,
     PowerIterSettings,
+    _s_at,
     p_hat,
-    s_apply,
 )
 from specguard.variance import KernelSpec, variance_apply
 
@@ -287,9 +287,8 @@ class TestSMatrixBruteforce:
         series = SnapshotSeries(x[:-1].astype(complex), x[1:].astype(complex), "trajectory")
         kernel = KernelSpec.windowed(l_window, tuple(mus))
         lam = radius * np.exp(1j * angle)
-        ctx = char_context(gram_matrices(series), lam)
-        assume(not ctx.singular_flag)
-        _, rho = s_matrix_bruteforce(lambda q: s_apply(q, ctx, series, kernel), n)
+        assume(not char_contexts(gram_matrices(series), [lam])[4][0])
+        _, rho = s_matrix_bruteforce(_s_at(series, kernel, lam), n)
         est = p_hat(lam, series, kernel)
         assert est.status in (STATUS_CONVERGED, STATUS_MAX_ITERS)
         assert est.lower * (1 - 1e-9) <= 1.0 / rho <= est.upper * (1 + 1e-9), (

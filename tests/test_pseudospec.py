@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from specguard.charmatrix import char_context, edmd_matrix, eigensystem, gram_matrices
+from specguard.charmatrix import edmd_matrix, eigensystem, gram_matrices
 from specguard.errors import (
     AtEigenvalueError,
     NumericError,
@@ -21,7 +21,7 @@ from specguard.errors import (
     WindowTooLargeError,
 )
 from specguard.ingest import SnapshotSeries
-from specguard.oracle import s_matrix_bruteforce
+from specguard.oracle import s_matrix_bruteforce, s_star_apply
 from specguard.pseudospec import (
     GridSpec,
     PEstimate,
@@ -31,11 +31,9 @@ from specguard.pseudospec import (
     STATUS_DEGENERATE_S,
     STATUS_MAX_ITERS,
     _pencil,
-    bracket,
+    _s_at,
     p_hat,
     power_iterate,
-    s_apply,
-    s_star_apply,
     sweep,
 )
 from specguard import charmatrix, pseudospec, stats
@@ -86,22 +84,35 @@ def _congruence_operator(n, seed, terms=4):
     return apply_s
 
 
+def _bracket(q: np.ndarray, s_of_q: np.ndarray) -> tuple[float, float]:
+    """The pencil's (lower, upper) for one pair, on one-point stacks; S[Q] must factor."""
+    lo, hi, _, failed, _ = _pencil(np.asarray(q, complex)[None], np.asarray(s_of_q, complex)[None])
+    assert not failed[0]
+    return float(lo[0]), float(hi[0])
+
+
 class TestBracket:
+    def test_an_indefinite_s_fails_the_pencil(self):
+        # Positive trace, so the round-off ridge is tried, and fails.
+        s = np.diag([2.0, -1.0]).astype(complex)
+        _, _, ridged, failed, _ = _pencil(np.eye(2, dtype=complex)[None] / 2, s[None])
+        assert failed[0] and ridged[0]
+
     def test_fixed_direction_collapses(self):
         s = _random_psd(3, 1)
-        lo, hi = bracket(s, s)
+        lo, hi = _bracket(s, s)
         assert_allclose([lo, hi], [1.0, 1.0], atol=1e-12)
 
     def test_diagonal_pin(self):
         q = np.diag([1.0, 2.0]).astype(complex)
-        lo, hi = bracket(q, np.eye(2, dtype=complex))
+        lo, hi = _bracket(q, np.eye(2, dtype=complex))
         assert_allclose([lo, hi], [1.0, 2.0], atol=1e-12)
 
     def test_scaling_in_s(self):
         q = _random_psd(4, 2)
         s = _random_psd(4, 3)
-        lo, hi = bracket(q, s)
-        lo2, hi2 = bracket(q, 2.0 * s)
+        lo, hi = _bracket(q, s)
+        lo2, hi2 = _bracket(q, 2.0 * s)
         assert_allclose([lo2, hi2], [lo / 2.0, hi / 2.0], rtol=1e-11)
 
     def test_contains_reciprocal_spectral_radius(self):
@@ -111,7 +122,7 @@ class TestBracket:
             apply_s = _congruence_operator(n, seed)
             _, rho = s_matrix_bruteforce(apply_s, n)
             q = _random_psd(n, 1000 + seed)
-            lo, hi = bracket(q, apply_s(q))
+            lo, hi = _bracket(q, apply_s(q))
             assert lo <= 1.0 / rho <= hi, (seed, lo, 1.0 / rho, hi)
 
 
@@ -135,7 +146,7 @@ class TestPowerIterate:
     def test_q_final_certifies_returned_bracket(self):
         apply_s = _congruence_operator(4, 5)
         est = power_iterate(apply_s, 4, PowerIterSettings(rel_tol=0.05))
-        lo, hi = bracket(est.q_final, apply_s(est.q_final))
+        lo, hi = _bracket(est.q_final, apply_s(est.q_final))
         assert_allclose([max(lo, 0.0), hi], [est.lower, est.upper], rtol=1e-10)
 
     def test_iterates_stay_trace_one_psd(self):
@@ -183,7 +194,7 @@ class TestPowerIterate:
         p = np.outer(u, u.conj())
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(p)
-        lo, hi = bracket(np.eye(2, dtype=complex) / 2, p)
+        lo, hi = _bracket(np.eye(2, dtype=complex) / 2, p)
         assert hi == float("inf")
         assert_allclose(lo, 0.25, rtol=1e-10)
         hist: list = []
@@ -204,7 +215,7 @@ class TestPowerIterate:
         lo, hi, ridged, failed, _ = _pencil(q, s)
         assert ridged.tolist() == [True, False] and not failed.any()
         assert hi[0] == float("inf")
-        alone = bracket(q[1], s[1])
+        alone = _bracket(q[1], s[1])
         assert (lo[1], hi[1]) == alone
 
     def test_settings_validation(self):
@@ -228,17 +239,17 @@ class TestAppliers:
         g = gram_matrices(s)
         k_hat, _ = edmd_matrix(g)
         lam = eigensystem(k_hat)[0].eigenvalue
-        ctx = char_context(g, lam)
-        assert ctx.singular_flag
-        with pytest.raises(AtEigenvalueError):
-            s_apply(np.eye(3), ctx, s, KernelSpec.iid())
+        assert pseudospec.char_contexts(g, [lam])[4][0]
+        with pytest.raises(AtEigenvalueError, match="S is undefined"):
+            _s_at(s, KernelSpec.iid(), lam)
+        with pytest.raises(AtEigenvalueError, match="S\\* is undefined"):
+            s_star_apply(np.eye(3), lam, s, KernelSpec.iid())
 
     def test_adjointness(self):
         """<S[A], B> = <A, S*[B]> in the Frobenius inner product."""
         s = _series(60, 4, seed=21)
-        g = gram_matrices(s)
         lam = 1.2 + 0.5j
-        ctx = char_context(g, lam)
+        apply_s = _s_at(s, KernelSpec.iid(), lam)
         rng = np.random.default_rng(22)
         worst = 0.0
         for _ in range(5):
@@ -246,8 +257,8 @@ class TestAppliers:
             a = 0.5 * (a + a.conj().T)
             b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             b = 0.5 * (b + b.conj().T)
-            sa = s_apply(a, ctx, s, KernelSpec.iid())
-            sb = s_star_apply(b, ctx, s, KernelSpec.iid())
+            sa = apply_s(a)
+            sb = s_star_apply(b, lam, s, KernelSpec.iid())
             lhs = np.trace(sa.conj().T @ b)
             rhs = np.trace(a.conj().T @ sb)
             scale = max(abs(lhs), abs(rhs), 1e-30)
@@ -256,16 +267,15 @@ class TestAppliers:
 
     def test_s_star_rejects_windowed_kernel(self):
         s = _series(50, 3, seed=23)
-        ctx = char_context(gram_matrices(s), 1.5)
         with pytest.raises(UnsupportedModeError):
-            s_star_apply(np.eye(3), ctx, s, KernelSpec.windowed(2))
+            s_star_apply(np.eye(3), 1.5, s, KernelSpec.windowed(2))
 
     def test_s_apply_psd_preserving(self):
         s = _series(120, 3, seed=24)
-        ctx = char_context(gram_matrices(s), 1.1 - 0.7j)
+        apply_s = _s_at(s, KernelSpec.iid(), 1.1 - 0.7j)
         for seed in range(10):
             q = _random_psd(3, 300 + seed)
-            out = s_apply(q, ctx, s, KernelSpec.iid())
+            out = apply_s(q)
             assert np.linalg.eigvalsh(out)[0] >= -1e-10 * np.linalg.norm(out)
 
 
@@ -289,10 +299,8 @@ class TestPHat:
 
     def test_agrees_with_bruteforce_radius(self):
         s = _series(140, 3, seed=32)
-        g = gram_matrices(s)
         lam = 1.25 + 0.3j
-        ctx = char_context(g, lam)
-        _, rho = s_matrix_bruteforce(lambda q: s_apply(q, ctx, s, KernelSpec.iid()), 3)
+        _, rho = s_matrix_bruteforce(_s_at(s, KernelSpec.iid(), lam), 3)
         est = p_hat(lam, s, KernelSpec.iid(), PowerIterSettings(rel_tol=1e-8, max_iters=800))
         assert est.lower <= 1.0 / rho <= est.upper
 
@@ -683,13 +691,10 @@ class TestSweepEngine:
             assert res.status == est.status == expected
             assert_allclose(res.m_p_hat, series.M * est.lower, rtol=1e-10)
 
-    def test_no_estimate_builds_a_per_point_context(self, monkeypatch, tmp_path):
-        # The engine reads the stacks of char_contexts; CharContext is only
-        # the one-point API's (char_context, s_apply, s_star_apply).
-        def forbidden(*args, **kwargs):
-            raise AssertionError("an estimate built a CharContext")
-
-        monkeypatch.setattr(charmatrix, "CharContext", forbidden)
+    def test_no_estimate_builds_a_per_point_context(self, tmp_path):
+        # The engine reads the stacks of char_contexts; there is no per-point context.
+        assert not hasattr(charmatrix, "CharContext")
+        assert not hasattr(charmatrix, "char_context")
         for kind in ("real", "windowed"):
             series, kernel = self._data(kind)
             res = sweep(GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3), series, kernel)

@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from specguard.errors import ShapeError, UnstableKernelError, WindowTooLargeError
-from specguard.charmatrix import char_context, gram_matrices
+from specguard.charmatrix import char_contexts, gram_matrices
 from specguard.ingest import SnapshotSeries
 from specguard.variance import (
     KernelSpec,
@@ -350,7 +350,7 @@ class TestRealIidCovariance:
     @staticmethod
     def _assert_matches_naive(v, s, lams, seed):
         gram = gram_matrices(s)
-        c_hat = np.stack([char_context(gram, lam).c_hat for lam in lams])
+        c_hat = char_contexts(gram, lams)[1]
         w = np.stack([_random_psd(4, seed + k) for k in range(len(lams))])
         fast = v(lams, c_hat, w)
         for k, lam in enumerate(lams):
