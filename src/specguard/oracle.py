@@ -289,7 +289,7 @@ def s_star_apply(
             "S* is implemented for the iid kernel only; windowed covariance "
             "has no rank-one adjoint expansion here"
         )
-    (lam,), _, (c_inv,) = _inverse_at(series, lam, None, "S*")
+    (lam,), _, (c_inv,) = _inverse_at(series, lam, "S*")
     q = np.asarray(q, dtype=complex)
     ut, vt = _sample_factors(series, lam)
     # D_m = g_m v_m^* - I with g_m = C^{-1} u_m.

@@ -319,9 +319,9 @@ def _batch_s(make_v: _MakeV, lams: np.ndarray, c_hat: np.ndarray, c_inv: np.ndar
     return lambda live, q: _hermitize(apply_v(live, _congruence(c_inv[live], q)))
 
 
-def _inverse_at(series: SnapshotSeries, lam: complex, floor: float | None, op: str) -> tuple:
+def _inverse_at(series: SnapshotSeries, lam: complex, op: str) -> tuple:
     """``(lams, c_hat, inv)`` of :func:`char_contexts` at ``lam``, where ``op`` must be defined."""
-    lams, c_hat, c_inv, rcond, singular = char_contexts(_series_gram(series), [lam], floor)
+    lams, c_hat, c_inv, rcond, singular = char_contexts(_series_gram(series), [lam])
     if singular[0]:
         raise AtEigenvalueError(
             f"lambda={lams[0]:.6g} is numerically an EDMD eigenvalue "
@@ -331,23 +331,21 @@ def _inverse_at(series: SnapshotSeries, lam: complex, floor: float | None, op: s
 
 
 def _s_at(
-    series: SnapshotSeries, kernel: KernelSpec, lam: complex, floor: float | None = None
+    series: SnapshotSeries, kernel: KernelSpec, lam: complex
 ) -> Callable[[np.ndarray], np.ndarray]:
     """``q -> S[Q]`` at one point: a one-point :func:`_batch_s` on :func:`p_hat`'s route.
 
-    Set-up and applications run with BLAS on one thread.  Raises
-    AtEigenvalueError on the spectrum, and WindowTooLargeError if the
-    kernel window does not fit the sample.
+    Set-up runs with BLAS on one thread, as in :func:`_estimate_points`,
+    so that the Gram pair and real iid tensor it keeps with the series are
+    the ones :func:`p_hat` reads.  Raises AtEigenvalueError on the
+    spectrum, and WindowTooLargeError if the kernel window does not fit
+    the sample.
     """
     make_v = _covariance(series, kernel)
     with _blas.single_thread():
-        apply_s = _batch_s(make_v, *_inverse_at(series, lam, floor, "S"))
-
-    def at(q: np.ndarray) -> np.ndarray:
-        with _blas.single_thread():
-            return apply_s(np.zeros(1, dtype=int), np.asarray(q, dtype=complex)[np.newaxis])[0]
-
-    return at
+        apply_s = _batch_s(make_v, *_inverse_at(series, lam, "S"))
+    first = np.zeros(1, dtype=int)
+    return lambda q: apply_s(first, np.asarray(q, dtype=complex)[np.newaxis])[0]
 
 
 def _estimate_points(

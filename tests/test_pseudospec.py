@@ -36,7 +36,7 @@ from specguard.pseudospec import (
     power_iterate,
     sweep,
 )
-from specguard import charmatrix, pseudospec, stats
+from specguard import pseudospec, stats
 from specguard.cli import main
 from specguard.variance import (
     KernelSpec,
@@ -692,9 +692,8 @@ class TestSweepEngine:
             assert_allclose(res.m_p_hat, series.M * est.lower, rtol=1e-10)
 
     def test_no_estimate_builds_a_per_point_context(self, tmp_path):
-        # The engine reads the stacks of char_contexts; there is no per-point context.
-        assert not hasattr(charmatrix, "CharContext")
-        assert not hasattr(charmatrix, "char_context")
+        # The engine reads the stacks of char_contexts (test_surface keeps the
+        # per-point context's names gone); every estimate route still runs.
         for kind in ("real", "windowed"):
             series, kernel = self._data(kind)
             res = sweep(GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3), series, kernel)

@@ -49,7 +49,11 @@ def test_the_benchmark_selftest_passes():
     # one of those names fails here, not first in a benchmark run.
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "bench/selftest.py"], cwd=root, capture_output=True, text=True
+        [sys.executable, "bench/selftest.py"],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "selftest: ok"
