@@ -410,14 +410,13 @@ def _check_quadrature_selfconv(perturb: float, seed: int) -> CheckResult:
     )
 
 
-def run_oracle_checks(
-    perturb: float = 0.0, seeds: int = 1, base_seed: int = 0
-) -> list[CheckResult]:
+def run_oracle_checks(perturb: float = 0.0, seeds: int = 1) -> list[CheckResult]:
     """Run the full oracle consistency suite.
 
     ``perturb`` multiplies reference values by (1 + perturb) before the
     comparisons; a non-zero value is a negative control that must fail.
-    Each of ``seeds`` replications draws independent random inputs.
+    Each of ``seeds`` replications draws independent random inputs;
+    replication k draws them from seed 1000 k.
     """
     if seeds < 1:
         raise ShapeError(f"seeds must be >= 1, got {seeds}")
@@ -429,7 +428,7 @@ def run_oracle_checks(
     )
     results = []
     for rep in range(seeds):
-        seed = base_seed + 1000 * rep
+        seed = 1000 * rep
         for fn in checks:
             res = fn(perturb, seed)
             if seeds > 1:

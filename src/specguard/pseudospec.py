@@ -181,55 +181,55 @@ def _iterate(
 ) -> list[PEstimate]:
     """The certified power iteration, run in lockstep over a batch of points.
 
-    ``q`` (B, N, N) holds each point's starting iterate.  A point leaves
-    the batch when it converges or degenerates (its S[Q] does not factor
-    even after a round-off ridge, or has no positive trace); the rest stop
-    at ``max_iters``.  ``history``, for one-point batches, receives every
-    step's (lower, upper).
+    ``q`` (B, N, N) holds each point's starting iterate.  The state holds
+    only the points still iterating, in batch order: ``live`` (their
+    indices into the batch), the iterates ``q`` and their ``lower``,
+    ``upper`` and ``jitter``.  A point leaves when it converges or
+    degenerates (its S[Q] does not factor even after a round-off ridge, or
+    has no positive trace); each step ends by compacting the state to the
+    rest, and what is left after ``max_iters`` steps stops there.
+    ``history``, for one-point batches, receives every step's (lower, upper).
 
     ``q_final`` is the trace-one iterate whose pencil produced the returned
-    bracket, so it can seed a warm start at a nearby spectral point.
+    bracket, so it can seed a warm start at a nearby spectral point; a
+    ``degenerate_s`` point keeps the iterate whose S[Q] failed.
     """
     q = np.array(q, dtype=complex)
     out: list[PEstimate | None] = [None] * len(q)
+    live = np.arange(len(q))
     lower = np.zeros(len(q))
     upper = np.full(len(q), np.inf)
     jitter = np.zeros(len(q), dtype=bool)
 
-    def finish(points: np.ndarray, iterations: int, status: str) -> None:
-        for i in points:
-            out[i] = PEstimate(
-                lower=float(lower[i]),
-                upper=float(upper[i]),
+    def finish(mask: np.ndarray, status: str) -> None:
+        for k in np.flatnonzero(mask):
+            out[live[k]] = PEstimate(
+                lower=float(lower[k]),
+                upper=float(upper[k]),
                 iterations=iterations,
-                q_final=q[i].copy(),
+                q_final=q[k].copy(),
                 status=status,
-                jitter_applied=bool(jitter[i]),
+                jitter_applied=bool(jitter[k]),
             )
 
-    live = np.arange(len(q))
-    iterations = 0
-    for iterations in range(1, settings.max_iters + 1):
-        if not len(live):
-            break
-        lo, hi, ridged, failed, s_used = _pencil(q[live], apply_s(live, q[live]))
-        finish(live[failed], iterations, STATUS_DEGENERATE_S)
-        live, lo, hi, s_used = live[~failed], lo[~failed], hi[~failed], s_used[~failed]
-        lower[live] = np.maximum(lo, 0.0)
-        upper[live] = hi
-        jitter[live] |= ridged[~failed]
-        if history is not None:
-            history.extend((float(lower[i]), float(upper[i])) for i in live)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            done = (lower[live] > 0.0) & (upper[live] / lower[live] <= 1.0 + settings.rel_tol)
-        finish(live[done], iterations, STATUS_CONVERGED)
-        live, s_used = live[~done], s_used[~done]
-        trace = np.trace(s_used, axis1=-2, axis2=-1).real
-        bad = ~np.isfinite(trace) | (trace <= 0.0)
-        finish(live[bad], iterations, STATUS_DEGENERATE_S)
-        live = live[~bad]
-        q[live] = s_used[~bad] / trace[~bad, np.newaxis, np.newaxis]
-    finish(live, iterations, STATUS_MAX_ITERS)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for iterations in range(1, settings.max_iters + 1):
+            lo, hi, ridged, failed, s_used = _pencil(q, apply_s(live, q))
+            finish(failed, STATUS_DEGENERATE_S)
+            lower, upper, jitter = np.maximum(lo, 0.0), hi, jitter | ridged
+            if history is not None:
+                history.extend(zip(lower[~failed].tolist(), upper[~failed].tolist()))
+            done = ~failed & (lower > 0.0) & (upper / lower <= 1.0 + settings.rel_tol)
+            finish(done, STATUS_CONVERGED)
+            trace = np.trace(s_used, axis1=-2, axis2=-1).real
+            bad = ~(failed | done) & (~np.isfinite(trace) | (trace <= 0.0))
+            finish(bad, STATUS_DEGENERATE_S)
+            keep = ~(failed | done | bad)
+            if iterations == settings.max_iters or not keep.any():
+                break
+            live, lower, upper, jitter = live[keep], lower[keep], upper[keep], jitter[keep]
+            q = s_used[keep] / trace[keep, np.newaxis, np.newaxis]
+    finish(keep, STATUS_MAX_ITERS)
     return out
 
 

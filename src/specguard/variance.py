@@ -71,9 +71,7 @@ def kappa_w(x: np.ndarray | float) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def metastability_kernel(
-    mu_list: tuple[complex, ...] | list[complex], mu_guard: float = MU_GUARD
-) -> np.ndarray:
+def metastability_kernel(mu_list: tuple[complex, ...] | list[complex]) -> np.ndarray:
     """Convolve the lag-1 deflation factors for each slow mode mu.
 
     Each factor has weights d(0) = (1 + mu^2)/(1 - mu)^2 and
@@ -86,15 +84,15 @@ def metastability_kernel(
     Raises
     ------
     UnstableKernelError
-        If some |1 - mu| < mu_guard (weights blow up), or if a complex mu
+        If some |1 - mu| < MU_GUARD (weights blow up), or if a complex mu
         lacks its conjugate partner so the combined kernel is not real.
     """
     kp = np.array([1.0 + 0.0j])
     for mu in mu_list:
         mu = complex(mu)
-        if abs(1.0 - mu) < mu_guard:
+        if abs(1.0 - mu) < MU_GUARD:
             raise UnstableKernelError(
-                f"mu={mu:.4g} is within {mu_guard} of 1; deflation weights "
+                f"mu={mu:.4g} is within {MU_GUARD} of 1; deflation weights "
                 "are unstable (drop it from mu_list)"
             )
         denom = (1.0 - mu) ** 2
@@ -190,14 +188,14 @@ class KernelSpec:
         kt[0] *= 0.5
         return kt
 
-    def min_fourier(self, n_grid: int = 4096) -> float:
-        """Minimum of the discrete Fourier transform of the lag weights.
+    def min_fourier(self) -> float:
+        """Minimum of the discrete Fourier transform of the lag weights, on 4096 points.
 
         The window and deflation factors are constructed so this is
         non-negative up to round-off; large negative values indicate a
         broken kernel.
         """
-        h = self.half_width
+        h, n_grid = self.half_width, 4096
         if n_grid < 2 * h + 1:
             raise ShapeError(f"n_grid={n_grid} too small for half-width {h}")
         arr = np.zeros(n_grid)
@@ -230,23 +228,19 @@ def window_length(tau: float, m_samples: int) -> int:
     return min(length, int(np.sqrt(m_samples)))
 
 
-def estimate_tau(
-    series: SnapshotSeries, lam: complex = 1.0, max_lag: int | None = None
-) -> float:
+def estimate_tau(series: SnapshotSeries, lam: complex = 1.0) -> float:
     """Correlation time of the snapshot stream from trace autocovariances.
 
-    Fits an exponential decay to r(l) = tr Gamma_l (with Q = I) over the
-    leading run of positive values, by least squares on log r.  Returns a
-    conservative large value when no decay is detectable and a small value
-    when correlation is immeasurable; both ends are safe inputs to
-    ``window_length``.
+    Fits an exponential decay to r(l) = tr Gamma_l (with Q = I), at lags
+    up to max(1, min(50, M // 10)), over the leading run of positive
+    values, by least squares on log r.  Returns a conservative large value
+    when no decay is detectable and a small value when correlation is
+    immeasurable; both ends are safe inputs to ``window_length``.
     """
     m = series.M
     if m < 2:
         raise ShapeError(f"need at least 2 snapshot pairs, got {m}")
-    if max_lag is None:
-        max_lag = min(50, m // 10)
-    max_lag = max(1, min(max_lag, m - 1))
+    max_lag = max(1, min(50, m // 10))
 
     ut, vt = _sample_factors(series, lam)
     c_hat = _factor_mean(ut, vt)
@@ -280,12 +274,12 @@ def estimate_tau(
 
 
 def default_mu_list(
-    eigenvalues: list[complex] | np.ndarray, top_k: int, mu_guard: float = MU_GUARD
+    eigenvalues: list[complex] | np.ndarray, top_k: int
 ) -> tuple[tuple[complex, ...], list[str]]:
     """Pick slow modes for the deflation kernel from EDMD eigenvalues.
 
     Takes the ``top_k`` eigenvalues of largest modulus, skipping any within
-    ``mu_guard`` of 1 (typically the trivial constant mode), then closes the
+    ``MU_GUARD`` of 1 (typically the trivial constant mode), then closes the
     list under conjugation so the combined kernel stays real.
 
     Returns the mu tuple and a list of warning strings for skipped modes.
@@ -300,9 +294,9 @@ def default_mu_list(
     for mu in ordered:
         if len(chosen) >= top_k:
             break
-        if abs(1.0 - mu) < mu_guard:
+        if abs(1.0 - mu) < MU_GUARD:
             notes.append(
-                f"skipped eigenvalue {mu:.4g}: within {mu_guard} of 1, "
+                f"skipped eigenvalue {mu:.4g}: within {MU_GUARD} of 1, "
                 "deflation weights would be unstable"
             )
             continue

@@ -143,9 +143,18 @@ class TestPowerIterate:
             assert est.lower <= 1.0 / rho <= est.upper
             assert est.upper / est.lower <= 1.0 + 1e-8
 
-    def test_q_final_certifies_returned_bracket(self):
+    @pytest.mark.parametrize(
+        "settings, status",
+        [
+            (PowerIterSettings(rel_tol=0.05), STATUS_CONVERGED),
+            (PowerIterSettings(rel_tol=1e-12, max_iters=3), STATUS_MAX_ITERS),
+        ],
+        ids=["converged", "max_iters"],
+    )
+    def test_q_final_certifies_returned_bracket(self, settings, status):
         apply_s = _congruence_operator(4, 5)
-        est = power_iterate(apply_s, 4, PowerIterSettings(rel_tol=0.05))
+        est = power_iterate(apply_s, 4, settings)
+        assert est.status == status
         lo, hi = _bracket(est.q_final, apply_s(est.q_final))
         assert_allclose([max(lo, 0.0), hi], [est.lower, est.upper], rtol=1e-10)
 
@@ -217,6 +226,48 @@ class TestPowerIterate:
         assert hi[0] == float("inf")
         alone = _bracket(q[1], s[1])
         assert (lo[1], hi[1]) == alone
+
+    def test_a_mixed_batch_gives_each_point_its_lone_estimate(self):
+        """Points that leave one batch at different steps, in different ways, match their lone runs."""
+        n = 3
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        p = _random_psd(n, 5)
+        u = np.array([1.0, 1.0j, -1.0])
+        exits = [  # (applier, status, iterations, jitter_applied)
+            (_congruence_operator(n, 4, terms=8), STATUS_MAX_ITERS, 8, False),
+            (lambda q: 2.5 * q, STATUS_CONVERGED, 1, False),
+            # Rank one: every step's S[Q] factors only once ridged.
+            (lambda q: np.trace(q).real * np.outer(u, u.conj()), STATUS_MAX_ITERS, 8, True),
+            # Definite at I / N; at the next iterate indefinite, with a positive trace.
+            (
+                lambda q: a @ q @ a.conj().T - 100.0 * (q - np.trace(q) * np.eye(n) / n),
+                STATUS_DEGENERATE_S, 2, False,
+            ),
+            (_congruence_operator(n, 9), STATUS_CONVERGED, 8, False),
+            (lambda q: np.zeros_like(q), STATUS_DEGENERATE_S, 1, False),
+            (lambda q: np.trace(q).real * p, STATUS_CONVERGED, 2, False),
+        ]
+        settings = PowerIterSettings(rel_tol=1e-3, max_iters=8)
+
+        def run(points):
+            def apply_s(live, q):
+                return np.stack(
+                    [pseudospec._hermitize(exits[points[i]][0](q[k])) for k, i in enumerate(live)]
+                )
+
+            start = np.stack([np.eye(n, dtype=complex) / n] * len(points))
+            return pseudospec._iterate(apply_s, start, settings)
+
+        batch = run(range(len(exits)))
+        for i, (est, (_, status, iterations, jitter)) in enumerate(zip(batch, exits)):
+            (alone,) = run([i])
+            fields = (est.lower, est.upper, est.iterations, est.status, est.jitter_applied)
+            assert fields[2:] == (iterations, status, jitter), i
+            assert fields == (
+                alone.lower, alone.upper, alone.iterations, alone.status, alone.jitter_applied
+            ), i
+            assert est.q_final.tobytes() == alone.q_final.tobytes(), i
 
     def test_settings_validation(self):
         with pytest.raises(ShapeError):
