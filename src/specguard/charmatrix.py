@@ -59,15 +59,14 @@ def rcond_floor(n: int) -> float:
 class GramPair:
     """Empirical Gram matrices of a snapshot series.
 
-    ``psi_xx`` is Hermitian by construction; ``m_samples = 0`` marks
-    exact (population) moments supplied by an oracle rather than data.
-    Both are float64 when both inputs are real, as for a real series, so
-    that the EDMD fit solves a real problem; else complex128.
+    ``psi_xx`` is Hermitian by construction.  Both are float64 when both
+    inputs are real, as for a real series, so that the EDMD fit solves a
+    real problem; else complex128.  An oracle supplies exact (population)
+    moments in the same form.
     """
 
     psi_xx: np.ndarray
     psi_xy: np.ndarray
-    m_samples: int
 
     def __post_init__(self) -> None:
         xx, xy = np.asarray(self.psi_xx), np.asarray(self.psi_xy)
@@ -77,8 +76,6 @@ class GramPair:
             raise ShapeError(f"psi_xx must be square, got shape {xx.shape}")
         if xy.shape != xx.shape:
             raise ShapeError(f"psi_xy shape {xy.shape} != psi_xx shape {xx.shape}")
-        if self.m_samples < 0:
-            raise ShapeError(f"m_samples must be >= 0, got {self.m_samples}")
         xx = 0.5 * (xx + xx.conj().T)
         object.__setattr__(self, "psi_xx", xx)
         object.__setattr__(self, "psi_xy", xy)
@@ -97,7 +94,12 @@ def gram_matrices(series: SnapshotSeries) -> GramPair:
     a, b = series.a, series.b
     psi_xx = a.T @ a.conj() / series.M
     psi_xy = a.T @ b.conj() / series.M
-    return GramPair(psi_xx, psi_xy, series.M)
+    return GramPair(psi_xx, psi_xy)
+
+
+def _char_matrix(gram: GramPair, lams) -> np.ndarray:
+    """C(lam) = lam Psi_XX - Psi_XY: one matrix at a scalar ``lams``, a stack at a 1-d array."""
+    return np.asarray(lams)[..., np.newaxis, np.newaxis] * gram.psi_xx - gram.psi_xy
 
 
 def _equil_scale(psi_xx: np.ndarray) -> np.ndarray:
@@ -217,7 +219,7 @@ def char_contexts(gram: GramPair, lams, floor: float | None = None) -> tuple[np.
     s = _equil_scale(gram.psi_xx)
     ss = np.outer(s, s)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
-        c_hat = lams[:, np.newaxis, np.newaxis] * gram.psi_xx - gram.psi_xy
+        c_hat = _char_matrix(gram, lams)
         eq = c_hat / ss
     inv_eq, rcond = _invert_stack(eq)
     return lams, c_hat, inv_eq / ss, rcond, _is_singular(rcond, gram.dim, floor)

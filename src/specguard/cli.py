@@ -4,8 +4,8 @@ Every artifact embeds a manifest with the tool version, the command
 (``specguard`` followed by the arguments ``main`` parsed, whatever the entry
 point), the RNG algorithm and seed (when randomness was used), the resolved
 covariance kernel, and a SHA-256 digest of the input file.  All JSON is
-emitted with sorted keys so identical commands produce bit-identical
-output; only ``generate`` manifests carry a wall-clock timestamp.
+emitted with sorted keys and no wall-clock time, so identical commands
+produce bit-identical output.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 numeric/resource
 error.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import datetime
 import hashlib
 import json
 import re
@@ -83,7 +82,6 @@ def _manifest(
     kernel: KernelSpec | None = None,
     input_path: str | None = None,
     warnings: list[str] | None = None,
-    timestamp: bool = False,
     extra: dict | None = None,
 ) -> dict:
     man = {
@@ -102,8 +100,6 @@ def _manifest(
         ),
         "warnings": warnings or [],
     }
-    if timestamp:
-        man["created"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     if extra:
         man.update(extra)
     return man
@@ -217,7 +213,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out = args.out or f"{args.system}_M{args.M}_seed{args.seed}.{args.format}"
     write_snapshots(series, out, format=args.format)
     extra.update({"m_samples": series.M, "n_obs": series.N})
-    man = _manifest("manifest", args, seed=args.seed, timestamp=True, extra=extra)
+    man = _manifest("manifest", args, seed=args.seed, extra=extra)
     man["output"] = {"path": out, "sha256": _sha256(out)}
     _write_json(man, out + ".manifest.json")
     print(f"wrote {series.M} x {series.N} snapshot pairs to {out}")

@@ -106,9 +106,9 @@ class VarMoments:
     spec: VarSpec
 
     def gram(self) -> GramPair:
-        """Population Gram pair; m_samples = 0 marks exact moments."""
+        """Population Gram pair of the spec."""
         sx = self.spec.sigma_x
-        return GramPair(sx, sx @ self.spec.a_matrix.T, 0)
+        return GramPair(sx, sx @ self.spec.a_matrix.T)
 
     def c_matrix(self, lam: complex) -> np.ndarray:
         return self.spec.sigma_x @ _r_inverse(self.spec, lam)
@@ -131,9 +131,7 @@ def _exact_estimate(
     settings: PowerIterSettings | None,
 ) -> PEstimate:
     """The certified estimate at ``lam`` whose V, exact, is ``v`` of one matrix."""
-    (est,) = _estimate_points(
-        gram, lambda lams, c_hat: lambda live, w: v(w[0])[np.newaxis], [lam], settings
-    )
+    (est,) = _estimate_points(gram, lambda lams, c_hat, w: v(w[0])[np.newaxis], [lam], settings)
     return est
 
 
@@ -193,7 +191,7 @@ class QuadratureMoments:
         self.psi_xy = (u.T @ b / n_nodes).astype(complex)
 
     def gram(self) -> GramPair:
-        return GramPair(self.psi_xx, self.psi_xy, 0)
+        return GramPair(self.psi_xx, self.psi_xy)
 
     def c_matrix(self, lam: complex) -> np.ndarray:
         return lam * self.psi_xx - self.psi_xy

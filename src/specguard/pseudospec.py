@@ -17,11 +17,11 @@ EDMD eigenvalue of a spectrum test, or one point.  It inverts the batch's
 characteristic matrices in one :func:`~specguard.charmatrix.char_contexts`
 call, pins the points on the spectrum to ``at_eigenvalue`` and iterates
 the rest on the S that :func:`_batch_s` composes from that call's stacks
-(the oracle applies it at one point through :func:`_s_at`).  The
-congruence with C^{-1}, V and the pencil bracket are stacked numpy linalg
-calls, except that V goes point by point from the per-sample factors of
-:mod:`specguard.variance` on every route but the real iid one (see
-:func:`_covariance`).
+(the oracle applies it at one point through :func:`_s_at`).  V is the
+one call ``v(lams, c_hat, w)`` of :func:`specguard.variance._covariance`,
+centred on the C(lam) stack of that same call.  The congruence with
+C^{-1}, V and the pencil bracket are stacked numpy linalg calls, except
+that V goes point by point on every route but the real iid one.
 
 Positivity is tested in one place: the pencil's Cholesky factorization of
 S[Q].  An S[Q] that fails it by round-off gets a ridge of 1e-12 tr/N (its
@@ -40,17 +40,7 @@ from . import _blas
 from .charmatrix import GramPair, char_contexts, gram_matrices
 from .errors import AtEigenvalueError, ShapeError
 from .ingest import SnapshotSeries
-from .variance import (
-    KernelSpec,
-    _check_window,
-    _ct,
-    _factor_mean,
-    _hermitize,
-    _is_real,
-    _RealIidCovariance,
-    _sample_factors,
-    _variance_apply,
-)
+from .variance import KernelSpec, _V, _covariance, _ct, _hermitize, _is_real
 
 __all__ = [
     "STATUS_CONVERGED",
@@ -169,8 +159,6 @@ def _pencil(
 #: ``apply_s(live, q)``: the Hermitian S[Q] for the iterates ``q`` (k, N, N)
 #: of the batch points ``live``.
 _BatchApply = Callable[[np.ndarray, np.ndarray], np.ndarray]
-#: ``make_v(lams, c_hat)``: V's batch applier at the points ``lams``, C(lam) = ``c_hat``.
-_MakeV = Callable[[np.ndarray, np.ndarray], _BatchApply]
 
 
 def _iterate(
@@ -273,50 +261,13 @@ def _series_gram(series: SnapshotSeries) -> GramPair:
     return series._memo.get_or_build("gram", lambda: gram_matrices(series))
 
 
-def _covariance(series: SnapshotSeries, kernel: KernelSpec) -> _MakeV:
-    """V for one series and kernel: ``at(lam, c_hat)``, a batch's ``(live, w) -> V[W]``.
-
-    The iid kernel on a real-valued (float64) series runs in real
-    arithmetic through the series' shared :class:`_RealIidCovariance`.
-    Every other series or kernel applies :func:`~specguard.variance._variance_apply`
-    point by point to the factors of :func:`~specguard.variance._sample_factors`,
-    building u once per batch (complex, so that no application casts it),
-    each point's N x N mean once per point and v for every application, so
-    that a batch keeps no (N, M) array per point and no batch keeps state
-    for the next.  The kernel window is checked at once, before any point;
-    the route is picked, and a real series' tensor built, by ``at``, which
-    the estimates call only when some point is off the spectrum.
-    """
-    _check_window(kernel, series.M)
-
-    def at(lam: np.ndarray, c_hat: np.ndarray) -> _BatchApply:
-        if _RealIidCovariance.applies(series, kernel):
-            real = _RealIidCovariance.of(series)
-            return lambda live, w: real(lam[live], c_hat[live], w)
-        ut = np.ascontiguousarray(series.a.T, dtype=complex)
-        c_mean: list[np.ndarray | None] = [None] * len(lam)
-
-        def apply_each(live: np.ndarray, w: np.ndarray):
-            result = np.empty_like(w)
-            for pos, i in enumerate(live):
-                _, vt = _sample_factors(series, lam[i], ut)
-                if c_mean[i] is None:
-                    c_mean[i] = _factor_mean(ut, vt)
-                result[pos] = _variance_apply(w[pos], ut, vt, c_mean[i], kernel)
-            return result
-
-        return apply_each
-
-    return at
-
-
-def _batch_s(make_v: _MakeV, lams: np.ndarray, c_hat: np.ndarray, c_inv: np.ndarray) -> _BatchApply:
+def _batch_s(v: _V, lams: np.ndarray, c_hat: np.ndarray, c_inv: np.ndarray) -> _BatchApply:
     """S[Q] = V[C^{-*} Q C^{-1}] at off-spectrum points: the one S the estimates iterate on.
 
-    The congruence with ``c_inv``, V from ``make_v(lams, c_hat)``, then the Hermitian part.
+    The congruence with ``c_inv``, V from ``v`` at the ``live`` points' ``lams``
+    and ``c_hat``, then the Hermitian part.
     """
-    apply_v = make_v(lams, c_hat)
-    return lambda live, q: _hermitize(apply_v(live, _congruence(c_inv[live], q)))
+    return lambda live, q: _hermitize(v(lams[live], c_hat[live], _congruence(c_inv[live], q)))
 
 
 def _inverse_at(series: SnapshotSeries, lam: complex, op: str) -> tuple:
@@ -335,22 +286,23 @@ def _s_at(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """``q -> S[Q]`` at one point: a one-point :func:`_batch_s` on :func:`p_hat`'s route.
 
-    Set-up runs with BLAS on one thread, as in :func:`_estimate_points`,
-    so that the Gram pair and real iid tensor it keeps with the series are
-    the ones :func:`p_hat` reads.  Raises AtEigenvalueError on the
-    spectrum, and WindowTooLargeError if the kernel window does not fit
-    the sample.
+    C(lam) is inverted with BLAS on one thread, as in
+    :func:`_estimate_points`, so that the inverse is the one :func:`p_hat`
+    reads.  The Gram pair and, on the real iid route, the tensor (built at
+    the first application) come from the series' memo, which builds them on
+    one BLAS thread too.  Raises AtEigenvalueError on the spectrum, and
+    WindowTooLargeError if the kernel window does not fit the sample.
     """
-    make_v = _covariance(series, kernel)
+    v = _covariance(series, kernel)
     with _blas.single_thread():
-        apply_s = _batch_s(make_v, *_inverse_at(series, lam, "S"))
+        apply_s = _batch_s(v, *_inverse_at(series, lam, "S"))
     first = np.zeros(1, dtype=int)
     return lambda q: apply_s(first, np.asarray(q, dtype=complex)[np.newaxis])[0]
 
 
 def _estimate_points(
     gram: GramPair,
-    make_v: _MakeV,
+    v: _V,
     lams,
     settings: PowerIterSettings | None = None,
     floor: float | None = None,
@@ -364,11 +316,11 @@ def _estimate_points(
     where P vanishes exactly: its estimate is ``at_eigenvalue`` with both
     endpoints 0 and no iterations.  The other points run power iteration
     on S[Q] = V[C^{-*} Q C^{-1}] in lockstep, with V from
-    ``make_v(lam, c_hat)``, given their points and C(lam) as stacks; ``make_v``
-    is called only when some point is off the spectrum, so its set-up is
-    skipped otherwise.  ``starts[k]`` is point k's first iterate, such as
-    a neighbour's ``q_final``; a None entry, or ``starts=None``, means
-    I / N.  Everything runs with BLAS on one thread (see
+    ``v(lams, c_hat, w)``, given their points and C(lam) as stacks; ``v``
+    is applied only when some point is off the spectrum, so a real iid
+    series whose points are all on it builds no tensor.  ``starts[k]`` is
+    point k's first iterate, such as a neighbour's ``q_final``; a None
+    entry, or ``starts=None``, means I / N.  Everything runs with BLAS on one thread (see
     :mod:`specguard._blas`).
     """
     if settings is None:
@@ -383,7 +335,7 @@ def _estimate_points(
         if len(off):
             starts = starts or [None] * len(lams)
             q = np.stack([default if starts[k] is None else starts[k] for k in off])
-            apply_s = _batch_s(make_v, lams[off], c_hat[off], c_inv[off])
+            apply_s = _batch_s(v, lams[off], c_hat[off], c_inv[off])
             ests = _iterate(apply_s, q, settings)
             for k, est in zip(off, ests):
                 out[k] = est
@@ -401,8 +353,8 @@ def _series_estimates(
 
     The kernel window is checked first, on the spectrum too.
     """
-    at = _covariance(series, kernel)
-    return _estimate_points(_series_gram(series), at, lams, settings, floor)
+    v = _covariance(series, kernel)
+    return _estimate_points(_series_gram(series), v, lams, settings, floor)
 
 
 def p_hat(
@@ -424,10 +376,11 @@ def p_hat(
     The data work that depends on the series alone is done once per
     series and shared by every later estimate on it: the Gram matrices
     and, for the iid kernel on a real series, the fourth-moment tensor of
-    :class:`~specguard.variance._RealIidCovariance`.  The first estimate
-    off the spectrum on such a series pays for the tensor; the result does
-    not depend on which estimates ran before.  A point whose S[Q] loses
-    positivity returns a ``degenerate_s`` estimate; it does not raise.
+    its real-arithmetic covariance (see :mod:`specguard.variance`).  The
+    first estimate off the spectrum on such a series pays for the tensor;
+    the result does not depend on which estimates ran before.  A point
+    whose S[Q] loses positivity returns a ``degenerate_s`` estimate; it
+    does not raise.
     """
     (est,) = _series_estimates(series, kernel, [lam], settings, floor)
     return est
@@ -605,13 +558,13 @@ def sweep(
         partner = _mirror_partners(im_axis) if _is_real(series) else np.arange(grid.n_im)
         evaluated = np.flatnonzero(partner == np.arange(grid.n_im))
         gram = _series_gram(series)
-        at = _covariance(series, kernel)
+        v = _covariance(series, kernel)
         warm: list[np.ndarray | None] = [None] * grid.n_im
         for j, re in enumerate(re_axis):
             lams = np.full(len(evaluated), re, dtype=complex)
             lams.imag = im_axis[evaluated]
             starts = [warm[i] for i in evaluated]
-            ests = _estimate_points(gram, at, lams, settings, floor, starts)
+            ests = _estimate_points(gram, v, lams, settings, floor, starts)
             for i, est in zip(evaluated, ests):
                 lower[i, j], upper[i, j] = est.lower, est.upper
                 iters[i, j] = est.iterations

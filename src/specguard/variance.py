@@ -11,19 +11,21 @@ and C is their mean.  Negative lags are defined by Gamma_{-l} = Gamma_l^*.
 
 The rank-one structure gives V in O(L * M * N + M * N^2) time.  The core,
 `_variance_apply`, reads the per-sample factors v (one (N, M) column per
-sample, with u = a^T) and their mean C = (1/M) u v^*, which only
-`_sample_factors` and `_factor_mean` build; the engine of
-:mod:`specguard.pseudospec` calls it with u once per batch, each point's
-mean once and v per application.  `variance_apply` is the same core at one
-``lam``, and `variance_apply_naive` a reference that materializes the
-centered snapshot matrices; the two agree to a 1e-10 relative Frobenius
-bound.  V[Q] comes back as computed, Hermitian but never repaired for
-positivity (V is linear in Q): the certified estimates test positivity
-once, on S[Q], when the pencil of :mod:`specguard.pseudospec`
-Cholesky-factors it.
+sample, with u = a^T) of `_sample_factors` and their mean C, which every
+caller takes from the Gram pencil C(lam) = lam Psi_XX - Psi_XY of
+:mod:`specguard.charmatrix`.  `_covariance` is the one V that the
+certified estimates of :mod:`specguard.pseudospec` apply: a stateless
+call ``v(lams, c_hat, w)`` over a stack of points, centred on the C(lam)
+stack it is given, with u built once per series and kernel and v per
+application.  `variance_apply` is the same core at one ``lam``, and
+`variance_apply_naive` a reference that materializes the centered
+snapshot matrices; the two agree to a 1e-10 relative Frobenius bound.
+V[Q] comes back as computed, Hermitian but never repaired for positivity
+(V is linear in Q): the certified estimates test positivity once, on
+S[Q], when the pencil of :mod:`specguard.pseudospec` Cholesky-factors it.
 For the iid kernel on real-valued data, which a series stores as float64,
-the certified estimates apply V in real arithmetic to a whole batch of
-points at once (`_RealIidCovariance`), held to the same bound.  There V[W]
+`_covariance` applies V in real arithmetic to a whole batch of points at
+once (`_RealIidCovariance`), held to the same bound.  There V[W]
 is linear in Re(W) through a fourth-moment tensor of the data, built once
 per series from the M samples and kept with the series, after which no
 application reads the samples again.  Only when the tensor is too large to
@@ -34,9 +36,11 @@ in cache-sized blocks, with no temporary that grows with M.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from .charmatrix import _char_matrix, gram_matrices
 from .errors import ShapeError, UnstableKernelError, WindowTooLargeError
 from .ingest import SnapshotSeries
 
@@ -243,7 +247,7 @@ def estimate_tau(series: SnapshotSeries, lam: complex = 1.0) -> float:
     max_lag = max(1, min(50, m // 10))
 
     ut, vt = _sample_factors(series, lam)
-    c_hat = _factor_mean(ut, vt)
+    c_hat = _char_matrix(gram_matrices(series), lam)
     # t_m = tr(C_m^* C) = u_m^* C v_m
     tvec = np.sum(ut.conj() * (c_hat @ vt), axis=0)
     cnorm2 = float(np.linalg.norm(c_hat) ** 2)
@@ -335,11 +339,6 @@ def _sample_factors(
     return ut, vt
 
 
-def _factor_mean(ut: np.ndarray, vt: np.ndarray) -> np.ndarray:
-    """C(lam) = (1/M) sum_m u_m v_m^*, the mean of the per-sample matrices."""
-    return ut @ vt.conj().T / ut.shape[1]
-
-
 def _is_real(series: SnapshotSeries) -> bool:
     """True for a real-valued series, which :class:`SnapshotSeries` stores as float64."""
     return series.a.dtype.kind == "f"
@@ -367,19 +366,20 @@ def variance_apply(
 ) -> VarianceApplication:
     """Apply the kernel-weighted covariance V[Q] via the rank-one expansion.
 
-    Builds the factors and their mean at ``lam`` and applies the core,
-    :func:`_variance_apply`; raises WindowTooLargeError if the kernel's
-    window does not fit the M samples.
+    Builds the factors at ``lam`` and applies the core,
+    :func:`_variance_apply`, centred on the Gram pencil C(lam); raises
+    WindowTooLargeError if the kernel's window does not fit the M samples.
     """
     _check_window(kernel, series.M)
     ut, vt = _sample_factors(series, lam)
-    return VarianceApplication(_variance_apply(q, ut, vt, _factor_mean(ut, vt), kernel))
+    c_hat = _char_matrix(gram_matrices(series), lam)
+    return VarianceApplication(_variance_apply(q, ut, vt, c_hat, kernel))
 
 
 def _variance_apply(
     q: np.ndarray, ut: np.ndarray, vt: np.ndarray, c_hat: np.ndarray, kernel: KernelSpec
 ) -> np.ndarray:
-    """V[Q] from the factors ``ut``, ``vt`` of :func:`_sample_factors` and their mean.
+    """V[Q] from the factors ``ut``, ``vt`` of :func:`_sample_factors` and their mean ``c_hat``.
 
     Expanding the centered products and folding negative lags yields
 
@@ -562,13 +562,47 @@ class _RealIidCovariance:
         return moment / self.m - _ct(c_hat) @ w @ c_hat
 
 
+#: ``v(lams, c_hat, w)``: V[W_k] at the points ``lams[k]`` with C(lam) = ``c_hat[k]``,
+#: over a stack ``w`` of (N, N) matrices.
+_V = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
+def _covariance(series: SnapshotSeries, kernel: KernelSpec) -> _V:
+    """V for one series and kernel, as one stateless call over a stack of points.
+
+    The iid kernel on a real-valued (float64) series runs in real
+    arithmetic through the series' :class:`_RealIidCovariance`, looked up
+    in the series' memo at every application, so that its tensor is built
+    at the first one and shared by every later estimate.  Every other
+    series or kernel applies :func:`_variance_apply` point by point, with
+    u built once here (complex, so that no application casts it) and v for
+    every application, so that no (N, M) array is kept per point.  Either
+    route centres on the ``c_hat`` it is given and keeps nothing from one
+    call to the next.  The kernel window is checked at once, before any
+    point.
+    """
+    _check_window(kernel, series.M)
+    if _RealIidCovariance.applies(series, kernel):
+        return lambda lams, c_hat, w: _RealIidCovariance.of(series)(lams, c_hat, w)
+    ut = np.ascontiguousarray(series.a.T, dtype=complex)
+
+    def per_point(lams: np.ndarray, c_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
+        out = np.empty_like(w)
+        for k, lam in enumerate(lams):
+            _, vt = _sample_factors(series, lam, ut)
+            out[k] = _variance_apply(w[k], ut, vt, c_hat[k], kernel)
+        return out
+
+    return per_point
+
+
 def variance_apply_naive(
     q: np.ndarray,
     lam: complex,
     series: SnapshotSeries,
     kernel: KernelSpec,
 ) -> VarianceApplication:
-    """Reference evaluation of V[Q] from materialized centered matrices.
+    """Reference evaluation of V[Q] from materialized matrices, centred on their own mean.
 
     Computes every Gamma_l by direct summation and combines them with the
     kernel weights; negative lags enter through Gamma_{-l} = Gamma_l^*.
@@ -579,7 +613,7 @@ def variance_apply_naive(
     q = np.asarray(q, dtype=complex)
     ut, vt = _sample_factors(series, lam)
     c_stack = np.einsum("im,jm->mij", ut, vt.conj())
-    d_stack = c_stack - _factor_mean(ut, vt)[np.newaxis, :, :]
+    d_stack = c_stack - c_stack.mean(axis=0)
 
     total = np.zeros((n, n), dtype=complex)
     for lag in range(kernel.half_width + 1):

@@ -45,7 +45,6 @@ from specguard.pseudospec import (
     STATUS_MAX_ITERS,
     GridSpec,
     PowerIterSettings,
-    _covariance,
     _s_at,
     p_hat,
     power_iterate,
@@ -54,6 +53,7 @@ from specguard.pseudospec import (
 from specguard.stats import cluster_eigenvalues
 from specguard.variance import (
     KernelSpec,
+    _covariance,
     _RealIidCovariance,
     variance_apply,
     variance_apply_naive,
@@ -155,7 +155,7 @@ def test_c2_bruteforce_operator_equivalence():
 def _engine_v(q, lam, series, kernel):
     """V[Q] at one point as the estimates apply it, through the engine's covariance."""
     lams, c_hat, _, _, _ = char_contexts(gram_matrices(series), [lam])
-    return _covariance(series, kernel)(lams, c_hat)(np.zeros(1, dtype=int), q[np.newaxis])[0]
+    return _covariance(series, kernel)(lams, c_hat, q[np.newaxis])[0]
 
 
 def test_c3_fast_vs_naive_variance():

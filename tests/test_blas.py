@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import specguard
-from specguard import _blas, charmatrix, cli, pseudospec, stats
+from specguard import _blas, charmatrix, cli, pseudospec, stats, variance
 from specguard.charmatrix import gram_matrices
 from specguard.cli import main
 from specguard.ingest import SnapshotSeries
@@ -57,9 +57,9 @@ def _series(m=400, n=4, seed=0, real=False):
     return SnapshotSeries(a, b, "iid")
 
 
-def _estimate(make_v, settings=None, lam=1.3 + 0.2j):
-    """The one estimate at ``lam`` on a fixed series, with V from ``make_v``."""
-    (est,) = _estimate_points(gram_matrices(_series()), make_v, [lam], settings)
+def _estimate(v, settings=None, lam=1.3 + 0.2j):
+    """The one estimate at ``lam`` on a fixed series, with V from ``v``."""
+    (est,) = _estimate_points(gram_matrices(_series()), v, [lam], settings)
     return est
 
 
@@ -76,17 +76,12 @@ def test_every_mapped_openblas_file_is_found():
 def test_v_runs_on_one_thread(two_threads):
     seen = []
 
-    def make_v(lam, c_hat):
+    def v(lams, c_hat, w):
         seen.append(_counts())
+        return w
 
-        def v(live, w):
-            seen.append(_counts())
-            return w
-
-        return v
-
-    est = _estimate(make_v, FEW_ITERS)
-    assert len(seen) == 1 + est.iterations > 1
+    est = _estimate(v, FEW_ITERS)
+    assert len(seen) == est.iterations > 1
     assert all(counts == [1] * len(COPIES) for counts in seen)
     assert _counts() == [2] * len(COPIES)
 
@@ -106,13 +101,13 @@ def test_restored_after_p_hat(two_threads):
 
 def test_row_pool_runs_on_one_thread_and_restores(two_threads, monkeypatch):
     seen = []
-    apply = pseudospec._variance_apply
+    apply = variance._variance_apply
 
     def recording_apply(*args, **kwargs):
         seen.append(_counts())
         return apply(*args, **kwargs)
 
-    monkeypatch.setattr(pseudospec, "_variance_apply", recording_apply)
+    monkeypatch.setattr(variance, "_variance_apply", recording_apply)
     result = sweep(GridSpec(1.1, 1.5, 4, -0.3, 0.3, 6), _series(), KernelSpec.iid())
     assert result.iterations.sum() == len(seen) > 0
     assert all(counts == [1] * len(COPIES) for counts in seen)
@@ -184,14 +179,12 @@ def test_every_cli_fit_runs_on_one_thread(two_threads, monkeypatch, tmp_path, ar
     assert _counts() == [2] * len(COPIES)
 
 
-@pytest.mark.parametrize("where", ["make_v", "v"])
-def test_restored_when_the_estimate_raises(two_threads, where):
+def test_restored_when_the_estimate_raises(two_threads):
     def fail(*_):
         raise RuntimeError("boom")
 
-    make_v = fail if where == "make_v" else (lambda lam, c_hat: fail)
     with pytest.raises(RuntimeError, match="boom"):
-        _estimate(make_v)
+        _estimate(fail)
     assert _counts() == [2] * len(COPIES)
 
 
@@ -234,7 +227,7 @@ def test_no_copy_found_is_a_no_op(two_threads, monkeypatch):
     monkeypatch.setattr(_blas, "_discover", lambda: [])
     with _blas.single_thread():
         assert _counts() == [2] * len(COPIES)
-    est = _estimate(lambda lam, c_hat: (lambda live, w: w), FEW_ITERS)
+    est = _estimate(lambda lams, c_hat, w: w, FEW_ITERS)
     assert est.iterations == FEW_ITERS.max_iters
     assert _counts() == [2] * len(COPIES)
 

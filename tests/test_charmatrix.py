@@ -61,7 +61,7 @@ class TestGram:
 
     def test_grampair_validates_shapes(self):
         with pytest.raises(ShapeError):
-            GramPair(np.eye(3), np.eye(2), 10)
+            GramPair(np.eye(3), np.eye(2))
 
 
 class TestEdmdMatrix:
@@ -115,7 +115,7 @@ class TestEdmdMatrix:
         assert np.all(np.isfinite(k_hat))
 
     def test_exactly_singular_raises_under_any_floor(self):
-        g = GramPair(np.ones((2, 2)), np.eye(2), 5)
+        g = GramPair(np.ones((2, 2)), np.eye(2))
         with pytest.raises(IllConditionedGramError) as err:
             edmd_matrix(g, floor=0.0)
         assert err.value.rcond == 0.0
@@ -291,7 +291,7 @@ class TestCharContexts:
             _same_point(stacks, k, _one_point(g, lam))
 
     def test_all_zero_gram(self):
-        g = GramPair(np.zeros((3, 3)), np.zeros((3, 3)), 5)
+        g = GramPair(np.zeros((3, 3)), np.zeros((3, 3)))
         stacks = char_contexts(g, [0.5, 2j])
         assert list(zip(stacks[3].tolist(), stacks[4].tolist())) == [(0.0, True), (0.0, True)]
         for k, lam in enumerate([0.5, 2j]):

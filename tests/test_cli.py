@@ -107,7 +107,17 @@ class TestGenerate:
         assert man["output"]["sha256"] == _sha256(out)
         assert man["m_samples"] == 120 and man["n_obs"] == 7
         assert man["input"] is None and man["kernel"] is None
-        assert "created" in man
+
+    def test_reruns_are_byte_identical(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["generate", "--system", "map1d", "--M", "60", "--N", "4", "--seed", "3",
+                "--out", "m.csv"]
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            runs.append([(tmp_path / f).read_bytes() for f in ("m.csv", "m.csv.manifest.json")])
+        capsys.readouterr()
+        assert runs[0] == runs[1]
 
     def test_default_output_name(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -36,12 +36,15 @@ from specguard.pseudospec import (
     power_iterate,
     sweep,
 )
-from specguard import pseudospec, stats
+from specguard import pseudospec, stats, variance
+from specguard.charmatrix import char_contexts
 from specguard.cli import main
 from specguard.variance import (
     KernelSpec,
+    _covariance,
     _RealIidCovariance,
     _sample_factors,
+    _variance_apply,
     variance_apply,
 )
 
@@ -64,9 +67,9 @@ def _random_psd(n, seed, definite=True):
 
 def _one_point(series, kernel, lam, settings, start):
     """The estimate at ``lam`` alone, as a one-point batch that starts from ``start``."""
-    at = pseudospec._covariance(series, kernel)
+    v = _covariance(series, kernel)
     gram = pseudospec._series_gram(series)
-    (est,) = pseudospec._estimate_points(gram, at, [lam], settings, starts=[start])
+    (est,) = pseudospec._estimate_points(gram, v, [lam], settings, starts=[start])
     return est
 
 
@@ -536,27 +539,42 @@ class TestSweepEngine:
         def forbidden(*args, **kwargs):
             raise AssertionError("complex path used")
 
-        monkeypatch.setattr(pseudospec, "_sample_factors", forbidden)
-        monkeypatch.setattr(pseudospec, "_variance_apply", forbidden)
+        monkeypatch.setattr(variance, "_sample_factors", forbidden)
+        monkeypatch.setattr(variance, "_variance_apply", forbidden)
         series, kernel = self._data("real")
         res = sweep(GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3), series, kernel)
         assert np.all(res.status == STATUS_CONVERGED)
 
     @pytest.mark.parametrize("kind", ["complex", "windowed"])
     def test_the_engine_applies_v_as_variance_apply_does(self, kind):
-        # The first application at a point builds the point's mean and the
-        # later ones reuse it; each is the public variance_apply bit for bit.
+        # Every application, the first and a repeated one alike, is the
+        # public variance_apply bit for bit: both centre on the Gram pencil.
         series, kernel = self._data(kind)
-        lams = np.array([1.3 + 0.1j, 0.9 - 0.4j])
-        gram = gram_matrices(series)
-        c_hat = lams[:, np.newaxis, np.newaxis] * gram.psi_xx - gram.psi_xy
-        apply_v = pseudospec._covariance(series, kernel)(lams, c_hat)
+        lams, c_hat, _, _, _ = char_contexts(gram_matrices(series), [1.3 + 0.1j, 0.9 - 0.4j])
+        v = _covariance(series, kernel)
         w = np.stack([_random_psd(3, 80 + k) for k in range(len(lams))])
         for _ in range(2):
-            out = apply_v(np.arange(len(lams)), w)
+            out = v(lams, c_hat, w)
             for k, lam in enumerate(lams):
                 expected = variance_apply(w[k], lam, series, kernel).result
                 assert_allclose(out[k], expected, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "windowed"])
+    def test_v_centres_on_the_c_it_is_given(self, kind):
+        series, kernel = self._data(kind)
+        lams, c_hat, _, _, _ = char_contexts(gram_matrices(series), [1.3 + 0.1j, 0.9 - 0.4j])
+        c2 = c_hat * (1 + 1e-3)
+        v = _covariance(series, kernel)
+        w = np.stack([_random_psd(3, 90 + k) for k in range(len(lams))])
+        shifted = v(lams, c2, w)
+        assert not np.allclose(shifted, v(lams, c_hat, w), rtol=1e-6, atol=0)
+        if kind == "real":
+            return
+        ut = np.ascontiguousarray(series.a.T, dtype=complex)
+        for k, lam in enumerate(lams):
+            _, vt = _sample_factors(series, lam, ut)
+            expected = _variance_apply(w[k], ut, vt, c2[k], kernel)
+            assert_allclose(shifted[k], expected, rtol=0, atol=0)
 
     @staticmethod
     def _count(monkeypatch, owner, name):
@@ -718,8 +736,7 @@ class TestSweepEngine:
         build = pseudospec._estimate_points
         monkeypatch.setattr(
             pseudospec, "_estimate_points",
-            lambda gram, make_v, lams, *args: points.extend(lams)
-            or build(gram, make_v, lams, *args),
+            lambda gram, v, lams, *args: points.extend(lams) or build(gram, v, lams, *args),
         )
         res = sweep(GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3), series, kernel)
         assert np.all(res.status == STATUS_CONVERGED)
@@ -782,12 +799,12 @@ class TestSweepEngine:
     def test_a_negative_v_makes_p_hat_degenerate(self, monkeypatch):
         # V[W] -> -V[W]: S[Q] is negative definite, so its Cholesky fails
         # even after the round-off ridge, on the complex and the real route.
-        apply, real = pseudospec._variance_apply, _RealIidCovariance.__call__
+        apply, real = variance._variance_apply, _RealIidCovariance.__call__
 
         def negated(*args, **kwargs):
             return -apply(*args, **kwargs)
 
-        monkeypatch.setattr(pseudospec, "_variance_apply", negated)
+        monkeypatch.setattr(variance, "_variance_apply", negated)
         monkeypatch.setattr(_RealIidCovariance, "__call__", lambda self, *a: -real(self, *a))
         for kind in ("complex", "real"):
             series, kernel = self._data(kind)
@@ -802,13 +819,13 @@ class TestSweepEngine:
         clean = sweep(grid, series, kernel)
         # The point is told by its v factor, which no other grid point shares.
         _, v_bad = _sample_factors(series, clean.point(2, 1))
-        apply = pseudospec._variance_apply
+        apply = variance._variance_apply
 
         def negated_at_bad(w, ut, vt, *args, **kwargs):
             out = apply(w, ut, vt, *args, **kwargs)
             return -out if np.array_equal(vt, v_bad) else out
 
-        monkeypatch.setattr(pseudospec, "_variance_apply", negated_at_bad)
+        monkeypatch.setattr(variance, "_variance_apply", negated_at_bad)
         res = sweep(grid, series, kernel)
         assert res.status[2, 1] == STATUS_DEGENERATE_S
         assert (res.lower[2, 1], res.upper[2, 1], res.iterations[2, 1]) == (0.0, float("inf"), 1)
@@ -825,13 +842,13 @@ class TestSweepEngine:
         tiny = SnapshotSeries(a, series.b, "iid")
         assert tiny.a.dtype == tiny.b.dtype == complex
         calls = []
-        apply = pseudospec._variance_apply
+        apply = variance._variance_apply
 
         def recording(*args, **kwargs):
             calls.append(1)
             return apply(*args, **kwargs)
 
-        monkeypatch.setattr(pseudospec, "_variance_apply", recording)
+        monkeypatch.setattr(variance, "_variance_apply", recording)
         sweep(GridSpec(1.1, 1.5, 2, -0.2, 0.2, 2), series, kernel)
         assert calls == []
         res = sweep(GridSpec(1.1, 1.5, 2, -0.2, 0.2, 2), tiny, kernel)

@@ -34,6 +34,11 @@ REMOVED = [
     ("s_apply", "specguard.pseudospec"),
     ("bracket", "specguard.pseudospec"),
     ("DegenerateSError", "specguard.errors"),
+    ("_factor_mean", "specguard.variance"),
+    ("_MakeV", "specguard.pseudospec"),
+    ("_RealIidCovariance", "specguard.pseudospec"),
+    ("_sample_factors", "specguard.pseudospec"),
+    ("_variance_apply", "specguard.pseudospec"),
 ]
 
 

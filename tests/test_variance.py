@@ -19,7 +19,6 @@ from specguard.ingest import SnapshotSeries
 from specguard.variance import (
     KernelSpec,
     _RealIidCovariance,
-    _factor_mean,
     _sample_factors,
     default_mu_list,
     estimate_tau,
@@ -262,7 +261,6 @@ def test_sample_factors_average_to_c_hat():
     for m in range(s.M):
         c_sum += np.outer(ut[:, m], vt[:, m].conj())
     assert_allclose(c_sum / s.M, lam * g.psi_xx - g.psi_xy, atol=1e-12)
-    assert_allclose(_factor_mean(ut, vt), c_sum / s.M, atol=1e-12)
     assert _sample_factors(s, -lam, ut)[0] is ut
 
 
@@ -293,7 +291,8 @@ class TestVarianceApply:
         q = _random_psd(3, 26)
         out = variance_apply(q, lam, s, KernelSpec.iid()).result
         ut, vt = _sample_factors(s, lam)
-        c_hat = _factor_mean(ut, vt)
+        g = gram_matrices(s)
+        c_hat = lam * g.psi_xx - g.psi_xy
         gamma0 = np.zeros((3, 3), dtype=complex)
         for m in range(s.M):
             c_m = np.outer(ut[:, m], vt[:, m].conj()) - c_hat
