@@ -97,6 +97,11 @@ def gram_matrices(series: SnapshotSeries) -> GramPair:
     return GramPair(psi_xx, psi_xy)
 
 
+def _series_gram(series: SnapshotSeries) -> GramPair:
+    """The series' Gram pair, computed on first use and kept with the series."""
+    return series._memo.get_or_build("gram", lambda: gram_matrices(series))
+
+
 def _char_matrix(gram: GramPair, lams) -> np.ndarray:
     """C(lam) = lam Psi_XX - Psi_XY: one matrix at a scalar ``lams``, a stack at a 1-d array."""
     return np.asarray(lams)[..., np.newaxis, np.newaxis] * gram.psi_xx - gram.psi_xy

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__, _blas
-from .charmatrix import _fit
+from .charmatrix import EigenMode, _fit, _series_gram
 from .errors import SpecguardError, UsageError
 from .generators import (
     RNG_ALGORITHM,
@@ -52,7 +52,6 @@ from .pseudospec import (
     SweepResult,
     _check_log_time,
     _series_estimates,
-    _series_gram,
     sweep,
 )
 from .stats import _check_alphas, _check_level, cluster_eigenvalues, eig_test, spectrum_test
@@ -139,8 +138,11 @@ def _settings(args: argparse.Namespace) -> PowerIterSettings:
 
 def _resolve_kernel(
     args: argparse.Namespace, series: SnapshotSeries
-) -> tuple[KernelSpec, list[str]]:
+) -> tuple[KernelSpec, list[str], list[EigenMode] | None]:
+    """The kernel the flags ask for, the warnings it raised, and the EDMD modes
+    if ``--mu auto:K`` fitted them (else None), so that no caller fits twice."""
     warnings: list[str] = []
+    modes = None
     if args.iid:
         if args.mu:
             raise UsageError("--mu is meaningless with --iid")
@@ -149,7 +151,7 @@ def _resolve_kernel(
                 "iid kernel requested on trajectory-kind data; serial "
                 "correlation will be ignored"
             )
-        return KernelSpec.iid(), warnings
+        return KernelSpec.iid(), warnings, modes
 
     mu_list: tuple[complex, ...] = ()
     if args.mu:
@@ -183,7 +185,7 @@ def _resolve_kernel(
         warnings.append(
             "windowed kernel on iid-kind data; the iid kernel would be tighter"
         )
-    return KernelSpec.windowed(l_window, mu_list), warnings
+    return KernelSpec.windowed(l_window, mu_list), warnings, modes
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +247,16 @@ def cmd_edmd(args: argparse.Namespace) -> int:
 
 def _grid_sweep(
     args: argparse.Namespace,
-) -> tuple[SnapshotSeries, KernelSpec, list[str], SweepResult]:
-    """The sweep/cluster prelude: load -> kernel -> settings -> grid -> sweep."""
+) -> tuple[SnapshotSeries, KernelSpec, list[str], SweepResult, list[EigenMode] | None]:
+    """The sweep/cluster prelude: load -> kernel -> settings -> grid -> sweep.
+
+    Also hands back the EDMD modes if :func:`_resolve_kernel` fitted them.
+    """
     series = _load_series(args)
-    kernel, warnings = _resolve_kernel(args, series)
+    kernel, warnings, modes = _resolve_kernel(args, series)
     grid = GridSpec(args.re_min, args.re_max, args.n_re, args.im_min, args.im_max, args.n_im)
     result = sweep(grid, series, kernel, _settings(args), floor=args.rcond_floor)
-    return series, kernel, warnings, result
+    return series, kernel, warnings, result, modes
 
 
 def _status_counts(result: SweepResult) -> str:
@@ -263,7 +268,7 @@ def _status_counts(result: SweepResult) -> str:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.log_time is not None:
         _check_log_time(args.log_time)
-    _, kernel, warnings, result = _grid_sweep(args)
+    _, kernel, warnings, result, _ = _grid_sweep(args)
     artifact = {
         "schema": "specguard/v1/sweep",
         "manifest": _manifest(
@@ -283,7 +288,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     if not args.eigs and not args.point:
         raise UsageError("nothing to test: pass --eigs and/or --lambda")
     series = _load_series(args)
-    kernel, warnings = _resolve_kernel(args, series)
+    kernel, warnings, _ = _resolve_kernel(args, series)
     settings = _settings(args)
     alphas = tuple(args.alpha) if args.alpha else (0.05, 0.01)
     _check_alphas(alphas)
@@ -319,8 +324,9 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     _check_level(args.level)
-    series, kernel, warnings, result = _grid_sweep(args)
-    modes, _ = _fit(_series_gram(series), args.rcond_floor)
+    series, kernel, warnings, result, modes = _grid_sweep(args)
+    if modes is None:
+        modes, _ = _fit(_series_gram(series), args.rcond_floor)
     eigs = [m.eigenvalue for m in modes]
     report = cluster_eigenvalues(result, eigs, args.level, series.M)
     artifact = {

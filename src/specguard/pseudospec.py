@@ -17,11 +17,17 @@ EDMD eigenvalue of a spectrum test, or one point.  It inverts the batch's
 characteristic matrices in one :func:`~specguard.charmatrix.char_contexts`
 call, pins the points on the spectrum to ``at_eigenvalue`` and iterates
 the rest on the S that :func:`_batch_s` composes from that call's stacks
-(the oracle applies it at one point through :func:`_s_at`).  V is the
-one call ``v(lams, c_hat, w)`` of :func:`specguard.variance._covariance`,
-centred on the C(lam) stack of that same call.  The congruence with
-C^{-1}, V and the pencil bracket are stacked numpy linalg calls, except
-that V goes point by point on every route but the real iid one.
+(the oracle applies it at one point through :func:`_s_at`).  V comes
+from :func:`specguard.variance._covariance` as V[W] = U[W] - kappa C^* W C,
+centred on the C(lam) stack of that same call.  With W = C^{-*} Q C^{-1}
+the centring term C^* W C is Q itself, so a step composes
+S[Q] = U[W] - kappa Q, Hermitian by construction, and never multiplies
+by C: the step is the congruence with the stored inverse, U, and the
+pencil bracket, all stacked numpy calls, except that U goes point by
+point on every route but the real iid one, where it is one GEMM.  What
+depends on the batch's points alone (C^{-*}, |lam|^2, conj(lam), the
+series' real iid covariance) is bound once and indexed again only when
+points leave the batch.
 
 Positivity is tested in one place: the pencil's Cholesky factorization of
 S[Q].  An S[Q] that fails it by round-off gets a ridge of 1e-12 tr/N (its
@@ -37,10 +43,10 @@ from typing import Callable
 import numpy as np
 
 from . import _blas
-from .charmatrix import GramPair, char_contexts, gram_matrices
+from .charmatrix import GramPair, _series_gram, char_contexts
 from .errors import AtEigenvalueError, ShapeError
 from .ingest import SnapshotSeries
-from .variance import KernelSpec, _V, _covariance, _ct, _hermitize, _is_real
+from .variance import KernelSpec, _compose, _Covariance, _covariance, _ct, _hermitize, _is_real
 
 __all__ = [
     "STATUS_CONVERGED",
@@ -136,7 +142,8 @@ def _pencil(
     When S[Q_k] has no Cholesky factor it is ridged by round-off; sigma_min
     of the ridged pencil is still a lower bound, but sigma_max is not an
     upper one, so it is reported as inf.  ``failed`` marks an S[Q_k] that
-    stays indefinite after the ridge; its endpoints are meaningless.
+    stays indefinite after the ridge; its endpoints are meaningless.  The
+    Cholesky factorization and eigvalsh read the lower triangle only.
     """
     ridged = np.zeros(len(q), dtype=bool)
     failed = np.zeros(len(q), dtype=bool)
@@ -150,19 +157,18 @@ def _pencil(
             chol[k], s_used[k], ridged[k], failed[k] = _ridged_cholesky(s_of_q[k])
     # L^{-1} Q L^{-*} shares the pencil's eigenvalues and is Hermitian.
     chol_inv = np.linalg.inv(chol)
-    reduced = chol_inv @ q @ _ct(chol_inv)
-    sig = np.linalg.eigvalsh(_hermitize(reduced))
+    sig = np.linalg.eigvalsh(chol_inv @ q @ _ct(chol_inv))
     upper = np.where(ridged, np.inf, sig[:, -1])
     return sig[:, 0], upper, ridged, failed, s_used
 
 
-#: ``apply_s(live, q)``: the Hermitian S[Q] for the iterates ``q`` (k, N, N)
-#: of the batch points ``live``.
-_BatchApply = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: ``bind(live)``: the applier ``q -> S[Q]`` of the batch points ``live``,
+#: for their iterates ``q`` (k, N, N); S[Q] must be Hermitian.
+_BatchApply = Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
 
 
 def _iterate(
-    apply_s: _BatchApply,
+    bind: _BatchApply,
     q: np.ndarray,
     settings: PowerIterSettings,
     history: list | None = None,
@@ -171,12 +177,15 @@ def _iterate(
 
     ``q`` (B, N, N) holds each point's starting iterate.  The state holds
     only the points still iterating, in batch order: ``live`` (their
-    indices into the batch), the iterates ``q`` and their ``lower``,
-    ``upper`` and ``jitter``.  A point leaves when it converges or
-    degenerates (its S[Q] does not factor even after a round-off ridge, or
-    has no positive trace); each step ends by compacting the state to the
-    rest, and what is left after ``max_iters`` steps stops there.
-    ``history``, for one-point batches, receives every step's (lower, upper).
+    indices into the batch), the iterates ``q``, their last ``lower`` and
+    ``upper``, ``jitter`` and the applier bound to ``live``.  A point
+    leaves when it converges or degenerates (its S[Q] does not factor even
+    after a round-off ridge, or has no positive trace), and what is left
+    after ``max_iters`` steps stops there.  Each step computes one stop
+    mask; only a step where some point stops finishes points, compacts
+    the state to the rest and binds the applier again, so the
+    bookkeeping costs scale with these events.  ``history``, for
+    one-point batches, receives every step's (lower, upper).
 
     ``q_final`` is the trace-one iterate whose pencil produced the returned
     bracket, so it can seed a warm start at a nearby spectral point; a
@@ -185,9 +194,11 @@ def _iterate(
     q = np.array(q, dtype=complex)
     out: list[PEstimate | None] = [None] * len(q)
     live = np.arange(len(q))
+    apply_s = bind(live)
     lower = np.zeros(len(q))
     upper = np.full(len(q), np.inf)
     jitter = np.zeros(len(q), dtype=bool)
+    tol = 1.0 + settings.rel_tol
 
     def finish(mask: np.ndarray, status: str) -> None:
         for k in np.flatnonzero(mask):
@@ -202,22 +213,31 @@ def _iterate(
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for iterations in range(1, settings.max_iters + 1):
-            lo, hi, ridged, failed, s_used = _pencil(q, apply_s(live, q))
-            finish(failed, STATUS_DEGENERATE_S)
-            lower, upper, jitter = np.maximum(lo, 0.0), hi, jitter | ridged
+            lo, hi, ridged, failed, s_used = _pencil(q, apply_s(q))
+            lo = np.maximum(lo, 0.0)
             if history is not None:
-                history.extend(zip(lower[~failed].tolist(), upper[~failed].tolist()))
-            done = ~failed & (lower > 0.0) & (upper / lower <= 1.0 + settings.rel_tol)
-            finish(done, STATUS_CONVERGED)
+                history.extend(zip(lo[~failed].tolist(), hi[~failed].tolist()))
             trace = np.trace(s_used, axis1=-2, axis2=-1).real
-            bad = ~(failed | done) & (~np.isfinite(trace) | (trace <= 0.0))
-            finish(bad, STATUS_DEGENERATE_S)
-            keep = ~(failed | done | bad)
-            if iterations == settings.max_iters or not keep.any():
+            done = (lo > 0.0) & (hi / lo <= tol)
+            stop = failed | done | ~((trace > 0.0) & (trace < np.inf))
+            if stop.any():
+                # A failed point keeps the bracket of its last good step.
+                finish(failed, STATUS_DEGENERATE_S)
+                lower, upper, jitter = lo, hi, jitter | ridged
+                finish(done & ~failed, STATUS_CONVERGED)
+                finish(stop & ~(failed | done), STATUS_DEGENERATE_S)
+                keep = ~stop
+                if not keep.any():
+                    return out
+                live, lower, upper, jitter = live[keep], lower[keep], upper[keep], jitter[keep]
+                q, s_used, trace = q[keep], s_used[keep], trace[keep]
+                apply_s = bind(live)
+            else:
+                lower, upper, jitter = lo, hi, jitter | ridged
+            if iterations == settings.max_iters:
                 break
-            live, lower, upper, jitter = live[keep], lower[keep], upper[keep], jitter[keep]
-            q = s_used[keep] / trace[keep, np.newaxis, np.newaxis]
-    finish(keep, STATUS_MAX_ITERS)
+            q = s_used / trace[:, np.newaxis, np.newaxis]
+    finish(np.ones(len(live), dtype=bool), STATUS_MAX_ITERS)
     return out
 
 
@@ -243,7 +263,7 @@ def power_iterate(
     if settings is None:
         settings = PowerIterSettings()
     (est,) = _iterate(
-        lambda live, q: _hermitize(apply_s(q[0]))[np.newaxis],
+        lambda live: lambda q: _hermitize(apply_s(q[0]))[np.newaxis],
         np.eye(dim, dtype=complex)[np.newaxis] / dim,
         settings,
         history,
@@ -251,23 +271,30 @@ def power_iterate(
     return est
 
 
-def _congruence(c_inv: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """C^{-*} Q C^{-1} from the stored inverse: one matrix or a stack of them."""
-    return _ct(c_inv) @ (q @ c_inv)
+def _congruence(c_inv_h: np.ndarray, c_inv: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """C^{-*} Q C^{-1} from the stored inverse and its conjugate transpose, for a stack or one."""
+    return c_inv_h @ (q @ c_inv)
 
 
-def _series_gram(series: SnapshotSeries) -> GramPair:
-    """The series' Gram pair, computed on first use and kept with the series."""
-    return series._memo.get_or_build("gram", lambda: gram_matrices(series))
-
-
-def _batch_s(v: _V, lams: np.ndarray, c_hat: np.ndarray, c_inv: np.ndarray) -> _BatchApply:
+def _batch_s(
+    cov: _Covariance, lams: np.ndarray, c_hat: np.ndarray, c_inv: np.ndarray
+) -> _BatchApply:
     """S[Q] = V[C^{-*} Q C^{-1}] at off-spectrum points: the one S the estimates iterate on.
 
-    The congruence with ``c_inv``, V from ``v`` at the ``live`` points' ``lams``
-    and ``c_hat``, then the Hermitian part.
+    With W = C^{-*} Q C^{-1} and V[W] = U[W] - kappa C^* W C (see
+    :class:`~specguard.variance._Covariance`), C^* W C is Q itself, so S[Q]
+    is composed as U[W] - kappa Q, Hermitian by construction: no product
+    with C, and no round trip through the computed inverse, whose error
+    grows with cond(C).  The batch constants, C^{-*} and what ``cov``
+    binds at the points, are indexed by ``live`` once per binding.
     """
-    return lambda live, q: _hermitize(v(lams[live], c_hat[live], _congruence(c_inv[live], q)))
+    c_inv_h = _ct(c_inv)
+
+    def bind(live: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        half, ci, ci_h = cov.bind(lams[live], c_hat[live]), c_inv[live], c_inv_h[live]
+        return lambda q: _compose(half(_congruence(ci_h, ci, q)), cov.kappa, q)
+
+    return bind
 
 
 def _inverse_at(series: SnapshotSeries, lam: complex, op: str) -> tuple:
@@ -288,21 +315,20 @@ def _s_at(
 
     C(lam) is inverted with BLAS on one thread, as in
     :func:`_estimate_points`, so that the inverse is the one :func:`p_hat`
-    reads.  The Gram pair and, on the real iid route, the tensor (built at
-    the first application) come from the series' memo, which builds them on
-    one BLAS thread too.  Raises AtEigenvalueError on the spectrum, and
+    reads.  The Gram pair and, on the real iid route, the tensor (built
+    when the point is bound, here) come from the series' memo, which builds
+    them on one BLAS thread too.  Raises AtEigenvalueError on the spectrum, and
     WindowTooLargeError if the kernel window does not fit the sample.
     """
-    v = _covariance(series, kernel)
+    cov = _covariance(series, kernel)
     with _blas.single_thread():
-        apply_s = _batch_s(v, *_inverse_at(series, lam, "S"))
-    first = np.zeros(1, dtype=int)
-    return lambda q: apply_s(first, np.asarray(q, dtype=complex)[np.newaxis])[0]
+        apply_s = _batch_s(cov, *_inverse_at(series, lam, "S"))(np.zeros(1, dtype=int))
+    return lambda q: apply_s(np.asarray(q, dtype=complex)[np.newaxis])[0]
 
 
 def _estimate_points(
     gram: GramPair,
-    v: _V,
+    cov: _Covariance,
     lams,
     settings: PowerIterSettings | None = None,
     floor: float | None = None,
@@ -315,10 +341,10 @@ def _estimate_points(
     point where C(lam) is numerically singular is an EDMD eigenvalue,
     where P vanishes exactly: its estimate is ``at_eigenvalue`` with both
     endpoints 0 and no iterations.  The other points run power iteration
-    on S[Q] = V[C^{-*} Q C^{-1}] in lockstep, with V from
-    ``v(lams, c_hat, w)``, given their points and C(lam) as stacks; ``v``
-    is applied only when some point is off the spectrum, so a real iid
-    series whose points are all on it builds no tensor.  ``starts[k]`` is
+    on S[Q] = V[C^{-*} Q C^{-1}] in lockstep (:func:`_batch_s`), with V
+    from ``cov`` bound to their points and C(lam) stacks; ``cov`` is
+    bound only when some point is off the spectrum, so a real iid series
+    whose points are all on it builds no tensor.  ``starts[k]`` is
     point k's first iterate, such as a neighbour's ``q_final``; a None
     entry, or ``starts=None``, means I / N.  Everything runs with BLAS on one thread (see
     :mod:`specguard._blas`).
@@ -335,8 +361,7 @@ def _estimate_points(
         if len(off):
             starts = starts or [None] * len(lams)
             q = np.stack([default if starts[k] is None else starts[k] for k in off])
-            apply_s = _batch_s(v, lams[off], c_hat[off], c_inv[off])
-            ests = _iterate(apply_s, q, settings)
+            ests = _iterate(_batch_s(cov, lams[off], c_hat[off], c_inv[off]), q, settings)
             for k, est in zip(off, ests):
                 out[k] = est
     return out
@@ -353,8 +378,8 @@ def _series_estimates(
 
     The kernel window is checked first, on the spectrum too.
     """
-    v = _covariance(series, kernel)
-    return _estimate_points(_series_gram(series), v, lams, settings, floor)
+    cov = _covariance(series, kernel)
+    return _estimate_points(_series_gram(series), cov, lams, settings, floor)
 
 
 def p_hat(
@@ -558,13 +583,13 @@ def sweep(
         partner = _mirror_partners(im_axis) if _is_real(series) else np.arange(grid.n_im)
         evaluated = np.flatnonzero(partner == np.arange(grid.n_im))
         gram = _series_gram(series)
-        v = _covariance(series, kernel)
+        cov = _covariance(series, kernel)
         warm: list[np.ndarray | None] = [None] * grid.n_im
         for j, re in enumerate(re_axis):
             lams = np.full(len(evaluated), re, dtype=complex)
             lams.imag = im_axis[evaluated]
             starts = [warm[i] for i in evaluated]
-            ests = _estimate_points(gram, v, lams, settings, floor, starts)
+            ests = _estimate_points(gram, cov, lams, settings, floor, starts)
             for i, est in zip(evaluated, ests):
                 lower[i, j], upper[i, j] = est.lower, est.upper
                 iters[i, j] = est.iterations

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charmatrix import _fit
+from .charmatrix import _fit, _series_gram
 from .errors import ShapeError
 from .ingest import SnapshotSeries
 from .pseudospec import (
@@ -31,7 +31,6 @@ from .pseudospec import (
     PowerIterSettings,
     SweepResult,
     _series_estimates,
-    _series_gram,
 )
 from .variance import KernelSpec, _check_window
 

@@ -9,38 +9,49 @@ covariance
 where C_m = u_m v_m^* are the rank-one per-sample characteristic matrices
 and C is their mean.  Negative lags are defined by Gamma_{-l} = Gamma_l^*.
 
-The rank-one structure gives V in O(L * M * N + M * N^2) time.  The core,
-`_variance_apply`, reads the per-sample factors v (one (N, M) column per
+The rank-one structure gives V in O(L * M * N + M * N^2) time.  Every
+route writes V as
+
+    V[W] = U[W] - kappa C^* W C,   U = P + P^*,
+
+where U is V without its centring term, kappa = 2 sum_l kt(l) (M + l)/M
+that term's weight (1 for iid) and P the "half" a route computes, so V
+and U are Hermitian by construction.  `_compose` is the one place that
+forms U - kappa times a centre: C^* W C for V at arbitrary W, or Q for
+the certified estimates of :mod:`specguard.pseudospec`, whose
+W = C^{-*} Q C^{-1} makes C^* W C equal to Q.  The core,
+`_variance_half`, reads the per-sample factors v (one (N, M) column per
 sample, with u = a^T) of `_sample_factors` and their mean C, which every
 caller takes from the Gram pencil C(lam) = lam Psi_XX - Psi_XY of
 :mod:`specguard.charmatrix`.  `_covariance` is the one V that the
-certified estimates of :mod:`specguard.pseudospec` apply: a stateless
-call ``v(lams, c_hat, w)`` over a stack of points, centred on the C(lam)
-stack it is given, with u built once per series and kernel and v per
+estimates apply: a `_Covariance` whose ``bind(lams, c_hat)`` fixes a
+stack of points, centred on the C(lam) stack it is given, and returns
+P for stacks of W; u is built once per series and kernel and v per
 application.  `variance_apply` is the same core at one ``lam``, and
 `variance_apply_naive` a reference that materializes the centered
 snapshot matrices; the two agree to a 1e-10 relative Frobenius bound.
-V[Q] comes back as computed, Hermitian but never repaired for positivity
-(V is linear in Q): the certified estimates test positivity once, on
-S[Q], when the pencil of :mod:`specguard.pseudospec` Cholesky-factors it.
-For the iid kernel on real-valued data, which a series stores as float64,
-`_covariance` applies V in real arithmetic to a whole batch of points at
-once (`_RealIidCovariance`), held to the same bound.  There V[W]
-is linear in Re(W) through a fourth-moment tensor of the data, built once
-per series from the M samples and kept with the series, after which no
-application reads the samples again.  Only when the tensor is too large to
-build does each application stream once through the series' own samples,
-in cache-sized blocks, with no temporary that grows with M.
+V[Q] comes back as computed, never repaired for positivity (V is linear
+in Q): the certified estimates test positivity once, on S[Q], when the
+pencil of :mod:`specguard.pseudospec` Cholesky-factors it.  For the iid
+kernel on real-valued data, which a series stores as float64,
+`_covariance` applies U in real arithmetic to a whole batch of points at
+once (`_RealIidCovariance`), held to the same bound.  There U[W] is
+linear in Re(W) through a fourth-moment tensor of the data, built once
+per series from the M samples and kept with the series as one (N^2,
+3 N^2) matrix, so that a stack of W costs one GEMM and no application
+reads the samples again.  Only when the tensor is too large to build
+does each application stream once through the series' own samples, in
+cache-sized blocks, with no temporary that grows with M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .charmatrix import _char_matrix, gram_matrices
+from .charmatrix import _char_matrix, _series_gram
 from .errors import ShapeError, UnstableKernelError, WindowTooLargeError
 from .ingest import SnapshotSeries
 
@@ -247,7 +258,7 @@ def estimate_tau(series: SnapshotSeries, lam: complex = 1.0) -> float:
     max_lag = max(1, min(50, m // 10))
 
     ut, vt = _sample_factors(series, lam)
-    c_hat = _char_matrix(gram_matrices(series), lam)
+    c_hat = _char_matrix(_series_gram(series), lam)
     # t_m = tr(C_m^* C) = u_m^* C v_m
     tvec = np.sum(ut.conj() * (c_hat @ vt), axis=0)
     cnorm2 = float(np.linalg.norm(c_hat) ** 2)
@@ -354,11 +365,28 @@ def _check_window(kernel: KernelSpec, m_samples: int) -> None:
 
 def _ct(mat: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
-    return np.swapaxes(mat.conj(), -1, -2)
+    return mat.conj().swapaxes(-1, -2)
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + _ct(mat))
+
+
+def _compose(p: np.ndarray, kappa: float, centre: np.ndarray) -> np.ndarray:
+    """U - kappa * centre, where U = P + P^*: Hermitian by construction.
+
+    This is V[W] when ``centre`` is C^* W C, and S[Q] when it is Q, which
+    equals C^* W C in exact arithmetic for W = C^{-*} Q C^{-1}.  Works on
+    one matrix or a stack.
+    """
+    t = p - 0.5 * kappa * centre
+    return t + _ct(t)
+
+
+def _kappa(kernel: KernelSpec, m_samples: int) -> float:
+    """The weight kappa = 2 sum_l kt(l) (M + l)/M of V's centring term C^* W C (1 for iid)."""
+    lags = np.arange(kernel.half_width + 1)
+    return 2.0 * float(np.sum(kernel.tilde_weights() * (m_samples + lags) / m_samples))
 
 
 def variance_apply(
@@ -367,12 +395,13 @@ def variance_apply(
     """Apply the kernel-weighted covariance V[Q] via the rank-one expansion.
 
     Builds the factors at ``lam`` and applies the core,
-    :func:`_variance_apply`, centred on the Gram pencil C(lam); raises
-    WindowTooLargeError if the kernel's window does not fit the M samples.
+    :func:`_variance_apply`, centred on the Gram pencil C(lam) of the
+    series' Gram memo; raises WindowTooLargeError if the kernel's window
+    does not fit the M samples.
     """
     _check_window(kernel, series.M)
     ut, vt = _sample_factors(series, lam)
-    c_hat = _char_matrix(gram_matrices(series), lam)
+    c_hat = _char_matrix(_series_gram(series), lam)
     return VarianceApplication(_variance_apply(q, ut, vt, c_hat, kernel))
 
 
@@ -381,18 +410,32 @@ def _variance_apply(
 ) -> np.ndarray:
     """V[Q] from the factors ``ut``, ``vt`` of :func:`_sample_factors` and their mean ``c_hat``.
 
+    :func:`_compose` of :func:`_variance_half` and the centring term
+    C^* Q C with weight :func:`_kappa`.  The caller has checked that the
+    kernel's window fits the M samples.
+    """
+    q = np.asarray(q, dtype=complex)
+    chc = c_hat.conj().T @ (q @ c_hat)
+    return _compose(_variance_half(q, ut, vt, c_hat, kernel), _kappa(kernel, ut.shape[1]), chc)
+
+
+def _variance_half(
+    q: np.ndarray, ut: np.ndarray, vt: np.ndarray, c_hat: np.ndarray, kernel: KernelSpec
+) -> np.ndarray:
+    """P with U = P + P^*, where U is V without its centring term, from the factors of
+    :func:`_sample_factors` and their mean ``c_hat``.
+
     Expanding the centered products and folding negative lags yields
 
-        V[Q] = T + T^*,
-        T = (1/M) sum_m ( sum_l kt(l) (u_{m+l}^* Q u_m) v_{m+l} ) v_m^*
-            + (1/M) sum_{j=1}^{Lt} w_j ( C_j^* Q C + C^* Q C_{M-j+1} )
-            - ( sum_l kt(l) (M + l)/M ) C^* Q C,
+        V[Q] = T + T^*,   T = P - (kappa / 2) C^* Q C,
+        P = (1/M) sum_m ( sum_l kt(l) (u_{m+l}^* Q u_m) v_{m+l} ) v_m^*
+            + (1/M) sum_{j=1}^{Lt} w_j ( C_j^* Q C + C^* Q C_{M-j+1} ),
 
-    with one-sided weights kt from the kernel (lag 0 halved) and boundary
-    weights w_j = sum_{l >= j} kt(l).  For the iid kernel this reduces to
-    the single-lag estimator (1/M) sum (u_m^* Q u_m) v_m v_m^* - C^* Q C.
-
-    The caller has checked that the kernel's window fits the M samples.
+    with one-sided weights kt from the kernel (lag 0 halved), boundary
+    weights w_j = sum_{l >= j} kt(l) and kappa = 2 sum_l kt(l) (M + l)/M
+    (:func:`_kappa`).  For the iid kernel this reduces to the single-lag
+    estimator (1/M) sum (u_m^* Q u_m) v_m v_m^* - C^* Q C.  P still reads
+    C through the boundary terms of a windowed kernel.
     """
     m = ut.shape[1]
     q = np.asarray(q, dtype=complex)
@@ -408,52 +451,52 @@ def _variance_apply(
         acc[:, : m - lag] += kt[lag] * (vt[:, lag:] * inner[np.newaxis, :])
     tilde = acc @ vt.conj().T / m
 
-    qc = q @ c_hat
     if lt > 0:
         # w_j = sum_{l >= j} kt(l) for 1-based j = 1..Lt.
         w = np.cumsum(kt[::-1])[::-1][1:]
-        head = (vt[:, :lt] * w[np.newaxis, :]) @ (ut[:, :lt].conj().T @ qc)
+        head = (vt[:, :lt] * w[np.newaxis, :]) @ (ut[:, :lt].conj().T @ (q @ c_hat))
         idx = m - 1 - np.arange(lt)
         cq = c_hat.conj().T @ q
         tail = ((cq @ ut[:, idx]) * w[np.newaxis, :]) @ vt[:, idx].conj().T
         tilde += (head + tail) / m
-
-    lags = np.arange(lt + 1)
-    coef = float(np.sum(kt * (m + lags) / m))
-    tilde -= coef * (c_hat.conj().T @ qc)
-
-    return tilde + tilde.conj().T
+    return tilde
 
 
 class _RealIidCovariance:
-    """V[W] of the iid kernel on a real-valued series, in real arithmetic.
+    """U[W] of the iid kernel on a real-valued series, in real arithmetic.
 
     With u_m = a_m and v_m = conj(lam) a_m - b_m for real a_m, b_m, the iid
-    estimator (1/M) sum_m (u_m^* W u_m) v_m v_m^* - C^* W C becomes
+    estimator (1/M) sum_m (u_m^* W u_m) v_m v_m^* - C^* W C is U - C^* W C
+    (kappa = 1) with
 
-        V[W] = (1/M)(|lam|^2 X_aa - conj(lam) X_ab - lam X_ba + X_bb) - C^* W C,
+        U = (1/M)(|lam|^2 X_aa - conj(lam) X_ab - lam X_ba + X_bb) = P + P^*,
+        P = |lam|^2 X_aa / 2M - conj(lam) X_ab / M + X_bb / 2M,
         X = sum_m s_m z_m z_m^T,  z_m = [a_m; b_m],  s_m = a_m^T Re(W) a_m,
 
-    so the real samples serve every lambda.  X is linear in the packed
-    (upper-triangle) pairs r of Re(W) + Re(W)^T, through the fourth-moment
-    tensor
+    since X_aa and X_bb are symmetric and X_ba = X_ab^T, so the real
+    samples serve every lambda.  X is linear in Re(W) through the
+    fourth-moment tensor
 
         T = sum_m (a_m (x) a_m)_packed (z_m (x) z_m)_packed^T,
 
-    an (N(N+1)/2, N(2N+1)) real matrix that depends on the data alone:
-    the packed X of W is r^T T.  A pass over the samples reads ``BLOCK``
+    an (N(N+1)/2, N(2N+1)) real matrix over upper-triangle pairs that
+    depends on the data alone.  A pass over the samples reads ``BLOCK``
     rows of the series' own float64 a and b at a time into one (2N,
     ``BLOCK``) buffer of z columns; no copy of the samples is kept.
-    Construction builds T from Khatri-Rao products of these blocks and
-    then drops its reference to a and b, so every W costs one small GEMM
-    and no pass over the M samples, whatever the batch size or the order
-    of the calls.  :meth:`of` keeps one instance per series, so every
-    estimate on the series shares one T.  When a Khatri-Rao block would
-    exceed ``MAX_BLOCK_ENTRIES`` (N >= 32 once M >= 512) T is never built
-    and each W takes the direct form X = z^T diag(s) z: one pass over the
-    sample blocks, each W of the stack in turn while a block is in cache:
-    s from R^T a into an (N, ``BLOCK``) buffer, z diag(s) into a (2N,
-    ``BLOCK``) buffer, and one small GEMM added to X.
+    Construction builds T from Khatri-Rao products of these blocks,
+    unpacks it once into ``tensor``, the (N^2, 3 N^2) map from Re(W),
+    flattened, to the flattened blocks X_aa / 2M, X_ab / M and X_bb / 2M
+    (the pair symmetrisation and the scales folded in), and then drops
+    its reference to a and b.  So every stack of W costs one GEMM, with no
+    packed gather or scatter and no pass over the M samples, whatever the
+    batch size or the order of the calls.  :meth:`of` keeps one instance
+    per series, so every estimate on the series shares one tensor.  When a
+    Khatri-Rao block would exceed ``MAX_BLOCK_ENTRIES`` (N >= 32 once
+    M >= 512) no tensor is built and each W takes the direct form
+    X = z^T diag(s) z: one pass over the sample blocks, each W of the
+    stack in turn while a block is in cache: s from R^T a into an
+    (N, ``BLOCK``) buffer, z diag(s) into a (2N, ``BLOCK``) buffer, and
+    one small GEMM added to X.
     """
 
     #: samples per block, for the tensor build and the direct form alike.
@@ -472,17 +515,14 @@ class _RealIidCovariance:
             + [(i, n, 2 * n) for i in range(n)]
             + [(n + i, n + i, 2 * n) for i in range(n)]
         )
-        self.rows = np.concatenate([np.full(j1 - j0, i) for i, j0, j1 in self.runs])
-        self.cols = np.concatenate([np.arange(j0, j1) for _, j0, j1 in self.runs])
-        self.n_aa = n * (n + 1) // 2
-        # s_m = sum_{i <= j} (R_ij + R_ji) a_mi a_mj, the diagonal counted once.
-        aa_i, aa_j = self.rows[: self.n_aa], self.cols[: self.n_aa]
-        self.pair_weight = np.where(aa_i == aa_j, 0.5, 1.0)
+        self.n_pairs = n * (2 * n + 1)
+        #: the scales of the blocks X_aa, X_ab and X_bb, flattened.
+        self.scale = np.repeat([0.5 / self.m, 1.0 / self.m, 0.5 / self.m], n * n)
         self.block = min(self.BLOCK, self.m)
         self.samples: tuple[np.ndarray, np.ndarray] | None = (series.a, series.b)
         self.tensor: np.ndarray | None = None
-        if self.block * len(self.rows) <= self.MAX_BLOCK_ENTRIES:
-            self.tensor = self._build_tensor()
+        if self.block * self.n_pairs <= self.MAX_BLOCK_ENTRIES:
+            self.tensor = self._unpack(self._build_tensor())
             self.samples = None
 
     @staticmethod
@@ -507,16 +547,34 @@ class _RealIidCovariance:
 
     def _build_tensor(self) -> np.ndarray:
         """T = sum_m (a_m (x) a_m)_packed (z_m (x) z_m)_packed^T, one block at a time."""
-        tensor = np.zeros((self.n_aa, len(self.rows)))
-        kr_buf = np.empty((len(self.rows), self.block))
+        n_aa = self.n * (self.n + 1) // 2
+        tensor = np.zeros((n_aa, self.n_pairs))
+        kr_buf = np.empty((self.n_pairs, self.block))
         for zb in self._sample_blocks():
             kr = kr_buf[:, : zb.shape[1]]
             pos = 0
             for i, j0, j1 in self.runs:
                 np.multiply(zb[i], zb[j0:j1], out=kr[pos : pos + j1 - j0])
                 pos += j1 - j0
-            tensor += kr[: self.n_aa] @ kr.T
+            tensor += kr[:n_aa] @ kr.T
         return tensor
+
+    def _unpack(self, packed: np.ndarray) -> np.ndarray:
+        """The (N^2, 3 N^2) map from Re(W) to the scaled blocks, from the packed T.
+
+        Entry ((i, j), (k, l)) of a block is T's entry at the pairs {i, j}
+        and {k, l}: s_m = sum_ij R_ij a_mi a_mj reads R_ij and R_ji through
+        the same pair, and a symmetric block reads X_kl and X_lk there too.
+        """
+        n = self.n
+        # pair[i, j]: the packed index of the pair {i, j} of z's 2N entries.
+        pair = np.empty((2 * n, 2 * n), dtype=int)
+        index = 0
+        for i, j0, j1 in self.runs:
+            pair[i, j0:j1] = pair[j0:j1, i] = np.arange(index, index + j1 - j0)
+            index += j1 - j0
+        cols = np.concatenate([pair[:n, :n], pair[:n, n:], pair[n:, n:]], axis=None)
+        return packed[pair[:n, :n].ravel()][:, cols] * self.scale
 
     def _direct(self, r: np.ndarray) -> np.ndarray:
         """X = z^T diag(s) z for each R of the stack, in one pass over the blocks."""
@@ -534,66 +592,85 @@ class _RealIidCovariance:
         return out
 
     def second_moments(self, w: np.ndarray) -> np.ndarray:
-        """X = sum_m s_m z_m z_m^T for each W of the stack, shape (k, 2N, 2N)."""
-        r = np.ascontiguousarray(w.real)
+        """X_aa / 2M, X_ab / M and X_bb / 2M of each W of the stack, flattened: (k, 3 N^2)."""
+        if self.tensor is not None:
+            return w.real.reshape(len(w), -1) @ self.tensor
         n = self.n
-        if self.tensor is None:
-            return self._direct(r)
-        r_pairs = (r + np.swapaxes(r, -1, -2))[:, self.rows[: self.n_aa], self.cols[: self.n_aa]]
-        r_pairs *= self.pair_weight
-        packed = r_pairs @ self.tensor
-        x = np.empty((len(w), 2 * n, 2 * n))
-        x[:, self.rows, self.cols] = packed
-        x[:, self.cols, self.rows] = packed
-        return x
+        x = self._direct(np.ascontiguousarray(w.real))
+        blocks = np.stack([x[:, :n, :n], x[:, :n, n:], x[:, n:, n:]], axis=1)
+        return blocks.reshape(len(w), -1) * self.scale
 
-    def __call__(self, lam: np.ndarray, c_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """V[W_k] at the points lam_k with C(lam_k) = c_hat_k, Hermitian up to round-off."""
-        n = self.n
-        x = self.second_moments(w)
-        lam = lam[:, np.newaxis, np.newaxis]
-        x_ab = x[:, :n, n:]
-        moment = (
-            (lam * lam.conj()).real * x[:, :n, :n]
-            - lam.conj() * x_ab
-            - lam * np.swapaxes(x_ab, -1, -2)
-            + x[:, n:, n:]
-        )
-        return moment / self.m - _ct(c_hat) @ w @ c_hat
+    def bind(self, lams: np.ndarray, c_hat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """``half(w)``: P of U = P + P^* for a stack ``w`` at the points ``lams``.
+
+        |lam|^2 and conj(lam) are taken here, once; C is not read, as
+        kappa = 1 centres on it.
+        """
+        n2 = self.n * self.n
+        lam2 = (lams.real**2 + lams.imag**2)[:, np.newaxis]
+        lam_conj = lams.conj()[:, np.newaxis]
+
+        def half(w: np.ndarray) -> np.ndarray:
+            y = self.second_moments(w)
+            p = lam2 * y[:, :n2] + y[:, 2 * n2 :] - lam_conj * y[:, n2 : 2 * n2]
+            return p.reshape(w.shape)
+
+        return half
 
 
-#: ``v(lams, c_hat, w)``: V[W_k] at the points ``lams[k]`` with C(lam) = ``c_hat[k]``,
-#: over a stack ``w`` of (N, N) matrices.
-_V = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+class _Covariance(NamedTuple):
+    """V for one series and kernel over stacks of points: V[W] = U[W] - kappa C^* W C.
+
+    ``bind(lams, c_hat)`` fixes the points ``lams`` with C(lam) = ``c_hat``
+    and returns ``half(w)``, the P of U = P + P^* for a stack ``w`` of
+    (N, N) matrices, one per point; what depends on the points alone is
+    computed there once, not at every application.  U is V without its
+    centring term and ``kappa`` that term's weight (:func:`_kappa`).
+    Calling the covariance composes V at arbitrary W with
+    :func:`_compose`; the certified estimates compose S[Q] from ``half``
+    and Q instead.
+    """
+
+    bind: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]
+    kappa: float
+
+    def __call__(self, lams: np.ndarray, c_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """V[W_k] at the points ``lams[k]`` with C(lam) = ``c_hat[k]``."""
+        return _compose(self.bind(lams, c_hat)(w), self.kappa, _ct(c_hat) @ (w @ c_hat))
 
 
-def _covariance(series: SnapshotSeries, kernel: KernelSpec) -> _V:
-    """V for one series and kernel, as one stateless call over a stack of points.
+def _covariance(series: SnapshotSeries, kernel: KernelSpec) -> _Covariance:
+    """V for one series and kernel, stateless from one batch of points to the next.
 
     The iid kernel on a real-valued (float64) series runs in real
     arithmetic through the series' :class:`_RealIidCovariance`, looked up
-    in the series' memo at every application, so that its tensor is built
-    at the first one and shared by every later estimate.  Every other
-    series or kernel applies :func:`_variance_apply` point by point, with
-    u built once here (complex, so that no application casts it) and v for
-    every application, so that no (N, M) array is kept per point.  Either
-    route centres on the ``c_hat`` it is given and keeps nothing from one
-    call to the next.  The kernel window is checked at once, before any
-    point.
+    in the series' memo when a batch is bound, so that its tensor is built
+    at the first off-spectrum batch and shared by every later estimate.
+    Every other series or kernel applies :func:`_variance_half` point by
+    point, with u built once here (complex, so that no application casts
+    it) and v for every application, so that no (N, M) array is kept per
+    point.  Either route centres on the ``c_hat`` it is given.  The kernel
+    window is checked at once, before any point.
     """
     _check_window(kernel, series.M)
+    kappa = _kappa(kernel, series.M)
     if _RealIidCovariance.applies(series, kernel):
-        return lambda lams, c_hat, w: _RealIidCovariance.of(series)(lams, c_hat, w)
+        return _Covariance(
+            lambda lams, c_hat: _RealIidCovariance.of(series).bind(lams, c_hat), kappa
+        )
     ut = np.ascontiguousarray(series.a.T, dtype=complex)
 
-    def per_point(lams: np.ndarray, c_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
-        out = np.empty_like(w)
-        for k, lam in enumerate(lams):
-            _, vt = _sample_factors(series, lam, ut)
-            out[k] = _variance_apply(w[k], ut, vt, c_hat[k], kernel)
-        return out
+    def bind(lams: np.ndarray, c_hat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        def half(w: np.ndarray) -> np.ndarray:
+            out = np.empty_like(w)
+            for k, lam in enumerate(lams):
+                _, vt = _sample_factors(series, lam, ut)
+                out[k] = _variance_half(w[k], ut, vt, c_hat[k], kernel)
+            return out
 
-    return per_point
+        return half
+
+    return _Covariance(bind, kappa)
 
 
 def variance_apply_naive(

@@ -26,7 +26,7 @@ from specguard.pseudospec import (
     p_hat,
     sweep,
 )
-from specguard.variance import KernelSpec
+from specguard.variance import KernelSpec, _Covariance
 
 COPIES = _blas._discover()
 FEW_ITERS = PowerIterSettings(rel_tol=1e-12, max_iters=3)
@@ -57,9 +57,10 @@ def _series(m=400, n=4, seed=0, real=False):
     return SnapshotSeries(a, b, "iid")
 
 
-def _estimate(v, settings=None, lam=1.3 + 0.2j):
-    """The one estimate at ``lam`` on a fixed series, with V from ``v``."""
-    (est,) = _estimate_points(gram_matrices(_series()), v, [lam], settings)
+def _estimate(half, settings=None, lam=1.3 + 0.2j):
+    """The one estimate at ``lam`` on a fixed series, with S[Q] = P + P^* for P = ``half(W)``."""
+    cov = _Covariance(lambda lams, c_hat: half, 0.0)
+    (est,) = _estimate_points(gram_matrices(_series()), cov, [lam], settings)
     return est
 
 
@@ -76,11 +77,11 @@ def test_every_mapped_openblas_file_is_found():
 def test_v_runs_on_one_thread(two_threads):
     seen = []
 
-    def v(lams, c_hat, w):
+    def half(w):
         seen.append(_counts())
         return w
 
-    est = _estimate(v, FEW_ITERS)
+    est = _estimate(half, FEW_ITERS)
     assert len(seen) == est.iterations > 1
     assert all(counts == [1] * len(COPIES) for counts in seen)
     assert _counts() == [2] * len(COPIES)
@@ -101,13 +102,13 @@ def test_restored_after_p_hat(two_threads):
 
 def test_row_pool_runs_on_one_thread_and_restores(two_threads, monkeypatch):
     seen = []
-    apply = variance._variance_apply
+    apply = variance._variance_half
 
     def recording_apply(*args, **kwargs):
         seen.append(_counts())
         return apply(*args, **kwargs)
 
-    monkeypatch.setattr(variance, "_variance_apply", recording_apply)
+    monkeypatch.setattr(variance, "_variance_half", recording_apply)
     result = sweep(GridSpec(1.1, 1.5, 4, -0.3, 0.3, 6), _series(), KernelSpec.iid())
     assert result.iterations.sum() == len(seen) > 0
     assert all(counts == [1] * len(COPIES) for counts in seen)
@@ -227,7 +228,7 @@ def test_no_copy_found_is_a_no_op(two_threads, monkeypatch):
     monkeypatch.setattr(_blas, "_discover", lambda: [])
     with _blas.single_thread():
         assert _counts() == [2] * len(COPIES)
-    est = _estimate(lambda lams, c_hat, w: w, FEW_ITERS)
+    est = _estimate(lambda w: w, FEW_ITERS)
     assert est.iterations == FEW_ITERS.max_iters
     assert _counts() == [2] * len(COPIES)
 

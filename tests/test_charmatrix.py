@@ -22,6 +22,7 @@ from specguard.errors import (
 )
 from specguard.ingest import SnapshotSeries
 from specguard.pseudospec import _congruence
+from specguard.variance import _ct
 
 
 def _series(m=60, n=4, seed=0):
@@ -152,7 +153,7 @@ class TestCharContext:
         q = q @ q.conj().T
         c_inv = np.linalg.inv(c_hat)
         expected = c_inv.conj().T @ q @ c_inv
-        got = _congruence(inv, q)
+        got = _congruence(_ct(inv), inv, q)
         assert_allclose(got, expected, atol=1e-11)
 
     @pytest.mark.parametrize("seed", [30, 31, 32, 33])
@@ -180,7 +181,7 @@ class TestCharContext:
         c_h = c_hat.conj().T
         left = np.linalg.solve(c_h, q)                            # C^{-*} Q
         expected = np.linalg.solve(c_h, left.conj().T).conj().T   # C^{-*} Q C^{-1}
-        got = _congruence(inv, q)
+        got = _congruence(_ct(inv), inv, q)
         err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
         assert err <= 1e-13 / rcond
 

@@ -23,7 +23,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import specguard
-from specguard import pseudospec
+from specguard import charmatrix, cli, pseudospec, stats, variance
 from specguard.cli import build_parser, main
 from specguard.generators import RNG_ALGORITHM
 
@@ -472,6 +472,26 @@ class TestKernelFlags:
         assert man["kernel"]["mode"] == "windowed"
         assert any("estimated correlation time" in w for w in man["warnings"])
 
+    def test_auto_tau_reads_the_series_gram_memo(self, traj_csv, tmp_path, capsys, monkeypatch):
+        # One Gram pass per command: estimate_tau, the spectrum test and the
+        # user points all read the series' memo.
+        calls = []
+        gram_matrices = charmatrix.gram_matrices
+
+        def counting(series):
+            calls.append(series)
+            return gram_matrices(series)
+
+        for module in (charmatrix, cli, pseudospec, stats, variance):
+            if hasattr(module, "gram_matrices"):
+                monkeypatch.setattr(module, "gram_matrices", counting)
+        code, _, _ = _run(
+            capsys, "test", "--data", traj_csv, "--tau", "auto", "--eigs",
+            "--lambda", "1.3", "--out", str(tmp_path / "report.json"),
+        )
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestCluster:
     def test_cluster_artifact(self, var_csv, tmp_path, capsys):
@@ -514,13 +534,13 @@ class TestCluster:
 
     def test_the_refit_reuses_the_sweeps_gram(self, var_csv, tmp_path, capsys, monkeypatch):
         calls = []
-        gram_matrices = pseudospec.gram_matrices
+        gram_matrices = charmatrix.gram_matrices
 
         def counting(series):
             calls.append(series)
             return gram_matrices(series)
 
-        monkeypatch.setattr(pseudospec, "gram_matrices", counting)
+        monkeypatch.setattr(charmatrix, "gram_matrices", counting)
         code, _, _ = _run(
             capsys, "cluster", "--data", var_csv,
             "--re-min", "0.85", "--re-max", "1.15", "--n-re", "2",
@@ -530,6 +550,31 @@ class TestCluster:
         )
         assert code == 0
         assert len(calls) == 1
+
+    def test_mu_auto_fits_once(self, traj_csv, tmp_path, capsys, monkeypatch):
+        # The fit that chose the slow modes is the one whose eigenvalues are clustered.
+        calls = []
+        fit = cli._fit
+
+        def counting(gram, floor=None):
+            calls.append(gram)
+            return fit(gram, floor)
+
+        monkeypatch.setattr(cli, "_fit", counting)
+        out = tmp_path / "clusters.json"
+        code, _, _ = _run(
+            capsys, "cluster", "--data", traj_csv,
+            "--re-min", "1.2", "--re-max", "1.3", "--n-re", "2",
+            "--im-min", "0.0", "--im-max", "0.1", "--n-im", "2",
+            "--LM", "3", "--mu", "auto:2", "--level", "2.0", "--tol", "0.3",
+            "--out", str(out),
+        )
+        assert code == 0
+        assert len(calls) == 1
+        modes, _ = fit(calls[0])
+        doc = json.loads(out.read_text())
+        eigs = [{"re": m.eigenvalue.real, "im": m.eigenvalue.imag} for m in modes]
+        assert doc["eigenvalues"] == eigs
 
 
 class TestOracleCheckCommand:

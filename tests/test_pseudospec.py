@@ -36,7 +36,7 @@ from specguard.pseudospec import (
     power_iterate,
     sweep,
 )
-from specguard import pseudospec, stats, variance
+from specguard import charmatrix, pseudospec, stats, variance
 from specguard.charmatrix import char_contexts
 from specguard.cli import main
 from specguard.variance import (
@@ -46,6 +46,7 @@ from specguard.variance import (
     _sample_factors,
     _variance_apply,
     variance_apply,
+    variance_apply_naive,
 )
 
 
@@ -68,7 +69,7 @@ def _random_psd(n, seed, definite=True):
 def _one_point(series, kernel, lam, settings, start):
     """The estimate at ``lam`` alone, as a one-point batch that starts from ``start``."""
     v = _covariance(series, kernel)
-    gram = pseudospec._series_gram(series)
+    gram = charmatrix._series_gram(series)
     (est,) = pseudospec._estimate_points(gram, v, [lam], settings, starts=[start])
     return est
 
@@ -254,13 +255,13 @@ class TestPowerIterate:
         settings = PowerIterSettings(rel_tol=1e-3, max_iters=8)
 
         def run(points):
-            def apply_s(live, q):
-                return np.stack(
+            def bind(live):
+                return lambda q: np.stack(
                     [pseudospec._hermitize(exits[points[i]][0](q[k])) for k, i in enumerate(live)]
                 )
 
             start = np.stack([np.eye(n, dtype=complex) / n] * len(points))
-            return pseudospec._iterate(apply_s, start, settings)
+            return pseudospec._iterate(bind, start, settings)
 
         batch = run(range(len(exits)))
         for i, (est, (_, status, iterations, jitter)) in enumerate(zip(batch, exits)):
@@ -576,6 +577,38 @@ class TestSweepEngine:
             expected = _variance_apply(w[k], ut, vt, c2[k], kernel)
             assert_allclose(shifted[k], expected, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("kind", ["real", "complex", "windowed"])
+    def test_s_is_v_at_the_congruence(self, kind):
+        # S[Q] = U[W] - kappa Q reads no C; C^* W C = Q only in exact arithmetic.
+        series, kernel = self._data(kind)
+        lams, c_hat, c_inv, _, _ = char_contexts(gram_matrices(series), [1.3 + 0.1j, 0.9 - 0.4j])
+        cov = _covariance(series, kernel)
+        q = np.stack([_random_psd(3, 100 + k) for k in range(len(lams))])
+        s = pseudospec._batch_s(cov, lams, c_hat, c_inv)(np.arange(len(lams)))(q)
+        assert np.array_equal(s, s.conj().swapaxes(-1, -2))
+        w = pseudospec._congruence(variance._ct(c_inv), c_inv, q)
+        v = cov(lams, c_hat, w)
+        for k, lam in enumerate(lams):
+            naive = variance_apply_naive(w[k], lam, series, kernel).result
+            for full in (v[k], naive):
+                assert np.linalg.norm(s[k] - full) <= 1e-10 * np.linalg.norm(full)
+
+    def test_a_one_point_estimate_binds_its_constants_once(self, monkeypatch):
+        # k iterations: one inversion, one covariance lookup and k pencils.
+        contexts = self._count(monkeypatch, pseudospec, "char_contexts")
+        pencils = self._count(monkeypatch, pseudospec, "_pencil")
+        lookups, of = [], _RealIidCovariance.of
+
+        def counting_of(cls, series):
+            lookups.append(series)
+            return of(series)
+
+        monkeypatch.setattr(_RealIidCovariance, "of", classmethod(counting_of))
+        series, kernel = self._data("real")
+        est = p_hat(1.3 + 0.1j, series, kernel, PowerIterSettings(rel_tol=1e-6))
+        assert est.status == STATUS_CONVERGED and est.iterations > 3
+        assert (len(contexts), len(lookups), len(pencils)) == (1, 1, est.iterations)
+
     @staticmethod
     def _count(monkeypatch, owner, name):
         calls = []
@@ -590,7 +623,7 @@ class TestSweepEngine:
 
     def test_estimates_on_one_series_share_one_gram_and_one_tensor(self, monkeypatch):
         builds = self._count(monkeypatch, _RealIidCovariance, "_build_tensor")
-        grams = self._count(monkeypatch, pseudospec, "gram_matrices")
+        grams = self._count(monkeypatch, charmatrix, "gram_matrices")
         series, kernel = self._data("real")
         for lam in (1.3 + 0.1j, 1.2 - 0.2j, -1.3 + 0j, 0.9j):
             assert p_hat(lam, series, kernel).status == STATUS_CONVERGED
@@ -799,13 +832,17 @@ class TestSweepEngine:
     def test_a_negative_v_makes_p_hat_degenerate(self, monkeypatch):
         # V[W] -> -V[W]: S[Q] is negative definite, so its Cholesky fails
         # even after the round-off ridge, on the complex and the real route.
-        apply, real = variance._variance_apply, _RealIidCovariance.__call__
+        apply, real = variance._variance_half, _RealIidCovariance.bind
 
         def negated(*args, **kwargs):
             return -apply(*args, **kwargs)
 
-        monkeypatch.setattr(variance, "_variance_apply", negated)
-        monkeypatch.setattr(_RealIidCovariance, "__call__", lambda self, *a: -real(self, *a))
+        def negated_real(self, *args):
+            half = real(self, *args)
+            return lambda w: -half(w)
+
+        monkeypatch.setattr(variance, "_variance_half", negated)
+        monkeypatch.setattr(_RealIidCovariance, "bind", negated_real)
         for kind in ("complex", "real"):
             series, kernel = self._data(kind)
             est = p_hat(1.3 + 0.1j, series, kernel)
@@ -819,13 +856,13 @@ class TestSweepEngine:
         clean = sweep(grid, series, kernel)
         # The point is told by its v factor, which no other grid point shares.
         _, v_bad = _sample_factors(series, clean.point(2, 1))
-        apply = variance._variance_apply
+        apply = variance._variance_half
 
         def negated_at_bad(w, ut, vt, *args, **kwargs):
             out = apply(w, ut, vt, *args, **kwargs)
             return -out if np.array_equal(vt, v_bad) else out
 
-        monkeypatch.setattr(variance, "_variance_apply", negated_at_bad)
+        monkeypatch.setattr(variance, "_variance_half", negated_at_bad)
         res = sweep(grid, series, kernel)
         assert res.status[2, 1] == STATUS_DEGENERATE_S
         assert (res.lower[2, 1], res.upper[2, 1], res.iterations[2, 1]) == (0.0, float("inf"), 1)
@@ -842,13 +879,13 @@ class TestSweepEngine:
         tiny = SnapshotSeries(a, series.b, "iid")
         assert tiny.a.dtype == tiny.b.dtype == complex
         calls = []
-        apply = variance._variance_apply
+        apply = variance._variance_half
 
         def recording(*args, **kwargs):
             calls.append(1)
             return apply(*args, **kwargs)
 
-        monkeypatch.setattr(variance, "_variance_apply", recording)
+        monkeypatch.setattr(variance, "_variance_half", recording)
         sweep(GridSpec(1.1, 1.5, 2, -0.2, 0.2, 2), series, kernel)
         assert calls == []
         res = sweep(GridSpec(1.1, 1.5, 2, -0.2, 0.2, 2), tiny, kernel)

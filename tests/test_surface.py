@@ -39,6 +39,7 @@ REMOVED = [
     ("_RealIidCovariance", "specguard.pseudospec"),
     ("_sample_factors", "specguard.pseudospec"),
     ("_variance_apply", "specguard.pseudospec"),
+    ("_V", "specguard.variance"),
 ]
 
 

@@ -18,6 +18,7 @@ from specguard.charmatrix import char_contexts, gram_matrices
 from specguard.ingest import SnapshotSeries
 from specguard.variance import (
     KernelSpec,
+    _Covariance,
     _RealIidCovariance,
     _sample_factors,
     default_mu_list,
@@ -351,7 +352,7 @@ class TestRealIidCovariance:
         gram = gram_matrices(s)
         c_hat = char_contexts(gram, lams)[1]
         w = np.stack([_random_psd(4, seed + k) for k in range(len(lams))])
-        fast = v(lams, c_hat, w)
+        fast = _Covariance(v.bind, 1.0)(lams, c_hat, w)
         for k, lam in enumerate(lams):
             slow = variance_apply_naive(w[k], lam, s, KernelSpec.iid()).result
             assert np.linalg.norm(fast[k] - slow) <= 1e-10 * np.linalg.norm(slow)
