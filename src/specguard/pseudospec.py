@@ -19,15 +19,14 @@ call, pins the points on the spectrum to ``at_eigenvalue`` and iterates
 the rest on the S that :func:`_batch_s` composes from that call's stacks
 (the oracle applies it at one point through :func:`_s_at`).  V comes
 from :func:`specguard.variance._covariance` as V[W] = U[W] - kappa C^* W C,
-centred on the C(lam) stack of that same call.  With W = C^{-*} Q C^{-1}
-the centring term C^* W C is Q itself, so a step composes
-S[Q] = U[W] - kappa Q, Hermitian by construction, and never multiplies
-by C: the step is the congruence with the stored inverse, U, and the
-pencil bracket, all stacked numpy calls, except that U goes point by
-point on every route but the real iid one, where it is one GEMM.  What
-depends on the batch's points alone (C^{-*}, |lam|^2, conj(lam), the
-series' real iid covariance) is bound once and indexed again only when
-points leave the batch.
+centred on the C(lam) stack of that same call and composed at the
+computed W = C^{-*} Q C^{-1}, so that S[Q] is Hermitian by construction:
+a step is the congruence with the stored inverse, U, the centring term
+and the pencil bracket, all stacked numpy calls, except that U goes
+point by point on every route but the real iid one, where it is one
+GEMM.  What depends on the batch's points alone (C^{-*}, C^*, |lam|^2,
+conj(lam), the series' real iid covariance) is bound once and indexed
+again only when points leave the batch.
 
 Positivity is tested in one place: the pencil's Cholesky factorization of
 S[Q].  An S[Q] that fails it by round-off gets a ridge of 1e-12 tr/N (its
@@ -281,18 +280,27 @@ def _batch_s(
 ) -> _BatchApply:
     """S[Q] = V[C^{-*} Q C^{-1}] at off-spectrum points: the one S the estimates iterate on.
 
-    With W = C^{-*} Q C^{-1} and V[W] = U[W] - kappa C^* W C (see
-    :class:`~specguard.variance._Covariance`), C^* W C is Q itself, so S[Q]
-    is composed as U[W] - kappa Q, Hermitian by construction: no product
-    with C, and no round trip through the computed inverse, whose error
-    grows with cond(C).  The batch constants, C^{-*} and what ``cov``
-    binds at the points, are indexed by ``live`` once per binding.
+    V[W] = U[W] - kappa C^* W C (see :class:`~specguard.variance._Covariance`)
+    is composed at the computed W, so S[Q] is Hermitian by construction.
+    Since C^* W C = Q in exact arithmetic, U[W] - kappa Q would save the
+    centring products, but it adds kappa (F^* Q + Q F + F^* Q F), with
+    F = C~^{-1} C - I of size about eps cond(C), a term that scales with
+    Q rather than S[Q] and need not be positive; on cells with
+    cond(C) ~ 1e10 it also sat further from an extended-precision S.
+    The batch constants, C^{-*}, C^* and what ``cov`` binds at the points,
+    are indexed by ``live`` once per binding.
     """
-    c_inv_h = _ct(c_inv)
+    c_inv_h, c_hat_h = _ct(c_inv), _ct(c_hat)
 
     def bind(live: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        half, ci, ci_h = cov.bind(lams[live], c_hat[live]), c_inv[live], c_inv_h[live]
-        return lambda q: _compose(half(_congruence(ci_h, ci, q)), cov.kappa, q)
+        half = cov.bind(lams[live], c_hat[live])
+        ci, ci_h, c, c_h = c_inv[live], c_inv_h[live], c_hat[live], c_hat_h[live]
+
+        def apply_s(q: np.ndarray) -> np.ndarray:
+            w = _congruence(ci_h, ci, q)
+            return _compose(half(w), cov.kappa, c_h @ (w @ c))
+
+        return apply_s
 
     return bind
 

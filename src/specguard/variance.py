@@ -16,15 +16,12 @@ route writes V as
 
 where U is V without its centring term, kappa = 2 sum_l kt(l) (M + l)/M
 that term's weight (1 for iid) and P the "half" a route computes, so V
-and U are Hermitian by construction.  `_compose` is the one place that
-forms U - kappa times a centre: C^* W C for V at arbitrary W, or Q for
-the certified estimates of :mod:`specguard.pseudospec`, whose
-W = C^{-*} Q C^{-1} makes C^* W C equal to Q.  The core,
-`_variance_half`, reads the per-sample factors v (one (N, M) column per
-sample, with u = a^T) of `_sample_factors` and their mean C, which every
-caller takes from the Gram pencil C(lam) = lam Psi_XX - Psi_XY of
-:mod:`specguard.charmatrix`.  `_covariance` is the one V that the
-estimates apply: a `_Covariance` whose ``bind(lams, c_hat)`` fixes a
+is Hermitian by construction; `_compose` is the one place that forms it.
+The core, `_variance_half`, reads the per-sample factors v (one (N, M)
+column per sample, with u = a^T) of `_sample_factors` and their mean C,
+which every caller takes from the Gram pencil C(lam) = lam Psi_XX -
+Psi_XY of :mod:`specguard.charmatrix`.  `_covariance` is the one V that
+the estimates apply: a `_Covariance` whose ``bind(lams, c_hat)`` fixes a
 stack of points, centred on the C(lam) stack it is given, and returns
 P for stacks of W; u is built once per series and kernel and v per
 application.  `variance_apply` is the same core at one ``lam``, and
@@ -36,12 +33,13 @@ pencil of :mod:`specguard.pseudospec` Cholesky-factors it.  For the iid
 kernel on real-valued data, which a series stores as float64,
 `_covariance` applies U in real arithmetic to a whole batch of points at
 once (`_RealIidCovariance`), held to the same bound.  There U[W] is
-linear in Re(W) through a fourth-moment tensor of the data, built once
-per series from the M samples and kept with the series as one (N^2,
-3 N^2) matrix, so that a stack of W costs one GEMM and no application
-reads the samples again.  Only when the tensor is too large to build
-does each application stream once through the series' own samples, in
-cache-sized blocks, with no temporary that grows with M.
+linear in Re(W) through a fourth-moment tensor of the data over
+upper-triangle pairs, built once per series from the M samples, with
+the pair weights and the 1/M scales folded in, and kept with the series,
+so that a stack of W costs one GEMM and no application reads the
+samples again.  Only when the tensor is too large to build does each
+application stream once through the series' own samples, in cache-sized
+blocks, with no temporary that grows with M.
 """
 
 from __future__ import annotations
@@ -373,11 +371,9 @@ def _hermitize(mat: np.ndarray) -> np.ndarray:
 
 
 def _compose(p: np.ndarray, kappa: float, centre: np.ndarray) -> np.ndarray:
-    """U - kappa * centre, where U = P + P^*: Hermitian by construction.
+    """V[W] = U - kappa C^* W C from the half P of U = P + P^* and ``centre`` = C^* W C.
 
-    This is V[W] when ``centre`` is C^* W C, and S[Q] when it is Q, which
-    equals C^* W C in exact arithmetic for W = C^{-*} Q C^{-1}.  Works on
-    one matrix or a stack.
+    Hermitian by construction; works on one matrix or a stack.
     """
     t = p - 0.5 * kappa * centre
     return t + _ct(t)
@@ -470,33 +466,32 @@ class _RealIidCovariance:
     (kappa = 1) with
 
         U = (1/M)(|lam|^2 X_aa - conj(lam) X_ab - lam X_ba + X_bb) = P + P^*,
-        P = |lam|^2 X_aa / 2M - conj(lam) X_ab / M + X_bb / 2M,
         X = sum_m s_m z_m z_m^T,  z_m = [a_m; b_m],  s_m = a_m^T Re(W) a_m,
 
-    since X_aa and X_bb are symmetric and X_ba = X_ab^T, so the real
-    samples serve every lambda.  X is linear in Re(W) through the
-    fourth-moment tensor
+    so the real samples serve every lambda.  X is symmetric, so
+    P = (|lam|^2 X_aa + X_bb) / 2M - conj(lam) X_ab / M, whose X_ab^T
+    comes back through P^*, and X_aa and X_bb are read from their upper
+    triangles.  X is linear in the packed (upper-triangle) pairs r of
+    Re(W) + Re(W)^T, through the fourth-moment tensor
 
         T = sum_m (a_m (x) a_m)_packed (z_m (x) z_m)_packed^T,
 
-    an (N(N+1)/2, N(2N+1)) real matrix over upper-triangle pairs that
-    depends on the data alone.  A pass over the samples reads ``BLOCK``
-    rows of the series' own float64 a and b at a time into one (2N,
-    ``BLOCK``) buffer of z columns; no copy of the samples is kept.
-    Construction builds T from Khatri-Rao products of these blocks,
-    unpacks it once into ``tensor``, the (N^2, 3 N^2) map from Re(W),
-    flattened, to the flattened blocks X_aa / 2M, X_ab / M and X_bb / 2M
-    (the pair symmetrisation and the scales folded in), and then drops
-    its reference to a and b.  So every stack of W costs one GEMM, with no
-    packed gather or scatter and no pass over the M samples, whatever the
-    batch size or the order of the calls.  :meth:`of` keeps one instance
-    per series, so every estimate on the series shares one tensor.  When a
-    Khatri-Rao block would exceed ``MAX_BLOCK_ENTRIES`` (N >= 32 once
-    M >= 512) no tensor is built and each W takes the direct form
-    X = z^T diag(s) z: one pass over the sample blocks, each W of the
-    stack in turn while a block is in cache: s from R^T a into an
-    (N, ``BLOCK``) buffer, z diag(s) into a (2N, ``BLOCK``) buffer, and
-    one small GEMM added to X.
+    an (N(N+1)/2, N(2N+1)) real matrix that depends on the data alone.  A
+    pass over the samples reads ``BLOCK`` rows of the series' own float64
+    a and b at a time into one (2N, ``BLOCK``) buffer of z columns; no copy
+    of the samples is kept.  Construction builds T from Khatri-Rao
+    products of these blocks, scales its rows and columns once (a diagonal
+    pair of r counts R_ii twice; the pairs of X take ``scale``), and then
+    drops its reference to a and b.  So every stack of W costs one gather
+    of r, one GEMM to the scaled packed X and one gather of its X_aa and
+    X_bb pairs into P, and no pass over the M samples, whatever the batch
+    size or the order of the calls.  :meth:`of` keeps one instance per series, so every
+    estimate on the series shares one T.  When a Khatri-Rao block would
+    exceed ``MAX_BLOCK_ENTRIES`` (N >= 32 once M >= 512) T is never built
+    and each W takes the direct form X = z^T diag(s) z: one pass over the
+    sample blocks, each W of the stack in turn while a block is in cache:
+    s from R^T a into an (N, ``BLOCK``) buffer, z diag(s) into a (2N,
+    ``BLOCK``) buffer, and one small GEMM added to X.
     """
 
     #: samples per block, for the tensor build and the direct form alike.
@@ -515,14 +510,28 @@ class _RealIidCovariance:
             + [(i, n, 2 * n) for i in range(n)]
             + [(n + i, n + i, 2 * n) for i in range(n)]
         )
-        self.n_pairs = n * (2 * n + 1)
-        #: the scales of the blocks X_aa, X_ab and X_bb, flattened.
-        self.scale = np.repeat([0.5 / self.m, 1.0 / self.m, 0.5 / self.m], n * n)
+        rows = np.concatenate([np.full(j1 - j0, i) for i, j0, j1 in self.runs])
+        cols = np.concatenate([np.arange(j0, j1) for _, j0, j1 in self.runs])
+        n_aa = self.n_aa = n * (n + 1) // 2
+        #: the packed pairs' entries of a flattened (2N, 2N) X.
+        self.pairs = rows * 2 * n + cols
+        #: the a-a pairs' entries (i, j) of a flattened (N, N) matrix, then their (j, i).
+        self.upper_lower = np.concatenate(
+            [rows[:n_aa] * n + cols[:n_aa], cols[:n_aa] * n + rows[:n_aa]]
+        )
+        #: the a-a pair {i, j} of each entry (i, j) of a flattened (N, N) matrix.
+        symmetric = np.empty((n, n), dtype=int)
+        symmetric[rows[:n_aa], cols[:n_aa]] = symmetric[cols[:n_aa], rows[:n_aa]] = np.arange(n_aa)
+        self.symmetric = symmetric.ravel()
+        #: the scales of the packed pairs of X: 1/2M for X_aa and X_bb, 1/M for X_ab.
+        self.scale = np.where((rows < n) & (cols >= n), 1.0, 0.5) / self.m
         self.block = min(self.BLOCK, self.m)
         self.samples: tuple[np.ndarray, np.ndarray] | None = (series.a, series.b)
         self.tensor: np.ndarray | None = None
-        if self.block * self.n_pairs <= self.MAX_BLOCK_ENTRIES:
-            self.tensor = self._unpack(self._build_tensor())
+        if self.block * len(self.pairs) <= self.MAX_BLOCK_ENTRIES:
+            self.tensor = self._build_tensor()
+            self.tensor *= np.where(rows[:n_aa] == cols[:n_aa], 0.5, 1.0)[:, np.newaxis]
+            self.tensor *= self.scale
             self.samples = None
 
     @staticmethod
@@ -547,34 +556,16 @@ class _RealIidCovariance:
 
     def _build_tensor(self) -> np.ndarray:
         """T = sum_m (a_m (x) a_m)_packed (z_m (x) z_m)_packed^T, one block at a time."""
-        n_aa = self.n * (self.n + 1) // 2
-        tensor = np.zeros((n_aa, self.n_pairs))
-        kr_buf = np.empty((self.n_pairs, self.block))
+        tensor = np.zeros((self.n_aa, len(self.pairs)))
+        kr_buf = np.empty((len(self.pairs), self.block))
         for zb in self._sample_blocks():
             kr = kr_buf[:, : zb.shape[1]]
             pos = 0
             for i, j0, j1 in self.runs:
                 np.multiply(zb[i], zb[j0:j1], out=kr[pos : pos + j1 - j0])
                 pos += j1 - j0
-            tensor += kr[:n_aa] @ kr.T
+            tensor += kr[: self.n_aa] @ kr.T
         return tensor
-
-    def _unpack(self, packed: np.ndarray) -> np.ndarray:
-        """The (N^2, 3 N^2) map from Re(W) to the scaled blocks, from the packed T.
-
-        Entry ((i, j), (k, l)) of a block is T's entry at the pairs {i, j}
-        and {k, l}: s_m = sum_ij R_ij a_mi a_mj reads R_ij and R_ji through
-        the same pair, and a symmetric block reads X_kl and X_lk there too.
-        """
-        n = self.n
-        # pair[i, j]: the packed index of the pair {i, j} of z's 2N entries.
-        pair = np.empty((2 * n, 2 * n), dtype=int)
-        index = 0
-        for i, j0, j1 in self.runs:
-            pair[i, j0:j1] = pair[j0:j1, i] = np.arange(index, index + j1 - j0)
-            index += j1 - j0
-        cols = np.concatenate([pair[:n, :n], pair[:n, n:], pair[n:, n:]], axis=None)
-        return packed[pair[:n, :n].ravel()][:, cols] * self.scale
 
     def _direct(self, r: np.ndarray) -> np.ndarray:
         """X = z^T diag(s) z for each R of the stack, in one pass over the blocks."""
@@ -592,13 +583,12 @@ class _RealIidCovariance:
         return out
 
     def second_moments(self, w: np.ndarray) -> np.ndarray:
-        """X_aa / 2M, X_ab / M and X_bb / 2M of each W of the stack, flattened: (k, 3 N^2)."""
+        """The packed pairs of X of each W of the stack, scaled by ``scale``: (k, N(2N+1))."""
         if self.tensor is not None:
-            return w.real.reshape(len(w), -1) @ self.tensor
-        n = self.n
+            r = w.real.reshape(len(w), -1)[:, self.upper_lower]
+            return (r[:, : self.n_aa] + r[:, self.n_aa :]) @ self.tensor
         x = self._direct(np.ascontiguousarray(w.real))
-        blocks = np.stack([x[:, :n, :n], x[:, :n, n:], x[:, n:, n:]], axis=1)
-        return blocks.reshape(len(w), -1) * self.scale
+        return x.reshape(len(w), -1)[:, self.pairs] * self.scale
 
     def bind(self, lams: np.ndarray, c_hat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """``half(w)``: P of U = P + P^* for a stack ``w`` at the points ``lams``.
@@ -606,13 +596,14 @@ class _RealIidCovariance:
         |lam|^2 and conj(lam) are taken here, once; C is not read, as
         kappa = 1 centres on it.
         """
-        n2 = self.n * self.n
+        n_aa, n_ab = self.n_aa, self.n_aa + self.n * self.n
         lam2 = (lams.real**2 + lams.imag**2)[:, np.newaxis]
-        lam_conj = lams.conj()[:, np.newaxis]
+        minus_lam_conj = -lams.conj()[:, np.newaxis]
 
         def half(w: np.ndarray) -> np.ndarray:
             y = self.second_moments(w)
-            p = lam2 * y[:, :n2] + y[:, 2 * n2 :] - lam_conj * y[:, n2 : 2 * n2]
+            p = minus_lam_conj * y[:, n_aa:n_ab]
+            p += (lam2 * y[:, :n_aa] + y[:, n_ab:])[:, self.symmetric]
             return p.reshape(w.shape)
 
         return half
@@ -625,18 +616,12 @@ class _Covariance(NamedTuple):
     and returns ``half(w)``, the P of U = P + P^* for a stack ``w`` of
     (N, N) matrices, one per point; what depends on the points alone is
     computed there once, not at every application.  U is V without its
-    centring term and ``kappa`` that term's weight (:func:`_kappa`).
-    Calling the covariance composes V at arbitrary W with
-    :func:`_compose`; the certified estimates compose S[Q] from ``half``
-    and Q instead.
+    centring term and ``kappa`` that term's weight (:func:`_kappa`); the
+    caller composes V with :func:`_compose`.
     """
 
     bind: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]
     kappa: float
-
-    def __call__(self, lams: np.ndarray, c_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """V[W_k] at the points ``lams[k]`` with C(lam) = ``c_hat[k]``."""
-        return _compose(self.bind(lams, c_hat)(w), self.kappa, _ct(c_hat) @ (w @ c_hat))
 
 
 def _covariance(series: SnapshotSeries, kernel: KernelSpec) -> _Covariance:

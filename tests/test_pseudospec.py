@@ -74,6 +74,13 @@ def _one_point(series, kernel, lam, settings, start):
     return est
 
 
+def _engine_v(cov, lams, c_hat, w):
+    """V[W_k] at the points ``lams[k]``, composed from ``cov`` as :func:`pseudospec._batch_s` does."""
+    return variance._compose(
+        cov.bind(lams, c_hat)(w), cov.kappa, variance._ct(c_hat) @ (w @ c_hat)
+    )
+
+
 def _congruence_operator(n, seed, terms=4):
     """Random PSD-preserving map Q -> sum_k D_k^* Q D_k."""
     rng = np.random.default_rng(seed)
@@ -555,7 +562,7 @@ class TestSweepEngine:
         v = _covariance(series, kernel)
         w = np.stack([_random_psd(3, 80 + k) for k in range(len(lams))])
         for _ in range(2):
-            out = v(lams, c_hat, w)
+            out = _engine_v(v, lams, c_hat, w)
             for k, lam in enumerate(lams):
                 expected = variance_apply(w[k], lam, series, kernel).result
                 assert_allclose(out[k], expected, rtol=0, atol=0)
@@ -567,8 +574,8 @@ class TestSweepEngine:
         c2 = c_hat * (1 + 1e-3)
         v = _covariance(series, kernel)
         w = np.stack([_random_psd(3, 90 + k) for k in range(len(lams))])
-        shifted = v(lams, c2, w)
-        assert not np.allclose(shifted, v(lams, c_hat, w), rtol=1e-6, atol=0)
+        shifted = _engine_v(v, lams, c2, w)
+        assert not np.allclose(shifted, _engine_v(v, lams, c_hat, w), rtol=1e-6, atol=0)
         if kind == "real":
             return
         ut = np.ascontiguousarray(series.a.T, dtype=complex)
@@ -579,7 +586,7 @@ class TestSweepEngine:
 
     @pytest.mark.parametrize("kind", ["real", "complex", "windowed"])
     def test_s_is_v_at_the_congruence(self, kind):
-        # S[Q] = U[W] - kappa Q reads no C; C^* W C = Q only in exact arithmetic.
+        # S[Q] is V at the computed W = C^{-*} Q C^{-1}, centred on C^* W C.
         series, kernel = self._data(kind)
         lams, c_hat, c_inv, _, _ = char_contexts(gram_matrices(series), [1.3 + 0.1j, 0.9 - 0.4j])
         cov = _covariance(series, kernel)
@@ -587,11 +594,10 @@ class TestSweepEngine:
         s = pseudospec._batch_s(cov, lams, c_hat, c_inv)(np.arange(len(lams)))(q)
         assert np.array_equal(s, s.conj().swapaxes(-1, -2))
         w = pseudospec._congruence(variance._ct(c_inv), c_inv, q)
-        v = cov(lams, c_hat, w)
+        assert np.array_equal(s, _engine_v(cov, lams, c_hat, w))
         for k, lam in enumerate(lams):
             naive = variance_apply_naive(w[k], lam, series, kernel).result
-            for full in (v[k], naive):
-                assert np.linalg.norm(s[k] - full) <= 1e-10 * np.linalg.norm(full)
+            assert np.linalg.norm(s[k] - naive) <= 1e-10 * np.linalg.norm(naive)
 
     def test_a_one_point_estimate_binds_its_constants_once(self, monkeypatch):
         # k iterations: one inversion, one covariance lookup and k pencils.

@@ -18,7 +18,8 @@ from specguard.charmatrix import char_contexts, gram_matrices
 from specguard.ingest import SnapshotSeries
 from specguard.variance import (
     KernelSpec,
-    _Covariance,
+    _compose,
+    _ct,
     _RealIidCovariance,
     _sample_factors,
     default_mu_list,
@@ -352,7 +353,7 @@ class TestRealIidCovariance:
         gram = gram_matrices(s)
         c_hat = char_contexts(gram, lams)[1]
         w = np.stack([_random_psd(4, seed + k) for k in range(len(lams))])
-        fast = _Covariance(v.bind, 1.0)(lams, c_hat, w)
+        fast = _compose(v.bind(lams, c_hat)(w), 1.0, _ct(c_hat) @ (w @ c_hat))
         for k, lam in enumerate(lams):
             slow = variance_apply_naive(w[k], lam, s, KernelSpec.iid()).result
             assert np.linalg.norm(fast[k] - slow) <= 1e-10 * np.linalg.norm(slow)
@@ -414,6 +415,11 @@ class TestRealIidCovariance:
         assert v.tensor is not None
         for k in range(len(self.LAMS)):
             self._assert_matches_naive(v, s, self.LAMS[k : k + 1], seed=50 + k)
+
+    def test_the_tensor_is_packed(self):
+        # Upper-triangle pairs on both sides: N(N+1)/2 rows, N(2N+1) columns.
+        s, v = self._setup()
+        assert v.tensor.shape == (4 * 5 // 2, 4 * 9)
 
     def test_after_the_build_no_application_reads_the_samples(self):
         s, v = self._setup()
