@@ -54,7 +54,7 @@ from .pseudospec import (
     _series_estimates,
     sweep,
 )
-from .stats import _check_alphas, _check_level, cluster_eigenvalues, eig_test, spectrum_test
+from .stats import _check_alphas, _check_level, _spectrum_test, cluster_eigenvalues, eig_test
 from .variance import KernelSpec, default_mu_list, estimate_tau, window_length
 
 EXIT_OK = 0
@@ -138,11 +138,11 @@ def _settings(args: argparse.Namespace) -> PowerIterSettings:
 
 def _resolve_kernel(
     args: argparse.Namespace, series: SnapshotSeries
-) -> tuple[KernelSpec, list[str], list[EigenMode] | None]:
-    """The kernel the flags ask for, the warnings it raised, and the EDMD modes
-    if ``--mu auto:K`` fitted them (else None), so that no caller fits twice."""
+) -> tuple[KernelSpec, list[str], tuple[list[EigenMode], float] | None]:
+    """The kernel the flags ask for, the warnings it raised, and the EDMD fit
+    (modes, rcond) if ``--mu auto:K`` made it (else None), so that no caller fits twice."""
     warnings: list[str] = []
-    modes = None
+    fit = None
     if args.iid:
         if args.mu:
             raise UsageError("--mu is meaningless with --iid")
@@ -151,7 +151,7 @@ def _resolve_kernel(
                 "iid kernel requested on trajectory-kind data; serial "
                 "correlation will be ignored"
             )
-        return KernelSpec.iid(), warnings, modes
+        return KernelSpec.iid(), warnings, fit
 
     mu_list: tuple[complex, ...] = ()
     if args.mu:
@@ -160,8 +160,8 @@ def _resolve_kernel(
                 top_k = int(args.mu.split(":", 1)[1])
             except ValueError:
                 raise UsageError(f"bad --mu value {args.mu!r}") from None
-            modes, _ = _fit(_series_gram(series), args.rcond_floor)
-            mu_list, notes = default_mu_list([m.eigenvalue for m in modes], top_k)
+            fit = _fit(_series_gram(series), args.rcond_floor)
+            mu_list, notes = default_mu_list([m.eigenvalue for m in fit[0]], top_k)
             warnings.extend(notes)
         else:
             mu_list = tuple(_parse_complex(tok) for tok in args.mu.split(","))
@@ -185,7 +185,7 @@ def _resolve_kernel(
         warnings.append(
             "windowed kernel on iid-kind data; the iid kernel would be tighter"
         )
-    return KernelSpec.windowed(l_window, mu_list), warnings, modes
+    return KernelSpec.windowed(l_window, mu_list), warnings, fit
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +247,16 @@ def cmd_edmd(args: argparse.Namespace) -> int:
 
 def _grid_sweep(
     args: argparse.Namespace,
-) -> tuple[SnapshotSeries, KernelSpec, list[str], SweepResult, list[EigenMode] | None]:
+) -> tuple[SnapshotSeries, KernelSpec, list[str], SweepResult, tuple | None]:
     """The sweep/cluster prelude: load -> kernel -> settings -> grid -> sweep.
 
-    Also hands back the EDMD modes if :func:`_resolve_kernel` fitted them.
+    Also hands back the EDMD fit if :func:`_resolve_kernel` made it.
     """
     series = _load_series(args)
-    kernel, warnings, modes = _resolve_kernel(args, series)
+    kernel, warnings, fit = _resolve_kernel(args, series)
     grid = GridSpec(args.re_min, args.re_max, args.n_re, args.im_min, args.im_max, args.n_im)
     result = sweep(grid, series, kernel, _settings(args), floor=args.rcond_floor)
-    return series, kernel, warnings, result, modes
+    return series, kernel, warnings, result, fit
 
 
 def _status_counts(result: SweepResult) -> str:
@@ -288,14 +288,14 @@ def cmd_test(args: argparse.Namespace) -> int:
     if not args.eigs and not args.point:
         raise UsageError("nothing to test: pass --eigs and/or --lambda")
     series = _load_series(args)
-    kernel, warnings, _ = _resolve_kernel(args, series)
+    kernel, warnings, fit = _resolve_kernel(args, series)
     settings = _settings(args)
     alphas = tuple(args.alpha) if args.alpha else (0.05, 0.01)
     _check_alphas(alphas)
 
     rows = []
     if args.eigs:
-        report = spectrum_test(series, kernel, settings, alphas=alphas, floor=args.rcond_floor)
+        report = _spectrum_test(series, kernel, settings, alphas, args.rcond_floor, fit)
         body = report.to_json_dict()
         for row in body["eigenvalues"]:
             row["source"] = "eigs"
@@ -324,9 +324,8 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     _check_level(args.level)
-    series, kernel, warnings, result, modes = _grid_sweep(args)
-    if modes is None:
-        modes, _ = _fit(_series_gram(series), args.rcond_floor)
+    series, kernel, warnings, result, fit = _grid_sweep(args)
+    modes, _ = fit or _fit(_series_gram(series), args.rcond_floor)
     eigs = [m.eigenvalue for m in modes]
     report = cluster_eigenvalues(result, eigs, args.level, series.M)
     artifact = {

@@ -35,7 +35,7 @@ from .pseudospec import (
     _s_at,
     p_hat,
 )
-from .variance import KernelSpec, _Covariance, _hermitize, _sample_factors
+from .variance import KernelSpec, _hermitize, _sample_factors
 
 __all__ = [
     "var_p_exact",
@@ -130,12 +130,10 @@ def _exact_estimate(
     lam: complex,
     settings: PowerIterSettings | None,
 ) -> PEstimate:
-    """The certified estimate at ``lam`` whose V, exact and Hermitian, is ``v`` of one matrix.
-
-    V enters as its own U with kappa = 0, so its half P is V / 2.
-    """
-    cov = _Covariance(lambda lams, c_hat: lambda w: 0.5 * v(w[0])[np.newaxis], 0.0)
-    (est,) = _estimate_points(gram, cov, [lam], settings)
+    """The certified estimate at ``lam`` whose exact V is the Hermitian part of ``v``."""
+    (est,) = _estimate_points(
+        gram, lambda lams, c_hat: lambda w: _hermitize(v(w[0]))[np.newaxis], [lam], settings
+    )
     return est
 
 

@@ -18,15 +18,15 @@ characteristic matrices in one :func:`~specguard.charmatrix.char_contexts`
 call, pins the points on the spectrum to ``at_eigenvalue`` and iterates
 the rest on the S that :func:`_batch_s` composes from that call's stacks
 (the oracle applies it at one point through :func:`_s_at`).  V comes
-from :func:`specguard.variance._covariance` as V[W] = U[W] - kappa C^* W C,
-centred on the C(lam) stack of that same call and composed at the
-computed W = C^{-*} Q C^{-1}, so that S[Q] is Hermitian by construction:
-a step is the congruence with the stored inverse, U, the centring term
-and the pencil bracket, all stacked numpy calls, except that U goes
-point by point on every route but the real iid one, where it is one
-GEMM.  What depends on the batch's points alone (C^{-*}, C^*, |lam|^2,
-conj(lam), the series' real iid covariance) is bound once and indexed
-again only when points leave the batch.
+from :func:`specguard.variance._covariance`, which composes it, centred
+on the C(lam) stack of that same call; :func:`_batch_s` applies it at
+the computed W = C^{-*} Q C^{-1}, so that S[Q] is Hermitian by
+construction.  A step is the congruence with the stored inverse, V and
+the pencil bracket, all stacked numpy calls, except that V's
+sample-dependent part goes point by point on every route but the real
+iid one, where it is one GEMM.  What depends on the batch's points alone
+(C^{-*}, C^*, |lam|^2, conj(lam), the series' real iid covariance) is
+bound once and indexed again only when points leave the batch.
 
 Positivity is tested in one place: the pencil's Cholesky factorization of
 S[Q].  An S[Q] that fails it by round-off gets a ridge of 1e-12 tr/N (its
@@ -45,7 +45,7 @@ from . import _blas
 from .charmatrix import GramPair, _series_gram, char_contexts
 from .errors import AtEigenvalueError, ShapeError
 from .ingest import SnapshotSeries
-from .variance import KernelSpec, _compose, _Covariance, _covariance, _ct, _hermitize, _is_real
+from .variance import KernelSpec, _Binder, _covariance, _ct, _hermitize, _is_real
 
 __all__ = [
     "STATUS_CONVERGED",
@@ -276,31 +276,27 @@ def _congruence(c_inv_h: np.ndarray, c_inv: np.ndarray, q: np.ndarray) -> np.nda
 
 
 def _batch_s(
-    cov: _Covariance, lams: np.ndarray, c_hat: np.ndarray, c_inv: np.ndarray
+    cov: _Binder, lams: np.ndarray, c_hat: np.ndarray, c_inv: np.ndarray
 ) -> _BatchApply:
     """S[Q] = V[C^{-*} Q C^{-1}] at off-spectrum points: the one S the estimates iterate on.
 
-    V[W] = U[W] - kappa C^* W C (see :class:`~specguard.variance._Covariance`)
-    is composed at the computed W, so S[Q] is Hermitian by construction.
-    Since C^* W C = Q in exact arithmetic, U[W] - kappa Q would save the
-    centring products, but it adds kappa (F^* Q + Q F + F^* Q F), with
-    F = C~^{-1} C - I of size about eps cond(C), a term that scales with
-    Q rather than S[Q] and need not be positive; on cells with
+    V is ``cov`` bound at the points (see
+    :func:`~specguard.variance._covariance`) and applied to the computed
+    W, its centring term C^* W C included, so S[Q] is Hermitian by
+    construction.  Since C^* W C = Q in exact arithmetic, centring on Q would save the
+    centring products, but it adds a multiple of F^* Q + Q F + F^* Q F,
+    with F = C~^{-1} C - I of size about eps cond(C), a term that scales
+    with Q rather than S[Q] and need not be positive; on cells with
     cond(C) ~ 1e10 it also sat further from an extended-precision S.
-    The batch constants, C^{-*}, C^* and what ``cov`` binds at the points,
-    are indexed by ``live`` once per binding.
+    The batch constants, C^{-*} and what ``cov`` binds at the points, are
+    indexed by ``live`` once per binding.
     """
-    c_inv_h, c_hat_h = _ct(c_inv), _ct(c_hat)
+    c_inv_h = _ct(c_inv)
 
     def bind(live: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        half = cov.bind(lams[live], c_hat[live])
-        ci, ci_h, c, c_h = c_inv[live], c_inv_h[live], c_hat[live], c_hat_h[live]
-
-        def apply_s(q: np.ndarray) -> np.ndarray:
-            w = _congruence(ci_h, ci, q)
-            return _compose(half(w), cov.kappa, c_h @ (w @ c))
-
-        return apply_s
+        v = cov(lams[live], c_hat[live])
+        ci, ci_h = c_inv[live], c_inv_h[live]
+        return lambda q: v(_congruence(ci_h, ci, q))
 
     return bind
 
@@ -336,7 +332,7 @@ def _s_at(
 
 def _estimate_points(
     gram: GramPair,
-    cov: _Covariance,
+    cov: _Binder,
     lams,
     settings: PowerIterSettings | None = None,
     floor: float | None = None,

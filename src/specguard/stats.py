@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charmatrix import _fit, _series_gram
+from .charmatrix import EigenMode, _fit, _series_gram
 from .errors import ShapeError
 from .ingest import SnapshotSeries
 from .pseudospec import (
@@ -215,9 +215,21 @@ def spectrum_test(
     are one batch, whose characteristic matrices are inverted in one call.
     A level in ``alphas`` outside (0, 1] raises before the fit too.
     """
+    return _spectrum_test(series, kernel, settings, alphas, floor)
+
+
+def _spectrum_test(
+    series: SnapshotSeries,
+    kernel: KernelSpec,
+    settings: PowerIterSettings | None,
+    alphas: tuple[float, ...],
+    floor: float | None,
+    fit: tuple[list[EigenMode], float] | None = None,
+) -> SpectralReport:
+    """:func:`spectrum_test` given ``fit``, the :func:`_fit` of the series under ``floor``."""
     _check_alphas(alphas)
     _check_window(kernel, series.M)
-    modes, rcond = _fit(_series_gram(series), floor)
+    modes, rcond = fit or _fit(_series_gram(series), floor)
     vals = np.array([m.eigenvalue for m in modes])
     ests = _series_estimates(series, kernel, vals, settings, floor)
     results = []

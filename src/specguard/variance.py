@@ -16,23 +16,23 @@ route writes V as
 
 where U is V without its centring term, kappa = 2 sum_l kt(l) (M + l)/M
 that term's weight (1 for iid) and P the "half" a route computes, so V
-is Hermitian by construction; `_compose` is the one place that forms it.
-The core, `_variance_half`, reads the per-sample factors v (one (N, M)
-column per sample, with u = a^T) of `_sample_factors` and their mean C,
-which every caller takes from the Gram pencil C(lam) = lam Psi_XX -
-Psi_XY of :mod:`specguard.charmatrix`.  `_covariance` is the one V that
-the estimates apply: a `_Covariance` whose ``bind(lams, c_hat)`` fixes a
-stack of points, centred on the C(lam) stack it is given, and returns
-P for stacks of W; u is built once per series and kernel and v per
-application.  `variance_apply` is the same core at one ``lam``, and
-`variance_apply_naive` a reference that materializes the centered
-snapshot matrices; the two agree to a 1e-10 relative Frobenius bound.
+is Hermitian by construction.  The core, `_variance_half`, reads the
+per-sample factors v (one (N, M) column per sample, with u = a^T) of
+`_sample_factors` and their mean C, which every caller takes from the
+Gram pencil C(lam) = lam Psi_XX - Psi_XY of :mod:`specguard.charmatrix`.
+`_covariance` is the one V that the estimates apply: ``bind(lams,
+c_hat)`` fixes a stack of points, centred on the C(lam) stack it is
+given, and returns V itself for stacks of W; `_centred` composes it from
+a route's P.  `variance_apply` is the point-by-point route at one
+``lam``, and `variance_apply_naive` a reference that materializes the
+centered snapshot matrices; the two agree to a 1e-10 relative Frobenius
+bound.
 V[Q] comes back as computed, never repaired for positivity (V is linear
 in Q): the certified estimates test positivity once, on S[Q], when the
 pencil of :mod:`specguard.pseudospec` Cholesky-factors it.  For the iid
 kernel on real-valued data, which a series stores as float64,
-`_covariance` applies U in real arithmetic to a whole batch of points at
-once (`_RealIidCovariance`), held to the same bound.  There U[W] is
+`_covariance` computes P in real arithmetic for a whole batch of points
+at once (`_RealIidCovariance`), held to the same bound.  There U[W] is
 linear in Re(W) through a fourth-moment tensor of the data over
 upper-triangle pairs, built once per series from the M samples, with
 the pair weights and the 1/M scales folded in, and kept with the series,
@@ -45,7 +45,7 @@ blocks, with no temporary that grows with M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -370,15 +370,6 @@ def _hermitize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + _ct(mat))
 
 
-def _compose(p: np.ndarray, kappa: float, centre: np.ndarray) -> np.ndarray:
-    """V[W] = U - kappa C^* W C from the half P of U = P + P^* and ``centre`` = C^* W C.
-
-    Hermitian by construction; works on one matrix or a stack.
-    """
-    t = p - 0.5 * kappa * centre
-    return t + _ct(t)
-
-
 def _kappa(kernel: KernelSpec, m_samples: int) -> float:
     """The weight kappa = 2 sum_l kt(l) (M + l)/M of V's centring term C^* W C (1 for iid)."""
     lags = np.arange(kernel.half_width + 1)
@@ -390,29 +381,15 @@ def variance_apply(
 ) -> VarianceApplication:
     """Apply the kernel-weighted covariance V[Q] via the rank-one expansion.
 
-    Builds the factors at ``lam`` and applies the core,
-    :func:`_variance_apply`, centred on the Gram pencil C(lam) of the
-    series' Gram memo; raises WindowTooLargeError if the kernel's window
-    does not fit the M samples.
+    The point-by-point route of :func:`_covariance`, real series
+    included, bound at ``lam`` and centred on the Gram pencil C(lam) of
+    the series' Gram memo; raises WindowTooLargeError if the kernel's
+    window does not fit the M samples.
     """
     _check_window(kernel, series.M)
-    ut, vt = _sample_factors(series, lam)
-    c_hat = _char_matrix(_series_gram(series), lam)
-    return VarianceApplication(_variance_apply(q, ut, vt, c_hat, kernel))
-
-
-def _variance_apply(
-    q: np.ndarray, ut: np.ndarray, vt: np.ndarray, c_hat: np.ndarray, kernel: KernelSpec
-) -> np.ndarray:
-    """V[Q] from the factors ``ut``, ``vt`` of :func:`_sample_factors` and their mean ``c_hat``.
-
-    :func:`_compose` of :func:`_variance_half` and the centring term
-    C^* Q C with weight :func:`_kappa`.  The caller has checked that the
-    kernel's window fits the M samples.
-    """
-    q = np.asarray(q, dtype=complex)
-    chc = c_hat.conj().T @ (q @ c_hat)
-    return _compose(_variance_half(q, ut, vt, c_hat, kernel), _kappa(kernel, ut.shape[1]), chc)
+    c_hat = _char_matrix(_series_gram(series), lam)[np.newaxis]
+    v = _centred(_pointwise(series, kernel), _kappa(kernel, series.M))(np.array([lam]), c_hat)
+    return VarianceApplication(v(np.asarray(q, dtype=complex)[np.newaxis])[0])
 
 
 def _variance_half(
@@ -555,8 +532,11 @@ class _RealIidCovariance:
             yield zb
 
     def _build_tensor(self) -> np.ndarray:
-        """T = sum_m (a_m (x) a_m)_packed (z_m (x) z_m)_packed^T, one block at a time."""
-        tensor = np.zeros((self.n_aa, len(self.pairs)))
+        """T = sum_m (a_m (x) a_m)_packed (z_m (x) z_m)_packed^T, one block at a time.
+
+        The first block's product is T itself: a one-block build holds no second T.
+        """
+        tensor = None
         kr_buf = np.empty((len(self.pairs), self.block))
         for zb in self._sample_blocks():
             kr = kr_buf[:, : zb.shape[1]]
@@ -564,7 +544,8 @@ class _RealIidCovariance:
             for i, j0, j1 in self.runs:
                 np.multiply(zb[i], zb[j0:j1], out=kr[pos : pos + j1 - j0])
                 pos += j1 - j0
-            tensor += kr[: self.n_aa] @ kr.T
+            product = kr[: self.n_aa] @ kr.T
+            tensor = product if tensor is None else np.add(tensor, product, out=tensor)
         return tensor
 
     def _direct(self, r: np.ndarray) -> np.ndarray:
@@ -593,8 +574,8 @@ class _RealIidCovariance:
     def bind(self, lams: np.ndarray, c_hat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """``half(w)``: P of U = P + P^* for a stack ``w`` at the points ``lams``.
 
-        |lam|^2 and conj(lam) are taken here, once; C is not read, as
-        kappa = 1 centres on it.
+        |lam|^2 and conj(lam) are taken here, once; ``c_hat`` is not read,
+        as U does not depend on C (:func:`_centred` adds the centring term).
         """
         n_aa, n_ab = self.n_aa, self.n_aa + self.n * self.n
         lam2 = (lams.real**2 + lams.imag**2)[:, np.newaxis]
@@ -609,40 +590,16 @@ class _RealIidCovariance:
         return half
 
 
-class _Covariance(NamedTuple):
-    """V for one series and kernel over stacks of points: V[W] = U[W] - kappa C^* W C.
+#: ``bind(lams, c_hat)`` -> applier to stacks of (N, N) W, one per point, where C(lam) = c_hat.
+_Binder = Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]
 
-    ``bind(lams, c_hat)`` fixes the points ``lams`` with C(lam) = ``c_hat``
-    and returns ``half(w)``, the P of U = P + P^* for a stack ``w`` of
-    (N, N) matrices, one per point; what depends on the points alone is
-    computed there once, not at every application.  U is V without its
-    centring term and ``kappa`` that term's weight (:func:`_kappa`); the
-    caller composes V with :func:`_compose`.
+
+def _pointwise(series: SnapshotSeries, kernel: KernelSpec) -> _Binder:
+    """The halves P of :func:`_variance_half`, point by point.
+
+    u is built once here (complex, so that no application casts it) and v
+    for every application, so that no (N, M) array is kept per point.
     """
-
-    bind: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]
-    kappa: float
-
-
-def _covariance(series: SnapshotSeries, kernel: KernelSpec) -> _Covariance:
-    """V for one series and kernel, stateless from one batch of points to the next.
-
-    The iid kernel on a real-valued (float64) series runs in real
-    arithmetic through the series' :class:`_RealIidCovariance`, looked up
-    in the series' memo when a batch is bound, so that its tensor is built
-    at the first off-spectrum batch and shared by every later estimate.
-    Every other series or kernel applies :func:`_variance_half` point by
-    point, with u built once here (complex, so that no application casts
-    it) and v for every application, so that no (N, M) array is kept per
-    point.  Either route centres on the ``c_hat`` it is given.  The kernel
-    window is checked at once, before any point.
-    """
-    _check_window(kernel, series.M)
-    kappa = _kappa(kernel, series.M)
-    if _RealIidCovariance.applies(series, kernel):
-        return _Covariance(
-            lambda lams, c_hat: _RealIidCovariance.of(series).bind(lams, c_hat), kappa
-        )
     ut = np.ascontiguousarray(series.a.T, dtype=complex)
 
     def bind(lams: np.ndarray, c_hat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -655,7 +612,42 @@ def _covariance(series: SnapshotSeries, kernel: KernelSpec) -> _Covariance:
 
         return half
 
-    return _Covariance(bind, kappa)
+    return bind
+
+
+def _centred(halves: _Binder, kappa: float) -> _Binder:
+    """V[W] = P + P^* - kappa C^* W C from a binder of the half P of U = P + P^*.
+
+    Hermitian by construction.  C^* is taken once, when the points are bound.
+    """
+
+    def bind(lams: np.ndarray, c_hat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        half, c_hat_h = halves(lams, c_hat), _ct(c_hat)
+
+        def v(w: np.ndarray) -> np.ndarray:
+            t = half(w) - 0.5 * kappa * (c_hat_h @ (w @ c_hat))
+            return t + _ct(t)
+
+        return v
+
+    return bind
+
+
+def _covariance(series: SnapshotSeries, kernel: KernelSpec) -> _Binder:
+    """V for one series and kernel, stateless from one batch of points to the next.
+
+    ``bind(lams, c_hat)`` returns V[W] for stacks of W, centred on ``c_hat``.
+    The iid kernel on a real-valued (float64) series computes P through
+    the series' :class:`_RealIidCovariance`, looked up in its memo when a
+    batch is bound, so that its tensor is built at the first off-spectrum
+    batch and shared by every later estimate; every other series or
+    kernel takes :func:`_pointwise`.  The kernel window is checked at once.
+    """
+    _check_window(kernel, series.M)
+    kappa = _kappa(kernel, series.M)
+    if not _RealIidCovariance.applies(series, kernel):
+        return _centred(_pointwise(series, kernel), kappa)
+    return _centred(lambda lams, c_hat: _RealIidCovariance.of(series).bind(lams, c_hat), kappa)
 
 
 def variance_apply_naive(

@@ -53,9 +53,7 @@ from specguard.pseudospec import (
 from specguard.stats import cluster_eigenvalues
 from specguard.variance import (
     KernelSpec,
-    _compose,
     _covariance,
-    _ct,
     _RealIidCovariance,
     variance_apply,
     variance_apply_naive,
@@ -157,8 +155,7 @@ def test_c2_bruteforce_operator_equivalence():
 def _engine_v(q, lam, series, kernel):
     """V[Q] at one point as the estimates apply it, through the engine's covariance."""
     lams, c_hat, _, _, _ = char_contexts(gram_matrices(series), [lam])
-    cov, w = _covariance(series, kernel), q[np.newaxis]
-    return _compose(cov.bind(lams, c_hat)(w), cov.kappa, _ct(c_hat) @ (w @ c_hat))[0]
+    return _covariance(series, kernel)(lams, c_hat)(q[np.newaxis])[0]
 
 
 def test_c3_fast_vs_naive_variance():

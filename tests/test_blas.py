@@ -26,7 +26,7 @@ from specguard.pseudospec import (
     p_hat,
     sweep,
 )
-from specguard.variance import KernelSpec, _Covariance
+from specguard.variance import KernelSpec
 
 COPIES = _blas._discover()
 FEW_ITERS = PowerIterSettings(rel_tol=1e-12, max_iters=3)
@@ -57,10 +57,9 @@ def _series(m=400, n=4, seed=0, real=False):
     return SnapshotSeries(a, b, "iid")
 
 
-def _estimate(half, settings=None, lam=1.3 + 0.2j):
-    """The one estimate at ``lam`` on a fixed series, with S[Q] = P + P^* for P = ``half(W)``."""
-    cov = _Covariance(lambda lams, c_hat: half, 0.0)
-    (est,) = _estimate_points(gram_matrices(_series()), cov, [lam], settings)
+def _estimate(v, settings=None, lam=1.3 + 0.2j):
+    """The one estimate at ``lam`` on a fixed series, with V = ``v``, so that S[Q] = v(W)."""
+    (est,) = _estimate_points(gram_matrices(_series()), lambda lams, c_hat: v, [lam], settings)
     return est
 
 
@@ -77,11 +76,11 @@ def test_every_mapped_openblas_file_is_found():
 def test_v_runs_on_one_thread(two_threads):
     seen = []
 
-    def half(w):
+    def v(w):
         seen.append(_counts())
         return w
 
-    est = _estimate(half, FEW_ITERS)
+    est = _estimate(v, FEW_ITERS)
     assert len(seen) == est.iterations > 1
     assert all(counts == [1] * len(COPIES) for counts in seen)
     assert _counts() == [2] * len(COPIES)

@@ -472,6 +472,30 @@ class TestKernelFlags:
         assert man["kernel"]["mode"] == "windowed"
         assert any("estimated correlation time" in w for w in man["warnings"])
 
+    def test_mu_auto_eigs_fits_once(self, traj_csv, tmp_path, capsys, monkeypatch):
+        # The fit that chose the slow modes is the one whose eigenvalues are tested.
+        calls = []
+        fit = cli._fit
+
+        def counting(gram, floor=None):
+            calls.append(gram)
+            return fit(gram, floor)
+
+        monkeypatch.setattr(cli, "_fit", counting)
+        monkeypatch.setattr(stats, "_fit", counting)
+        out = tmp_path / "report.json"
+        code, _, _ = _run(
+            capsys, "test", "--data", traj_csv, "--LM", "3", "--mu", "auto:2", "--eigs",
+            "--out", str(out),
+        )
+        assert code == 0
+        assert len(calls) == 1
+        modes, _ = fit(calls[0])
+        rows = json.loads(out.read_text())["results"]
+        assert [row["lambda"] for row in rows] == [
+            {"re": m.eigenvalue.real, "im": m.eigenvalue.imag} for m in modes
+        ]
+
     def test_auto_tau_reads_the_series_gram_memo(self, traj_csv, tmp_path, capsys, monkeypatch):
         # One Gram pass per command: estimate_tau, the spectrum test and the
         # user points all read the series' memo.

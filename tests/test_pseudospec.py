@@ -44,7 +44,6 @@ from specguard.variance import (
     _covariance,
     _RealIidCovariance,
     _sample_factors,
-    _variance_apply,
     variance_apply,
     variance_apply_naive,
 )
@@ -72,13 +71,6 @@ def _one_point(series, kernel, lam, settings, start):
     gram = charmatrix._series_gram(series)
     (est,) = pseudospec._estimate_points(gram, v, [lam], settings, starts=[start])
     return est
-
-
-def _engine_v(cov, lams, c_hat, w):
-    """V[W_k] at the points ``lams[k]``, composed from ``cov`` as :func:`pseudospec._batch_s` does."""
-    return variance._compose(
-        cov.bind(lams, c_hat)(w), cov.kappa, variance._ct(c_hat) @ (w @ c_hat)
-    )
 
 
 def _congruence_operator(n, seed, terms=4):
@@ -548,7 +540,7 @@ class TestSweepEngine:
             raise AssertionError("complex path used")
 
         monkeypatch.setattr(variance, "_sample_factors", forbidden)
-        monkeypatch.setattr(variance, "_variance_apply", forbidden)
+        monkeypatch.setattr(variance, "_variance_half", forbidden)
         series, kernel = self._data("real")
         res = sweep(GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3), series, kernel)
         assert np.all(res.status == STATUS_CONVERGED)
@@ -562,7 +554,7 @@ class TestSweepEngine:
         v = _covariance(series, kernel)
         w = np.stack([_random_psd(3, 80 + k) for k in range(len(lams))])
         for _ in range(2):
-            out = _engine_v(v, lams, c_hat, w)
+            out = v(lams, c_hat)(w)
             for k, lam in enumerate(lams):
                 expected = variance_apply(w[k], lam, series, kernel).result
                 assert_allclose(out[k], expected, rtol=0, atol=0)
@@ -574,14 +566,13 @@ class TestSweepEngine:
         c2 = c_hat * (1 + 1e-3)
         v = _covariance(series, kernel)
         w = np.stack([_random_psd(3, 90 + k) for k in range(len(lams))])
-        shifted = _engine_v(v, lams, c2, w)
-        assert not np.allclose(shifted, _engine_v(v, lams, c_hat, w), rtol=1e-6, atol=0)
+        shifted = v(lams, c2)(w)
+        assert not np.allclose(shifted, v(lams, c_hat)(w), rtol=1e-6, atol=0)
         if kind == "real":
             return
-        ut = np.ascontiguousarray(series.a.T, dtype=complex)
-        for k, lam in enumerate(lams):
-            _, vt = _sample_factors(series, lam, ut)
-            expected = _variance_apply(w[k], ut, vt, c2[k], kernel)
+        # Each point of the batch centres on its own C, as it does alone.
+        for k in range(len(lams)):
+            expected = v(lams[k : k + 1], c2[k : k + 1])(w[k : k + 1])[0]
             assert_allclose(shifted[k], expected, rtol=0, atol=0)
 
     @pytest.mark.parametrize("kind", ["real", "complex", "windowed"])
@@ -594,7 +585,7 @@ class TestSweepEngine:
         s = pseudospec._batch_s(cov, lams, c_hat, c_inv)(np.arange(len(lams)))(q)
         assert np.array_equal(s, s.conj().swapaxes(-1, -2))
         w = pseudospec._congruence(variance._ct(c_inv), c_inv, q)
-        assert np.array_equal(s, _engine_v(cov, lams, c_hat, w))
+        assert np.array_equal(s, cov(lams, c_hat)(w))
         for k, lam in enumerate(lams):
             naive = variance_apply_naive(w[k], lam, series, kernel).result
             assert np.linalg.norm(s[k] - naive) <= 1e-10 * np.linalg.norm(naive)

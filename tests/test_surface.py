@@ -40,6 +40,11 @@ REMOVED = [
     ("_sample_factors", "specguard.pseudospec"),
     ("_variance_apply", "specguard.pseudospec"),
     ("_V", "specguard.variance"),
+    ("_Covariance", "specguard.variance"),
+    ("_variance_apply", "specguard.variance"),
+    ("_compose", "specguard.pseudospec"),
+    ("_Covariance", "specguard.pseudospec"),
+    ("_Covariance", "specguard.oracle"),
 ]
 
 

@@ -18,8 +18,7 @@ from specguard.charmatrix import char_contexts, gram_matrices
 from specguard.ingest import SnapshotSeries
 from specguard.variance import (
     KernelSpec,
-    _compose,
-    _ct,
+    _covariance,
     _RealIidCovariance,
     _sample_factors,
     default_mu_list,
@@ -346,14 +345,15 @@ class TestRealIidCovariance:
     def _setup(self, m=M):
         s = _series(m, 4, seed=40, complex_data=False)
         assert _RealIidCovariance.applies(s, KernelSpec.iid())
-        return s, _RealIidCovariance(s)
+        return s, _RealIidCovariance.of(s)
 
     @staticmethod
     def _assert_matches_naive(v, s, lams, seed):
         gram = gram_matrices(s)
         c_hat = char_contexts(gram, lams)[1]
         w = np.stack([_random_psd(4, seed + k) for k in range(len(lams))])
-        fast = _compose(v.bind(lams, c_hat)(w), 1.0, _ct(c_hat) @ (w @ c_hat))
+        assert _RealIidCovariance.of(s) is v
+        fast = _covariance(s, KernelSpec.iid())(lams, c_hat)(w)
         for k, lam in enumerate(lams):
             slow = variance_apply_naive(w[k], lam, s, KernelSpec.iid()).result
             assert np.linalg.norm(fast[k] - slow) <= 1e-10 * np.linalg.norm(slow)
@@ -405,6 +405,18 @@ class TestRealIidCovariance:
         finally:
             tracemalloc.stop()
         assert peak < (s.a.nbytes + s.b.nbytes) / 4
+
+    def test_the_tensor_build_holds_no_second_tensor(self):
+        # One Khatri-Rao block (M <= BLOCK): its product is written into T itself.
+        s = _series(300, 40, seed=47, complex_data=False)
+        tracemalloc.start()
+        try:
+            v = _RealIidCovariance(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert v.tensor is not None
+        assert peak < 1.6 * v.tensor.nbytes
 
     def test_a_lone_w_takes_the_tensor_like_any_stack(self, monkeypatch):
         def forbidden(self, r):
