@@ -267,3 +267,13 @@ def _fit(gram: GramPair, floor: float | None = None) -> tuple[list[EigenMode], f
     with _blas.single_thread():
         k_hat, rcond = edmd_matrix(gram, floor)
         return eigensystem(k_hat), rcond
+
+
+def _series_fit(
+    series: SnapshotSeries, floor: float | None = None
+) -> tuple[list[EigenMode], float]:
+    """:func:`_fit` of the series' Gram pair under ``floor``, made once and kept with the series.
+
+    Every command that needs the EDMD modes reads them here, so no command fits twice.
+    """
+    return series._memo.get_or_build(f"fit:{floor!r}", lambda: _fit(_series_gram(series), floor))

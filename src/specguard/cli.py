@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__, _blas
-from .charmatrix import EigenMode, _fit, _series_gram
+from .charmatrix import _series_fit
 from .errors import SpecguardError, UsageError
 from .generators import (
     RNG_ALGORITHM,
@@ -54,7 +54,7 @@ from .pseudospec import (
     _series_estimates,
     sweep,
 )
-from .stats import _check_alphas, _check_level, _spectrum_test, cluster_eigenvalues, eig_test
+from .stats import _check_alphas, _check_level, cluster_eigenvalues, eig_test, spectrum_test
 from .variance import KernelSpec, default_mu_list, estimate_tau, window_length
 
 EXIT_OK = 0
@@ -138,11 +138,9 @@ def _settings(args: argparse.Namespace) -> PowerIterSettings:
 
 def _resolve_kernel(
     args: argparse.Namespace, series: SnapshotSeries
-) -> tuple[KernelSpec, list[str], tuple[list[EigenMode], float] | None]:
-    """The kernel the flags ask for, the warnings it raised, and the EDMD fit
-    (modes, rcond) if ``--mu auto:K`` made it (else None), so that no caller fits twice."""
+) -> tuple[KernelSpec, list[str]]:
+    """The kernel the flags ask for and the warnings it raised."""
     warnings: list[str] = []
-    fit = None
     if args.iid:
         if args.mu:
             raise UsageError("--mu is meaningless with --iid")
@@ -151,7 +149,7 @@ def _resolve_kernel(
                 "iid kernel requested on trajectory-kind data; serial "
                 "correlation will be ignored"
             )
-        return KernelSpec.iid(), warnings, fit
+        return KernelSpec.iid(), warnings
 
     mu_list: tuple[complex, ...] = ()
     if args.mu:
@@ -160,8 +158,8 @@ def _resolve_kernel(
                 top_k = int(args.mu.split(":", 1)[1])
             except ValueError:
                 raise UsageError(f"bad --mu value {args.mu!r}") from None
-            fit = _fit(_series_gram(series), args.rcond_floor)
-            mu_list, notes = default_mu_list([m.eigenvalue for m in fit[0]], top_k)
+            modes, _ = _series_fit(series, args.rcond_floor)
+            mu_list, notes = default_mu_list([m.eigenvalue for m in modes], top_k)
             warnings.extend(notes)
         else:
             mu_list = tuple(_parse_complex(tok) for tok in args.mu.split(","))
@@ -185,7 +183,7 @@ def _resolve_kernel(
         warnings.append(
             "windowed kernel on iid-kind data; the iid kernel would be tighter"
         )
-    return KernelSpec.windowed(l_window, mu_list), warnings, fit
+    return KernelSpec.windowed(l_window, mu_list), warnings
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +222,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_edmd(args: argparse.Namespace) -> int:
     series = _load_series(args)
-    modes, rcond = _fit(_series_gram(series), args.rcond_floor)
+    modes, rcond = _series_fit(series, args.rcond_floor)
     artifact = {
         "schema": "specguard/v1/edmd",
         "manifest": _manifest("edmd", args, input_path=args.data),
@@ -247,16 +245,13 @@ def cmd_edmd(args: argparse.Namespace) -> int:
 
 def _grid_sweep(
     args: argparse.Namespace,
-) -> tuple[SnapshotSeries, KernelSpec, list[str], SweepResult, tuple | None]:
-    """The sweep/cluster prelude: load -> kernel -> settings -> grid -> sweep.
-
-    Also hands back the EDMD fit if :func:`_resolve_kernel` made it.
-    """
+) -> tuple[SnapshotSeries, KernelSpec, list[str], SweepResult]:
+    """The sweep/cluster prelude: load -> kernel -> settings -> grid -> sweep."""
     series = _load_series(args)
-    kernel, warnings, fit = _resolve_kernel(args, series)
+    kernel, warnings = _resolve_kernel(args, series)
     grid = GridSpec(args.re_min, args.re_max, args.n_re, args.im_min, args.im_max, args.n_im)
     result = sweep(grid, series, kernel, _settings(args), floor=args.rcond_floor)
-    return series, kernel, warnings, result, fit
+    return series, kernel, warnings, result
 
 
 def _status_counts(result: SweepResult) -> str:
@@ -268,7 +263,7 @@ def _status_counts(result: SweepResult) -> str:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.log_time is not None:
         _check_log_time(args.log_time)
-    _, kernel, warnings, result, _ = _grid_sweep(args)
+    _, kernel, warnings, result = _grid_sweep(args)
     artifact = {
         "schema": "specguard/v1/sweep",
         "manifest": _manifest(
@@ -288,14 +283,14 @@ def cmd_test(args: argparse.Namespace) -> int:
     if not args.eigs and not args.point:
         raise UsageError("nothing to test: pass --eigs and/or --lambda")
     series = _load_series(args)
-    kernel, warnings, fit = _resolve_kernel(args, series)
+    kernel, warnings = _resolve_kernel(args, series)
     settings = _settings(args)
     alphas = tuple(args.alpha) if args.alpha else (0.05, 0.01)
     _check_alphas(alphas)
 
     rows = []
     if args.eigs:
-        report = _spectrum_test(series, kernel, settings, alphas, args.rcond_floor, fit)
+        report = spectrum_test(series, kernel, settings, alphas=alphas, floor=args.rcond_floor)
         body = report.to_json_dict()
         for row in body["eigenvalues"]:
             row["source"] = "eigs"
@@ -324,8 +319,8 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     _check_level(args.level)
-    series, kernel, warnings, result, fit = _grid_sweep(args)
-    modes, _ = fit or _fit(_series_gram(series), args.rcond_floor)
+    series, kernel, warnings, result = _grid_sweep(args)
+    modes, _ = _series_fit(series, args.rcond_floor)
     eigs = [m.eigenvalue for m in modes]
     report = cluster_eigenvalues(result, eigs, args.level, series.M)
     artifact = {

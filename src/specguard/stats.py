@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charmatrix import EigenMode, _fit, _series_gram
+from .charmatrix import _series_fit
 from .errors import ShapeError
 from .ingest import SnapshotSeries
 from .pseudospec import (
@@ -211,25 +211,14 @@ def spectrum_test(
     A kernel window that does not fit the sample raises before the fit,
     even though at-eigenvalue points never apply the kernel.  The fit and
     the estimates run with BLAS on one thread (see :mod:`specguard._blas`)
-    and share the series' Gram matrices; the estimates at all eigenvalues
+    and share the series' Gram matrices; the fit is the series' memoised
+    one (``charmatrix._series_fit``); the estimates at all eigenvalues
     are one batch, whose characteristic matrices are inverted in one call.
     A level in ``alphas`` outside (0, 1] raises before the fit too.
     """
-    return _spectrum_test(series, kernel, settings, alphas, floor)
-
-
-def _spectrum_test(
-    series: SnapshotSeries,
-    kernel: KernelSpec,
-    settings: PowerIterSettings | None,
-    alphas: tuple[float, ...],
-    floor: float | None,
-    fit: tuple[list[EigenMode], float] | None = None,
-) -> SpectralReport:
-    """:func:`spectrum_test` given ``fit``, the :func:`_fit` of the series under ``floor``."""
     _check_alphas(alphas)
     _check_window(kernel, series.M)
-    modes, rcond = fit or _fit(_series_gram(series), floor)
+    modes, rcond = _series_fit(series, floor)
     vals = np.array([m.eigenvalue for m in modes])
     ests = _series_estimates(series, kernel, vals, settings, floor)
     results = []

@@ -473,16 +473,18 @@ class TestKernelFlags:
         assert any("estimated correlation time" in w for w in man["warnings"])
 
     def test_mu_auto_eigs_fits_once(self, traj_csv, tmp_path, capsys, monkeypatch):
-        # The fit that chose the slow modes is the one whose eigenvalues are tested.
+        # The fit that chose the slow modes is the one whose eigenvalues are
+        # tested; fits are counted in every module that has `_fit`.
         calls = []
-        fit = cli._fit
+        fit = charmatrix._fit
 
         def counting(gram, floor=None):
             calls.append(gram)
             return fit(gram, floor)
 
-        monkeypatch.setattr(cli, "_fit", counting)
-        monkeypatch.setattr(stats, "_fit", counting)
+        for module in (charmatrix, cli, stats):
+            if hasattr(module, "_fit"):
+                monkeypatch.setattr(module, "_fit", counting)
         out = tmp_path / "report.json"
         code, _, _ = _run(
             capsys, "test", "--data", traj_csv, "--LM", "3", "--mu", "auto:2", "--eigs",
@@ -576,15 +578,18 @@ class TestCluster:
         assert len(calls) == 1
 
     def test_mu_auto_fits_once(self, traj_csv, tmp_path, capsys, monkeypatch):
-        # The fit that chose the slow modes is the one whose eigenvalues are clustered.
+        # The fit that chose the slow modes is the one whose eigenvalues are
+        # clustered; fits are counted in every module that has `_fit`.
         calls = []
-        fit = cli._fit
+        fit = charmatrix._fit
 
         def counting(gram, floor=None):
             calls.append(gram)
             return fit(gram, floor)
 
-        monkeypatch.setattr(cli, "_fit", counting)
+        for module in (charmatrix, cli, stats):
+            if hasattr(module, "_fit"):
+                monkeypatch.setattr(module, "_fit", counting)
         out = tmp_path / "clusters.json"
         code, _, _ = _run(
             capsys, "cluster", "--data", traj_csv,

@@ -574,6 +574,13 @@ class TestSweepEngine:
         for k in range(len(lams)):
             expected = v(lams[k : k + 1], c2[k : k + 1])(w[k : k + 1])[0]
             assert_allclose(shifted[k], expected, rtol=0, atol=0)
+        # The half P reads that C too (a windowed kernel's boundary terms),
+        # checked against the core called directly, not through a binder.
+        halves = variance._pointwise(series, kernel)(lams, c2)(w)
+        for k, lam in enumerate(lams):
+            ut, vt = variance._sample_factors(series, lam)
+            expected = variance._variance_half(w[k], ut, vt, c2[k], kernel)
+            assert_allclose(halves[k], expected, rtol=0, atol=0)
 
     @pytest.mark.parametrize("kind", ["real", "complex", "windowed"])
     def test_s_is_v_at_the_congruence(self, kind):

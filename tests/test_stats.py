@@ -220,7 +220,7 @@ class TestSpectrumTest:
         def forbidden(*args, **kwargs):
             raise AssertionError("fit or estimate ran before the alpha check")
 
-        monkeypatch.setattr(stats, "_fit", forbidden)
+        monkeypatch.setattr(stats, "_series_fit", forbidden)
         monkeypatch.setattr(stats, "_series_estimates", forbidden)
         with pytest.raises(ShapeError, match="alpha"):
             spectrum_test(_series(50, 3, seed=5), KernelSpec.iid(), alphas=(0.05, 7.0))
