@@ -23,8 +23,8 @@ on the C(lam) stack of that same call; :func:`_batch_s` applies it at
 the computed W = C^{-*} Q C^{-1}, so that S[Q] is Hermitian by
 construction.  A step is the congruence with the stored inverse, V and
 the pencil bracket, all stacked numpy calls, except that V's
-sample-dependent part goes point by point on every route but the real
-iid one, where it is one GEMM.  What depends on the batch's points alone
+sample-dependent part is one blocked pass over the samples on every
+route but the real iid tensor, where it is one GEMM.  What depends on the batch's points alone
 (C^{-*}, C^*, |lam|^2, conj(lam), the series' real iid covariance) is
 bound once and indexed again only when points leave the batch.
 

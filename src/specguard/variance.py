@@ -16,30 +16,28 @@ route writes V as
 
 where U is V without its centring term, kappa = 2 sum_l kt(l) (M + l)/M
 that term's weight (1 for iid) and P the "half" a route computes, so V
-is Hermitian by construction.  The core, `_variance_half`, reads the
-per-sample factors v (one (N, M) column per sample, with u = a^T) of
-`_sample_factors` and their mean C, which every caller takes from the
-Gram pencil C(lam) = lam Psi_XX - Psi_XY of :mod:`specguard.charmatrix`.
+is Hermitian by construction.  Every mean C is the Gram pencil
+C(lam) = lam Psi_XX - Psi_XY of :mod:`specguard.charmatrix`.
 `_covariance` is the one V that the estimates apply: ``bind(lams,
 c_hat)`` fixes a stack of points, centred on the C(lam) stack it is
 given, and returns V itself for stacks of W; `_centred` composes it from
-a route's P.  `variance_apply` is the point-by-point route at one
-``lam``, and `variance_apply_naive` a reference that materializes the
-centered snapshot matrices; the two agree to a 1e-10 relative Frobenius
-bound.
-V[Q] comes back as computed, never repaired for positivity (V is linear
-in Q): the certified estimates test positivity once, on S[Q], when the
-pencil of :mod:`specguard.pseudospec` Cholesky-factors it.  For the iid
-kernel on real-valued data, which a series stores as float64,
-`_covariance` computes P in real arithmetic for a whole batch of points
-at once (`_RealIidCovariance`), held to the same bound.  There U[W] is
-linear in Re(W) through a fourth-moment tensor of the data over
-upper-triangle pairs, built once per series from the M samples, with
-the pair weights and the 1/M scales folded in, and kept with the series,
-so that a stack of W costs one GEMM and no application reads the
-samples again.  Only when the tensor is too large to build does each
-application stream once through the series' own samples, in cache-sized
-blocks, with no temporary that grows with M.
+a route's P.  There are two routes.  The stream, `_streamed`, serves
+every series and kernel: one pass over the series' own rows per stack
+of W, in cache-sized blocks, with no temporary that grows with M.  For
+the iid kernel on real-valued data, which a series stores as float64,
+`_RealIidCovariance` computes P in real arithmetic for a whole batch of
+points at once: U[W] is linear in Re(W) through a fourth-moment tensor
+of the data over upper-triangle pairs, built once per series from the M
+samples, with the pair weights and the 1/M scales folded in, and kept
+with the series, so that a stack of W costs one GEMM and no application
+reads the samples again.  A series whose tensor would be too large to
+build takes the stream.  `variance_apply` is the stream at one ``lam``,
+and `variance_apply_naive` a reference that materializes the centered
+snapshot matrices; the routes agree with it to a 1e-10 relative
+Frobenius bound.  V[Q] comes back as computed, never repaired for
+positivity (V is linear in Q): the certified estimates test positivity
+once, on S[Q], when the pencil of :mod:`specguard.pseudospec`
+Cholesky-factors it.
 """
 
 from __future__ import annotations
@@ -331,18 +329,14 @@ class VarianceApplication:
     result: np.ndarray
 
 
-def _sample_factors(
-    series: SnapshotSeries, lam: complex, ut: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _sample_factors(series: SnapshotSeries, lam: complex) -> tuple[np.ndarray, np.ndarray]:
     """Rank-one factors of the per-sample characteristic matrices at ``lam``.
 
     Each sample contributes C_m = u_m v_m^* with u_m = a_m and
     v_m = conj(lam) a_m - b_m.  Returns u and v as C-contiguous (N, M)
-    arrays, column m for sample m.  u = a^T does not depend on lam: pass
-    it as ``ut``, C-contiguous, to skip transposing ``a`` for every lam.
+    complex arrays, column m for sample m.
     """
-    if ut is None:
-        ut = np.ascontiguousarray(series.a.T, dtype=complex)
+    ut = np.ascontiguousarray(series.a.T, dtype=complex)
     vt = np.conj(lam) * ut
     vt -= series.b.T
     return ut, vt
@@ -381,58 +375,14 @@ def variance_apply(
 ) -> VarianceApplication:
     """Apply the kernel-weighted covariance V[Q] via the rank-one expansion.
 
-    The point-by-point route of :func:`_covariance`, real series
-    included, bound at ``lam`` and centred on the Gram pencil C(lam) of
-    the series' Gram memo; raises WindowTooLargeError if the kernel's
-    window does not fit the M samples.
+    The stream :func:`_streamed`, for every series, bound at ``lam`` and
+    centred on the Gram pencil C(lam) of the series' Gram memo; raises
+    WindowTooLargeError if the kernel's window does not fit the M samples.
     """
     _check_window(kernel, series.M)
     c_hat = _char_matrix(_series_gram(series), lam)[np.newaxis]
-    v = _centred(_pointwise(series, kernel), _kappa(kernel, series.M))(np.array([lam]), c_hat)
+    v = _centred(_streamed(series, kernel), _kappa(kernel, series.M))(np.array([lam]), c_hat)
     return VarianceApplication(v(np.asarray(q, dtype=complex)[np.newaxis])[0])
-
-
-def _variance_half(
-    q: np.ndarray, ut: np.ndarray, vt: np.ndarray, c_hat: np.ndarray, kernel: KernelSpec
-) -> np.ndarray:
-    """P with U = P + P^*, where U is V without its centring term, from the factors of
-    :func:`_sample_factors` and their mean ``c_hat``.
-
-    Expanding the centered products and folding negative lags yields
-
-        V[Q] = T + T^*,   T = P - (kappa / 2) C^* Q C,
-        P = (1/M) sum_m ( sum_l kt(l) (u_{m+l}^* Q u_m) v_{m+l} ) v_m^*
-            + (1/M) sum_{j=1}^{Lt} w_j ( C_j^* Q C + C^* Q C_{M-j+1} ),
-
-    with one-sided weights kt from the kernel (lag 0 halved), boundary
-    weights w_j = sum_{l >= j} kt(l) and kappa = 2 sum_l kt(l) (M + l)/M
-    (:func:`_kappa`).  For the iid kernel this reduces to the single-lag
-    estimator (1/M) sum (u_m^* Q u_m) v_m v_m^* - C^* Q C.  P still reads
-    C through the boundary terms of a windowed kernel.
-    """
-    m = ut.shape[1]
-    q = np.asarray(q, dtype=complex)
-    kt = kernel.tilde_weights()
-    lt = kernel.half_width
-
-    qu = q @ ut
-    acc = np.zeros_like(vt)
-    for lag in range(lt + 1):
-        if kt[lag] == 0.0:
-            continue
-        inner = np.sum(ut[:, lag:].conj() * qu[:, : m - lag], axis=0)
-        acc[:, : m - lag] += kt[lag] * (vt[:, lag:] * inner[np.newaxis, :])
-    tilde = acc @ vt.conj().T / m
-
-    if lt > 0:
-        # w_j = sum_{l >= j} kt(l) for 1-based j = 1..Lt.
-        w = np.cumsum(kt[::-1])[::-1][1:]
-        head = (vt[:, :lt] * w[np.newaxis, :]) @ (ut[:, :lt].conj().T @ (q @ c_hat))
-        idx = m - 1 - np.arange(lt)
-        cq = c_hat.conj().T @ q
-        tail = ((cq @ ut[:, idx]) * w[np.newaxis, :]) @ vt[:, idx].conj().T
-        tilde += (head + tail) / m
-    return tilde
 
 
 class _RealIidCovariance:
@@ -453,25 +403,22 @@ class _RealIidCovariance:
 
         T = sum_m (a_m (x) a_m)_packed (z_m (x) z_m)_packed^T,
 
-    an (N(N+1)/2, N(2N+1)) real matrix that depends on the data alone.  A
-    pass over the samples reads ``BLOCK`` rows of the series' own float64
-    a and b at a time into one (2N, ``BLOCK``) buffer of z columns; no copy
-    of the samples is kept.  Construction builds T from Khatri-Rao
-    products of these blocks, scales its rows and columns once (a diagonal
-    pair of r counts R_ii twice; the pairs of X take ``scale``), and then
-    drops its reference to a and b.  So every stack of W costs one gather
-    of r, one GEMM to the scaled packed X and one gather of its X_aa and
-    X_bb pairs into P, and no pass over the M samples, whatever the batch
-    size or the order of the calls.  :meth:`of` keeps one instance per series, so every
-    estimate on the series shares one T.  When a Khatri-Rao block would
-    exceed ``MAX_BLOCK_ENTRIES`` (N >= 32 once M >= 512) T is never built
-    and each W takes the direct form X = z^T diag(s) z: one pass over the
-    sample blocks, each W of the stack in turn while a block is in cache:
-    s from R^T a into an (N, ``BLOCK``) buffer, z diag(s) into a (2N,
-    ``BLOCK``) buffer, and one small GEMM added to X.
+    an (N(N+1)/2, N(2N+1)) real matrix that depends on the data alone.
+    Construction reads ``BLOCK`` rows of the series' own float64 a and b
+    at a time into one (2N, ``BLOCK``) buffer of z columns, builds T from
+    Khatri-Rao products of these blocks and scales its rows and columns
+    once (a diagonal pair of r counts R_ii twice; the pairs of X take
+    ``scale``); it keeps no reference to the samples.  So every stack of W
+    costs one gather of r, one GEMM to the scaled packed X and one gather
+    of its X_aa and X_bb pairs into P, and no pass over the M samples,
+    whatever the batch size or the order of the calls.  :meth:`of` keeps
+    one instance per series, so every estimate on the series shares one T.
+    :meth:`applies` takes this route only while a Khatri-Rao block fits in
+    ``MAX_BLOCK_ENTRIES`` (N <= 31 once M >= 512); a larger series gets the
+    same X from :func:`_streamed`, in one pass over the samples per stack.
     """
 
-    #: samples per block, for the tensor build and the direct form alike.
+    #: rows per block, for the tensor build and the stream of :func:`_streamed` alike.
     BLOCK = 512
     #: largest Khatri-Rao block, in float64 entries (8 MB).
     MAX_BLOCK_ENTRIES = 1 << 20
@@ -490,8 +437,6 @@ class _RealIidCovariance:
         rows = np.concatenate([np.full(j1 - j0, i) for i, j0, j1 in self.runs])
         cols = np.concatenate([np.arange(j0, j1) for _, j0, j1 in self.runs])
         n_aa = self.n_aa = n * (n + 1) // 2
-        #: the packed pairs' entries of a flattened (2N, 2N) X.
-        self.pairs = rows * 2 * n + cols
         #: the a-a pairs' entries (i, j) of a flattened (N, N) matrix, then their (j, i).
         self.upper_lower = np.concatenate(
             [rows[:n_aa] * n + cols[:n_aa], cols[:n_aa] * n + rows[:n_aa]]
@@ -503,42 +448,34 @@ class _RealIidCovariance:
         #: the scales of the packed pairs of X: 1/2M for X_aa and X_bb, 1/M for X_ab.
         self.scale = np.where((rows < n) & (cols >= n), 1.0, 0.5) / self.m
         self.block = min(self.BLOCK, self.m)
-        self.samples: tuple[np.ndarray, np.ndarray] | None = (series.a, series.b)
-        self.tensor: np.ndarray | None = None
-        if self.block * len(self.pairs) <= self.MAX_BLOCK_ENTRIES:
-            self.tensor = self._build_tensor()
-            self.tensor *= np.where(rows[:n_aa] == cols[:n_aa], 0.5, 1.0)[:, np.newaxis]
-            self.tensor *= self.scale
-            self.samples = None
+        self.tensor = self._build_tensor(series)
+        self.tensor *= np.where(rows[:n_aa] == cols[:n_aa], 0.5, 1.0)[:, np.newaxis]
+        self.tensor *= self.scale
 
-    @staticmethod
-    def applies(series: SnapshotSeries, kernel: KernelSpec) -> bool:
-        """True for the iid kernel on a real-valued series (see :func:`_is_real`)."""
-        return kernel.mode == "iid" and _is_real(series)
+    @classmethod
+    def applies(cls, series: SnapshotSeries, kernel: KernelSpec) -> bool:
+        """True for the iid kernel on a real-valued series (see :func:`_is_real`) whose
+        Khatri-Rao block of N(2N+1) packed pairs fits in ``MAX_BLOCK_ENTRIES``."""
+        block = min(cls.BLOCK, series.M) * series.N * (2 * series.N + 1)
+        return kernel.mode == "iid" and _is_real(series) and block <= cls.MAX_BLOCK_ENTRIES
 
     @classmethod
     def of(cls, series: SnapshotSeries) -> "_RealIidCovariance":
         """The covariance of a real series, built on first use and kept with it."""
         return series._memo.get_or_build("real_iid", lambda: cls(series))
 
-    def _sample_blocks(self):
-        """The (2N, <= ``block``) column blocks of z, in sample order, in one reused buffer."""
-        n, (a, b) = self.n, self.samples
-        buf = np.empty((2 * n, self.block))
-        for start in range(0, self.m, self.block):
-            zb = buf[:, : min(self.block, self.m - start)]
-            zb[:n] = a[start : start + self.block].T
-            zb[n:] = b[start : start + self.block].T
-            yield zb
-
-    def _build_tensor(self) -> np.ndarray:
-        """T = sum_m (a_m (x) a_m)_packed (z_m (x) z_m)_packed^T, one block at a time.
+    def _build_tensor(self, series: SnapshotSeries) -> np.ndarray:
+        """T = sum_m (a_m (x) a_m)_packed (z_m (x) z_m)_packed^T, one block of rows at a time.
 
         The first block's product is T itself: a one-block build holds no second T.
         """
-        tensor = None
-        kr_buf = np.empty((len(self.pairs), self.block))
-        for zb in self._sample_blocks():
+        n, tensor = self.n, None
+        z_buf = np.empty((2 * n, self.block))
+        kr_buf = np.empty((len(self.scale), self.block))
+        for start in range(0, self.m, self.block):
+            zb = z_buf[:, : min(self.block, self.m - start)]
+            zb[:n] = series.a[start : start + self.block].T
+            zb[n:] = series.b[start : start + self.block].T
             kr = kr_buf[:, : zb.shape[1]]
             pos = 0
             for i, j0, j1 in self.runs:
@@ -548,28 +485,10 @@ class _RealIidCovariance:
             tensor = product if tensor is None else np.add(tensor, product, out=tensor)
         return tensor
 
-    def _direct(self, r: np.ndarray) -> np.ndarray:
-        """X = z^T diag(s) z for each R of the stack, in one pass over the blocks."""
-        n = self.n
-        out = np.zeros((len(r), 2 * n, 2 * n))
-        y_buf = np.empty((n, self.block))
-        zs_buf = np.empty((2 * n, self.block))
-        for zb in self._sample_blocks():
-            ab = zb[:n]
-            y, zs = y_buf[:, : zb.shape[1]], zs_buf[:, : zb.shape[1]]
-            for k in range(len(r)):
-                np.matmul(r[k].T, ab, out=y)
-                np.multiply(zb, np.einsum("im,im->m", y, ab), out=zs)
-                out[k] += zb @ zs.T
-        return out
-
     def second_moments(self, w: np.ndarray) -> np.ndarray:
         """The packed pairs of X of each W of the stack, scaled by ``scale``: (k, N(2N+1))."""
-        if self.tensor is not None:
-            r = w.real.reshape(len(w), -1)[:, self.upper_lower]
-            return (r[:, : self.n_aa] + r[:, self.n_aa :]) @ self.tensor
-        x = self._direct(np.ascontiguousarray(w.real))
-        return x.reshape(len(w), -1)[:, self.pairs] * self.scale
+        r = w.real.reshape(len(w), -1)[:, self.upper_lower]
+        return (r[:, : self.n_aa] + r[:, self.n_aa :]) @ self.tensor
 
     def bind(self, lams: np.ndarray, c_hat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """``half(w)``: P of U = P + P^* for a stack ``w`` at the points ``lams``.
@@ -594,25 +513,83 @@ class _RealIidCovariance:
 _Binder = Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]
 
 
-def _pointwise(series: SnapshotSeries, kernel: KernelSpec) -> _Binder:
-    """The halves P of :func:`_variance_half`, point by point.
+def _streamed(series: SnapshotSeries, kernel: KernelSpec) -> _Binder:
+    """The halves P of U = P + P^*, for any series and kernel, in one pass over the samples.
 
-    u is built once here (complex, so that no application casts it) and v
-    for every application, so that no (N, M) array is kept per point.
+    Expanding the centered products and folding negative lags yields
+
+        V[Q] = T + T^*,   T = P - (kappa / 2) C^* Q C,
+        P = (1/M) sum_m ( sum_l kt(l) (u_{m+l}^* Q u_m) v_{m+l} ) v_m^*
+            + (1/M) sum_{j=1}^{Lt} w_j ( C_j^* Q C + C^* Q C_{M-j+1} ),
+
+    with the factors u_m = a_m and v_m = conj(lam) a_m - b_m of
+    :func:`_sample_factors`, one-sided weights kt from the kernel (lag 0
+    halved), boundary weights w_j = sum_{l >= j} kt(l) and
+    kappa = 2 sum_l kt(l) (M + l)/M (:func:`_kappa`).  For the iid kernel
+    this reduces to the single-lag estimator
+    (1/M) sum (u_m^* Q u_m) v_m v_m^* - C^* Q C.
+
+    Each stack of W walks the series' own rows, ``_RealIidCovariance.BLOCK``
+    rows and the Lt rows after them at a time, and takes each point in turn
+    while the block is in cache: per lag one row-wise quadratic form and one
+    accumulate, then one (N, b) x (b, N) product.  The boundary terms, the
+    only part of P that reads C, read the first and last Lt rows.  A real
+    series under a lag-0 kernel stays real: X = sum_m s_m z_m z_m^T as in
+    :class:`_RealIidCovariance`, s_m = a_m^T Re(W) a_m, and
+    P = kt(0) (|lam|^2 X_aa + X_bb - 2 conj(lam) X_ab) / M.  No temporary
+    grows with M.
     """
-    ut = np.ascontiguousarray(series.a.T, dtype=complex)
+    a, b, m = series.a, series.b, series.M
+    kt, lt = kernel.tilde_weights(), kernel.half_width
+    lags = [(lag, kt[lag]) for lag in range(lt + 1) if kt[lag] != 0.0]
+    step = _RealIidCovariance.BLOCK
+    blocks = [(start, min(start + step, m)) for start in range(0, m, step)]
+    # w_j = sum_{l >= j} kt(l) for 1-based j = 1..Lt, and the rows 1..Lt and M..M-Lt+1.
+    edge = np.cumsum(kt[::-1])[::-1][1:, np.newaxis]
+    head_a, head_b = a[:lt], b[:lt]
+    tail_a, tail_b = a[m - 1 - np.arange(lt)], b[m - 1 - np.arange(lt)]
 
-    def bind(lams: np.ndarray, c_hat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        def half(w: np.ndarray) -> np.ndarray:
-            out = np.empty_like(w)
+    def real_half(lams: np.ndarray, w: np.ndarray) -> np.ndarray:
+        r = np.ascontiguousarray(w.real)
+        x_aa, x_ab, x_bb = (np.zeros(r.shape) for _ in range(3))
+        for start, stop in blocks:
+            ab, bb = a[start:stop], b[start:stop]
+            for k in range(len(w)):
+                s = np.einsum("mi,mi->m", ab @ r[k], ab)[:, np.newaxis]
+                sb = s * bb
+                x_aa[k] += ab.T @ (s * ab)
+                x_ab[k] += ab.T @ sb
+                x_bb[k] += bb.T @ sb
+        lam2 = (lams.real**2 + lams.imag**2)[:, np.newaxis, np.newaxis]
+        p = lam2 * x_aa + x_bb - 2.0 * lams.conj()[:, np.newaxis, np.newaxis] * x_ab
+        return (kt[0] / m) * p
+
+    def complex_half(lams: np.ndarray, c_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
+        out = np.zeros(w.shape, dtype=complex)
+        for start, stop in blocks:
+            # One complex copy of the block for every point: mixed real-complex products are slower.
+            rows, rows_b = np.asarray(a[start : stop + lt], complex), b[start : stop + lt]
+            rows_h = rows.conj()
             for k, lam in enumerate(lams):
-                _, vt = _sample_factors(series, lam, ut)
-                out[k] = _variance_half(w[k], ut, vt, c_hat[k], kernel)
-            return out
+                v = np.conj(lam) * rows
+                v -= rows_b
+                qu = rows[: stop - start] @ w[k].T    # row m is (W u_m)^T
+                acc = np.zeros_like(qu)
+                for lag, weight in lags:
+                    n_rows = max(min(stop - start, len(rows) - lag), 0)
+                    inner = np.einsum("mi,mi->m", rows_h[lag : lag + n_rows], qu[:n_rows])
+                    inner *= weight
+                    acc[:n_rows] += inner[:, np.newaxis] * v[lag : lag + n_rows]
+                out[k] += acc.T @ v[: stop - start].conj()
+        for k, lam in enumerate(lams if lt else ()):    # the boundary terms of a window
+            head_v, tail_v = np.conj(lam) * head_a - head_b, np.conj(lam) * tail_a - tail_b
+            out[k] += (head_v * edge).T @ (head_a.conj() @ (w[k] @ c_hat[k]))
+            out[k] += ((tail_a @ (_ct(c_hat[k]) @ w[k]).T) * edge).T @ tail_v.conj()
+        return out / m
 
-        return half
-
-    return bind
+    if lt == 0 and _is_real(series):
+        return lambda lams, c_hat: lambda w: real_half(lams, w)
+    return lambda lams, c_hat: lambda w: complex_half(lams, c_hat, w)
 
 
 def _centred(halves: _Binder, kappa: float) -> _Binder:
@@ -637,17 +614,18 @@ def _covariance(series: SnapshotSeries, kernel: KernelSpec) -> _Binder:
     """V for one series and kernel, stateless from one batch of points to the next.
 
     ``bind(lams, c_hat)`` returns V[W] for stacks of W, centred on ``c_hat``.
-    The iid kernel on a real-valued (float64) series computes P through
-    the series' :class:`_RealIidCovariance`, looked up in its memo when a
-    batch is bound, so that its tensor is built at the first off-spectrum
-    batch and shared by every later estimate; every other series or
-    kernel takes :func:`_pointwise`.  The kernel window is checked at once.
+    P takes one of two routes.  Where :meth:`_RealIidCovariance.applies`,
+    it comes from the tensor of the series' :class:`_RealIidCovariance`,
+    looked up in its memo when a batch is bound, so that the tensor is
+    built at the first off-spectrum batch and shared by every later
+    estimate; every other series or kernel takes the stream
+    :func:`_streamed`.  The kernel window is checked at once.
     """
     _check_window(kernel, series.M)
     kappa = _kappa(kernel, series.M)
-    if not _RealIidCovariance.applies(series, kernel):
-        return _centred(_pointwise(series, kernel), kappa)
-    return _centred(lambda lams, c_hat: _RealIidCovariance.of(series).bind(lams, c_hat), kappa)
+    if _RealIidCovariance.applies(series, kernel):
+        return _centred(lambda lams, c_hat: _RealIidCovariance.of(series).bind(lams, c_hat), kappa)
+    return _centred(_streamed(series, kernel), kappa)
 
 
 def variance_apply_naive(

@@ -101,13 +101,23 @@ def test_restored_after_p_hat(two_threads):
 
 def test_row_pool_runs_on_one_thread_and_restores(two_threads, monkeypatch):
     seen = []
-    apply = variance._variance_half
+    streamed = variance._streamed
 
-    def recording_apply(*args, **kwargs):
-        seen.append(_counts())
-        return apply(*args, **kwargs)
+    def recording_streamed(*args):
+        bind = streamed(*args)
 
-    monkeypatch.setattr(variance, "_variance_half", recording_apply)
+        def recording_bind(lams, c_hat):
+            half = bind(lams, c_hat)
+
+            def recording_half(w):
+                seen.extend([_counts()] * len(w))
+                return half(w)
+
+            return recording_half
+
+        return recording_bind
+
+    monkeypatch.setattr(variance, "_streamed", recording_streamed)
     result = sweep(GridSpec(1.1, 1.5, 4, -0.3, 0.3, 6), _series(), KernelSpec.iid())
     assert result.iterations.sum() == len(seen) > 0
     assert all(counts == [1] * len(COPIES) for counts in seen)

@@ -43,7 +43,6 @@ from specguard.variance import (
     KernelSpec,
     _covariance,
     _RealIidCovariance,
-    _sample_factors,
     variance_apply,
     variance_apply_naive,
 )
@@ -92,6 +91,45 @@ def _bracket(q: np.ndarray, s_of_q: np.ndarray) -> tuple[float, float]:
     lo, hi, _, failed, _ = _pencil(np.asarray(q, complex)[None], np.asarray(s_of_q, complex)[None])
     assert not failed[0]
     return float(lo[0]), float(hi[0])
+
+
+def _edit_the_stream(monkeypatch, edit):
+    """Pass each stack of halves P of ``variance._streamed`` through ``edit(lams, w, halves)``."""
+    streamed = variance._streamed
+
+    def edited(*args):
+        bind = streamed(*args)
+
+        def edited_bind(lams, c_hat):
+            half = bind(lams, c_hat)
+            return lambda w: edit(lams, w, half(w))
+
+        return edited_bind
+
+    monkeypatch.setattr(variance, "_streamed", edited)
+
+
+def _half_by_the_expansion(q, ut, vt, c_hat, kernel):
+    """P of U = P + P^* at one point, summed over all M samples at once from the (N, M) factors.
+
+    P = (1/M) sum_m ( sum_l kt(l) (u_{m+l}^* Q u_m) v_{m+l} ) v_m^*
+        + (1/M) sum_{j=1}^{Lt} w_j ( C_j^* Q C + C^* Q C_{M-j+1} ),  w_j = sum_{l >= j} kt(l).
+    """
+    m = ut.shape[1]
+    kt, lt = kernel.tilde_weights(), kernel.half_width
+    qu = q @ ut
+    acc = np.zeros_like(vt)
+    for lag in range(lt + 1):
+        inner = np.sum(ut[:, lag:].conj() * qu[:, : m - lag], axis=0)
+        acc[:, : m - lag] += kt[lag] * (vt[:, lag:] * inner[np.newaxis, :])
+    half = acc @ vt.conj().T / m
+    if lt > 0:
+        w = np.cumsum(kt[::-1])[::-1][1:]
+        head = (vt[:, :lt] * w[np.newaxis, :]) @ (ut[:, :lt].conj().T @ (q @ c_hat))
+        idx = m - 1 - np.arange(lt)
+        tail = ((c_hat.conj().T @ q @ ut[:, idx]) * w[np.newaxis, :]) @ vt[:, idx].conj().T
+        half += (head + tail) / m
+    return half
 
 
 class TestBracket:
@@ -373,7 +411,7 @@ class TestPHat:
                 p_hat(point, s, KernelSpec.windowed(60))
 
     def test_at_an_eigenvalue_of_a_real_series_no_tensor_is_built(self, monkeypatch):
-        def forbidden(self):
+        def forbidden(self, series):
             raise AssertionError("tensor built for an at-eigenvalue estimate")
 
         monkeypatch.setattr(_RealIidCovariance, "_build_tensor", forbidden)
@@ -540,7 +578,7 @@ class TestSweepEngine:
             raise AssertionError("complex path used")
 
         monkeypatch.setattr(variance, "_sample_factors", forbidden)
-        monkeypatch.setattr(variance, "_variance_half", forbidden)
+        monkeypatch.setattr(variance, "_streamed", forbidden)
         series, kernel = self._data("real")
         res = sweep(GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3), series, kernel)
         assert np.all(res.status == STATUS_CONVERGED)
@@ -575,12 +613,13 @@ class TestSweepEngine:
             expected = v(lams[k : k + 1], c2[k : k + 1])(w[k : k + 1])[0]
             assert_allclose(shifted[k], expected, rtol=0, atol=0)
         # The half P reads that C too (a windowed kernel's boundary terms),
-        # checked against the core called directly, not through a binder.
-        halves = variance._pointwise(series, kernel)(lams, c2)(w)
+        # checked against the expansion written out below, not the stream's
+        # blocked sums, so to round-off.
+        halves = variance._streamed(series, kernel)(lams, c2)(w)
         for k, lam in enumerate(lams):
             ut, vt = variance._sample_factors(series, lam)
-            expected = variance._variance_half(w[k], ut, vt, c2[k], kernel)
-            assert_allclose(halves[k], expected, rtol=0, atol=0)
+            expected = _half_by_the_expansion(w[k], ut, vt, c2[k], kernel)
+            assert_allclose(halves[k], expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("kind", ["real", "complex", "windowed"])
     def test_s_is_v_at_the_congruence(self, kind):
@@ -660,12 +699,12 @@ class TestSweepEngine:
         assert ref() is None
         assert memo.get_or_build("real_iid", None) is covariance
         # Once T is built, no sample array, and no copy of one, is held.
-        assert covariance.tensor is not None and covariance.samples is None
+        assert covariance.tensor is not None
         assert all(covariance.m not in np.shape(x) for x in vars(covariance).values())
 
     @pytest.mark.parametrize("kind", ["complex", "windowed"])
     def test_complex_or_windowed_series_never_build_the_tensor(self, kind, monkeypatch):
-        def forbidden(self):
+        def forbidden(self, series):
             raise AssertionError("tensor built off the real iid path")
 
         monkeypatch.setattr(_RealIidCovariance, "_build_tensor", forbidden)
@@ -823,9 +862,9 @@ class TestSweepEngine:
         builds = []
         build = _RealIidCovariance._build_tensor
 
-        def counting(self):
+        def counting(self, series):
             builds.append(self)
-            return build(self)
+            return build(self, series)
 
         monkeypatch.setattr(_RealIidCovariance, "_build_tensor", counting)
         series, kernel = self._data("real")
@@ -835,17 +874,14 @@ class TestSweepEngine:
 
     def test_a_negative_v_makes_p_hat_degenerate(self, monkeypatch):
         # V[W] -> -V[W]: S[Q] is negative definite, so its Cholesky fails
-        # even after the round-off ridge, on the complex and the real route.
-        apply, real = variance._variance_half, _RealIidCovariance.bind
-
-        def negated(*args, **kwargs):
-            return -apply(*args, **kwargs)
+        # even after the round-off ridge, on the stream and the tensor route.
+        real = _RealIidCovariance.bind
 
         def negated_real(self, *args):
             half = real(self, *args)
             return lambda w: -half(w)
 
-        monkeypatch.setattr(variance, "_variance_half", negated)
+        _edit_the_stream(monkeypatch, lambda lams, w, halves: -halves)
         monkeypatch.setattr(_RealIidCovariance, "bind", negated_real)
         for kind in ("complex", "real"):
             series, kernel = self._data(kind)
@@ -858,15 +894,13 @@ class TestSweepEngine:
         series, kernel = self._data("complex")
         grid = GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3)
         clean = sweep(grid, series, kernel)
-        # The point is told by its v factor, which no other grid point shares.
-        _, v_bad = _sample_factors(series, clean.point(2, 1))
-        apply = variance._variance_half
+        # The point is told by its lambda, which no other grid point shares.
+        bad = clean.point(2, 1)
 
-        def negated_at_bad(w, ut, vt, *args, **kwargs):
-            out = apply(w, ut, vt, *args, **kwargs)
-            return -out if np.array_equal(vt, v_bad) else out
+        def negated_at_bad(lams, w, halves):
+            return np.where((lams == bad)[:, np.newaxis, np.newaxis], -halves, halves)
 
-        monkeypatch.setattr(variance, "_variance_half", negated_at_bad)
+        _edit_the_stream(monkeypatch, negated_at_bad)
         res = sweep(grid, series, kernel)
         assert res.status[2, 1] == STATUS_DEGENERATE_S
         assert (res.lower[2, 1], res.upper[2, 1], res.iterations[2, 1]) == (0.0, float("inf"), 1)
@@ -883,13 +917,12 @@ class TestSweepEngine:
         tiny = SnapshotSeries(a, series.b, "iid")
         assert tiny.a.dtype == tiny.b.dtype == complex
         calls = []
-        apply = variance._variance_half
 
-        def recording(*args, **kwargs):
-            calls.append(1)
-            return apply(*args, **kwargs)
+        def recording(lams, w, halves):
+            calls.extend([1] * len(w))
+            return halves
 
-        monkeypatch.setattr(variance, "_variance_half", recording)
+        _edit_the_stream(monkeypatch, recording)
         sweep(GridSpec(1.1, 1.5, 2, -0.2, 0.2, 2), series, kernel)
         assert calls == []
         res = sweep(GridSpec(1.1, 1.5, 2, -0.2, 0.2, 2), tiny, kernel)

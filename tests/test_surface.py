@@ -45,6 +45,8 @@ REMOVED = [
     ("_compose", "specguard.pseudospec"),
     ("_Covariance", "specguard.pseudospec"),
     ("_Covariance", "specguard.oracle"),
+    ("_pointwise", "specguard.variance"),
+    ("_variance_half", "specguard.variance"),
 ]
 
 

@@ -16,11 +16,13 @@ from numpy.testing import assert_allclose
 from specguard.errors import ShapeError, UnstableKernelError, WindowTooLargeError
 from specguard.charmatrix import char_contexts, gram_matrices
 from specguard.ingest import SnapshotSeries
+from specguard import variance
 from specguard.variance import (
     KernelSpec,
     _covariance,
     _RealIidCovariance,
     _sample_factors,
+    _streamed,
     default_mu_list,
     estimate_tau,
     kappa_w,
@@ -42,10 +44,26 @@ def _series(m, n, seed=0, complex_data=True):
     return SnapshotSeries(a, b, "iid")
 
 
+def _closed_over(fn):
+    """The values held by the closure cells of ``fn`` and of the functions among them."""
+    values, todo, seen = [], [fn], set()
+    while todo:
+        f = todo.pop()
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        for cell in getattr(f, "__closure__", None) or ():
+            values.append(cell.cell_contents)
+            if callable(cell.cell_contents):
+                todo.append(cell.cell_contents)
+    return values
+
+
 def _held_copies_of_the_samples(v, s):
-    """Arrays that ``v`` holds with a dimension of M, other than the series' own a and b."""
+    """Arrays that ``v`` (an object, or a function through its closure) holds with a
+    dimension of M, other than the series' own a and b."""
     held = []
-    for value in vars(v).values():
+    for value in _closed_over(v) if callable(v) else vars(v).values():
         for x in value if isinstance(value, tuple) else (value,):
             if isinstance(x, np.ndarray) and s.M in x.shape and x is not s.a and x is not s.b:
                 held.append(x)
@@ -262,7 +280,6 @@ def test_sample_factors_average_to_c_hat():
     for m in range(s.M):
         c_sum += np.outer(ut[:, m], vt[:, m].conj())
     assert_allclose(c_sum / s.M, lam * g.psi_xx - g.psi_xy, atol=1e-12)
-    assert _sample_factors(s, -lam, ut)[0] is ut
 
 
 class TestVarianceApply:
@@ -335,6 +352,10 @@ class TestVarianceApply:
             variance_apply(np.eye(2), 1.0, s, KernelSpec.windowed(10))
 
 
+def _no_tensor(self, series):
+    raise AssertionError("tensor built past the cap")
+
+
 class TestRealIidCovariance:
     """The real-arithmetic iid V against the materialized reference."""
 
@@ -352,7 +373,8 @@ class TestRealIidCovariance:
         gram = gram_matrices(s)
         c_hat = char_contexts(gram, lams)[1]
         w = np.stack([_random_psd(4, seed + k) for k in range(len(lams))])
-        assert _RealIidCovariance.of(s) is v
+        if v is not None:
+            assert _RealIidCovariance.of(s) is v
         fast = _covariance(s, KernelSpec.iid())(lams, c_hat)(w)
         for k, lam in enumerate(lams):
             slow = variance_apply_naive(w[k], lam, s, KernelSpec.iid()).result
@@ -373,34 +395,40 @@ class TestRealIidCovariance:
     )
     def test_equals_naive(self, batch, form, m, monkeypatch):
         if form != "blocks":
-            # Below one Khatri-Rao block, as a large N gives: no tensor.
+            # Past one Khatri-Rao block, as a large N is: no tensor, but the
+            # direct form of the stream.
             monkeypatch.setattr(_RealIidCovariance, "MAX_BLOCK_ENTRIES", 1)
-        s, v = self._setup(m)
+            monkeypatch.setattr(_RealIidCovariance, "_build_tensor", _no_tensor)
+        s = _series(m, 4, seed=40, complex_data=False)
+        assert _RealIidCovariance.applies(s, KernelSpec.iid()) == (form == "blocks")
+        v = _RealIidCovariance.of(s) if form == "blocks" else None
         w = self._assert_matches_naive(v, s, self.LAMS[:batch], seed=41)
-        assert (v.tensor is not None) == (form == "blocks")
         if batch > 1:
-            # The direct and tensor routes agree on the same stack.
-            monkeypatch.setattr(_RealIidCovariance, "MAX_BLOCK_ENTRIES", 1)
-            direct = _RealIidCovariance(s).second_moments(w)
+            # The stream and the tensor give the same halves P on the same stack.
             monkeypatch.undo()
-            tensor = _RealIidCovariance(s).second_moments(w)
+            lams = self.LAMS[:batch]
+            c_hat = char_contexts(gram_matrices(s), lams)[1]
+            direct = _streamed(s, KernelSpec.iid())(lams, c_hat)(w)
+            tensor = _RealIidCovariance(s).bind(lams, c_hat)(w)
             for k in range(batch):
                 err = np.linalg.norm(direct[k] - tensor[k])
                 assert err <= 1e-12 * np.linalg.norm(tensor[k])
 
     def test_a_lone_w_builds_no_temporary_that_grows_with_m(self, monkeypatch):
-        # The direct form, which a dictionary too large for the tensor takes.
+        # The stream's direct form, which a dictionary too large for the tensor takes.
         monkeypatch.setattr(_RealIidCovariance, "MAX_BLOCK_ENTRIES", 1)
         s = _series(20_000, 10, seed=43, complex_data=False)
-        v = _RealIidCovariance(s)
-        assert v.tensor is None
+        assert not _RealIidCovariance.applies(s, KernelSpec.iid())
+        lams = self.LAMS[:1]
+        half = _streamed(s, KernelSpec.iid())(lams, char_contexts(gram_matrices(s), lams)[1])
         # It reads the series' own arrays and holds no (2N, M) copy of them.
-        assert v.samples[0] is s.a and v.samples[1] is s.b
-        assert not _held_copies_of_the_samples(v, s)
+        held = _closed_over(half)
+        assert any(x is s.a for x in held) and any(x is s.b for x in held)
+        assert not _held_copies_of_the_samples(half, s)
         w = _random_psd(10, 44)[np.newaxis]
         tracemalloc.start()
         try:
-            v.second_moments(w)
+            half(w)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -419,10 +447,10 @@ class TestRealIidCovariance:
         assert peak < 1.6 * v.tensor.nbytes
 
     def test_a_lone_w_takes_the_tensor_like_any_stack(self, monkeypatch):
-        def forbidden(self, r):
-            raise AssertionError("direct form used under the cap")
+        def forbidden(*args):
+            raise AssertionError("stream used under the cap")
 
-        monkeypatch.setattr(_RealIidCovariance, "_direct", forbidden)
+        monkeypatch.setattr(variance, "_streamed", forbidden)
         s, v = self._setup()
         assert v.tensor is not None
         for k in range(len(self.LAMS)):
@@ -436,7 +464,6 @@ class TestRealIidCovariance:
     def test_after_the_build_no_application_reads_the_samples(self):
         s, v = self._setup()
         assert v.tensor is not None
-        assert v.samples is None
         assert not _held_copies_of_the_samples(v, s)
         self._assert_matches_naive(v, s, self.LAMS[:2], seed=60)
         self._assert_matches_naive(v, s, self.LAMS, seed=61)
@@ -446,6 +473,32 @@ class TestRealIidCovariance:
         real = _series(50, 2, seed=42, complex_data=False)
         assert not _RealIidCovariance.applies(real, KernelSpec.windowed(2))
         assert not _RealIidCovariance.applies(_series(50, 2, seed=42), KernelSpec.iid())
+
+    def test_past_the_khatri_rao_cap_the_stream_takes_over(self):
+        # One block of 512 rows at N(2N+1) packed pairs: N = 31 fits in 2^20 entries, 32 does not.
+        for n, tensor in ((31, True), (32, False)):
+            s = SnapshotSeries(np.ones((self.BLOCK, n)), np.ones((self.BLOCK, n)), "iid")
+            assert _RealIidCovariance.applies(s, KernelSpec.iid()) == tensor
+
+
+def test_v_allocates_nothing_of_length_m():
+    # A windowed kernel on a real trajectory, its point bound before tracing:
+    # one application reads the samples in blocks and copies none of them.
+    rng = np.random.default_rng(45)
+    m, n = 20_000, 8
+    a = rng.normal(size=(m, n))
+    b = a @ rng.uniform(-0.5, 0.5, size=(n, n)).T + 0.3 * rng.normal(size=(m, n))
+    s = SnapshotSeries(a, b, "trajectory")
+    lams = np.array([1.1 + 0.3j])
+    v = _covariance(s, KernelSpec.windowed(3))(lams, char_contexts(gram_matrices(s), lams)[1])
+    w = _random_psd(n, 46)[np.newaxis]
+    tracemalloc.start()
+    try:
+        v(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 class TestPsdRepairPolicy:
