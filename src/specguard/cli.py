@@ -179,11 +179,10 @@ def _resolve_kernel(
             except ValueError:
                 raise UsageError(f"bad --tau value {args.tau!r}") from None
         l_window = window_length(tau, series.M)
-    if series.sampling_kind == "iid":
-        warnings.append(
-            "windowed kernel on iid-kind data; the iid kernel would be tighter"
-        )
-    return KernelSpec.windowed(l_window, mu_list), warnings
+    kernel = KernelSpec.windowed(l_window, mu_list)
+    if kernel.mode == "windowed" and series.sampling_kind == "iid":
+        warnings.append("windowed kernel on iid-kind data; the iid kernel would be tighter")
+    return kernel, warnings
 
 
 # ---------------------------------------------------------------------------

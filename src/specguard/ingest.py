@@ -42,6 +42,7 @@ __all__ = [
 
 CSV_MAGIC = "# specguard-snapshots v1"
 JSON_SCHEMA = "specguard/v1/snapshots"
+_CSV_BLOCK = 256    # rows per CSV write: no text or copy of a whole series is held
 
 
 def monomial_exponents(max_degree: int, state_dim: int) -> list[tuple[int, ...]]:
@@ -212,13 +213,15 @@ def write_snapshots(series: SnapshotSeries, path: str | Path, format: str = "csv
     path = Path(path)
     if format == "csv":
         dt = "none" if series.dt is None else repr(float(series.dt))
-        lines = [f"{CSV_MAGIC} N={series.N} kind={series.sampling_kind} dt={dt}"]
-        ab = np.concatenate([series.a, series.b], 1)
-        if ab.dtype.kind == "c":  # the float view interleaves re and im, as the layout does
-            lines.extend(",".join(map(repr, row)) for row in ab.view(float).tolist())
-        else:  # every imaginary part of a real series is 0.0
-            lines.extend(",0.0,".join(map(repr, row)) + ",0.0" for row in ab.tolist())
-        path.write_text("\n".join(lines) + "\n")
+        with path.open("w") as out:
+            out.write(f"{CSV_MAGIC} N={series.N} kind={series.sampling_kind} dt={dt}\n")
+            for start in range(0, series.M, _CSV_BLOCK):
+                ab = np.hstack([x[start : start + _CSV_BLOCK] for x in (series.a, series.b)])
+                if ab.dtype.kind == "c":  # the float view interleaves re and im, as the layout does
+                    lines = (",".join(map(repr, row)) for row in ab.view(float).tolist())
+                else:  # every imaginary part of a real series is 0.0
+                    lines = (",0.0,".join(map(repr, row)) + ",0.0" for row in ab.tolist())
+                out.write("\n".join(lines) + "\n")
     elif format == "json":
         doc = {
             "schema": JSON_SCHEMA,

@@ -279,7 +279,7 @@ def s_matrix_bruteforce(
 def s_star_apply(
     q: np.ndarray, lam: complex, series: SnapshotSeries, kernel: KernelSpec
 ) -> np.ndarray:
-    """Adjoint application S*[Q] = (1/M) sum_m D_m Q D_m^* (iid sampling only).
+    """Adjoint application S*[Q] = (1/M) sum_m D_m Q D_m^* (iid kernel only).
 
     D_m = C^{-1}(C_m - C) at ``lam``, so <S[A], B> = <A, S*[B]> in the Frobenius
     inner product; under any other kernel the expansion is not the adjoint of S.

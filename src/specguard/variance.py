@@ -21,28 +21,29 @@ C(lam) = lam Psi_XX - Psi_XY of :mod:`specguard.charmatrix`.
 `_covariance` is the one V that the estimates apply: ``bind(lams,
 c_hat)`` fixes a stack of points, centred on the C(lam) stack it is
 given, and returns V itself for stacks of W; `_centred` composes it from
-a route's P.  There are two routes.  The stream, `_streamed`, serves
-every series and kernel: one pass over the series' own rows per stack
-of W, in cache-sized blocks, with no temporary that grows with M.  For
-the iid kernel on real-valued data, which a series stores as float64,
-`_RealIidCovariance` computes P in real arithmetic for a whole batch of
-points at once: U[W] is linear in Re(W) through a fourth-moment tensor
-of the data over upper-triangle pairs, built once per series from the M
-samples, with the pair weights and the 1/M scales folded in, and kept
-with the series, so that a stack of W costs one GEMM and no application
-reads the samples again.  A series whose tensor would be too large to
-build takes the stream.  `variance_apply` is the stream at one ``lam``,
-and `variance_apply_naive` a reference that materializes the centered
-snapshot matrices; the routes agree with it to a 1e-10 relative
-Frobenius bound.  V[Q] comes back as computed, never repaired for
-positivity (V is linear in Q): the certified estimates test positivity
-once, on S[Q], when the pencil of :mod:`specguard.pseudospec`
+a route's P.  The kernel's lag weights choose the route: one with no
+weight past lag 0 is the iid kernel (`KernelSpec.mode`).  The stream,
+`_streamed`, serves every series and kernel: one pass over the series'
+own rows per stack of W, in cache-sized blocks, with no temporary that
+grows with M.  For the iid kernel on real-valued data, which a series
+stores as float64, `_RealIidCovariance` computes P in real arithmetic
+for a whole batch of points at once: U[W] is linear in Re(W) through a
+fourth-moment tensor of the data over upper-triangle pairs, built once
+per series from the M samples, with the pair weights and the 1/M scales
+folded in, and kept with the series, so that a stack of W costs one
+GEMM and no application reads the samples again.  A series whose tensor
+would be too large to build takes the stream.  `variance_apply` is the
+stream at one ``lam``, and `variance_apply_naive` a reference that
+materializes the centered snapshot matrices; the routes agree with it to
+a 1e-10 relative Frobenius bound.  V[Q] comes back as computed, never
+repaired for positivity (V is linear in Q): the certified estimates test
+positivity once, on S[Q], when the pencil of :mod:`specguard.pseudospec`
 Cholesky-factors it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -120,46 +121,35 @@ def metastability_kernel(mu_list: tuple[complex, ...] | list[complex]) -> np.nda
 
 @dataclass(frozen=True, eq=False)
 class KernelSpec:
-    """Fully resolved covariance kernel: mode, window length, slow modes,
-    and the combined lag weights.
+    """Covariance kernel: the window half-width and the slow modes it deflates.
 
-    ``kappa_p`` holds the deflation weights on lags -K..K and ``kappa_m``
-    the window-smoothed weights on lags -(K + l_window)..(K + l_window).
-    Use the constructors; the raw constructor performs validation only.
+    The read-only lag weights derive from them: ``kappa_p`` the deflation
+    weights on lags -K..K (K = len(mu_list)), ``kappa_m`` the smoothed
+    weights on lags -(K + l_window)..(K + l_window), and :attr:`mode` reads them.
     """
 
-    mode: str                     # "iid" | "windowed"
     l_window: int                 # L_M, half-width of the smoothing window
     mu_list: tuple[complex, ...]
-    kappa_p: np.ndarray
-    kappa_m: np.ndarray
+    kappa_p: np.ndarray = field(init=False)
+    kappa_m: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.mode not in ("iid", "windowed"):
-            raise ShapeError(f"mode must be 'iid' or 'windowed', got {self.mode!r}")
         if self.l_window < 0:
             raise ShapeError(f"l_window must be >= 0, got {self.l_window}")
-        kp = np.array(self.kappa_p, dtype=float)
-        km = np.array(self.kappa_m, dtype=float)
-        k = len(self.mu_list)
-        if kp.shape != (2 * k + 1,):
-            raise ShapeError(f"kappa_p length {kp.shape} != 2*{k}+1")
-        if km.shape != (2 * (k + self.l_window) + 1,):
-            raise ShapeError("kappa_m length inconsistent with mu_list and l_window")
-        if abs(kp.sum() - 1.0) > 1e-10:
-            raise ShapeError(f"kappa_p must sum to 1, got {kp.sum():.6g}")
-        if self.mode == "iid" and (k > 0 or self.l_window > 0):
-            raise ShapeError("iid mode requires an empty mu_list and l_window == 0")
+        mu_list = tuple(complex(m) for m in self.mu_list)
+        kp = metastability_kernel(mu_list)
+        lags = np.arange(-self.l_window, self.l_window + 1)
+        km = np.convolve(kp, kappa_w(lags / max(self.l_window, 1)))
         kp.flags.writeable = False
         km.flags.writeable = False
+        object.__setattr__(self, "mu_list", mu_list)
         object.__setattr__(self, "kappa_p", kp)
         object.__setattr__(self, "kappa_m", km)
-        object.__setattr__(self, "mu_list", tuple(complex(m) for m in self.mu_list))
 
     @staticmethod
     def iid() -> "KernelSpec":
         """Kernel for independent snapshot pairs: a unit mass at lag 0."""
-        return KernelSpec("iid", 0, (), np.array([1.0]), np.array([1.0]))
+        return KernelSpec(0, ())
 
     @staticmethod
     def windowed(
@@ -167,18 +157,15 @@ class KernelSpec:
     ) -> "KernelSpec":
         """Kernel for serially correlated snapshots.
 
-        ``l_window = 0`` degenerates the smoothing window to a unit mass at
-        lag 0, so ``windowed(0)`` matches the iid weights while keeping the
-        windowed-mode label.
+        kappa_w vanishes at |x| = 1, so ``windowed(0)`` and ``windowed(1)``
+        have no weight past lag 0: they are the iid kernel, on its route.
         """
-        kp = metastability_kernel(tuple(mu_list))
-        if l_window == 0:
-            win = np.array([1.0])
-        else:
-            lags = np.arange(-l_window, l_window + 1)
-            win = np.asarray(kappa_w(lags / l_window))
-        km = np.convolve(kp, win)
-        return KernelSpec("windowed", l_window, tuple(mu_list), kp, km)
+        return KernelSpec(l_window, tuple(mu_list))
+
+    @property
+    def mode(self) -> str:
+        """``"iid"`` when no lag but 0 has a nonzero weight (it is then 1), else ``"windowed"``."""
+        return "windowed" if np.delete(self.kappa_m, self.half_width).any() else "iid"
 
     @property
     def half_width(self) -> int:
@@ -247,29 +234,39 @@ def estimate_tau(series: SnapshotSeries, lam: complex = 1.0) -> float:
     values, by least squares on log r.  Returns a conservative large value
     when no decay is detectable and a small value when correlation is
     immeasurable; both ends are safe inputs to ``window_length``.
+
+    As t_m = u_m^* C v_m sum to M ||C||^2, M r(l) = Re[sum_m (u_{m+l}^* u_m)
+    (v_m^* v_{m+l}) + sum_{m < l} t_m + sum_{m >= M-l} t_m] - (M + l) ||C||^2.
+    The t-sums read the first and last max_lag rows, and the products the
+    series' rows, ``_RealIidCovariance.BLOCK`` and the max_lag after them
+    at a time: nothing grows with M, and a real series at a real ``lam``
+    stays real.
     """
     m = series.M
     if m < 2:
         raise ShapeError(f"need at least 2 snapshot pairs, got {m}")
     max_lag = max(1, min(50, m // 10))
-
-    ut, vt = _sample_factors(series, lam)
     c_hat = _char_matrix(_series_gram(series), lam)
-    # t_m = tr(C_m^* C) = u_m^* C v_m
-    tvec = np.sum(ut.conj() * (c_hat @ vt), axis=0)
     cnorm2 = float(np.linalg.norm(c_hat) ** 2)
 
-    r = np.empty(max_lag + 1)
-    for lag in range(max_lag + 1):
-        alpha = np.sum(ut[:, lag:].conj() * ut[:, : m - lag], axis=0)
-        beta = np.sum(vt[:, : m - lag].conj() * vt[:, lag:], axis=0)
-        total = (
-            np.sum(alpha * beta)
-            - np.sum(tvec[lag:])
-            - np.sum(tvec[: m - lag].conj())
-            + (m - lag) * cnorm2
-        )
-        r[lag] = total.real / m
+    lags = np.arange(max_lag + 1)
+    r = -(m + lags) * cnorm2
+    for rows in (slice(0, max_lag), m - 1 - lags[:-1]):    # the first and the last max_lag rows
+        u = series.a[rows]
+        t = np.einsum("mi,mi->m", u.conj(), (np.conj(lam) * u - series.b[rows]) @ c_hat.T)
+        r[1:] += np.cumsum(t.real)
+    step = _RealIidCovariance.BLOCK
+    for start in range(0, m, step):
+        stop = min(start + step, m)
+        u = series.a[start : stop + max_lag]    # u_m = a_m and v_m = conj(lam) a_m - b_m
+        v = np.conj(lam) * u - series.b[start : stop + max_lag]
+        u_h, v_h = u.conj(), v.conj()
+        for lag in lags:
+            n_rows = max(min(stop - start, len(u) - lag), 0)
+            alpha = np.einsum("mi,mi->m", u_h[lag : lag + n_rows], u[:n_rows])
+            beta = np.einsum("mi,mi->m", v_h[:n_rows], v[lag : lag + n_rows])
+            r[lag] += (alpha @ beta).real
+    r /= m
 
     # Leading run of positive autocovariance traces.
     k = 0
@@ -277,8 +274,7 @@ def estimate_tau(series: SnapshotSeries, lam: complex = 1.0) -> float:
         k += 1
     if k < 2:
         return 0.5
-    lags = np.arange(k)
-    slope = np.polyfit(lags, np.log(r[:k]), 1)[0]
+    slope = np.polyfit(lags[:k], np.log(r[:k]), 1)[0]
     if slope >= -1e-12:
         return float(max_lag)
     return float(max(-1.0 / slope, 1e-2))
@@ -534,7 +530,8 @@ def _streamed(series: SnapshotSeries, kernel: KernelSpec) -> _Binder:
     while the block is in cache: per lag one row-wise quadratic form and one
     accumulate, then one (N, b) x (b, N) product.  The boundary terms, the
     only part of P that reads C, read the first and last Lt rows.  A real
-    series under a lag-0 kernel stays real: X = sum_m s_m z_m z_m^T as in
+    series under the iid kernel, one with no weight past lag 0
+    (:attr:`KernelSpec.mode`), stays real: X = sum_m s_m z_m z_m^T as in
     :class:`_RealIidCovariance`, s_m = a_m^T Re(W) a_m, and
     P = kt(0) (|lam|^2 X_aa + X_bb - 2 conj(lam) X_ab) / M.  No temporary
     grows with M.
@@ -587,7 +584,7 @@ def _streamed(series: SnapshotSeries, kernel: KernelSpec) -> _Binder:
             out[k] += ((tail_a @ (_ct(c_hat[k]) @ w[k]).T) * edge).T @ tail_v.conj()
         return out / m
 
-    if lt == 0 and _is_real(series):
+    if kernel.mode == "iid" and _is_real(series):
         return lambda lams, c_hat: lambda w: real_half(lams, w)
     return lambda lams, c_hat: lambda w: complex_half(lams, c_hat, w)
 

@@ -449,6 +449,23 @@ class TestKernelFlags:
         assert man["kernel"]["mode"] == "windowed"
         assert any("iid kernel would be tighter" in w for w in man["warnings"])
 
+    @pytest.mark.parametrize("window", ["0", "1"])
+    def test_a_window_with_no_weight_past_lag_zero_is_the_iid_kernel(
+        self, var_csv, tmp_path, capsys, window
+    ):
+        docs = {}
+        for flags in (["--LM", window], ["--iid"]):
+            out = tmp_path / f"{flags[0]}.json"
+            code, _, _ = _run(
+                capsys, "test", "--data", var_csv, "--lambda", "1.3", *flags, "--out", str(out)
+            )
+            assert code == 0
+            docs[flags[0]] = json.loads(out.read_text())
+        man = docs["--LM"]["manifest"]
+        assert man["kernel"]["mode"] == "iid" and man["kernel"]["l_window"] == int(window)
+        assert not any("iid kernel would be tighter" in w for w in man["warnings"])
+        assert docs["--LM"]["results"] == docs["--iid"]["results"]
+
     def test_iid_kernel_on_trajectory_data_warns(self, traj_csv, tmp_path, capsys):
         out = tmp_path / "r.json"
         code, _, _ = _run(

@@ -216,6 +216,28 @@ class TestRoundTrip:
         assert back.sampling_kind == "trajectory"
         assert back.dt == 0.25
 
+    @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+    def test_csv_is_written_in_row_blocks(self, tmp_path, complex_data):
+        # Many blocks of rows round-trip, and no text, list or copy of the
+        # whole series is held while they are written.
+        m, n = 4000, 10
+        rng = np.random.default_rng(9)
+        a, b = rng.normal(size=(m, n)), rng.normal(size=(m, n))
+        if complex_data:
+            a = a + 1j * rng.normal(size=(m, n))
+        s = SnapshotSeries(a, b, "trajectory", dt=0.5)
+        path = tmp_path / "snap.csv"
+        tracemalloc.start()
+        try:
+            write_snapshots(s, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < s.a.nbytes + s.b.nbytes
+        back = load_snapshots(path)
+        assert_array_equal(back.a, s.a)
+        assert_array_equal(back.b, s.b)
+
     def test_csv_header_magic(self, tmp_path):
         s = _random_series()
         path = tmp_path / "snap.csv"

@@ -541,6 +541,24 @@ class TestSweepEngine:
         kernel = KernelSpec.windowed(2, (-0.3,)) if kind == "windowed" else KernelSpec.iid()
         return series, kernel
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_a_window_with_no_weight_past_lag_zero_is_the_iid_kernel(self, kind):
+        # windowed(0) and windowed(1) (kappa_w vanishes at |x| = 1) take iid()'s route.
+        series, iid = self._data(kind)
+        grid = GridSpec(0.9, 1.5, 4, -0.3, 0.3, 3)
+        settings = PowerIterSettings(rel_tol=0.05)
+        ref = sweep(grid, series, iid, settings)
+        assert np.sum(ref.status == STATUS_CONVERGED) >= 8
+        for l_window in (0, 1):
+            res = sweep(grid, series, KernelSpec.windowed(l_window), settings)
+            assert np.array_equal(res.status, ref.status)
+            assert np.array_equal(res.iterations, ref.iterations)
+            for got, want in ((res.lower, ref.lower), (res.upper, ref.upper)):
+                if kind == "real":
+                    assert np.array_equal(got, want), l_window
+                else:
+                    assert_allclose(got, want, rtol=1e-12)
+
     @pytest.mark.parametrize("kind", ["real", "complex", "windowed"])
     def test_cells_match_p_hat_with_the_same_warm_start(self, kind):
         series, kernel = self._data(kind)

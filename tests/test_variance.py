@@ -7,6 +7,7 @@ that both preserve positive semidefiniteness.
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from specguard.errors import ShapeError, UnstableKernelError, WindowTooLargeError
-from specguard.charmatrix import char_contexts, gram_matrices
+from specguard.charmatrix import _series_gram, char_contexts, gram_matrices
 from specguard.ingest import SnapshotSeries
 from specguard import variance
 from specguard.variance import (
@@ -151,8 +152,21 @@ class TestKernelSpec:
 
     def test_windowed_zero_matches_iid_weights(self):
         k = KernelSpec.windowed(0)
-        assert k.mode == "windowed"
+        assert k.mode == "iid"
         assert_allclose(k.kappa_m, KernelSpec.iid().kappa_m)
+
+    def test_mode_reads_the_lag_weights(self):
+        assert KernelSpec.windowed(1).mode == "iid"    # kappa_w vanishes at |x| = 1
+        assert KernelSpec.windowed(2).mode == "windowed"
+        assert KernelSpec.windowed(0, (-0.5,)).mode == "windowed"
+
+    def test_the_caller_sets_only_the_window_and_the_slow_modes(self):
+        assert [f.name for f in dataclasses.fields(KernelSpec) if f.init] == ["l_window", "mu_list"]
+        k = KernelSpec(3, [-0.5])
+        assert k.mu_list == (-0.5 + 0j,)
+        assert not k.kappa_p.flags.writeable and not k.kappa_m.flags.writeable
+        with pytest.raises(ShapeError, match="l_window must be >= 0"):
+            KernelSpec(-1, ())
 
     def test_weight_symmetric(self):
         k = KernelSpec.windowed(4, (-0.5,))
@@ -164,14 +178,6 @@ class TestKernelSpec:
         kt = k.tilde_weights()
         assert_allclose(kt[0], 0.5 * k.weight(0))
         assert_allclose(kt[1:], [k.weight(l) for l in range(1, 4)])
-
-    def test_iid_mode_forbids_window(self):
-        with pytest.raises(ShapeError):
-            KernelSpec("iid", 2, (), np.array([1.0]), np.array([1.0] * 5))
-
-    def test_kappa_p_normalization_enforced(self):
-        with pytest.raises(ShapeError, match="sum to 1"):
-            KernelSpec("windowed", 0, (), np.array([0.9]), np.array([0.9]))
 
     @pytest.mark.parametrize("l_window", [1, 2, 5, 20])
     @pytest.mark.parametrize("mu_list", [(), (-0.6,), (0.2 + 0.7j, 0.2 - 0.7j)])
@@ -240,6 +246,41 @@ class TestEstimateTau:
     def test_iid_falls_back_small(self):
         s = _series(4000, 2, seed=5)
         assert estimate_tau(s) == 0.5
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_the_fit_reads_the_materialized_autocovariances(self, kind, monkeypatch):
+        # r(l) = (1/M) sum_m Re tr((C_{m+l} - C)^* (C_m - C)), at lags that
+        # straddle the blocks of rows the estimate walks.
+        rng = np.random.default_rng(49)
+        m, n = 3000, 3
+        noise = rng.normal(size=(m, n)) + (1j * rng.normal(size=(m, n)) if kind == "complex" else 0)
+        z = np.zeros((m + 1, n), dtype=noise.dtype)
+        for t in range(m):
+            z[t + 1] = 0.9 * z[t] + noise[t]
+        s = SnapshotSeries(z[:-1], z[1:], "trajectory")
+        lam = 1.2 - 0.3j if kind == "complex" else 2.0
+        fitted, polyfit = [], np.polyfit
+        monkeypatch.setattr(np, "polyfit", lambda x, y, deg: fitted.append(np.exp(y)) or polyfit(x, y, deg))
+        estimate_tau(s, lam)
+        ut, vt = _sample_factors(s, lam)
+        g = gram_matrices(s)
+        d = np.einsum("im,jm->mij", ut, vt.conj()) - (lam * g.psi_xx - g.psi_xy)
+        r = [np.vdot(d[lag:], d[: m - lag]).real / m for lag in range(len(fitted[0]))]
+        assert len(r) >= 10
+        assert_allclose(fitted[0], r, rtol=1e-10)
+
+    def test_reads_the_series_in_row_blocks(self):
+        rng = np.random.default_rng(48)
+        a = rng.normal(size=(20_000, 8))
+        s = SnapshotSeries(a, 0.5 * a + rng.normal(size=a.shape), "trajectory")
+        _series_gram(s)
+        tracemalloc.start()
+        try:
+            estimate_tau(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (s.a.nbytes + s.b.nbytes) / 4
 
 
 class TestDefaultMuList:
