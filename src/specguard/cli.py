@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, _blas
 from .charmatrix import _series_fit
-from .errors import SpecguardError, UsageError
+from .errors import InsufficientDataError, SpecguardError, UsageError
 from .generators import (
     RNG_ALGORITHM,
     Lorenz63Spec,
@@ -50,7 +50,6 @@ from .pseudospec import (
     GridSpec,
     PowerIterSettings,
     SweepResult,
-    _check_log_time,
     _series_estimates,
     sweep,
 )
@@ -120,13 +119,6 @@ def _parse_complex(text: str) -> complex:
     return value
 
 
-def _load_series(args: argparse.Namespace) -> SnapshotSeries:
-    fmt = args.format
-    if fmt is None:
-        fmt = "json" if args.data.endswith(".json") else "csv"
-    return load_snapshots(args.data, format=fmt)
-
-
 def _settings(args: argparse.Namespace) -> PowerIterSettings:
     return PowerIterSettings(rel_tol=args.tol, max_iters=args.max_iters)
 
@@ -191,17 +183,21 @@ def _resolve_kernel(
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    given = [flag for flag, value in (("--mode", args.mode), ("--N", args.N)) if value is not None]
+    if given and args.system != "map1d":
+        raise UsageError(f"{given[0]} applies only to --system map1d")
+    if args.M < 2:
+        raise InsufficientDataError(f"--M {args.M}: need at least 2 snapshot pairs")
     if args.system == "var":
         spec = var_benchmark_7d(seed=args.seed)
         x, y = gen_var(spec, args.M)
         series = evaluate_dictionary(x, y, DictionarySpec.identity(7), "iid")
         extra = {"system": "var"}
     elif args.system == "map1d":
-        x, y = gen_expanding_map(args.M, mode=args.mode, seed=args.seed)
-        series = evaluate_dictionary(
-            x, y, DictionarySpec.trig(args.N), sampling_kind=args.mode
-        )
-        extra = {"system": "map1d", "mode": args.mode, "n_obs": args.N}
+        mode, n_obs = args.mode or "iid", 10 if args.N is None else args.N
+        x, y = gen_expanding_map(args.M, mode=mode, seed=args.seed)
+        series = evaluate_dictionary(x, y, DictionarySpec.trig(n_obs), sampling_kind=mode)
+        extra = {"system": "map1d", "mode": mode, "n_obs": n_obs}
     else:  # lorenz63
         lorenz = Lorenz63Spec(seed=args.seed)
         dict_spec = DictionarySpec.monomial_delay(**_LORENZ_DICT)
@@ -209,8 +205,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         series = delay_embed(raw, dict_spec, step=1, dt=lorenz.dt_sample)
         extra = {"system": "lorenz63", "dt_sample": lorenz.dt_sample}
 
-    out = args.out or f"{args.system}_M{args.M}_seed{args.seed}.{args.format}"
-    write_snapshots(series, out, format=args.format)
+    out = args.out or f"{args.system}_M{args.M}_seed{args.seed}.csv"
+    write_snapshots(series, out, format="json" if out.endswith(".json") else "csv")
     extra.update({"m_samples": series.M, "n_obs": series.N})
     man = _manifest("manifest", args, seed=args.seed, extra=extra)
     man["output"] = {"path": out, "sha256": _sha256(out)}
@@ -220,7 +216,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_edmd(args: argparse.Namespace) -> int:
-    series = _load_series(args)
+    series = load_snapshots(args.data)
     modes, rcond = _series_fit(series, args.rcond_floor)
     artifact = {
         "schema": "specguard/v1/edmd",
@@ -246,7 +242,7 @@ def _grid_sweep(
     args: argparse.Namespace,
 ) -> tuple[SnapshotSeries, KernelSpec, list[str], SweepResult]:
     """The sweep/cluster prelude: load -> kernel -> settings -> grid -> sweep."""
-    series = _load_series(args)
+    series = load_snapshots(args.data)
     kernel, warnings = _resolve_kernel(args, series)
     grid = GridSpec(args.re_min, args.re_max, args.n_re, args.im_min, args.im_max, args.n_im)
     result = sweep(grid, series, kernel, _settings(args), floor=args.rcond_floor)
@@ -260,20 +256,18 @@ def _status_counts(result: SweepResult) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.log_time is not None:
-        _check_log_time(args.log_time)
     _, kernel, warnings, result = _grid_sweep(args)
     artifact = {
         "schema": "specguard/v1/sweep",
         "manifest": _manifest(
             "sweep", args, kernel=kernel, input_path=args.data, warnings=warnings
         ),
-        "grid": result.to_json_dict(log_time=args.log_time),
+        "grid": result.to_json_dict(),
     }
     _write_json(artifact, args.out)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(result.to_csv_text(log_time=args.log_time))
+            fh.write(result.to_csv_text())
     print(f"swept {args.n_re}x{args.n_im} grid: {_status_counts(result)}; wrote {args.out}")
     return EXIT_OK
 
@@ -281,7 +275,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_test(args: argparse.Namespace) -> int:
     if not args.eigs and not args.point:
         raise UsageError("nothing to test: pass --eigs and/or --lambda")
-    series = _load_series(args)
+    series = load_snapshots(args.data)
     kernel, warnings = _resolve_kernel(args, series)
     settings = _settings(args)
     alphas = tuple(args.alpha) if args.alpha else (0.05, 0.01)
@@ -392,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Flags shared between subcommands, each defined once in a parent parser.
     io = argparse.ArgumentParser(add_help=False)   # edmd, sweep, test, cluster
-    io.add_argument("--data", required=True)
-    io.add_argument("--format", choices=("csv", "json"))
+    io.add_argument("--data", required=True,
+                    help="snapshot file, CSV or JSON (told apart by its content)")
     io.add_argument("--rcond-floor", type=float, default=None,
                     help="override the rcond singularity floor (default 1e-10*N); "
                          "large delay dictionaries may need a lower value")
@@ -422,14 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="sample a built-in system to a snapshot file")
     p_gen.add_argument("--system", choices=("var", "map1d", "lorenz63"), required=True)
-    p_gen.add_argument("--mode", choices=("iid", "trajectory"), default="iid",
-                       help="sampling mode for map1d")
-    p_gen.add_argument("--N", type=int, default=10,
-                       help="trig dictionary size for map1d (even)")
+    p_gen.add_argument("--mode", choices=("iid", "trajectory"),
+                       help="sampling mode, map1d only (default iid)")
+    p_gen.add_argument("--N", type=int,
+                       help="trig dictionary size, map1d only (even; default 10)")
     p_gen.add_argument("--M", type=int, required=True, help="number of snapshot pairs")
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_gen.add_argument("--out", help="output path (default derived from flags)")
+    p_gen.add_argument("--out", help="output path, JSON if it ends in .json, else CSV "
+                                     "(default derived from flags, .csv)")
     p_gen.set_defaults(func=cmd_generate)
 
     p_edmd = sub.add_parser("edmd", parents=[io],
@@ -437,9 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_edmd.set_defaults(func=cmd_edmd)
 
     p_sweep = sub.add_parser("sweep", parents=[io, est, grid],
-                             help="bracket the pseudospectrum over a grid")
-    p_sweep.add_argument("--log-time", type=float, default=None, metavar="DT",
-                         help="also report log(lambda)/DT coordinates")
+                             help="bracket the pseudospectrum over a grid, with "
+                                  "log(lambda)/dt coordinates when the data has a dt")
     p_sweep.add_argument("--csv", help="optional CSV output path")
     p_sweep.set_defaults(func=cmd_sweep)
 

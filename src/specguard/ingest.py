@@ -14,6 +14,7 @@ followed by M rows of 4N columns:
 re(a_1), im(a_1), ..., re(a_N), im(a_N), re(b_1), im(b_1), ..., re(b_N), im(b_N).
 
 JSON mirrors this with explicit arrays under schema "specguard/v1/snapshots".
+The loader reads the layout from the file's first non-blank character.
 """
 
 from __future__ import annotations
@@ -144,7 +145,9 @@ class SnapshotSeries:
     a and b are (M, N) arrays; row m holds psi(X_m) and psi(Y_m).  Both are
     float64 if no input entry has a nonzero imaginary part, else complex128.
     For sampling_kind "trajectory" the row order is the time order, so lag
-    structure is meaningful. Instances are immutable after construction and
+    structure is meaningful.  dt, the time between a_m and b_m, is None or a
+    positive finite float (else FormatError); a sweep reports log(lambda)/dt
+    when it is set.  Instances are immutable after construction and
     safe to share across threads: a and b are read-only arrays the series
     owns (a caller's array is copied, never frozen; the arrays that
     specguard's own loaders and builders allocate are stored once, not
@@ -184,6 +187,9 @@ class SnapshotSeries:
             raise InsufficientDataError(f"need at least one pair and N >= 1, got shape {a.shape}")
         if self.sampling_kind not in ("iid", "trajectory"):
             raise FormatError(f"unknown sampling_kind {self.sampling_kind!r}")
+        dt = None if self.dt is None else float(self.dt)
+        if dt is not None and not (np.isfinite(dt) and dt > 0.0):
+            raise FormatError(f"dt must be positive and finite, got {self.dt!r}")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise FormatError("series contains non-finite entries")
         # Own the data, so that no caller can change it after the memo is filled.
@@ -193,6 +199,7 @@ class SnapshotSeries:
         b.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "dt", dt)
 
     def __reduce__(self):
         # A pickled or copied series is rebuilt through __init__: its arrays
@@ -208,8 +215,22 @@ class SnapshotSeries:
         return self.a.shape[1]
 
 
+class _Rows(list):
+    """A matrix that json's encoder lists one row at a time, from a one-shot iterator of rows."""
+
+    def __init__(self, rows):
+        super().__init__()
+        self._rows = rows
+
+    def __bool__(self) -> bool:  # the encoder writes an empty list as "[]" without iterating
+        return True
+
+    def __iter__(self):
+        return self._rows
+
+
 def write_snapshots(series: SnapshotSeries, path: str | Path, format: str = "csv") -> None:
-    """Write a series in the v1 CSV or JSON layout; load_snapshots inverts this."""
+    """Write a series in the v1 CSV or JSON layout, row by row; load_snapshots reads it back."""
     path = Path(path)
     if format == "csv":
         dt = "none" if series.dt is None else repr(float(series.dt))
@@ -223,17 +244,13 @@ def write_snapshots(series: SnapshotSeries, path: str | Path, format: str = "csv
                     lines = (",0.0,".join(map(repr, row)) + ",0.0" for row in ab.tolist())
                 out.write("\n".join(lines) + "\n")
     elif format == "json":
-        doc = {
-            "schema": JSON_SCHEMA,
-            "N": series.N,
-            "kind": series.sampling_kind,
-            "dt": series.dt,
-            "a_re": series.a.real.tolist(),
-            "a_im": series.a.imag.tolist(),
-            "b_re": series.b.real.tolist(),
-            "b_im": series.b.imag.tolist(),
-        }
-        path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        doc = {"schema": JSON_SCHEMA, "N": series.N, "kind": series.sampling_kind, "dt": series.dt}
+        for name, x in (("a", series.a), ("b", series.b)):
+            doc[f"{name}_re"] = _Rows(row.real.tolist() for row in x)
+            doc[f"{name}_im"] = _Rows(row.imag.tolist() for row in x)
+        with path.open("w") as out:
+            json.dump(doc, out, sort_keys=True, indent=1)
+            out.write("\n")
     else:
         raise FormatError(f"unknown snapshot format {format!r}")
 
@@ -241,23 +258,18 @@ def write_snapshots(series: SnapshotSeries, path: str | Path, format: str = "csv
 def _parse_csv_header(line: str) -> tuple[int, str, float | None]:
     if not line.startswith(CSV_MAGIC):
         raise FormatError(f"missing header {CSV_MAGIC!r}; got {line[:60]!r}")
-    fields = dict(
-        tok.split("=", 1) for tok in line[len(CSV_MAGIC):].split() if "=" in tok
-    )
+    fields = dict(tok.split("=", 1) for tok in line[len(CSV_MAGIC):].split() if "=" in tok)
     try:
         n_tok, kind, dt_tok = fields["N"], fields["kind"], fields["dt"]
     except KeyError as exc:
         raise FormatError(f"header missing field {exc}") from exc
     if not n_tok.isdigit() or int(n_tok) < 1:
         raise FormatError(f"header field N={n_tok!r} is not a positive integer")
-    n = int(n_tok)
-    if kind not in ("iid", "trajectory"):
-        raise FormatError(f"header declares unknown kind {kind!r}")
     try:
         dt = None if dt_tok == "none" else float(dt_tok)
     except ValueError:
         raise FormatError(f"header field dt={dt_tok!r} is neither a number nor 'none'") from None
-    return n, kind, dt
+    return int(n_tok), kind, dt
 
 
 def _parse_csv_rows(lines: list[str], n: int) -> np.ndarray:
@@ -318,25 +330,27 @@ def _pairs(a_re, a_im, b_re, b_im) -> tuple[np.ndarray, np.ndarray]:
     return (a_re, b_re) if real else (a_re + 1j * a_im, b_re + 1j * b_im)
 
 
-def load_snapshots(path: str | Path, format: str = "csv") -> SnapshotSeries:
-    """Load a snapshot series, validating width, finiteness, and M >= 2.
+def load_snapshots(path: str | Path) -> SnapshotSeries:
+    """Load a snapshot series, validating width, finiteness, dt and M >= 2.
 
-    Raises FormatError for a malformed header, a non-numeric or
-    non-finite row, invalid JSON or a missing or mistyped JSON field,
-    ShapeError for inconsistent row width or JSON arrays whose shapes
-    disagree with each other or with the declared N (CSV errors name the
-    row, counting data rows from 0 and skipping blank lines), and
-    InsufficientDataError when fewer than two pairs are present.
+    The file, not its name, says its layout: JSON if its first non-blank
+    character is ``{`` or ``[``, else CSV, whose header check rejects a
+    file that is neither.  Raises FormatError for a malformed header, a
+    non-numeric or non-finite row, invalid JSON, a missing or mistyped
+    JSON field, or a dt that is not positive and finite, ShapeError for
+    inconsistent row width or JSON arrays whose shapes disagree with each
+    other or with the declared N (CSV errors name the row, counting data
+    rows from 0 and skipping blank lines), and InsufficientDataError when
+    fewer than two pairs are present.
     """
     path = Path(path)
-    if format == "csv":
+    with open(path) as fh:
+        head = next((c.lstrip() for c in iter(lambda: fh.read(4096), "") if c.strip()), "")
+    if head[:1] not in ("{", "["):
         flat, n, kind, dt = _load_csv(path)
-        if len(flat) < 2:
-            raise InsufficientDataError(f"{path} holds {len(flat)} pairs; need at least 2")
         a, b = _pairs(flat[:, : 2 * n : 2], flat[:, 1 : 2 * n : 2],
                       flat[:, 2 * n :: 2], flat[:, 2 * n + 1 :: 2])
-        return SnapshotSeries._adopt(a, b, kind, dt=dt)
-    if format == "json":
+    else:
         try:
             doc = json.loads(path.read_text())
         except ValueError as exc:
@@ -348,7 +362,7 @@ def load_snapshots(path: str | Path, format: str = "csv") -> SnapshotSeries:
         missing = [k for k in ("N", "kind", "a_re", "a_im", "b_re", "b_im") if k not in doc]
         if missing:
             raise FormatError(f"JSON missing field {missing[0]!r}")
-        n, dt = doc["N"], doc.get("dt")
+        n, kind, dt = doc["N"], doc["kind"], doc.get("dt")
         if type(n) is not int or n < 1:
             raise FormatError(f"JSON field 'N' must be a positive integer, got {n!r}")
         if dt is not None and type(dt) not in (int, float):
@@ -362,16 +376,16 @@ def load_snapshots(path: str | Path, format: str = "csv") -> SnapshotSeries:
         shapes = {name: arr.shape for name, arr in parts.items()}
         if len(set(shapes.values())) != 1 or parts["a_re"].ndim != 2:
             raise ShapeError(f"JSON arrays must be (M, N) matrices of one shape, got {shapes}")
-        if parts["a_re"].shape[1] != n:
-            raise ShapeError(f"JSON declares N={n}, but its arrays have {shapes['a_re'][1]} columns")
+        width = parts["a_re"].shape[1]
+        if width != n:
+            raise ShapeError(f"JSON declares N={n}, but its arrays have {width} columns")
         a, b = _pairs(parts["a_re"], parts["a_im"], parts["b_re"], parts["b_im"])
         finite = np.all(np.isfinite(a), axis=1) & np.all(np.isfinite(b), axis=1)
         if not np.all(finite):
             raise FormatError(f"non-finite entry in row {int(np.argmin(finite))}")
-        if a.shape[0] < 2:
-            raise InsufficientDataError(f"{path} holds {a.shape[0]} pairs; need at least 2")
-        return SnapshotSeries._adopt(a, b, doc["kind"], dt=dt)
-    raise FormatError(f"unknown snapshot format {format!r}")
+    if len(a) < 2:
+        raise InsufficientDataError(f"{path} holds {len(a)} pairs; need at least 2")
+    return SnapshotSeries._adopt(a, b, kind, dt=dt)
 
 
 def _trig_eval(x: np.ndarray, n_obs: int) -> np.ndarray:

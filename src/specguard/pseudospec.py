@@ -459,7 +459,11 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Certified bracket field over a grid; arrays are (n_im, n_re)."""
+    """Certified bracket field over a grid; arrays are (n_im, n_re).
+
+    dt is the swept series' sampling step; when it is set, the JSON and CSV
+    forms add each cell's continuous-time coordinates log(lambda)/dt.
+    """
 
     re_axis: np.ndarray
     im_axis: np.ndarray
@@ -470,6 +474,7 @@ class SweepResult:
     m_samples: int
     rel_tol: float
     kernel: KernelSpec
+    dt: float | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -478,7 +483,7 @@ class SweepResult:
     def point(self, i_im: int, i_re: int) -> complex:
         return complex(self.re_axis[i_re], self.im_axis[i_im])
 
-    def to_json_dict(self, log_time: float | None = None) -> dict:
+    def to_json_dict(self) -> dict:
         def clean(x: float) -> float | None:
             return float(x) if np.isfinite(x) else None
 
@@ -493,47 +498,31 @@ class SweepResult:
             "rel_tol": self.rel_tol,
             "kernel": self.kernel.to_json_dict(),
         }
-        if log_time is not None:
-            log_re, log_im = self._log_axes(log_time)
-            out["log_time"] = log_time
-            out["log_lambda_re"] = [[clean(v) for v in row] for row in log_re]
-            out["log_lambda_im"] = [[clean(v) for v in row] for row in log_im]
+        if self.dt is not None:
+            logs = self._logs()
+            out["log_time"] = self.dt
+            out["log_lambda_re"] = [[clean(v) for v in row] for row in logs.real]
+            out["log_lambda_im"] = [[clean(v) for v in row] for row in logs.imag]
         return out
 
-    def _log_axes(self, log_time: float) -> tuple[np.ndarray, np.ndarray]:
-        """Continuous-time coordinates log(lambda)/dt per grid cell."""
-        _check_log_time(log_time)
-        lam = self.re_axis[np.newaxis, :] + 1j * self.im_axis[:, np.newaxis]
+    def _logs(self) -> np.ndarray:
+        """Continuous-time coordinates log(lambda)/dt per grid cell (DMD's convention)."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.log(lam.astype(complex)) / log_time
-        return logs.real, logs.imag
+            return np.log(self.re_axis[np.newaxis, :] + 1j * self.im_axis[:, np.newaxis]) / self.dt
 
-    def to_csv_text(self, log_time: float | None = None) -> str:
+    def to_csv_text(self) -> str:
         cols = ["re", "im", "lower", "upper", "iterations", "status"]
-        if log_time is not None:
+        if self.dt is not None:
             cols += ["log_re", "log_im"]
-            log_re, log_im = self._log_axes(log_time)
+            logs = self._logs()
         lines = [",".join(cols)]
-        for i in range(len(self.im_axis)):
-            for j in range(len(self.re_axis)):
-                row = [
-                    repr(float(self.re_axis[j])),
-                    repr(float(self.im_axis[i])),
-                    repr(float(self.lower[i, j])),
-                    repr(float(self.upper[i, j])),
-                    str(int(self.iterations[i, j])),
-                    str(self.status[i, j]),
-                ]
-                if log_time is not None:
-                    row += [repr(float(log_re[i, j])), repr(float(log_im[i, j]))]
-                lines.append(",".join(row))
+        for (i, j), status in np.ndenumerate(self.status):
+            cells = [self.re_axis[j], self.im_axis[i], self.lower[i, j], self.upper[i, j]]
+            row = [*(repr(float(x)) for x in cells), str(int(self.iterations[i, j])), str(status)]
+            if self.dt is not None:
+                row += [repr(float(logs[i, j].real)), repr(float(logs[i, j].imag))]
+            lines.append(",".join(row))
         return "\n".join(lines) + "\n"
-
-
-def _check_log_time(log_time: float) -> None:
-    """Raise ShapeError unless the time step dt of log(lambda)/dt is finite and positive."""
-    if not (np.isfinite(log_time) and log_time > 0.0):
-        raise ShapeError(f"log_time must be positive and finite, got {log_time}")
 
 
 def _mirror_partners(im_axis: np.ndarray) -> np.ndarray:
@@ -611,4 +600,5 @@ def sweep(
         m_samples=series.M,
         rel_tol=settings.rel_tol,
         kernel=kernel,
+        dt=series.dt,
     )

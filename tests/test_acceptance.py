@@ -476,7 +476,7 @@ def test_external_snapshot_pipeline_smoke(tmp_path, capsys):
             "--re-min", "0.9", "--re-max", "1.1", "--n-re", "3",
             "--im-min", "-0.1", "--im-max", "0.1", "--n-im", "3",
             "--tau", "auto", "--mu", "auto:3", "--tol", "0.5",
-            "--log-time", "0.05", "--out", str(sweep_out),
+            "--out", str(sweep_out),
         ]
     )
     capsys.readouterr()
@@ -487,3 +487,6 @@ def test_external_snapshot_pipeline_smoke(tmp_path, capsys):
     # the neutral mode's cell reports an exact zero bracket
     assert grid["status"][1][1] == "at_eigenvalue"
     assert grid["lower"][1][1] == 0.0
+    # the file's dt=0.05 sets the continuous-time coordinates log(lambda)/dt
+    assert grid["log_time"] == 0.05
+    assert_allclose(grid["log_lambda_re"][1][1], 0.0, atol=1e-12)

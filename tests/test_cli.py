@@ -134,12 +134,45 @@ class TestGenerate:
 
     def test_json_format_feeds_downstream(self, tmp_path, capsys):
         data = tmp_path / "v.json"
-        assert main(["generate", "--system", "var", "--M", "80", "--format", "json",
-                     "--out", str(data)]) == 0
+        assert main(["generate", "--system", "var", "--M", "80", "--out", str(data)]) == 0
+        assert data.read_text().startswith("{")
         art = tmp_path / "e.json"
         assert main(["edmd", "--data", str(data), "--out", str(art)]) == 0
         capsys.readouterr()
         assert len(json.loads(art.read_text())["eigenvalues"]) == 7
+
+    @pytest.mark.parametrize("system", ["var", "map1d", "lorenz63"])
+    @pytest.mark.parametrize("m", ["1", "0", "-1"])
+    def test_fewer_than_two_pairs_is_refused_before_anything_is_written(
+        self, tmp_path, monkeypatch, capsys, system, m
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = _run(capsys, "generate", "--system", system, "--M", m, "--out", "g.csv")
+        assert code == 3
+        assert "need at least 2 snapshot pairs" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("system", ["var", "lorenz63"])
+    @pytest.mark.parametrize("flag, value", [("--mode", "trajectory"), ("--mode", "iid"),
+                                             ("--N", "10")])
+    def test_a_map1d_flag_on_another_system_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys, system, flag, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = _run(capsys, "generate", "--system", system, "--M", "40", flag, value)
+        assert code == 2
+        assert f"{flag} applies only to --system map1d" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_map1d_defaults_are_iid_and_ten_observables(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        base = ["generate", "--system", "map1d", "--M", "30", "--seed", "4"]
+        assert main([*base, "--out", "d.csv"]) == 0
+        assert main([*base, "--mode", "iid", "--N", "10", "--out", "e.csv"]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "e.csv").read_bytes()
+        man = json.loads((tmp_path / "d.csv.manifest.json").read_text())
+        assert (man["mode"], man["n_obs"]) == ("iid", 10)
 
 
 class TestEdmd:
@@ -175,6 +208,19 @@ class TestEdmd:
             assert code == 3
             assert err.startswith("error:") and field in err
             assert not out.exists()
+
+    def test_the_data_file_says_its_layout_whatever_its_name(self, tmp_path, capsys):
+        csv_data, json_data = tmp_path / "v.csv", tmp_path / "v.json"
+        assert main(["generate", "--system", "var", "--M", "60", "--out", str(csv_data)]) == 0
+        assert main(["generate", "--system", "var", "--M", "60", "--out", str(json_data)]) == 0
+        docs = []
+        for src, misnamed in ((csv_data, "csv-as.json"), (json_data, "json-as.csv")):
+            shutil.copy(src, tmp_path / misnamed)
+            out = tmp_path / f"{misnamed}.edmd.json"
+            assert main(["edmd", "--data", str(tmp_path / misnamed), "--out", str(out)]) == 0
+            docs.append(json.loads(out.read_text())["eigenvalues"])
+        capsys.readouterr()
+        assert docs[0] == docs[1] and len(docs[0]) == 7
 
     def test_rcond_floor_override(self, lorenz_csv, tmp_path, capsys):
         out = tmp_path / "lorenz_edmd.json"
@@ -223,20 +269,35 @@ class TestSweep:
         assert np.all(lower <= upper)
 
     def test_csv_and_log_time_outputs(self, var_csv, tmp_path, capsys):
-        out, csv_path = tmp_path / "s.json", tmp_path / "s.csv"
-        code, _, _ = _run(
-            capsys, "sweep", "--data", var_csv,
-            "--re-min", "1.05", "--re-max", "1.15", "--n-re", "2",
-            "--im-min", "0.05", "--im-max", "0.1", "--n-im", "2",
-            "--iid", "--tol", "0.3", "--log-time", "0.5",
-            "--csv", str(csv_path), "--out", str(out),
-        )
-        assert code == 0
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "re,im,lower,upper,iterations,status,log_re,log_im"
-        assert len(lines) == 5
-        grid = json.loads(out.read_text())["grid"]
-        assert "log_lambda_re" in grid and "log_lambda_im" in grid
+        # The file's dt adds log(lambda)/dt to both forms; without one, neither has it.
+        timed = tmp_path / "timed.csv"
+        timed.write_text(Path(var_csv).read_text().replace("dt=none", "dt=0.5", 1))
+        grids, tables = [], []
+        for data in (var_csv, timed):
+            out, csv_path = tmp_path / "s.json", tmp_path / "s.csv"
+            code, _, _ = _run(
+                capsys, "sweep", "--data", str(data),
+                "--re-min", "1.05", "--re-max", "1.15", "--n-re", "2",
+                "--im-min", "0.05", "--im-max", "0.1", "--n-im", "2",
+                "--iid", "--tol", "0.3", "--csv", str(csv_path), "--out", str(out),
+            )
+            assert code == 0
+            grids.append(json.loads(out.read_text())["grid"])
+            tables.append([line.split(",") for line in csv_path.read_text().splitlines()])
+        plain, timed_grid = grids
+        assert tables[0][0] == ["re", "im", "lower", "upper", "iterations", "status"]
+        assert tables[1][0] == tables[0][0] + ["log_re", "log_im"]
+        assert len(tables[1]) == 5
+        assert [row[:6] for row in tables[1]] == tables[0]
+        lam = np.array(plain["re_axis"])[None, :] + 1j * np.array(plain["im_axis"])[:, None]
+        logs = np.log(lam) / 0.5
+        assert timed_grid == {
+            **plain, "log_time": 0.5,
+            "log_lambda_re": logs.real.tolist(), "log_lambda_im": logs.imag.tolist(),
+        }
+        assert [[float(v) for v in row[6:]] for row in tables[1][1:]] == [
+            [float(z.real), float(z.imag)] for z in logs.ravel()
+        ]
 
     def test_window_larger_than_sample_fails(self, tmp_path, capsys):
         data, out = tmp_path / "v.csv", tmp_path / "s.json"
@@ -252,17 +313,20 @@ class TestSweep:
     def test_bad_log_time_fails_before_the_sweep(
         self, var_csv, tmp_path, capsys, monkeypatch, value
     ):
+        # The step of log(lambda)/dt is the file's dt, refused when the file is loaded.
         def forbidden(*args, **kwargs):
-            raise AssertionError("the sweep ran before the log-time check")
+            raise AssertionError("the sweep ran before the dt check")
 
         monkeypatch.setattr(pseudospec, "char_contexts", forbidden)
+        data = tmp_path / "bad_dt.csv"
+        data.write_text(Path(var_csv).read_text().replace("dt=none", f"dt={value}", 1))
         out, csv_path = tmp_path / "s.json", tmp_path / "s.csv"
         code, _, err = _run(
-            capsys, "sweep", "--data", var_csv, *self.GRID, "--iid", f"--log-time={value}",
+            capsys, "sweep", "--data", str(data), *self.GRID, "--iid",
             "--csv", str(csv_path), "--out", str(out),
         )
         assert code == 3
-        assert "log_time must be positive and finite" in err
+        assert "dt must be positive and finite" in err
         assert "Traceback" not in err
         assert not out.exists() and not csv_path.exists()
 
@@ -665,13 +729,13 @@ class TestManifestCommand:
 
 
 class TestParserSurface:
-    IO = {"--data", "--format", "--rcond-floor", "--out"}
+    IO = {"--data", "--rcond-floor", "--out"}
     ESTIMATE = {"--iid", "--LM", "--tau", "--mu", "--tol", "--max-iters"}
     GRID = {"--re-min", "--re-max", "--n-re", "--im-min", "--im-max", "--n-im"}
     OPTIONS = {
-        "generate": {"--system", "--mode", "--N", "--M", "--seed", "--format", "--out"},
+        "generate": {"--system", "--mode", "--N", "--M", "--seed", "--out"},
         "edmd": IO,
-        "sweep": IO | ESTIMATE | GRID | {"--log-time", "--csv"},
+        "sweep": IO | ESTIMATE | GRID | {"--csv"},
         "test": IO | ESTIMATE | {"--eigs", "--lambda", "--alpha"},
         "cluster": IO | ESTIMATE | GRID | {"--level"},
         "oracle-check": {"--perturb", "--seeds", "--out"},
@@ -717,8 +781,8 @@ class TestNegativeValues:
         ("sweep", "--im-max", "-1e-3"),
         ("cluster", "--level", "-1e-3"),
         ("cluster", "--level", "-nan"),
-        ("sweep", "--log-time", "-inf"),
-        ("sweep", "--log-time", "-Infinity"),
+        ("sweep", "--tol", "-inf"),
+        ("sweep", "--rcond-floor", "-Infinity"),
         ("test", "--lambda", "-0.5+0.5j"),
         ("test", "--lambda", "-1e-3j"),
         ("sweep", "--mu", "-0.5+0.1j"),
@@ -736,7 +800,7 @@ class TestNegativeValues:
 
     @pytest.mark.parametrize("cmd, flag, message", [
         ("sweep", "--re-min", "grid bounds must be finite"),
-        ("sweep", "--log-time", "log_time must be positive and finite"),
+        ("sweep", "--tol", "rel_tol must be positive and finite"),
         ("cluster", "--level", "level must be finite"),
     ])
     def test_a_spaced_non_finite_value_reaches_its_check(

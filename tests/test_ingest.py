@@ -131,7 +131,7 @@ class TestRealStorage:
         s = evaluate_dictionary(x, (2 * x) % (2 * np.pi), DictionarySpec.trig(4), "trajectory", 0.5)
         first, second = tmp_path / f"first.{fmt}", tmp_path / f"second.{fmt}"
         write_snapshots(s, first, format=fmt)
-        back = load_snapshots(first, format=fmt)
+        back = load_snapshots(first)
         assert back.a.dtype == back.b.dtype == np.float64
         assert_array_equal(back.a, s.a)
         assert_array_equal(back.b, s.b)
@@ -175,7 +175,7 @@ class TestBuiltSeriesAreStoredOnce:
             if not as_complex:
                 s = evaluate_dictionary(x[:, :1], x[:, 1:], DictionarySpec.trig(4))
             write_snapshots(s, tmp_path / f"s.{builder}", format=builder)
-            s = load_snapshots(tmp_path / f"s.{builder}", format=builder)
+            s = load_snapshots(tmp_path / f"s.{builder}")
         assert s.a.dtype == s.b.dtype == (np.complex128 if as_complex else np.float64)
         # No view into anything: a loaded series keeps none into the parse buffer.
         assert _owned_frozen_contiguous(s.a) and _owned_frozen_contiguous(s.b)
@@ -210,7 +210,7 @@ class TestRoundTrip:
         s = _random_series(m=9, n=5, seed=3, kind="trajectory", dt=0.25)
         path = tmp_path / f"snap.{fmt}"
         write_snapshots(s, path, format=fmt)
-        back = load_snapshots(path, format=fmt)
+        back = load_snapshots(path)
         assert_array_equal(back.a, s.a)
         assert_array_equal(back.b, s.b)
         assert back.sampling_kind == "trajectory"
@@ -282,7 +282,39 @@ class TestRoundTrip:
         path = tmp_path / "bad.json"
         path.write_text('{"schema": "other/v9", "N": 1}')
         with pytest.raises(FormatError, match="schema"):
-            load_snapshots(path, format="json")
+            load_snapshots(path)
+
+    def test_the_layout_is_read_from_the_file_not_its_name(self, tmp_path):
+        s = _random_series(m=6, n=2, seed=4, kind="trajectory", dt=0.5)
+        for fmt, name in (("json", "snap.csv"), ("csv", "snap.json")):
+            write_snapshots(s, tmp_path / name, format=fmt)
+            back = load_snapshots(tmp_path / name)
+            assert_array_equal(back.a, s.a)
+            assert_array_equal(back.b, s.b)
+            assert back.dt == 0.5
+
+    @pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf"])
+    def test_a_dt_that_is_not_positive_and_finite_fails_at_load(self, tmp_path, dt):
+        path = tmp_path / "s.csv"
+        path.write_text(f"{CSV_MAGIC} N=1 kind=trajectory dt={dt}\n1,0,2,0\n3,0,4,0\n")
+        with pytest.raises(FormatError, match="dt must be positive and finite"):
+            load_snapshots(path)
+
+    def test_a_json_dt_of_zero_fails_and_an_integer_dt_loads_as_a_float(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({**self.GOOD_JSON, "dt": 0}))
+        with pytest.raises(FormatError, match="dt must be positive and finite, got 0"):
+            load_snapshots(path)
+        path.write_text(json.dumps({**self.GOOD_JSON, "dt": 2}))
+        assert repr(load_snapshots(path).dt) == "2.0"
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
+    def test_the_builders_refuse_a_dt_that_is_not_positive_and_finite(self, dt):
+        x = np.ones((8, 1))
+        with pytest.raises(FormatError, match="dt must be positive and finite"):
+            delay_embed(x, DictionarySpec.monomial_delay(1, 2, 1), dt=dt)
+        with pytest.raises(FormatError, match="dt must be positive and finite"):
+            evaluate_dictionary(x, x, DictionarySpec.trig(2), "trajectory", dt=dt)
 
     GOOD_JSON = {
         "schema": "specguard/v1/snapshots", "N": 1, "kind": "iid", "dt": None,
@@ -312,9 +344,9 @@ class TestRoundTrip:
         path = tmp_path / f"bad.{fmt}"
         path.write_text(text)
         with pytest.raises(error, match=match):
-            load_snapshots(path, format=fmt)
+            load_snapshots(path)
         path.write_text(json.dumps(self.GOOD_JSON))
-        assert load_snapshots(path, format="json").N == 1
+        assert load_snapshots(path).N == 1
 
 
 class TestCsvWriter:
@@ -345,6 +377,53 @@ class TestCsvWriter:
         path = tmp_path / "s.csv"
         write_snapshots(s, path)
         assert path.read_bytes() == self._reference(s)
+
+
+class TestJsonWriter:
+    """The JSON writer's bytes, against the document written whole, and the memory it holds."""
+
+    @staticmethod
+    def _reference(s: SnapshotSeries) -> bytes:
+        doc = {
+            "schema": "specguard/v1/snapshots", "N": s.N, "kind": s.sampling_kind, "dt": s.dt,
+            "a_re": s.a.real.tolist(), "a_im": s.a.imag.tolist(),
+            "b_re": s.b.real.tolist(), "b_im": s.b.imag.tolist(),
+        }
+        return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
+
+    @pytest.mark.parametrize("dt", [None, 0.05])
+    @pytest.mark.parametrize("m, as_complex", [(25, False), (25, True), (1, False)],
+                             ids=["real", "complex", "one-row"])
+    def test_bytes_match_the_whole_document(self, tmp_path, m, as_complex, dt):
+        rng = np.random.default_rng(14)
+        a, b = rng.normal(size=(m, 3)), rng.normal(size=(m, 3)) * 1e-300
+        a[0, 0], b[0, 2] = -0.0, 5e-324
+        if as_complex:
+            a = a + 1j * rng.normal(size=a.shape)
+        s = SnapshotSeries(a, b, "trajectory", dt=dt)
+        path = tmp_path / "s.json"
+        write_snapshots(s, path, format="json")
+        assert path.read_bytes() == self._reference(s)
+
+    @pytest.mark.parametrize("as_complex", [False, True], ids=["real", "complex"])
+    def test_no_list_or_text_of_the_whole_series_is_held(self, tmp_path, as_complex):
+        m, n = 4000, 10
+        rng = np.random.default_rng(15)
+        a, b = rng.normal(size=(m, n)), rng.normal(size=(m, n))
+        if as_complex:
+            a = a + 1j * rng.normal(size=(m, n))
+        s = SnapshotSeries(a, b, "iid")
+        path = tmp_path / "s.json"
+        tracemalloc.start()
+        try:
+            write_snapshots(s, path, format="json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (s.a.nbytes + s.b.nbytes) / 4
+        back = load_snapshots(path)
+        assert_array_equal(back.a, s.a)
+        assert_array_equal(back.b, s.b)
 
 
 class TestCsvLayout:

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 from specguard.charmatrix import edmd_matrix, eigensystem, gram_matrices
 from specguard.errors import (
     AtEigenvalueError,
+    FormatError,
     NumericError,
     ShapeError,
     UnsupportedModeError,
@@ -494,21 +495,25 @@ class TestSweep:
 
     def test_log_time_coordinates(self):
         s = _series(120, 2, seed=62)
+        s = SnapshotSeries(s.a, s.b, "iid", dt=0.2)
         grid = GridSpec(0.0, 1.0, 2, 0.0, 0.0, 1)  # contains lambda = 0
         res = sweep(grid, s, KernelSpec.iid())
-        doc = res.to_json_dict(log_time=0.2)
+        assert res.dt == 0.2
+        doc = res.to_json_dict()
         assert doc["log_time"] == 0.2
         # log(0) is -inf -> serialized as null
         assert doc["log_lambda_re"][0][0] is None
         assert_allclose(doc["log_lambda_re"][0][1], 0.0, atol=1e-12)
+        lines = res.to_csv_text().splitlines()
+        assert lines[0] == "re,im,lower,upper,iterations,status,log_re,log_im"
+        assert lines[2].split(",")[6:] == ["0.0", "0.0"]
 
     @pytest.mark.parametrize("log_time", [np.nan, 0.0, -0.5, np.inf])
     def test_log_time_must_be_a_positive_finite_step(self, log_time):
-        res = self._small_sweep()
-        with pytest.raises(ShapeError, match="log_time must be positive and finite"):
-            res.to_json_dict(log_time=log_time)
-        with pytest.raises(ShapeError, match="log_time must be positive and finite"):
-            res.to_csv_text(log_time=log_time)
+        # The step of log(lambda)/dt is the series' dt, refused where it enters.
+        s = _series(120, 3, seed=60)
+        with pytest.raises(FormatError, match="dt must be positive and finite"):
+            SnapshotSeries(s.a, s.b, "trajectory", dt=log_time)
 
     def test_csv_layout(self):
         res = self._small_sweep()
