@@ -10,19 +10,17 @@ applied to small N x N or (N, M) blocks, many times at each point, so this
 module inverts each characteristic matrix once, so that every later solve
 is a matrix product.
 
-Observable dictionaries routinely mix scales (a constant next to cubed state
-variables), which makes the raw Gram look far more singular than it is.
-Every inverse and condition number is therefore taken of the symmetrically
-equilibrated matrix ``D^{-1/2} A D^{-1/2}`` with ``D = diag(Psi_XX)``;
-reported ``rcond`` values refer to the equilibrated system, i.e. they
-measure intrinsic near-dependence between observables rather than scale
-imbalance.  ``rcond`` is the exact reciprocal 1-norm condition number
-``1 / (||A||_1 ||A^{-1}||_1)``, taken from the inverse, not an estimate.
+Every estimate runs on a whitened working copy of its series, whose
+Psi_XX is I, so that scale imbalance between observables (a constant next
+to cubed state variables) never reaches a solve.  The rcond of Psi_XX is
+the reciprocal 2-norm condition number of ``D^{-1/2} Psi_XX D^{-1/2}``
+(``D = diag(Psi_XX)``), whose one ``eigh`` gives the basis; the rcond at a
+point is the exact ``1 / (||A||_1 ||A^{-1}||_1)`` of C(lam), from its inverse.
 
 :func:`char_contexts` inverts many points at once, as a grid sweep needs
 them a column at a time, and returns stacks that the batched estimator of
 :mod:`specguard.pseudospec` reads directly; a single point is a stack of
-one.  :func:`edmd_matrix` takes the rcond of Psi_XX the same way.
+one.  :func:`edmd_matrix` takes its rcond and its fit from the whitening.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _blas
 from .errors import IllConditionedGramError, InsufficientDataError, NumericError, ShapeError
 from .ingest import SnapshotSeries
 
@@ -107,13 +104,31 @@ def _char_matrix(gram: GramPair, lams) -> np.ndarray:
     return np.asarray(lams)[..., np.newaxis, np.newaxis] * gram.psi_xx - gram.psi_xy
 
 
-def _equil_scale(psi_xx: np.ndarray) -> np.ndarray:
-    """Per-observable scale factors sqrt(diag Psi_XX), clipped away from zero."""
-    return np.sqrt(np.maximum(psi_xx.diagonal().real, np.finfo(float).tiny))
+def _whitening(psi_xx: np.ndarray) -> tuple[np.ndarray, float]:
+    """W = D^{-1/2} U diag(mu)^{-1/2}, so that W^* Psi_XX W = I, and rcond = mu_min / mu_max.
+
+    ``D^{-1/2} Psi_XX D^{-1/2} = U diag(mu) U^*`` with ``D = diag(Psi_XX)``;
+    W is real for a real Psi_XX.  Where mu_min <= 0 there is no W: rcond is 0, and this raises.
+    """
+    d = np.sqrt(np.maximum(psi_xx.diagonal().real, np.finfo(float).tiny))
+    mu, u = np.linalg.eigh(psi_xx / np.outer(d, d))
+    rcond = float(mu[0] / mu[-1]) if mu[0] > 0.0 else 0.0
+    _check_gram(rcond, len(mu), 0.0)
+    return u / d[:, np.newaxis] / np.sqrt(mu), rcond
+
+
+def _check_gram(rcond: float, n: int, floor: float | None) -> None:
+    """Raise IllConditionedGramError where rcond puts Psi_XX on the singular set."""
+    if _is_singular(rcond, n, floor):
+        raise IllConditionedGramError(
+            f"Psi_XX numerically singular (rcond={rcond:.3e}); "
+            "reduce the dictionary or collect more data",
+            rcond=rcond,
+        )
 
 
 def edmd_matrix(gram: GramPair, floor: float | None = None) -> tuple[np.ndarray, float]:
-    """Solve Psi_XX K = Psi_XY for the EDMD matrix.
+    """The EDMD matrix K = Psi_XX^{-1} Psi_XY, through :func:`_whitening`.
 
     Parameters
     ----------
@@ -127,7 +142,7 @@ def edmd_matrix(gram: GramPair, floor: float | None = None) -> tuple[np.ndarray,
     -------
     k_hat : ndarray, shape (N, N)
     rcond : float
-        Reciprocal 1-norm condition number of the equilibrated Psi_XX.
+        Reciprocal 2-norm condition number of the equilibrated Psi_XX.
 
     Raises
     ------
@@ -135,21 +150,9 @@ def edmd_matrix(gram: GramPair, floor: float | None = None) -> tuple[np.ndarray,
         If rcond falls below the floor, or is 0 (Psi_XX exactly singular);
         rcond is attached to the exception.
     """
-    s = _equil_scale(gram.psi_xx)
-    ss = np.outer(s, s)
-    eq = gram.psi_xx / ss
-    _, (rc,) = _invert_stack(eq[np.newaxis])
-    if _is_singular(rc, gram.dim, floor):
-        raise IllConditionedGramError(
-            f"Psi_XX numerically singular (rcond={rc:.3e}); "
-            "reduce the dictionary or collect more data",
-            rcond=rc,
-        )
-    # K = S^{-1} K_tilde S undoes the equilibration of both Gram matrices.  K
-    # comes from a backward-stable solve, not the inverse: its constant mode
-    # must sit at eigenvalue 1 to near round-off.
-    k_hat = np.linalg.solve(eq, gram.psi_xy / ss) * (s[np.newaxis, :] / s[:, np.newaxis])
-    return k_hat, float(rc)
+    w, rcond = _whitening(gram.psi_xx)
+    _check_gram(rcond, gram.dim, floor)
+    return w @ (w.conj().T @ gram.psi_xy), rcond    # Psi_XX^{-1} = W W^*
 
 
 def _invert_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,18 +200,14 @@ def _is_singular(rcond, n: int, floor: float | None):
 def char_contexts(gram: GramPair, lams, floor: float | None = None) -> tuple[np.ndarray, ...]:
     """Invert C(lam) at each point of ``lams`` for repeated solves there.
 
-    All points are done in one pass: the equilibration scale once, then the
-    characteristic and equilibrated matrices, their 1-norms and their
-    inverses, each as one stack.  ``floor`` overrides the default
-    ``rcond_floor(N)`` singularity threshold.  Returns the stacks
-    ``(lams, c_hat, inv, rcond, singular)``, one entry per point: the
-    points; C(lam); C(lam)^{-1}, the inverse of the equilibrated matrix
-    S^{-1} C S^{-1} (``S = diag(Psi_XX)^{1/2}``) scaled back by S^{-1} on
-    both sides; rcond, the exact reciprocal 1-norm condition number of the
-    equilibrated matrix; and the singular flags, set where rcond puts the
-    point numerically on the EDMD spectrum.  Solves are meaningless there
-    (at an exactly singular C the inverse is all NaN), so callers branch
-    before using them.
+    All points are done in one pass, C(lam) as given (an estimate's Gram pair
+    is its working copy's); ``floor`` overrides the default ``rcond_floor(N)``
+    singularity threshold.  Returns the stacks ``(lams, c_hat, inv, rcond,
+    singular)``, one entry per point: the points, C(lam), C(lam)^{-1}, the
+    exact reciprocal 1-norm condition number, and the flags set where rcond
+    puts the point numerically on the EDMD spectrum.  Solves are meaningless
+    there (at an exactly singular C the inverse is all NaN), so callers
+    branch before using them.
 
     Raises
     ------
@@ -221,13 +220,10 @@ def char_contexts(gram: GramPair, lams, floor: float | None = None) -> tuple[np.
     if not np.all(np.isfinite(lams)):
         bad = lams[~np.isfinite(lams)][0]
         raise ShapeError(f"spectral point {bad} is not finite")
-    s = _equil_scale(gram.psi_xx)
-    ss = np.outer(s, s)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
         c_hat = _char_matrix(gram, lams)
-        eq = c_hat / ss
-    inv_eq, rcond = _invert_stack(eq)
-    return lams, c_hat, inv_eq / ss, rcond, _is_singular(rcond, gram.dim, floor)
+    inv, rcond = _invert_stack(c_hat)
+    return lams, c_hat, inv, rcond, _is_singular(rcond, gram.dim, floor)
 
 
 class EigenMode(NamedTuple):
@@ -259,21 +255,28 @@ def eigensystem(k_hat: np.ndarray) -> list[EigenMode]:
     return modes
 
 
-def _fit(gram: GramPair, floor: float | None = None) -> tuple[list[EigenMode], float]:
-    """The EDMD modes of ``gram`` and the rcond of its Psi_XX, with BLAS on one thread.
+def _working(series: SnapshotSeries, floor: float | None = None) -> tuple[SnapshotSeries, float]:
+    """The series' whitened working copy, which every estimate reads, and the rcond of Psi_XX.
 
-    :func:`edmd_matrix` then :func:`eigensystem`, whose errors it raises.
+    Rows ``a R`` and ``b R`` with R = conj(W) of :func:`_whitening`: Psi_XX
+    is I to round-off, and a real series stays real.  Made once, kept with
+    the series; raises IllConditionedGramError where Psi_XX is singular under ``floor``.
     """
-    with _blas.single_thread():
-        k_hat, rcond = edmd_matrix(gram, floor)
-        return eigensystem(k_hat), rcond
+
+    def whiten() -> tuple[SnapshotSeries, float]:
+        w, rcond = _whitening(_series_gram(series).psi_xx)
+        a, b = series.a @ w.conj(), series.b @ w.conj()
+        return SnapshotSeries._adopt(a, b, series.sampling_kind, series.dt), rcond
+
+    work, rcond = series._memo.get_or_build("work", whiten)
+    _check_gram(rcond, series.N, floor)
+    return work, rcond
 
 
 def _series_fit(
     series: SnapshotSeries, floor: float | None = None
 ) -> tuple[list[EigenMode], float]:
-    """:func:`_fit` of the series' Gram pair under ``floor``, made once and kept with the series.
-
-    Every command that needs the EDMD modes reads them here, so no command fits twice.
-    """
-    return series._memo.get_or_build(f"fit:{floor!r}", lambda: _fit(_series_gram(series), floor))
+    """The working copy's EDMD modes, fit once whatever the floor, and the rcond of Psi_XX."""
+    work, rcond = _working(series, floor)
+    modes = work._memo.get_or_build("fit", lambda: eigensystem(edmd_matrix(_series_gram(work))[0]))
+    return modes, rcond

@@ -389,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     io.add_argument("--data", required=True,
                     help="snapshot file, CSV or JSON (told apart by its content)")
     io.add_argument("--rcond-floor", type=float, default=None,
-                    help="override the rcond singularity floor (default 1e-10*N); "
-                         "large delay dictionaries may need a lower value")
+                    help="override the singularity floor (default 1e-10*N) on the rcond of the "
+                         "equilibrated Psi_XX and of C(lambda) in the whitened working basis")
     io.add_argument("--out", required=True, help="JSON output path")
 
     est = argparse.ArgumentParser(add_help=False)  # sweep, test, cluster
@@ -471,6 +471,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SpecguardError as exc:
+    except (SpecguardError, OSError) as exc:  # OSError: a file that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

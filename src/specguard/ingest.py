@@ -120,9 +120,10 @@ class _Memo:
 
     Each entry is built on first use, under one BLAS thread so that its
     bits do not depend on the caller's thread settings, and lives as long
-    as the series.  The keys in use are "gram" (the Gram pair),
-    "fit:<floor>" (the EDMD modes and rcond under that floor) and
-    "real_iid" (the real iid covariance with its fourth-moment tensor).
+    as the series.  The keys in use are "gram" (the Gram pair), "work"
+    (the whitened working copy that estimates read, with the rcond of
+    Psi_XX), "fit" (a working copy's EDMD modes) and "real_iid" (the real
+    iid covariance with its fourth-moment tensor).
     """
 
     def __init__(self) -> None:

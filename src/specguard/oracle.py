@@ -281,23 +281,23 @@ def s_star_apply(
 ) -> np.ndarray:
     """Adjoint application S*[Q] = (1/M) sum_m D_m Q D_m^* (iid kernel only).
 
-    D_m = C^{-1}(C_m - C) at ``lam``, so <S[A], B> = <A, S*[B]> in the Frobenius
-    inner product; under any other kernel the expansion is not the adjoint of S.
+    D_m = C^{-1}(C_m - C) at ``lam`` in the working basis of ``_s_at``, so <S[A], B> = <A, S*[B]>
+    in the Frobenius inner product; under any other kernel the expansion is not the adjoint of S.
     """
     if kernel.mode != "iid":
         raise UnsupportedModeError(
             "S* is implemented for the iid kernel only; windowed covariance "
             "has no rank-one adjoint expansion here"
         )
-    (lam,), _, (c_inv,) = _inverse_at(series, lam, "S*")
+    work, (lam,), _, (c_inv,) = _inverse_at(series, lam, "S*")
     q = np.asarray(q, dtype=complex)
-    ut, vt = _sample_factors(series, lam)
+    ut, vt = _sample_factors(work, lam)
     # D_m = g_m v_m^* - I with g_m = C^{-1} u_m.
     g, qv = c_inv @ ut, q @ vt
     s_vals = np.sum(vt.conj() * qv, axis=0).real
     t1 = (g * s_vals[np.newaxis, :]) @ g.conj().T
     t2 = g @ qv.conj().T
-    return _hermitize((t1 - t2 - t2.conj().T) / series.M + q)
+    return _hermitize((t1 - t2 - t2.conj().T) / work.M + q)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from . import _blas
-from .charmatrix import GramPair, _series_gram, char_contexts
+from .charmatrix import GramPair, _series_gram, _working, char_contexts
 from .errors import AtEigenvalueError, ShapeError
 from .ingest import SnapshotSeries
 from .variance import KernelSpec, _Binder, _covariance, _ct, _hermitize, _is_real
@@ -97,7 +97,7 @@ class PEstimate:
     ``lower <= P <= upper`` whenever status is "converged" or "max_iters";
     "at_eigenvalue" pins both endpoints to 0; "degenerate_s" means S[Q]
     stopped being positive definite and only a partial bracket (possibly
-    (0, inf)) is available.
+    (0, inf)) is available.  ``q_final`` is in the series' whitened working basis.
     """
 
     lower: float
@@ -302,14 +302,15 @@ def _batch_s(
 
 
 def _inverse_at(series: SnapshotSeries, lam: complex, op: str) -> tuple:
-    """``(lams, c_hat, inv)`` of :func:`char_contexts` at ``lam``, where ``op`` must be defined."""
-    lams, c_hat, c_inv, rcond, singular = char_contexts(_series_gram(series), [lam])
+    """The working copy and its ``(lams, c_hat, inv)`` at ``lam``, where ``op`` must be defined."""
+    work, _ = _working(series)
+    lams, c_hat, c_inv, rcond, singular = char_contexts(_series_gram(work), [lam])
     if singular[0]:
         raise AtEigenvalueError(
             f"lambda={lams[0]:.6g} is numerically an EDMD eigenvalue "
             f"(rcond={rcond[0]:.3e}); {op} is undefined there"
         )
-    return lams, c_hat, c_inv
+    return work, lams, c_hat, c_inv
 
 
 def _s_at(
@@ -317,16 +318,15 @@ def _s_at(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """``q -> S[Q]`` at one point: a one-point :func:`_batch_s` on :func:`p_hat`'s route.
 
-    C(lam) is inverted with BLAS on one thread, as in
-    :func:`_estimate_points`, so that the inverse is the one :func:`p_hat`
-    reads.  The Gram pair and, on the real iid route, the tensor (built
-    when the point is bound, here) come from the series' memo, which builds
-    them on one BLAS thread too.  Raises AtEigenvalueError on the spectrum, and
-    WindowTooLargeError if the kernel window does not fit the sample.
+    Q and S[Q] are in the series' working basis, as every ``q_final`` is.  C(lam)
+    is inverted with BLAS on one thread, as in :func:`_estimate_points`, so that the
+    inverse, like the memos' data, is the one :func:`p_hat` reads.  Raises
+    AtEigenvalueError on the spectrum, and WindowTooLargeError if the kernel
+    window does not fit the sample.
     """
-    cov = _covariance(series, kernel)
     with _blas.single_thread():
-        apply_s = _batch_s(cov, *_inverse_at(series, lam, "S"))(np.zeros(1, dtype=int))
+        work, *stacks = _inverse_at(series, lam, "S")
+        apply_s = _batch_s(_covariance(work, kernel), *stacks)(np.zeros(1, dtype=int))
     return lambda q: apply_s(np.asarray(q, dtype=complex)[np.newaxis])[0]
 
 
@@ -382,8 +382,8 @@ def _series_estimates(
 
     The kernel window is checked first, on the spectrum too.
     """
-    cov = _covariance(series, kernel)
-    return _estimate_points(_series_gram(series), cov, lams, settings, floor)
+    work, _ = _working(series, floor)
+    return _estimate_points(_series_gram(work), _covariance(work, kernel), lams, settings, floor)
 
 
 def p_hat(
@@ -399,17 +399,18 @@ def p_hat(
     C(lam) is numerically singular, i.e. lam is an eigenvalue of the
     EDMD matrix; P vanishes exactly on the spectrum.  A kernel window that
     does not fit the sample raises :class:`~specguard.errors.WindowTooLargeError`
-    at every lam, on the spectrum too.  The iteration starts from I / N.
-    Runs with BLAS on one thread (see :mod:`specguard._blas`).
+    at every lam, on the spectrum too, and a numerically singular Psi_XX
+    raises IllConditionedGramError.  The iteration starts from I / N in the
+    series' whitened working basis.  Runs with BLAS on one thread (see
+    :mod:`specguard._blas`).
 
     The data work that depends on the series alone is done once per
-    series and shared by every later estimate on it: the Gram matrices
-    and, for the iid kernel on a real series, the fourth-moment tensor of
-    its real-arithmetic covariance (see :mod:`specguard.variance`).  The
-    first estimate off the spectrum on such a series pays for the tensor;
-    the result does not depend on which estimates ran before.  A point
-    whose S[Q] loses positivity returns a ``degenerate_s`` estimate; it
-    does not raise.
+    series and shared by every later estimate on it: the working copy, its
+    Gram matrices and, for the iid kernel on a real series, the
+    fourth-moment tensor of its real-arithmetic covariance (see
+    :mod:`specguard.variance`).  The result does not depend on which
+    estimates ran before.  A point whose S[Q] loses positivity returns a
+    ``degenerate_s`` estimate; it does not raise.
     """
     (est,) = _series_estimates(series, kernel, [lam], settings, floor)
     return est
@@ -573,10 +574,11 @@ def sweep(
     status = np.empty(shape, dtype=object)
 
     with _blas.single_thread():
-        partner = _mirror_partners(im_axis) if _is_real(series) else np.arange(grid.n_im)
+        work, _ = _working(series, floor)
+        partner = _mirror_partners(im_axis) if _is_real(work) else np.arange(grid.n_im)
         evaluated = np.flatnonzero(partner == np.arange(grid.n_im))
-        gram = _series_gram(series)
-        cov = _covariance(series, kernel)
+        gram = _series_gram(work)
+        cov = _covariance(work, kernel)
         warm: list[np.ndarray | None] = [None] * grid.n_im
         for j, re in enumerate(re_axis):
             lams = np.full(len(evaluated), re, dtype=complex)

@@ -153,25 +153,16 @@ def eig_test(
     _check_alphas(alphas)
     if m_samples < 1:
         raise ShapeError(f"m_samples must be >= 1, got {m_samples}")
-    if estimate.status == STATUS_DEGENERATE_S:
-        return EigTestResult(
-            lam=complex(lam),
-            m_p_hat=None,
-            p_value=None,
-            reject_at=(),
-            status=estimate.status,
-            testable=False,
-            conjectured_bound=multiplicity > 1,
-        )
-    c = m_samples * max(estimate.lower, 0.0)
-    p = float(p_value_from_mphat(c))
+    testable = estimate.status != STATUS_DEGENERATE_S
+    c = m_samples * max(estimate.lower, 0.0) if testable else None
+    p = float(p_value_from_mphat(c)) if testable else None
     return EigTestResult(
         lam=complex(lam),
         m_p_hat=c,
         p_value=p,
-        reject_at=tuple((float(a), p <= a) for a in alphas),
+        reject_at=tuple((float(a), p <= a) for a in alphas) if testable else (),
         status=estimate.status,
-        testable=True,
+        testable=testable,
         conjectured_bound=multiplicity > 1,
     )
 
@@ -211,7 +202,7 @@ def spectrum_test(
     A kernel window that does not fit the sample raises before the fit,
     even though at-eigenvalue points never apply the kernel.  The fit and
     the estimates run with BLAS on one thread (see :mod:`specguard._blas`)
-    and share the series' Gram matrices; the fit is the series' memoised
+    on the series' whitened working copy; the fit is the series' memoised
     one (``charmatrix._series_fit``); the estimates at all eigenvalues
     are one batch, whose characteristic matrices are inverted in one call.
     A level in ``alphas`` outside (0, 1] raises before the fit too.

@@ -257,13 +257,13 @@ class TestCharContexts:
         _, _, inv, rcond, singular = stacks
         assert [len(stack) for stack in stacks] == [len(lams)] * 5
         assert np.flatnonzero(singular).tolist() == [5]
-        s = np.sqrt(g.psi_xx.diagonal().real)
         for k, lam in enumerate(lams):
             _same_point(stacks, k, _one_point(g, lam))
-            # The per-point reference: numpy's inverse and exact 1-norm condition number.
-            eq = (lam * g.psi_xx - g.psi_xy) / np.outer(s, s)
-            assert inv[k].tobytes() == (np.linalg.inv(eq) / np.outer(s, s)).tobytes()
-            assert rcond[k] == 1.0 / np.linalg.cond(eq, 1)
+            # The per-point reference: numpy's inverse and exact 1-norm condition
+            # number of C(lam) as given.
+            c = lam * g.psi_xx - g.psi_xy
+            assert inv[k].tobytes() == np.linalg.inv(c).tobytes()
+            assert rcond[k] == 1.0 / np.linalg.cond(c, 1)
 
     def test_floor_applies_to_every_point(self):
         g = gram_matrices(_series(m=100, n=3, seed=16))

@@ -209,6 +209,20 @@ class TestEdmd:
             assert err.startswith("error:") and field in err
             assert not out.exists()
 
+    def test_a_data_file_that_cannot_be_opened_is_a_resource_error(self, tmp_path, capsys):
+        out = tmp_path / "e.json"
+        code, _, err = _run(capsys, "edmd", "--data", str(tmp_path / "nope.csv"), "--out", str(out))
+        assert code == 3
+        assert err.startswith("error:") and "nope.csv" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_an_output_in_a_missing_directory_is_a_resource_error(self, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "x.csv"
+        code, _, err = _run(capsys, "generate", "--system", "var", "--M", "10", "--out", str(out))
+        assert code == 3
+        assert err.startswith("error:") and "missing_dir" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "missing_dir").exists()
+
     def test_the_data_file_says_its_layout_whatever_its_name(self, tmp_path, capsys):
         csv_data, json_data = tmp_path / "v.csv", tmp_path / "v.json"
         assert main(["generate", "--system", "var", "--M", "60", "--out", str(csv_data)]) == 0
@@ -555,17 +569,17 @@ class TestKernelFlags:
 
     def test_mu_auto_eigs_fits_once(self, traj_csv, tmp_path, capsys, monkeypatch):
         # The fit that chose the slow modes is the one whose eigenvalues are
-        # tested; fits are counted in every module that has `_fit`.
+        # tested; fits are counted in every module that has `edmd_matrix`.
         calls = []
-        fit = charmatrix._fit
+        fit = charmatrix.edmd_matrix
 
         def counting(gram, floor=None):
             calls.append(gram)
             return fit(gram, floor)
 
         for module in (charmatrix, cli, stats):
-            if hasattr(module, "_fit"):
-                monkeypatch.setattr(module, "_fit", counting)
+            if hasattr(module, "edmd_matrix"):
+                monkeypatch.setattr(module, "edmd_matrix", counting)
         out = tmp_path / "report.json"
         code, _, _ = _run(
             capsys, "test", "--data", traj_csv, "--LM", "3", "--mu", "auto:2", "--eigs",
@@ -573,15 +587,15 @@ class TestKernelFlags:
         )
         assert code == 0
         assert len(calls) == 1
-        modes, _ = fit(calls[0])
+        modes = charmatrix.eigensystem(fit(calls[0])[0])
         rows = json.loads(out.read_text())["results"]
         assert [row["lambda"] for row in rows] == [
             {"re": m.eigenvalue.real, "im": m.eigenvalue.imag} for m in modes
         ]
 
     def test_auto_tau_reads_the_series_gram_memo(self, traj_csv, tmp_path, capsys, monkeypatch):
-        # One Gram pass per command: estimate_tau, the spectrum test and the
-        # user points all read the series' memo.
+        # One Gram pass per basis: estimate_tau and the whitening read the
+        # series' memo, the spectrum test and the user points its working copy's.
         calls = []
         gram_matrices = charmatrix.gram_matrices
 
@@ -597,7 +611,7 @@ class TestKernelFlags:
             "--lambda", "1.3", "--out", str(tmp_path / "report.json"),
         )
         assert code == 0
-        assert len(calls) == 1
+        assert calls == [calls[0], charmatrix._working(calls[0])[0]]
 
 
 class TestCluster:
@@ -656,21 +670,21 @@ class TestCluster:
             "--out", str(tmp_path / "clusters.json"),
         )
         assert code == 0
-        assert len(calls) == 1
+        assert calls == [calls[0], charmatrix._working(calls[0])[0]]   # one pass per basis
 
     def test_mu_auto_fits_once(self, traj_csv, tmp_path, capsys, monkeypatch):
         # The fit that chose the slow modes is the one whose eigenvalues are
-        # clustered; fits are counted in every module that has `_fit`.
+        # clustered; fits are counted in every module that has `edmd_matrix`.
         calls = []
-        fit = charmatrix._fit
+        fit = charmatrix.edmd_matrix
 
         def counting(gram, floor=None):
             calls.append(gram)
             return fit(gram, floor)
 
         for module in (charmatrix, cli, stats):
-            if hasattr(module, "_fit"):
-                monkeypatch.setattr(module, "_fit", counting)
+            if hasattr(module, "edmd_matrix"):
+                monkeypatch.setattr(module, "edmd_matrix", counting)
         out = tmp_path / "clusters.json"
         code, _, _ = _run(
             capsys, "cluster", "--data", traj_csv,
@@ -681,7 +695,7 @@ class TestCluster:
         )
         assert code == 0
         assert len(calls) == 1
-        modes, _ = fit(calls[0])
+        modes = charmatrix.eigensystem(fit(calls[0])[0])
         doc = json.loads(out.read_text())
         eigs = [{"re": m.eigenvalue.real, "im": m.eigenvalue.imag} for m in modes]
         assert doc["eigenvalues"] == eigs

@@ -295,6 +295,31 @@ class TestSMatrixBruteforce:
             f"1/rho={1.0 / rho:.9g} outside [{est.lower:.9g}, {est.upper:.9g}]"
         )
 
+    def test_an_explosive_draw_converges_and_contains_the_bruteforce_radius(self):
+        # A non-stationary draw (spectral radius 1.034, values up to 5.8e4,
+        # rcond of C 7.8e-10 in the caller's basis): there the bracket
+        # stalled at max_iters and the dense operator read 1/rho = 0.0032.
+        # In the whitened working basis both agree with 1/rho = 0.0284306.
+        rng = np.random.default_rng(9034)
+        n = int(rng.integers(1, 9))
+        t = rng.normal(size=(n, n)) / np.sqrt(n)
+        x = np.empty((301, n))
+        x[0] = rng.normal(size=n)
+        for k in range(300):
+            x[k + 1] = t @ x[k] + rng.normal(size=n)
+        l_window, n_mus = int(rng.integers(1, 8)), int(rng.integers(0, 3))
+        lam = rng.uniform(1.0, 1.4) * np.exp(2j * np.pi * rng.uniform())
+        assert (n, l_window, n_mus, round(lam.real, 4), round(lam.imag, 4)) == (
+            6, 5, 0, 0.8633, 0.7933
+        )
+        series = SnapshotSeries(x[:-1], x[1:], "trajectory")
+        kernel = KernelSpec.windowed(l_window)
+        est = p_hat(lam, series, kernel, PowerIterSettings(rel_tol=1e-10, max_iters=2000))
+        assert est.status == STATUS_CONVERGED
+        _, rho = s_matrix_bruteforce(_s_at(series, kernel, lam), n)
+        assert est.lower * (1 - 1e-12) <= 1.0 / rho <= est.upper * (1 + 1e-12)
+        assert_allclose(1.0 / rho, 0.0284305984721, rtol=1e-9)
+
 
 class TestRunOracleChecks:
     def test_default_suite_passes(self):

@@ -21,7 +21,8 @@ from specguard.errors import (
     UnsupportedModeError,
     WindowTooLargeError,
 )
-from specguard.ingest import SnapshotSeries
+from specguard.generators import gen_expanding_map
+from specguard.ingest import DictionarySpec, SnapshotSeries, evaluate_dictionary
 from specguard.oracle import s_matrix_bruteforce, s_star_apply
 from specguard.pseudospec import (
     GridSpec,
@@ -66,9 +67,13 @@ def _random_psd(n, seed, definite=True):
 
 
 def _one_point(series, kernel, lam, settings, start):
-    """The estimate at ``lam`` alone, as a one-point batch that starts from ``start``."""
-    v = _covariance(series, kernel)
-    gram = charmatrix._series_gram(series)
+    """The estimate at ``lam`` alone, as a one-point batch that starts from ``start``.
+
+    Like every estimate it runs on the series' whitened working copy.
+    """
+    work = charmatrix._working(series)[0]
+    v = _covariance(work, kernel)
+    gram = charmatrix._series_gram(work)
     (est,) = pseudospec._estimate_points(gram, v, [lam], settings, starts=[start])
     return est
 
@@ -421,7 +426,27 @@ class TestPHat:
         s = SnapshotSeries(a, a @ rng.uniform(-0.6, 0.6, size=(3, 3)).T, "iid")
         lam = eigensystem(edmd_matrix(gram_matrices(s))[0])[0].eigenvalue
         assert p_hat(lam, s, KernelSpec.iid()).status == STATUS_AT_EIGENVALUE
-        assert "real_iid" not in s._memo._values
+        assert "real_iid" not in charmatrix._working(s)[0]._memo._values
+
+    @pytest.mark.parametrize("mode", ["iid", "trajectory"])
+    def test_a_change_of_dictionary_basis_leaves_the_estimate_as_it_is(self, mode):
+        # P_hat does not depend on the dictionary's basis, and the estimates
+        # run in a whitened one: a random invertible T that keeps the constant
+        # observable gives the same statuses and iterations, and brackets
+        # equal to round-off (in the caller's basis they differed by up to
+        # 4.5e-7 relative, with different iteration counts).
+        x, y = gen_expanding_map(3000, mode=mode, seed=300)
+        s = evaluate_dictionary(x, y, DictionarySpec.trig(10), sampling_kind=mode)
+        t = np.random.default_rng(7).normal(size=(10, 10))
+        t[:, 0] = np.eye(10)[0]
+        moved = SnapshotSeries(s.a @ t, s.b @ t, mode)
+        kernel = KernelSpec.iid() if mode == "iid" else KernelSpec.windowed(5)
+        settings = PowerIterSettings(rel_tol=1e-10, max_iters=2000)
+        for lam in (1.3 + 0.1j, 0.5 + 0.5j, -1.1 + 0.2j, 0.2 - 0.9j, 0.8 + 0j):
+            got, want = p_hat(lam, moved, kernel, settings), p_hat(lam, s, kernel, settings)
+            assert (got.status, got.iterations) == (want.status, want.iterations), lam
+            assert want.status == STATUS_CONVERGED
+            assert_allclose([got.lower, got.upper], [want.lower, want.upper], rtol=1e-12)
 
 
 class TestGridSpec:
@@ -695,9 +720,11 @@ class TestSweepEngine:
             assert p_hat(lam, series, kernel).status == STATUS_CONVERGED
         res = sweep(GridSpec(1.1, 1.5, 3, -0.2, 0.2, 3), series, kernel)
         assert np.all(res.status == STATUS_CONVERGED)
-        assert (len(builds), len(grams)) == (1, 1)
+        # One Gram pass for the series, which its whitening reads, and one
+        # for the working copy that the estimates read.
+        assert (len(builds), len(grams)) == (1, 2)
         stats.spectrum_test(series, kernel)
-        assert (len(builds), len(grams)) == (1, 1)
+        assert (len(builds), len(grams)) == (1, 2)
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_a_warm_memo_gives_the_cold_estimate_bit_for_bit(self, kind):
@@ -715,11 +742,12 @@ class TestSweepEngine:
     def test_the_memo_does_not_keep_its_series_alive(self):
         series, kernel = self._data("real")
         p_hat(1.3 + 0.1j, series, kernel)
-        memo, covariance = series._memo, _RealIidCovariance.of(series)
-        ref = weakref.ref(series)
-        del series
+        work = charmatrix._working(series)[0]    # the estimate built its tensor there
+        memo, covariance = work._memo, _RealIidCovariance.of(work)
+        refs = weakref.ref(series), weakref.ref(work)
+        del series, work
         gc.collect()
-        assert ref() is None
+        assert [ref() for ref in refs] == [None, None]
         assert memo.get_or_build("real_iid", None) is covariance
         # Once T is built, no sample array, and no copy of one, is held.
         assert covariance.tensor is not None
@@ -851,7 +879,7 @@ class TestSweepEngine:
         columns = self._count(monkeypatch, pseudospec, "char_contexts")
         report = stats.spectrum_test(series, kernel, floor=floor)
         assert len(columns) == 1
-        modes = eigensystem(edmd_matrix(gram_matrices(series))[0])
+        modes, _ = charmatrix._series_fit(series, floor)
         for mode, res in zip(modes, report.results):
             est = p_hat(mode.eigenvalue, series, kernel, floor=floor)
             expected = STATUS_AT_EIGENVALUE if floor is None else STATUS_CONVERGED

@@ -47,6 +47,8 @@ REMOVED = [
     ("_Covariance", "specguard.oracle"),
     ("_pointwise", "specguard.variance"),
     ("_variance_half", "specguard.variance"),
+    ("_equil_scale", "specguard.charmatrix"),
+    ("_fit", "specguard.charmatrix"),
 ]
 
 
