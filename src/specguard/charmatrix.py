@@ -10,9 +10,12 @@ applied to small N x N or (N, M) blocks, many times at each point, so this
 module inverts each characteristic matrix once, so that every later solve
 is a matrix product.
 
-Every estimate runs on a whitened working copy of its series, whose
+Every estimate runs in a whitened working basis of its series, whose
 Psi_XX is I, so that scale imbalance between observables (a constant next
-to cubed state variables) never reaches a solve.  The rcond of Psi_XX is
+to cubed state variables) never reaches a solve.  The basis keeps R, not
+the whitened rows: its readers take them in row blocks, each whitened as
+it is read from the series' own rows (:class:`_WorkingBasis`), so a series
+holds its samples once.  The rcond of Psi_XX is
 the reciprocal 2-norm condition number of ``D^{-1/2} Psi_XX D^{-1/2}``
 (``D = diag(Psi_XX)``), whose one ``eigh`` gives the basis; the rcond at a
 point is the exact ``1 / (||A||_1 ||A^{-1}||_1)`` of C(lam), from its inverse.
@@ -31,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IllConditionedGramError, InsufficientDataError, NumericError, ShapeError
-from .ingest import SnapshotSeries
+from .ingest import SnapshotSeries, _Memo, _row_blocks
 
 __all__ = [
     "GramPair",
@@ -83,18 +86,19 @@ class GramPair:
 
 
 def gram_matrices(series: SnapshotSeries) -> GramPair:
-    """Compute (1/M) sum a_m a_m^*, (1/M) sum a_m b_m^* from snapshots."""
+    """Compute (1/M) sum a_m a_m^*, (1/M) sum a_m b_m^* from snapshots, a block of rows at a time."""
     if series.M < 2:
         raise InsufficientDataError(
             f"Gram matrices need at least 2 snapshot pairs, got {series.M}"
         )
-    a, b = series.a, series.b
-    psi_xx = a.T @ a.conj() / series.M
-    psi_xy = a.T @ b.conj() / series.M
-    return GramPair(psi_xx, psi_xy)
+    psi_xx = psi_xy = 0.0
+    for _, a, b in _row_blocks(series):
+        psi_xx += a.T @ a.conj()
+        psi_xy += a.T @ b.conj()
+    return GramPair(psi_xx / series.M, psi_xy / series.M)
 
 
-def _series_gram(series: SnapshotSeries) -> GramPair:
+def _series_gram(series) -> GramPair:
     """The series' Gram pair, computed on first use and kept with the series."""
     return series._memo.get_or_build("gram", lambda: gram_matrices(series))
 
@@ -201,7 +205,7 @@ def char_contexts(gram: GramPair, lams, floor: float | None = None) -> tuple[np.
     """Invert C(lam) at each point of ``lams`` for repeated solves there.
 
     All points are done in one pass, C(lam) as given (an estimate's Gram pair
-    is its working copy's); ``floor`` overrides the default ``rcond_floor(N)``
+    is its working basis'); ``floor`` overrides the default ``rcond_floor(N)``
     singularity threshold.  Returns the stacks ``(lams, c_hat, inv, rcond,
     singular)``, one entry per point: the points, C(lam), C(lam)^{-1}, the
     exact reciprocal 1-norm condition number, and the flags set where rcond
@@ -255,18 +259,40 @@ def eigensystem(k_hat: np.ndarray) -> list[EigenMode]:
     return modes
 
 
-def _working(series: SnapshotSeries, floor: float | None = None) -> tuple[SnapshotSeries, float]:
-    """The series' whitened working copy, which every estimate reads, and the rcond of Psi_XX.
+class _WorkingBasis:
+    """A series in its whitened working basis: what every estimate reads.
 
-    Rows ``a R`` and ``b R`` with R = conj(W) of :func:`_whitening`: Psi_XX
-    is I to round-off, and a real series stays real.  Made once, kept with
-    the series; raises IllConditionedGramError where Psi_XX is singular under ``floor``.
+    Its rows are ``a R`` and ``b R`` with R = conj(W) of :func:`_whitening`,
+    so its Psi_XX is I to round-off, and a real series stays real.  It keeps
+    R, not those rows: :meth:`_rows` whitens a block of the series' own
+    read-only rows as it is read, and it has no ``a`` or ``b``, so a reader
+    that bypasses the block reader fails.  It holds the series' arrays, not
+    the series, whose memo keeps it; its own memo keeps its Gram pair, EDMD
+    fit and real iid covariance.
     """
 
-    def whiten() -> tuple[SnapshotSeries, float]:
+    def __init__(self, series: SnapshotSeries, r: np.ndarray) -> None:
+        r.setflags(write=False)
+        self._a, self._b, self._r = series.a, series.b, r
+        self.M, self.N = series.M, series.N
+        self.sampling_kind, self.dt = series.sampling_kind, series.dt
+        self._memo = _Memo()
+
+    def _rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows start..stop-1 of a R and b R."""
+        return self._a[start:stop] @ self._r, self._b[start:stop] @ self._r
+
+
+def _working(series: SnapshotSeries, floor: float | None = None) -> tuple[_WorkingBasis, float]:
+    """The series' whitened working basis, which every estimate reads, and the rcond of Psi_XX.
+
+    Made once, kept with the series; raises IllConditionedGramError where
+    Psi_XX is singular under ``floor``.
+    """
+
+    def whiten() -> tuple[_WorkingBasis, float]:
         w, rcond = _whitening(_series_gram(series).psi_xx)
-        a, b = series.a @ w.conj(), series.b @ w.conj()
-        return SnapshotSeries._adopt(a, b, series.sampling_kind, series.dt), rcond
+        return _WorkingBasis(series, w.conj()), rcond
 
     work, rcond = series._memo.get_or_build("work", whiten)
     _check_gram(rcond, series.N, floor)
@@ -276,7 +302,7 @@ def _working(series: SnapshotSeries, floor: float | None = None) -> tuple[Snapsh
 def _series_fit(
     series: SnapshotSeries, floor: float | None = None
 ) -> tuple[list[EigenMode], float]:
-    """The working copy's EDMD modes, fit once whatever the floor, and the rcond of Psi_XX."""
+    """The working basis' EDMD modes, fit once whatever the floor, and the rcond of Psi_XX."""
     work, rcond = _working(series, floor)
     modes = work._memo.get_or_build("fit", lambda: eigensystem(edmd_matrix(_series_gram(work))[0]))
     return modes, rcond

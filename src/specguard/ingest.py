@@ -44,6 +44,8 @@ __all__ = [
 CSV_MAGIC = "# specguard-snapshots v1"
 JSON_SCHEMA = "specguard/v1/snapshots"
 _CSV_BLOCK = 256    # rows per CSV write: no text or copy of a whole series is held
+#: rows per block wherever an estimate reads a series (:func:`_row_blocks`).
+_ROW_BLOCK = 512
 
 
 def monomial_exponents(max_degree: int, state_dim: int) -> list[tuple[int, ...]]:
@@ -121,9 +123,10 @@ class _Memo:
     Each entry is built on first use, under one BLAS thread so that its
     bits do not depend on the caller's thread settings, and lives as long
     as the series.  The keys in use are "gram" (the Gram pair), "work"
-    (the whitened working copy that estimates read, with the rcond of
-    Psi_XX), "fit" (a working copy's EDMD modes) and "real_iid" (the real
-    iid covariance with its fourth-moment tensor).
+    (the whitened working basis that estimates read, in row blocks, with
+    the rcond of Psi_XX; it keeps R = conj(W) and a memo of its own, never
+    the whitened rows), "fit" (a working basis' EDMD modes) and "real_iid"
+    (the real iid covariance with its fourth-moment tensor).
     """
 
     def __init__(self) -> None:
@@ -153,7 +156,10 @@ class SnapshotSeries:
     owns (a caller's array is copied, never frozen; the arrays that
     specguard's own loaders and builders allocate are stored once, not
     copied), and the data statistics that estimates share are computed
-    once, in ``_memo``.
+    once, in ``_memo``.  Estimates read rows only through ``_rows``, a
+    block at a time (:func:`_row_blocks`); so does the whitened working
+    basis that the memo keeps, which holds no rows of its own, so a series
+    holds its samples once.
     """
 
     a: np.ndarray
@@ -214,6 +220,21 @@ class SnapshotSeries:
     @property
     def N(self) -> int:
         return self.a.shape[1]
+
+    def _rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows start..stop-1 of a and b, as read-only views."""
+        return self.a[start:stop], self.b[start:stop]
+
+
+def _row_blocks(series, extra: int = 0):
+    """``(size, a, b)`` for each block of ``_ROW_BLOCK`` rows of a series or working basis.
+
+    ``a`` and ``b`` hold the block's ``size`` rows and the (up to) ``extra``
+    rows after it, as ``series._rows`` reads them; nothing grows with M.
+    """
+    for start in range(0, series.M, _ROW_BLOCK):
+        a, b = series._rows(start, start + _ROW_BLOCK + extra)
+        yield min(_ROW_BLOCK, series.M - start), a, b
 
 
 class _Rows(list):

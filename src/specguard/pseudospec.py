@@ -302,7 +302,7 @@ def _batch_s(
 
 
 def _inverse_at(series: SnapshotSeries, lam: complex, op: str) -> tuple:
-    """The working copy and its ``(lams, c_hat, inv)`` at ``lam``, where ``op`` must be defined."""
+    """The working basis and its ``(lams, c_hat, inv)`` at ``lam``, where ``op`` must be defined."""
     work, _ = _working(series)
     lams, c_hat, c_inv, rcond, singular = char_contexts(_series_gram(work), [lam])
     if singular[0]:
@@ -405,7 +405,8 @@ def p_hat(
     :mod:`specguard._blas`).
 
     The data work that depends on the series alone is done once per
-    series and shared by every later estimate on it: the working copy, its
+    series and shared by every later estimate on it: the working basis
+    (R, not the whitened rows, which are read in row blocks), its
     Gram matrices and, for the iid kernel on a real series, the
     fourth-moment tensor of its real-arithmetic covariance (see
     :mod:`specguard.variance`).  The result does not depend on which

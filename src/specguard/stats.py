@@ -202,7 +202,7 @@ def spectrum_test(
     A kernel window that does not fit the sample raises before the fit,
     even though at-eigenvalue points never apply the kernel.  The fit and
     the estimates run with BLAS on one thread (see :mod:`specguard._blas`)
-    on the series' whitened working copy; the fit is the series' memoised
+    in the series' whitened working basis; the fit is the series' memoised
     one (``charmatrix._series_fit``); the estimates at all eigenvalues
     are one batch, whose characteristic matrices are inverted in one call.
     A level in ``alphas`` outside (0, 1] raises before the fit too.

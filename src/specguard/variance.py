@@ -24,14 +24,17 @@ given, and returns V itself for stacks of W; `_centred` composes it from
 a route's P.  The kernel's lag weights choose the route: one with no
 weight past lag 0 is the iid kernel (`KernelSpec.mode`).  The stream,
 `_streamed`, serves every series and kernel: one pass over the series'
-own rows per stack of W, in cache-sized blocks, with no temporary that
-grows with M.  For the iid kernel on real-valued data, which a series
-stores as float64, `_RealIidCovariance` computes P in real arithmetic
-for a whole batch of points at once: U[W] is linear in Re(W) through a
-fourth-moment tensor of the data over upper-triangle pairs, built once
-per series from the M samples, with the pair weights and the 1/M scales
-folded in, and kept with the series, so that a stack of W costs one
-GEMM and no application reads the samples again.  A series whose tensor
+rows per stack of W, in cache-sized blocks, with no temporary that
+grows with M.  Every reader here, the tensor build and `estimate_tau`
+too, takes rows through the series' block reader (`ingest._row_blocks`),
+so an estimate's working basis is read in row blocks, each whitened as
+it is read, and never held whole.  For the iid kernel on real-valued
+data, which a series stores as float64, `_RealIidCovariance` computes P
+in real arithmetic for a whole batch of points at once: U[W] is linear
+in Re(W) through a fourth-moment tensor of the data over upper-triangle
+pairs, built once per series from the M samples, with the pair weights
+and the 1/M scales folded in, and kept with the series, so that a stack
+of W costs one GEMM and no application reads the samples again.  A series whose tensor
 would be too large to build takes the stream.  `variance_apply` is the
 stream at one ``lam``, and `variance_apply_naive` a reference that
 materializes the centered snapshot matrices; the routes agree with it to
@@ -50,7 +53,7 @@ import numpy as np
 
 from .charmatrix import _char_matrix, _series_gram
 from .errors import ShapeError, UnstableKernelError, WindowTooLargeError
-from .ingest import SnapshotSeries
+from .ingest import _ROW_BLOCK, SnapshotSeries, _row_blocks
 
 __all__ = [
     "KernelSpec",
@@ -238,9 +241,9 @@ def estimate_tau(series: SnapshotSeries, lam: complex = 1.0) -> float:
     As t_m = u_m^* C v_m sum to M ||C||^2, M r(l) = Re[sum_m (u_{m+l}^* u_m)
     (v_m^* v_{m+l}) + sum_{m < l} t_m + sum_{m >= M-l} t_m] - (M + l) ||C||^2.
     The t-sums read the first and last max_lag rows, and the products the
-    series' rows, ``_RealIidCovariance.BLOCK`` and the max_lag after them
-    at a time: nothing grows with M, and a real series at a real ``lam``
-    stays real.
+    series' row blocks (:func:`~specguard.ingest._row_blocks`) with the
+    max_lag rows after each: nothing grows with M, and a real series at a
+    real ``lam`` stays real.
     """
     m = series.M
     if m < 2:
@@ -251,18 +254,15 @@ def estimate_tau(series: SnapshotSeries, lam: complex = 1.0) -> float:
 
     lags = np.arange(max_lag + 1)
     r = -(m + lags) * cnorm2
-    for rows in (slice(0, max_lag), m - 1 - lags[:-1]):    # the first and the last max_lag rows
-        u = series.a[rows]
-        t = np.einsum("mi,mi->m", u.conj(), (np.conj(lam) * u - series.b[rows]) @ c_hat.T)
+    head, tail = series._rows(0, max_lag), series._rows(m - max_lag, m)
+    for u, b in (head, (x[::-1] for x in tail)):    # the first and the last max_lag rows
+        t = np.einsum("mi,mi->m", u.conj(), (np.conj(lam) * u - b) @ c_hat.T)
         r[1:] += np.cumsum(t.real)
-    step = _RealIidCovariance.BLOCK
-    for start in range(0, m, step):
-        stop = min(start + step, m)
-        u = series.a[start : stop + max_lag]    # u_m = a_m and v_m = conj(lam) a_m - b_m
-        v = np.conj(lam) * u - series.b[start : stop + max_lag]
+    for size, u, b in _row_blocks(series, max_lag):
+        v = np.conj(lam) * u - b    # u_m = a_m and v_m = conj(lam) a_m - b_m
         u_h, v_h = u.conj(), v.conj()
         for lag in lags:
-            n_rows = max(min(stop - start, len(u) - lag), 0)
+            n_rows = max(min(size, len(u) - lag), 0)
             alpha = np.einsum("mi,mi->m", u_h[lag : lag + n_rows], u[:n_rows])
             beta = np.einsum("mi,mi->m", v_h[:n_rows], v[lag : lag + n_rows])
             r[lag] += (alpha @ beta).real
@@ -330,17 +330,20 @@ def _sample_factors(series: SnapshotSeries, lam: complex) -> tuple[np.ndarray, n
 
     Each sample contributes C_m = u_m v_m^* with u_m = a_m and
     v_m = conj(lam) a_m - b_m.  Returns u and v as C-contiguous (N, M)
-    complex arrays, column m for sample m.
+    complex arrays, column m for sample m: the materialised rows of the
+    reference paths, read in one piece.
     """
-    ut = np.ascontiguousarray(series.a.T, dtype=complex)
+    a, b = series._rows(0, series.M)
+    ut = np.ascontiguousarray(a.T, dtype=complex)
     vt = np.conj(lam) * ut
-    vt -= series.b.T
+    vt -= b.T
     return ut, vt
 
 
-def _is_real(series: SnapshotSeries) -> bool:
-    """True for a real-valued series, which :class:`SnapshotSeries` stores as float64."""
-    return series.a.dtype.kind == "f"
+def _is_real(series) -> bool:
+    """True for a real-valued series, which :class:`SnapshotSeries` stores as float64
+    and its working basis reads as float64."""
+    return series._rows(0, 0)[0].dtype.kind == "f"
 
 
 def _check_window(kernel: KernelSpec, m_samples: int) -> None:
@@ -400,8 +403,9 @@ class _RealIidCovariance:
         T = sum_m (a_m (x) a_m)_packed (z_m (x) z_m)_packed^T,
 
     an (N(N+1)/2, N(2N+1)) real matrix that depends on the data alone.
-    Construction reads ``BLOCK`` rows of the series' own float64 a and b
-    at a time into one (2N, ``BLOCK``) buffer of z columns, builds T from
+    Construction reads the series' float64 row blocks
+    (:func:`~specguard.ingest._row_blocks`) into one (2N, ``_ROW_BLOCK``)
+    buffer of z columns, builds T from
     Khatri-Rao products of these blocks and scales its rows and columns
     once (a diagonal pair of r counts R_ii twice; the pairs of X take
     ``scale``); it keeps no reference to the samples.  So every stack of W
@@ -414,8 +418,6 @@ class _RealIidCovariance:
     same X from :func:`_streamed`, in one pass over the samples per stack.
     """
 
-    #: rows per block, for the tensor build and the stream of :func:`_streamed` alike.
-    BLOCK = 512
     #: largest Khatri-Rao block, in float64 entries (8 MB).
     MAX_BLOCK_ENTRIES = 1 << 20
 
@@ -443,7 +445,7 @@ class _RealIidCovariance:
         self.symmetric = symmetric.ravel()
         #: the scales of the packed pairs of X: 1/2M for X_aa and X_bb, 1/M for X_ab.
         self.scale = np.where((rows < n) & (cols >= n), 1.0, 0.5) / self.m
-        self.block = min(self.BLOCK, self.m)
+        self.block = min(_ROW_BLOCK, self.m)
         self.tensor = self._build_tensor(series)
         self.tensor *= np.where(rows[:n_aa] == cols[:n_aa], 0.5, 1.0)[:, np.newaxis]
         self.tensor *= self.scale
@@ -452,7 +454,7 @@ class _RealIidCovariance:
     def applies(cls, series: SnapshotSeries, kernel: KernelSpec) -> bool:
         """True for the iid kernel on a real-valued series (see :func:`_is_real`) whose
         Khatri-Rao block of N(2N+1) packed pairs fits in ``MAX_BLOCK_ENTRIES``."""
-        block = min(cls.BLOCK, series.M) * series.N * (2 * series.N + 1)
+        block = min(_ROW_BLOCK, series.M) * series.N * (2 * series.N + 1)
         return kernel.mode == "iid" and _is_real(series) and block <= cls.MAX_BLOCK_ENTRIES
 
     @classmethod
@@ -468,11 +470,11 @@ class _RealIidCovariance:
         n, tensor = self.n, None
         z_buf = np.empty((2 * n, self.block))
         kr_buf = np.empty((len(self.scale), self.block))
-        for start in range(0, self.m, self.block):
-            zb = z_buf[:, : min(self.block, self.m - start)]
-            zb[:n] = series.a[start : start + self.block].T
-            zb[n:] = series.b[start : start + self.block].T
-            kr = kr_buf[:, : zb.shape[1]]
+        for size, a, b in _row_blocks(series):
+            zb = z_buf[:, :size]
+            zb[:n] = a.T
+            zb[n:] = b.T
+            kr = kr_buf[:, :size]
             pos = 0
             for i, j0, j1 in self.runs:
                 np.multiply(zb[i], zb[j0:j1], out=kr[pos : pos + j1 - j0])
@@ -525,8 +527,9 @@ def _streamed(series: SnapshotSeries, kernel: KernelSpec) -> _Binder:
     this reduces to the single-lag estimator
     (1/M) sum (u_m^* Q u_m) v_m v_m^* - C^* Q C.
 
-    Each stack of W walks the series' own rows, ``_RealIidCovariance.BLOCK``
-    rows and the Lt rows after them at a time, and takes each point in turn
+    Each stack of W walks the series' row blocks
+    (:func:`~specguard.ingest._row_blocks`), each with the Lt rows after
+    it, and takes each point in turn
     while the block is in cache: per lag one row-wise quadratic form and one
     accumulate, then one (N, b) x (b, N) product.  The boundary terms, the
     only part of P that reads C, read the first and last Lt rows.  A real
@@ -536,21 +539,18 @@ def _streamed(series: SnapshotSeries, kernel: KernelSpec) -> _Binder:
     P = kt(0) (|lam|^2 X_aa + X_bb - 2 conj(lam) X_ab) / M.  No temporary
     grows with M.
     """
-    a, b, m = series.a, series.b, series.M
+    m = series.M
     kt, lt = kernel.tilde_weights(), kernel.half_width
     lags = [(lag, kt[lag]) for lag in range(lt + 1) if kt[lag] != 0.0]
-    step = _RealIidCovariance.BLOCK
-    blocks = [(start, min(start + step, m)) for start in range(0, m, step)]
     # w_j = sum_{l >= j} kt(l) for 1-based j = 1..Lt, and the rows 1..Lt and M..M-Lt+1.
     edge = np.cumsum(kt[::-1])[::-1][1:, np.newaxis]
-    head_a, head_b = a[:lt], b[:lt]
-    tail_a, tail_b = a[m - 1 - np.arange(lt)], b[m - 1 - np.arange(lt)]
+    head_a, head_b = series._rows(0, lt)
+    tail_a, tail_b = (x[::-1] for x in series._rows(m - lt, m))
 
     def real_half(lams: np.ndarray, w: np.ndarray) -> np.ndarray:
         r = np.ascontiguousarray(w.real)
         x_aa, x_ab, x_bb = (np.zeros(r.shape) for _ in range(3))
-        for start, stop in blocks:
-            ab, bb = a[start:stop], b[start:stop]
+        for _, ab, bb in _row_blocks(series):
             for k in range(len(w)):
                 s = np.einsum("mi,mi->m", ab @ r[k], ab)[:, np.newaxis]
                 sb = s * bb
@@ -563,21 +563,21 @@ def _streamed(series: SnapshotSeries, kernel: KernelSpec) -> _Binder:
 
     def complex_half(lams: np.ndarray, c_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
         out = np.zeros(w.shape, dtype=complex)
-        for start, stop in blocks:
+        for size, rows, rows_b in _row_blocks(series, lt):
             # One complex copy of the block for every point: mixed real-complex products are slower.
-            rows, rows_b = np.asarray(a[start : stop + lt], complex), b[start : stop + lt]
+            rows = np.asarray(rows, complex)
             rows_h = rows.conj()
             for k, lam in enumerate(lams):
                 v = np.conj(lam) * rows
                 v -= rows_b
-                qu = rows[: stop - start] @ w[k].T    # row m is (W u_m)^T
+                qu = rows[:size] @ w[k].T    # row m is (W u_m)^T
                 acc = np.zeros_like(qu)
                 for lag, weight in lags:
-                    n_rows = max(min(stop - start, len(rows) - lag), 0)
+                    n_rows = max(min(size, len(rows) - lag), 0)
                     inner = np.einsum("mi,mi->m", rows_h[lag : lag + n_rows], qu[:n_rows])
                     inner *= weight
                     acc[:n_rows] += inner[:, np.newaxis] * v[lag : lag + n_rows]
-                out[k] += acc.T @ v[: stop - start].conj()
+                out[k] += acc.T @ v[:size].conj()
         for k, lam in enumerate(lams if lt else ()):    # the boundary terms of a window
             head_v, tail_v = np.conj(lam) * head_a - head_b, np.conj(lam) * tail_a - tail_b
             out[k] += (head_v * edge).T @ (head_a.conj() @ (w[k] @ c_hat[k]))

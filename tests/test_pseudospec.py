@@ -6,6 +6,7 @@ import gc
 import json
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -76,6 +77,24 @@ def _one_point(series, kernel, lam, settings, start):
     gram = charmatrix._series_gram(work)
     (est,) = pseudospec._estimate_points(gram, v, [lam], settings, starts=[start])
     return est
+
+
+def _sample_arrays(obj, series, seen=None):
+    """Arrays with a dimension of M that ``obj`` holds, through containers, memos and
+    attributes, other than the series' own a and b."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj] if series.M in obj.shape and obj is not series.a and obj is not series.b else []
+    if isinstance(obj, dict):
+        children = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    else:
+        children = vars(obj).values() if hasattr(obj, "__dict__") else ()
+    return [x for child in children for x in _sample_arrays(child, series, seen)]
 
 
 def _congruence_operator(n, seed, terms=4):
@@ -752,6 +771,27 @@ class TestSweepEngine:
         # Once T is built, no sample array, and no copy of one, is held.
         assert covariance.tensor is not None
         assert all(covariance.m not in np.shape(x) for x in vars(covariance).values())
+
+    @pytest.mark.parametrize("kind", ["real", "windowed", "complex"])
+    def test_a_series_holds_its_samples_once(self, kind):
+        # The working basis is read in row blocks, each whitened as it is read:
+        # the first estimate, which builds the Gram pairs, the basis and (real
+        # iid) the tensor, allocates no whitened (M, N) array, and no memo keeps one.
+        rng = np.random.default_rng(72)
+        m, n = 20_000, 10
+        a = rng.normal(size=(m, n)) + (1j * rng.normal(size=(m, n)) if kind == "complex" else 0)
+        b = a @ rng.uniform(-0.3, 0.3, size=(n, n)).T + 0.3 * rng.normal(size=(m, n))
+        series = SnapshotSeries(a, b, "trajectory" if kind == "windowed" else "iid")
+        kernel = KernelSpec.windowed(2, (-0.3,)) if kind == "windowed" else KernelSpec.iid()
+        tracemalloc.start()
+        try:
+            assert p_hat(1.3 + 0.1j, series, kernel).status == STATUS_CONVERGED
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (series.a.nbytes + series.b.nbytes) / 2
+        assert ("real_iid" in charmatrix._working(series)[0]._memo._values) == (kind == "real")
+        assert _sample_arrays(series._memo, series) == []
 
     @pytest.mark.parametrize("kind", ["complex", "windowed"])
     def test_complex_or_windowed_series_never_build_the_tensor(self, kind, monkeypatch):

@@ -16,8 +16,8 @@ from numpy.testing import assert_allclose
 
 from specguard.errors import ShapeError, UnstableKernelError, WindowTooLargeError
 from specguard.charmatrix import _series_gram, char_contexts, gram_matrices
-from specguard.ingest import SnapshotSeries
-from specguard import variance
+from specguard.ingest import _ROW_BLOCK, SnapshotSeries
+from specguard import charmatrix, variance
 from specguard.variance import (
     KernelSpec,
     _covariance,
@@ -400,7 +400,7 @@ def _no_tensor(self, series):
 class TestRealIidCovariance:
     """The real-arithmetic iid V against the materialized reference."""
 
-    BLOCK = _RealIidCovariance.BLOCK
+    BLOCK = _ROW_BLOCK
     M = 2 * BLOCK + 37    # a partial last block
     LAMS = np.array([1.1 + 0.3j, -0.7 + 0.9j, 0.4 - 1.3j])
 
@@ -462,9 +462,9 @@ class TestRealIidCovariance:
         assert not _RealIidCovariance.applies(s, KernelSpec.iid())
         lams = self.LAMS[:1]
         half = _streamed(s, KernelSpec.iid())(lams, char_contexts(gram_matrices(s), lams)[1])
-        # It reads the series' own arrays and holds no (2N, M) copy of them.
+        # It reads the series through its block reader and holds no (2N, M) copy of it.
         held = _closed_over(half)
-        assert any(x is s.a for x in held) and any(x is s.b for x in held)
+        assert any(x is s for x in held)
         assert not _held_copies_of_the_samples(half, s)
         w = _random_psd(10, 44)[np.newaxis]
         tracemalloc.start()
@@ -540,6 +540,36 @@ def test_v_allocates_nothing_of_length_m():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("kind", ["real iid", "windowed", "complex"])
+def test_the_working_basis_read_in_blocks_matches_a_whitened_copy(kind):
+    # Two blocks and a partial one of rows, each whitened as it is read, give
+    # what a materialised whitened copy of the series gives: the Gram pair, the
+    # real iid tensor, and the stream's V (complex: iid kernel, complex rows).
+    m, n = 2 * _ROW_BLOCK + 37, 4
+    rng = np.random.default_rng(62)
+    scales = np.array([1.0, 10.0, 0.1, 3.0])    # a basis that whitening changes
+    a = rng.normal(size=(m, n)) + (1j * rng.normal(size=(m, n)) if kind == "complex" else 0)
+    b = (a @ rng.uniform(-0.5, 0.5, size=(n, n)).T + 0.3 * rng.normal(size=(m, n))) * scales
+    series = SnapshotSeries(a * scales, b, "trajectory")
+    work = charmatrix._working(series)[0]
+    copy = SnapshotSeries(*work._rows(0, m), "trajectory")
+    gram = gram_matrices(work)
+    for got, want in ((gram.psi_xx, copy.a.T @ copy.a.conj()), (gram.psi_xy, copy.a.T @ copy.b.conj())):
+        assert np.linalg.norm(got - want / m) <= 1e-13 * np.linalg.norm(want / m)
+    if kind == "real iid":
+        got, want = _RealIidCovariance(work).tensor, _RealIidCovariance(copy).tensor
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        return
+    kernel = KernelSpec.windowed(3, (-0.4,)) if kind == "windowed" else KernelSpec.iid()
+    assert not _RealIidCovariance.applies(work, kernel)
+    lams = np.array([1.1 + 0.3j, -0.7 + 0.9j])
+    w = np.stack([_random_psd(n, 63 + k) for k in range(len(lams))])
+    fast = _covariance(work, kernel)(lams, char_contexts(gram, lams)[1])(w)
+    for k, lam in enumerate(lams):
+        slow = variance_apply_naive(w[k], lam, copy, kernel).result
+        assert np.linalg.norm(fast[k] - slow) <= 1e-10 * np.linalg.norm(slow)
 
 
 class TestPsdRepairPolicy:
