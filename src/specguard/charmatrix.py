@@ -170,7 +170,7 @@ def _invert_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     N = 1 rcond is exactly 1 unless the matrix is exactly 0.
     """
     anorm = np.abs(mats).sum(axis=1).max(axis=1)
-    if not np.all(np.isfinite(anorm)):
+    if not np.isfinite(anorm).all():
         raise NumericError("cannot invert a matrix with non-finite entries")
     try:
         inv = np.linalg.inv(mats)
@@ -213,6 +213,11 @@ def char_contexts(gram: GramPair, lams, floor: float | None = None) -> tuple[np.
     there (at an exactly singular C the inverse is all NaN), so callers
     branch before using them.
 
+    A batch is real when the Gram pair is real (a real series' working
+    basis) and every point has a zero imaginary part: its points, C(lam)
+    and C(lam)^{-1} are then float64, so that the estimate runs in real
+    arithmetic.  Any other batch is complex128, a real point in it too.
+
     Raises
     ------
     ShapeError
@@ -221,9 +226,11 @@ def char_contexts(gram: GramPair, lams, floor: float | None = None) -> tuple[np.
         If C(lam) overflows at a point.
     """
     lams = np.asarray(lams, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(lams)):
+    if not np.isfinite(lams).all():
         bad = lams[~np.isfinite(lams)][0]
         raise ShapeError(f"spectral point {bad} is not finite")
+    if gram.psi_xx.dtype.kind == "f" and not lams.imag.any():
+        lams = lams.real.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
         c_hat = _char_matrix(gram, lams)
     inv, rcond = _invert_stack(c_hat)
@@ -268,12 +275,14 @@ class _WorkingBasis:
     read-only rows as it is read, and it has no ``a`` or ``b``, so a reader
     that bypasses the block reader fails.  It holds the series' arrays, not
     the series, whose memo keeps it; its own memo keeps its Gram pair, EDMD
-    fit and real iid covariance.
+    fit, real iid covariance and covariance routes.  ``_dtype`` is the
+    dtype of its rows: float64 for a real series.
     """
 
     def __init__(self, series: SnapshotSeries, r: np.ndarray) -> None:
         r.setflags(write=False)
         self._a, self._b, self._r = series.a, series.b, r
+        self._dtype = np.result_type(series.a, r)
         self.M, self.N = series.M, series.N
         self.sampling_kind, self.dt = series.sampling_kind, series.dt
         self._memo = _Memo()

@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
-from typing import Callable, Literal, TypeVar
+from typing import Callable, Hashable, Literal, TypeVar
 
 import numpy as np
 
@@ -125,15 +125,17 @@ class _Memo:
     as the series.  The keys in use are "gram" (the Gram pair), "work"
     (the whitened working basis that estimates read, in row blocks, with
     the rcond of Psi_XX; it keeps R = conj(W) and a memo of its own, never
-    the whitened rows), "fit" (a working basis' EDMD modes) and "real_iid"
-    (the real iid covariance with its fourth-moment tensor).
+    the whitened rows), "fit" (a working basis' EDMD modes), "real_iid"
+    (the real iid covariance with its fourth-moment tensor) and
+    ("route", l_window, mu_list) (a kernel's covariance route on the
+    series: kappa and whether the tensor applies).
     """
 
     def __init__(self) -> None:
-        self._values: dict[str, object] = {}
+        self._values: dict[Hashable, object] = {}
         self._lock = threading.RLock()
 
-    def get_or_build(self, key: str, build: Callable[[], _T]) -> _T:
+    def get_or_build(self, key: Hashable, build: Callable[[], _T]) -> _T:
         """The entry ``key``, from ``build()`` if it is not there yet."""
         with self._lock:
             if key not in self._values:
@@ -220,6 +222,11 @@ class SnapshotSeries:
     @property
     def N(self) -> int:
         return self.a.shape[1]
+
+    @property
+    def _dtype(self) -> np.dtype:
+        """The stored dtype of a and b: float64 for a real series, else complex128."""
+        return self.a.dtype
 
     def _rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows start..stop-1 of a and b, as read-only views."""

@@ -28,6 +28,17 @@ route but the real iid tensor, where it is one GEMM.  What depends on the batch'
 (C^{-*}, C^*, |lam|^2, conj(lam), the series' real iid covariance) is
 bound once and indexed again only when points leave the batch.
 
+A batch is real when the series' working basis is real and every point
+in it is real: :func:`char_contexts` then returns float64 C(lam) and
+C(lam)^{-1}, V binds real points, and the iterates, W, S[Q] and the
+pencil stay float64: no BLAS or LAPACK call works on imaginary parts
+that are exactly zero.  A batch with one complex point, such as a sweep column
+that crosses the real axis, runs in complex arithmetic, as does every
+batch on a complex series.  ``q_final`` is complex128 either way.  What
+an estimate reads from its series and kernel alone (the working basis,
+its Gram pair, the real iid tensor and the covariance route) is built
+once, in the series' memos, not at each call.
+
 Positivity is tested in one place: the pencil's Cholesky factorization of
 S[Q].  An S[Q] that fails it by round-off gets a ridge of 1e-12 tr/N (its
 upper endpoint becomes inf); one that fails it even then ends its point as
@@ -97,7 +108,8 @@ class PEstimate:
     ``lower <= P <= upper`` whenever status is "converged" or "max_iters";
     "at_eigenvalue" pins both endpoints to 0; "degenerate_s" means S[Q]
     stopped being positive definite and only a partial bracket (possibly
-    (0, inf)) is available.  ``q_final`` is in the series' whitened working basis.
+    (0, inf)) is available.  ``q_final`` is in the series' whitened working basis,
+    and is complex128 also when the point's batch ran in real arithmetic.
     """
 
     lower: float
@@ -115,7 +127,8 @@ class PEstimate:
 def _ridged_cholesky(s_of_q: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool, bool]:
     """Cholesky factor of one S[Q], ridged by round-off if needed.
 
-    Returns (factor, s_used, ridged, failed); a failed factor is the identity.
+    Returns (factor, s_used, ridged, failed); a failed factor is the identity,
+    of the dtype of S[Q].
     """
     n = s_of_q.shape[0]
     try:
@@ -124,32 +137,35 @@ def _ridged_cholesky(s_of_q: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool, 
         pass
     ridge = _JITTER_REL * max(float(np.trace(s_of_q).real), 0.0) / n
     if ridge <= 0.0:
-        return np.eye(n, dtype=complex), s_of_q, False, True
+        return np.eye(n, dtype=s_of_q.dtype), s_of_q, False, True
     s_used = s_of_q + ridge * np.eye(n)
     try:
         return np.linalg.cholesky(s_used), s_used, True, False
     except np.linalg.LinAlgError:
-        return np.eye(n, dtype=complex), s_used, True, True
+        return np.eye(n, dtype=s_of_q.dtype), s_used, True, True
 
 
 def _pencil(
     q: np.ndarray, s_of_q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray]:
     """Extreme generalized eigenvalues of Q_k v = sigma S[Q_k] v over a stack.
 
     Returns (sigma_min, sigma_max, ridged, failed, s_used) per matrix.
     When S[Q_k] has no Cholesky factor it is ridged by round-off; sigma_min
     of the ridged pencil is still a lower bound, but sigma_max is not an
     upper one, so it is reported as inf.  ``failed`` marks an S[Q_k] that
-    stays indefinite after the ridge; its endpoints are meaningless.  The
-    Cholesky factorization and eigvalsh read the lower triangle only.
+    stays indefinite after the ridge; its endpoints are meaningless.  When
+    every S[Q_k] factors, ``ridged`` and ``failed`` are None.  The
+    Cholesky factorization and eigvalsh read the lower triangle only, and
+    run in the arithmetic of the stacks: real for real Q and S[Q].
     """
-    ridged = np.zeros(len(q), dtype=bool)
-    failed = np.zeros(len(q), dtype=bool)
-    s_used = s_of_q
     try:
         chol = np.linalg.cholesky(s_of_q)
+        ridged = failed = None
+        s_used = s_of_q
     except np.linalg.LinAlgError:
+        ridged = np.zeros(len(q), dtype=bool)
+        failed = np.zeros(len(q), dtype=bool)
         chol = np.empty_like(s_of_q)
         s_used = s_of_q.copy()
         for k in range(len(q)):
@@ -157,7 +173,7 @@ def _pencil(
     # L^{-1} Q L^{-*} shares the pencil's eigenvalues and is Hermitian.
     chol_inv = np.linalg.inv(chol)
     sig = np.linalg.eigvalsh(chol_inv @ q @ _ct(chol_inv))
-    upper = np.where(ridged, np.inf, sig[:, -1])
+    upper = sig[:, -1] if ridged is None else np.where(ridged, np.inf, sig[:, -1])
     return sig[:, 0], upper, ridged, failed, s_used
 
 
@@ -184,13 +200,15 @@ def _iterate(
     mask; only a step where some point stops finishes points, compacts
     the state to the rest and binds the applier again, so the
     bookkeeping costs scale with these events.  ``history``, for
-    one-point batches, receives every step's (lower, upper).
+    one-point batches, receives every step's (lower, upper).  The
+    iterates keep the dtype of ``q`` and of the S[Q] that ``bind``
+    returns: a real batch iterates in real arithmetic.
 
     ``q_final`` is the trace-one iterate whose pencil produced the returned
-    bracket, so it can seed a warm start at a nearby spectral point; a
-    ``degenerate_s`` point keeps the iterate whose S[Q] failed.
+    bracket, as complex128 whatever the batch's arithmetic, so it can seed
+    a warm start at a nearby spectral point; a ``degenerate_s`` point keeps
+    the iterate whose S[Q] failed.
     """
-    q = np.array(q, dtype=complex)
     out: list[PEstimate | None] = [None] * len(q)
     live = np.arange(len(q))
     apply_s = bind(live)
@@ -200,12 +218,12 @@ def _iterate(
     tol = 1.0 + settings.rel_tol
 
     def finish(mask: np.ndarray, status: str) -> None:
-        for k in np.flatnonzero(mask):
+        for k in mask.nonzero()[0]:
             out[live[k]] = PEstimate(
                 lower=float(lower[k]),
                 upper=float(upper[k]),
                 iterations=iterations,
-                q_final=q[k].copy(),
+                q_final=q[k].astype(complex),
                 status=status,
                 jitter_applied=bool(jitter[k]),
             )
@@ -215,24 +233,30 @@ def _iterate(
             lo, hi, ridged, failed, s_used = _pencil(q, apply_s(q))
             lo = np.maximum(lo, 0.0)
             if history is not None:
-                history.extend(zip(lo[~failed].tolist(), hi[~failed].tolist()))
+                good = slice(None) if failed is None else ~failed
+                history.extend(zip(lo[good].tolist(), hi[good].tolist()))
+            # An S[Q] that factored (ridged or not) has a positive diagonal,
+            # so its trace is positive; only an overflow to inf is left to stop.
             trace = np.trace(s_used, axis1=-2, axis2=-1).real
-            done = (lo > 0.0) & (hi / lo <= tol)
-            stop = failed | done | ~((trace > 0.0) & (trace < np.inf))
-            if stop.any():
+            bad = trace == np.inf
+            if failed is not None:
                 # A failed point keeps the bracket of its last good step.
-                finish(failed, STATUS_DEGENERATE_S)
-                lower, upper, jitter = lo, hi, jitter | ridged
-                finish(done & ~failed, STATUS_CONVERGED)
-                finish(stop & ~(failed | done), STATUS_DEGENERATE_S)
+                lo, hi = np.where(failed, lower, lo), np.where(failed, upper, hi)
+                jitter = jitter | (ridged & ~failed)
+                bad |= failed
+            lower, upper = lo, hi
+            # A live point's last bracket was not tight, so a failed one is not done.
+            done = hi <= tol * lo
+            stop = done | bad
+            if stop.any():
+                finish(done, STATUS_CONVERGED)
+                finish(bad & ~done, STATUS_DEGENERATE_S)
                 keep = ~stop
                 if not keep.any():
                     return out
                 live, lower, upper, jitter = live[keep], lower[keep], upper[keep], jitter[keep]
                 q, s_used, trace = q[keep], s_used[keep], trace[keep]
                 apply_s = bind(live)
-            else:
-                lower, upper, jitter = lo, hi, jitter | ridged
             if iterations == settings.max_iters:
                 break
             q = s_used / trace[:, np.newaxis, np.newaxis]
@@ -350,21 +374,28 @@ def _estimate_points(
     bound only when some point is off the spectrum, so a real iid series
     whose points are all on it builds no tensor.  ``starts[k]`` is
     point k's first iterate, such as a neighbour's ``q_final``; a None
-    entry, or ``starts=None``, means I / N.  Everything runs with BLAS on one thread (see
-    :mod:`specguard._blas`).
+    entry, or ``starts=None``, means I / N.  A real batch (see
+    :func:`char_contexts`) iterates in real arithmetic, from real starts
+    where theirs have no imaginary part.  Everything runs with BLAS on one
+    thread (see :mod:`specguard._blas`).
     """
     if settings is None:
         settings = PowerIterSettings()
     with _blas.single_thread():
         lams, c_hat, c_inv, _, singular = char_contexts(gram, lams, floor)
-        default = np.eye(gram.dim, dtype=complex) / gram.dim
         out: list[PEstimate | None] = [None] * len(lams)
-        for k in np.flatnonzero(singular):
-            out[k] = PEstimate(0.0, 0.0, 0, default.copy(), STATUS_AT_EIGENVALUE)
-        off = np.flatnonzero(~singular)
+        for k in singular.nonzero()[0]:
+            q = np.eye(gram.dim, dtype=complex) / gram.dim
+            out[k] = PEstimate(0.0, 0.0, 0, q, STATUS_AT_EIGENVALUE)
+        off = (~singular).nonzero()[0]
         if len(off):
-            starts = starts or [None] * len(lams)
-            q = np.stack([default if starts[k] is None else starts[k] for k in off])
+            default = np.eye(gram.dim, dtype=c_inv.dtype) / gram.dim
+            if starts is None:
+                q = default[np.newaxis].repeat(len(off), axis=0)
+            else:
+                q = np.stack([default if starts[k] is None else starts[k] for k in off])
+                if c_inv.dtype.kind == "f" and not q.imag.any():
+                    q = q.real
             ests = _iterate(_batch_s(cov, lams[off], c_hat[off], c_inv[off]), q, settings)
             for k, est in zip(off, ests):
                 out[k] = est

@@ -28,7 +28,11 @@ rows per stack of W, in cache-sized blocks, with no temporary that
 grows with M.  Every reader here, the tensor build and `estimate_tau`
 too, takes rows through the series' block reader (`ingest._row_blocks`),
 so an estimate's working basis is read in row blocks, each whitened as
-it is read, and never held whole.  For the iid kernel on real-valued
+it is read, and never held whole.  What V takes from the series and
+kernel alone (the window check, kappa and the route) is kept in the
+series' memo per kernel value, so repeated estimates do not redo it.
+A real batch of points, bound on a real series, gets a real P from
+either route, so its S[Q] is float64.  For the iid kernel on real-valued
 data, which a series stores as float64, `_RealIidCovariance` computes P
 in real arithmetic for a whole batch of points at once: U[W] is linear
 in Re(W) through a fourth-moment tensor of the data over upper-triangle
@@ -342,8 +346,8 @@ def _sample_factors(series: SnapshotSeries, lam: complex) -> tuple[np.ndarray, n
 
 def _is_real(series) -> bool:
     """True for a real-valued series, which :class:`SnapshotSeries` stores as float64
-    and its working basis reads as float64."""
-    return series._rows(0, 0)[0].dtype.kind == "f"
+    and its working basis reads as float64 (their ``_dtype``)."""
+    return series._dtype.kind == "f"
 
 
 def _check_window(kernel: KernelSpec, m_samples: int) -> None:
@@ -532,12 +536,14 @@ def _streamed(series: SnapshotSeries, kernel: KernelSpec) -> _Binder:
     it, and takes each point in turn
     while the block is in cache: per lag one row-wise quadratic form and one
     accumulate, then one (N, b) x (b, N) product.  The boundary terms, the
-    only part of P that reads C, read the first and last Lt rows.  A real
+    only part of P that reads C, read the first and last Lt rows.  Each
+    block is cast once to the result type of the batch's C and W, so a
+    real batch (a real series at real points, from real W) stays real.  A real
     series under the iid kernel, one with no weight past lag 0
-    (:attr:`KernelSpec.mode`), stays real: X = sum_m s_m z_m z_m^T as in
+    (:attr:`KernelSpec.mode`), stays real at every point: X = sum_m s_m z_m z_m^T as in
     :class:`_RealIidCovariance`, s_m = a_m^T Re(W) a_m, and
-    P = kt(0) (|lam|^2 X_aa + X_bb - 2 conj(lam) X_ab) / M.  No temporary
-    grows with M.
+    P = kt(0) (|lam|^2 X_aa + X_bb - 2 conj(lam) X_ab) / M, real at real
+    points.  No temporary grows with M.
     """
     m = series.M
     kt, lt = kernel.tilde_weights(), kernel.half_width
@@ -561,11 +567,13 @@ def _streamed(series: SnapshotSeries, kernel: KernelSpec) -> _Binder:
         p = lam2 * x_aa + x_bb - 2.0 * lams.conj()[:, np.newaxis, np.newaxis] * x_ab
         return (kt[0] / m) * p
 
-    def complex_half(lams: np.ndarray, c_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
-        out = np.zeros(w.shape, dtype=complex)
+    def lagged_half(lams: np.ndarray, c_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
+        dtype = np.result_type(c_hat, w)    # float64 only for a real batch at real W
+        out = np.zeros(w.shape, dtype=dtype)
         for size, rows, rows_b in _row_blocks(series, lt):
-            # One complex copy of the block for every point: mixed real-complex products are slower.
-            rows = np.asarray(rows, complex)
+            # One copy of the block in the batch's type for every point: mixed
+            # real-complex products are slower.
+            rows = np.asarray(rows, dtype)
             rows_h = rows.conj()
             for k, lam in enumerate(lams):
                 v = np.conj(lam) * rows
@@ -586,7 +594,7 @@ def _streamed(series: SnapshotSeries, kernel: KernelSpec) -> _Binder:
 
     if kernel.mode == "iid" and _is_real(series):
         return lambda lams, c_hat: lambda w: real_half(lams, w)
-    return lambda lams, c_hat: lambda w: complex_half(lams, c_hat, w)
+    return lambda lams, c_hat: lambda w: lagged_half(lams, c_hat, w)
 
 
 def _centred(halves: _Binder, kappa: float) -> _Binder:
@@ -607,6 +615,15 @@ def _centred(halves: _Binder, kappa: float) -> _Binder:
     return bind
 
 
+def _route(series: SnapshotSeries, kernel: KernelSpec) -> tuple[float, bool]:
+    """What V takes from the series and kernel alone: kappa, and whether the tensor applies.
+
+    Checks the kernel window first.
+    """
+    _check_window(kernel, series.M)
+    return _kappa(kernel, series.M), _RealIidCovariance.applies(series, kernel)
+
+
 def _covariance(series: SnapshotSeries, kernel: KernelSpec) -> _Binder:
     """V for one series and kernel, stateless from one batch of points to the next.
 
@@ -616,11 +633,14 @@ def _covariance(series: SnapshotSeries, kernel: KernelSpec) -> _Binder:
     looked up in its memo when a batch is bound, so that the tensor is
     built at the first off-spectrum batch and shared by every later
     estimate; every other series or kernel takes the stream
-    :func:`_streamed`.  The kernel window is checked at once.
+    :func:`_streamed`.  The kernel window is checked at once.  The window
+    check, kappa and the route (:func:`_route`) are made once per series
+    and kernel value, (l_window, mu_list), and kept in the series' memo as
+    plain values, so an equal kernel built anew reuses them.
     """
-    _check_window(kernel, series.M)
-    kappa = _kappa(kernel, series.M)
-    if _RealIidCovariance.applies(series, kernel):
+    key = ("route", kernel.l_window, kernel.mu_list)
+    kappa, tensor = series._memo.get_or_build(key, lambda: _route(series, kernel))
+    if tensor:
         return _centred(lambda lams, c_hat: _RealIidCovariance.of(series).bind(lams, c_hat), kappa)
     return _centred(_streamed(series, kernel), kappa)
 

@@ -235,6 +235,11 @@ class TestCharContext:
         assert _one_point(g, 1.1 + 0.2j, floor=2 * rcond)[4]
 
 
+def _complex(g: GramPair) -> GramPair:
+    """``g`` as complex128: its one-point calls are complex batches, real points included."""
+    return GramPair(g.psi_xx.astype(complex), g.psi_xy.astype(complex))
+
+
 def _same_point(stacks, k: int, want: tuple) -> None:
     """Point k of the stacks of char_contexts equals a one-point call's, bit for bit."""
     lams, c_hat, inv, rcond, singular = stacks
@@ -283,20 +288,37 @@ class TestCharContexts:
             edmd_matrix(g, floor=floor)
 
     def test_scalar_case(self):
+        # A real point in a complex batch is complex, as in a complex one-point call.
         a = np.ones((4, 1)) * 2.0
         g = gram_matrices(SnapshotSeries(a, a, "iid"))
         lams = [0.5, 1.0, 1.5 + 1j]
         stacks = char_contexts(g, lams)
         assert stacks[3].tolist() == [1.0, 0.0, 1.0]
         for k, lam in enumerate(lams):
-            _same_point(stacks, k, _one_point(g, lam))
+            _same_point(stacks, k, _one_point(_complex(g), lam))
 
     def test_all_zero_gram(self):
         g = GramPair(np.zeros((3, 3)), np.zeros((3, 3)))
         stacks = char_contexts(g, [0.5, 2j])
         assert list(zip(stacks[3].tolist(), stacks[4].tolist())) == [(0.0, True), (0.0, True)]
         for k, lam in enumerate([0.5, 2j]):
+            _same_point(stacks, k, _one_point(_complex(g), lam))
+
+    def test_a_real_batch_is_real(self):
+        # A real Gram pair at real points gives float64 stacks, each point a
+        # real one-point call's; one complex point, or a complex Gram pair,
+        # makes the whole batch complex.
+        rng = np.random.default_rng(21)
+        g = gram_matrices(SnapshotSeries(rng.normal(size=(80, 4)), rng.normal(size=(80, 4)), "iid"))
+        lams = [0.3, -1.1, 2.0]
+        stacks = char_contexts(g, lams)
+        assert [x.dtype for x in stacks[:3]] == [np.dtype(float)] * 3
+        for k, lam in enumerate(lams):
             _same_point(stacks, k, _one_point(g, lam))
+            inv = _one_point(_complex(g), lam)[2]
+            assert np.linalg.norm(stacks[2][k] - inv) <= 1e-12 * np.linalg.norm(inv)
+        for mixed, gram in (([*lams, 1j], g), (lams, _complex(g))):
+            assert [x.dtype for x in char_contexts(gram, mixed)[:3]] == [np.dtype(complex)] * 3
 
     @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf), -np.inf])
     def test_non_finite_point_rejected(self, bad):

@@ -114,7 +114,7 @@ def _congruence_operator(n, seed, terms=4):
 def _bracket(q: np.ndarray, s_of_q: np.ndarray) -> tuple[float, float]:
     """The pencil's (lower, upper) for one pair, on one-point stacks; S[Q] must factor."""
     lo, hi, _, failed, _ = _pencil(np.asarray(q, complex)[None], np.asarray(s_of_q, complex)[None])
-    assert not failed[0]
+    assert failed is None or not failed[0]
     return float(lo[0]), float(hi[0])
 
 
@@ -158,11 +158,19 @@ def _half_by_the_expansion(q, ut, vt, c_hat, kernel):
 
 
 class TestBracket:
+    @pytest.mark.filterwarnings("error")
     def test_an_indefinite_s_fails_the_pencil(self):
-        # Positive trace, so the round-off ridge is tried, and fails.
-        s = np.diag([2.0, -1.0]).astype(complex)
-        _, _, ridged, failed, _ = _pencil(np.eye(2, dtype=complex)[None] / 2, s[None])
-        assert failed[0] and ridged[0]
+        # Positive trace, so the round-off ridge is tried, and fails; a real
+        # batch's failed factor is a real identity.
+        for dtype in (complex, float):
+            s = np.diag([2.0, -1.0]).astype(dtype)
+            _, _, ridged, failed, s_used = _pencil(np.eye(2, dtype=dtype)[None] / 2, s[None])
+            assert failed[0] and ridged[0]
+            assert s_used.dtype == dtype
+
+    def test_a_factored_stack_allocates_no_flags(self):
+        _, _, ridged, failed, _ = _pencil(np.eye(2)[None] / 2, np.eye(2)[None])
+        assert ridged is None and failed is None
 
     def test_fixed_direction_collapses(self):
         s = _random_psd(3, 1)
@@ -262,6 +270,22 @@ class TestPowerIterate:
         est = power_iterate(lambda q: -q, dim=2)
         assert est.status == STATUS_DEGENERATE_S
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["float", "complex"])
+    def test_a_batch_degenerates_in_its_own_arithmetic(self, dtype):
+        # A zero S[Q] has no positive trace, so no ridge: the point ends
+        # degenerate_s at step 1, its neighbour converges, and both q_final
+        # are complex128.
+        n = 2
+        q = np.stack([np.eye(n, dtype=dtype) / n] * 2)
+        scale = np.array([0.0, 2.5])[:, np.newaxis, np.newaxis]
+        zero, conv = pseudospec._iterate(lambda live: lambda q: scale[live] * q, q, PowerIterSettings())
+        assert (zero.status, zero.iterations, zero.lower, zero.upper) == (
+            STATUS_DEGENERATE_S, 1, 0.0, float("inf")
+        )
+        assert (conv.status, conv.iterations) == (STATUS_CONVERGED, 1)
+        assert zero.q_final.dtype == conv.q_final.dtype == complex
+
     def test_ridged_step_reports_no_upper_bound(self):
         # A rank-one S[Q] has no Cholesky factor until ridged; the ridged
         # pencil's sigma_max undercuts the true one, so it is no bound.
@@ -283,15 +307,19 @@ class TestPowerIterate:
         assert est.upper == float("inf") and est.lower > 0.0
         assert est.jitter_applied
 
-    def test_ridge_in_a_batch_leaves_the_other_points_alone(self):
-        u = np.array([1.0, 1.0j])
-        q = np.stack([np.eye(2, dtype=complex) / 2, _random_psd(2, 3)])
-        s = np.stack([np.outer(u, u.conj()), _random_psd(2, 4)])
-        lo, hi, ridged, failed, _ = _pencil(q, s)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["float", "complex"])
+    def test_ridge_in_a_batch_leaves_the_other_points_alone(self, dtype):
+        # The real batch stays real: its ridged stack holds no complex identity.
+        u = np.array([1.0, 1.0j if dtype is complex else 1.0])
+        psd = _random_psd if dtype is complex else lambda n, seed: _random_psd(n, seed).real
+        q = np.stack([np.eye(2, dtype=dtype) / 2, psd(2, 3)])
+        s = np.stack([np.outer(u, u.conj()), psd(2, 4)])
+        lo, hi, ridged, failed, s_used = _pencil(q, s)
         assert ridged.tolist() == [True, False] and not failed.any()
-        assert hi[0] == float("inf")
-        alone = _bracket(q[1], s[1])
-        assert (lo[1], hi[1]) == alone
+        assert hi[0] == float("inf") and s_used.dtype == dtype
+        alone = _pencil(q[1:], s[1:])
+        assert (lo[1], hi[1]) == (alone[0][0], alone[1][0])
 
     def test_a_mixed_batch_gives_each_point_its_lone_estimate(self):
         """Points that leave one batch at different steps, in different ways, match their lone runs."""
@@ -1018,3 +1046,92 @@ class TestSweepEngine:
         assert calls == []
         res = sweep(GridSpec(1.1, 1.5, 2, -0.2, 0.2, 2), tiny, kernel)
         assert len(calls) == res.iterations.sum() > 0
+
+
+class TestRealBatches:
+    """A real point on a real series runs in real arithmetic, and repeats no set-up."""
+
+    @staticmethod
+    def _data(kind):
+        """A real series and kernel for the real iid tensor, the stream's real lag-0 form
+        (N = 32, past the tensor's block limit) or the windowed stream."""
+        rng = np.random.default_rng(73)
+        m, n = 600, (32 if kind == "stream" else 4)
+        t = rng.uniform(-0.6, 0.6, size=(n, n)) / np.sqrt(n)
+        a = rng.normal(size=(m, n))
+        b = a @ t.T + 0.3 * rng.normal(size=(m, n))
+        if kind == "windowed":
+            return SnapshotSeries(a, b, "trajectory"), KernelSpec.windowed(2, (-0.3,))
+        return SnapshotSeries(a, b, "iid"), KernelSpec.iid()
+
+    @pytest.mark.parametrize("kind", ["tensor", "stream", "windowed"])
+    @pytest.mark.parametrize("lam", [1.3, -1.3])
+    def test_a_real_point_runs_in_real_arithmetic(self, kind, lam, monkeypatch):
+        series, kernel = self._data(kind)
+        work = charmatrix._working(series)[0]
+        assert _RealIidCovariance.applies(work, kernel) == (kind == "tensor")
+        a = series.a.astype(complex)
+        a[7, 1] += 1e-300j
+        tiny = SnapshotSeries(a, series.b, series.sampling_kind)
+        settings = PowerIterSettings(rel_tol=1e-3)
+        ref = p_hat(lam, tiny, kernel, settings)
+        calls = []
+        for name in ("cholesky", "inv", "eigvalsh"):
+            def real_only(x, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                assert np.asarray(x).dtype == np.float64, _name
+                calls.append(_name)
+                return _fn(x, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, real_only)
+        est = p_hat(lam, series, kernel, settings)
+        monkeypatch.undo()
+        assert set(calls) == {"cholesky", "inv", "eigvalsh"}
+        assert est.status == ref.status == STATUS_CONVERGED
+        assert est.iterations == ref.iterations
+        assert_allclose([est.lower, est.upper], [ref.lower, ref.upper], rtol=1e-12, atol=0)
+        assert est.q_final.dtype == ref.q_final.dtype == complex
+        assert not est.q_final.imag.any()
+
+    def test_a_real_sweep_row_warm_starts_in_real_arithmetic(self, monkeypatch):
+        # A one-row grid on the real axis is one real batch per column; each
+        # cell starts from its converged left neighbour's complex128 q_final,
+        # whose zero imaginary part the real batch drops.
+        series, kernel = self._data("tensor")
+        settings = PowerIterSettings(rel_tol=1e-3)
+        eigvalsh = np.linalg.eigvalsh
+
+        def real_only(x, *args, **kwargs):
+            assert x.dtype == np.float64
+            return eigvalsh(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", real_only)
+        res = sweep(GridSpec(1.2, 1.6, 4, 0.0, 0.0, 1), series, kernel, settings)
+        monkeypatch.undo()
+        assert res.iterations.sum() > 4
+        warm = None
+        for j in range(4):
+            est = _one_point(series, kernel, res.point(0, j), settings, warm)
+            assert res.status[0, j] == est.status == STATUS_CONVERGED
+            assert (res.lower[0, j], res.upper[0, j]) == (est.lower, est.upper)
+            assert res.iterations[0, j] == est.iterations
+            warm = est.q_final
+
+    @pytest.mark.parametrize("kind", ["tensor", "windowed"])
+    def test_an_equal_kernel_rebuilds_nothing_kernel_dependent(self, kind, monkeypatch):
+        series, kernel = self._data(kind)
+        first = p_hat(1.3 + 0.1j, series, kernel)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("kernel-dependent set-up rebuilt")
+
+        monkeypatch.setattr(variance, "_kappa", forbidden)
+        monkeypatch.setattr(variance, "_check_window", forbidden)
+        monkeypatch.setattr(_RealIidCovariance, "applies", forbidden)
+        equal = KernelSpec(kernel.l_window, kernel.mu_list)
+        assert equal is not kernel
+        again = p_hat(1.3 + 0.1j, series, equal)
+        assert (again.lower, again.upper, again.iterations, again.status) == (
+            first.lower, first.upper, first.iterations, first.status
+        )
+        with pytest.raises(AssertionError, match="rebuilt"):
+            p_hat(1.3 + 0.1j, series, KernelSpec.windowed(3))
