@@ -1,4 +1,4 @@
-"""One BLAS thread inside each certified estimate, restored on exit.
+"""One BLAS thread inside each certified estimate, and the engine's LAPACK calls.
 
 The power iteration chains N x N and (N, M) BLAS/LAPACK calls with N of
 order ten; at that size OpenBLAS's default of one thread per core spends
@@ -9,6 +9,14 @@ platforms without ``/proc/self/maps``, are left alone.
 
 The copies are discovered once, at the first entry into a scope; a copy
 mapped in later (by importing scipy after that, say) is not governed.
+
+:func:`cholesky`, :func:`inv` and :func:`eigvalsh`, the LAPACK calls of
+each iteration step, call the gufuncs that ``np.linalg`` runs, so results
+are ``np.linalg``'s to the bit, without its wrapper: on a 10 x 10 matrix
+that costs more than LAPACK, and it raises for a whole stack when one
+matrix fails.  Such a matrix comes back all NaN and flagged in ``failed``,
+which reads its last entry.  A failure raises the floating-point invalid
+flag, so callers hold one ``np.errstate`` over their calls.
 """
 
 from __future__ import annotations
@@ -18,6 +26,9 @@ import ctypes
 import os
 import threading
 from typing import Iterator
+
+import numpy as np
+from numpy.linalg import _umath_linalg
 
 #: (getter, setter) pairs, tried in order on each mapped OpenBLAS file:
 #: numpy's ``libscipy_openblas64_``, scipy's ``libscipy_openblas``, and a
@@ -84,3 +95,25 @@ def single_thread() -> Iterator[None]:
             if _depth == 0:
                 for (_, set_), count in zip(_libraries, _saved):
                     set_(count)
+
+
+def cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a stack, read from its lower triangles, and ``failed``.
+
+    OpenBLAS factors past a NaN pivot, but any NaN in a factor reaches its
+    last diagonal entry, so ``failed`` marks it too.
+    """
+    out = _umath_linalg.cholesky_lo(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
+    return out, np.isnan(out[..., -1, -1])
+
+
+def inv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack, and ``failed``: the matrices LAPACK found exactly singular."""
+    out = _umath_linalg.inv(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
+    return out, np.isnan(out[..., -1, -1])
+
+
+def eigvalsh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of a stack, read from its lower triangles, and ``failed``."""
+    out = _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+    return out, np.isnan(out[..., -1])

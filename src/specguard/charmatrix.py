@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _blas
 from .errors import IllConditionedGramError, InsufficientDataError, NumericError, ShapeError
 from .ingest import SnapshotSeries, _Memo, _row_blocks
 
@@ -163,30 +164,21 @@ def _invert_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverse and reciprocal 1-norm condition number of each matrix of a stack.
 
     rcond is exact, ``1 / (||A||_1 ||A^{-1}||_1)``, so it never exceeds
-    LAPACK's ``gecon`` estimate.  The stack is inverted in one call; only
-    when that raises (some matrix is exactly singular) is it inverted one
-    matrix at a time, and an exactly singular matrix gets rcond 0 and an
-    inverse of NaNs.  An inverse that overflows also gets rcond 0.  At
+    LAPACK's ``gecon`` estimate.  The stack is inverted in one LAPACK call
+    (:func:`specguard._blas.inv`): an exactly singular matrix comes back
+    as an inverse of NaNs, whose norm gives it rcond 0, and its neighbours
+    keep their inverses.  An inverse that overflows also gets rcond 0.  At
     N = 1 rcond is exactly 1 unless the matrix is exactly 0.
     """
     anorm = np.abs(mats).sum(axis=1).max(axis=1)
     if not np.isfinite(anorm).all():
         raise NumericError("cannot invert a matrix with non-finite entries")
-    try:
-        inv = np.linalg.inv(mats)
-    except np.linalg.LinAlgError:
-        inv = np.full_like(mats, np.nan)
-        for k, mat in enumerate(mats):
-            try:
-                inv[k] = np.linalg.inv(mat)
-            except np.linalg.LinAlgError:
-                pass
-    if mats.shape[1] == 1:
-        return inv, np.where(mats[:, 0, 0] != 0.0, 1.0, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        inv, _ = _blas.inv(mats)
+        if mats.shape[1] == 1:
+            return inv, np.where(mats[:, 0, 0] != 0.0, 1.0, 0.0)
         cond = anorm * np.abs(inv).sum(axis=1).max(axis=1)
-        rcond = np.where(np.isfinite(cond), 1.0 / cond, 0.0)
-    return inv, rcond
+        return inv, np.where(np.isfinite(cond), 1.0 / cond, 0.0)
 
 
 def _is_singular(rcond, n: int, floor: float | None):

@@ -41,8 +41,10 @@ once, in the series' memos, not at each call.
 
 Positivity is tested in one place: the pencil's Cholesky factorization of
 S[Q].  An S[Q] that fails it by round-off gets a ridge of 1e-12 tr/N (its
-upper endpoint becomes inf); one that fails it even then ends its point as
-``degenerate_s``.  V itself repairs nothing.
+upper endpoint becomes inf); one that fails it even then, or whose pencil
+has NaN eigenvalues, ends its point as ``degenerate_s``.  V itself repairs
+nothing.  Each LAPACK call of the pencil takes the whole stack at once
+(:mod:`specguard._blas`) and flags the matrices it fails on.
 """
 
 from __future__ import annotations
@@ -124,57 +126,43 @@ class PEstimate:
         return self.status == STATUS_CONVERGED
 
 
-def _ridged_cholesky(s_of_q: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool, bool]:
-    """Cholesky factor of one S[Q], ridged by round-off if needed.
-
-    Returns (factor, s_used, ridged, failed); a failed factor is the identity,
-    of the dtype of S[Q].
-    """
-    n = s_of_q.shape[0]
-    try:
-        return np.linalg.cholesky(s_of_q), s_of_q, False, False
-    except np.linalg.LinAlgError:
-        pass
-    ridge = _JITTER_REL * max(float(np.trace(s_of_q).real), 0.0) / n
-    if ridge <= 0.0:
-        return np.eye(n, dtype=s_of_q.dtype), s_of_q, False, True
-    s_used = s_of_q + ridge * np.eye(n)
-    try:
-        return np.linalg.cholesky(s_used), s_used, True, False
-    except np.linalg.LinAlgError:
-        return np.eye(n, dtype=s_of_q.dtype), s_used, True, True
-
-
+@np.errstate(all="ignore")
 def _pencil(
     q: np.ndarray, s_of_q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray]:
     """Extreme generalized eigenvalues of Q_k v = sigma S[Q_k] v over a stack.
 
     Returns (sigma_min, sigma_max, ridged, failed, s_used) per matrix.
-    When S[Q_k] has no Cholesky factor it is ridged by round-off; sigma_min
-    of the ridged pencil is still a lower bound, but sigma_max is not an
-    upper one, so it is reported as inf.  ``failed`` marks an S[Q_k] that
-    stays indefinite after the ridge; its endpoints are meaningless.  When
-    every S[Q_k] factors, ``ridged`` and ``failed`` are None.  The
-    Cholesky factorization and eigvalsh read the lower triangle only, and
-    run in the arithmetic of the stacks: real for real Q and S[Q].
+    Each LAPACK call takes the whole stack; only the S[Q_k] with no
+    Cholesky factor are ridged by round-off, 1e-12 tr/N, and factored
+    again, together.  sigma_min of a ridged pencil is still a lower bound,
+    but sigma_max is not an upper one, so it is reported as inf.
+    ``failed`` marks an S[Q_k] with no positive ridge, or still no factor
+    after it (its factor is then the identity), and a pencil with NaN
+    eigenvalues; its endpoints are meaningless.  When no point is ridged
+    or failed, both are None.  The Cholesky factorization and eigvalsh
+    read the lower triangle only, and run in the arithmetic of the stacks:
+    real for real Q and S[Q].
     """
-    try:
-        chol = np.linalg.cholesky(s_of_q)
-        ridged = failed = None
-        s_used = s_of_q
-    except np.linalg.LinAlgError:
-        ridged = np.zeros(len(q), dtype=bool)
-        failed = np.zeros(len(q), dtype=bool)
-        chol = np.empty_like(s_of_q)
+    chol, failed = _blas.cholesky(s_of_q)
+    ridged, s_used = None, s_of_q
+    if np.count_nonzero(failed):
+        n = q.shape[-1]
+        ridge = _JITTER_REL * np.maximum(np.trace(s_of_q, axis1=1, axis2=2).real, 0.0) / n
+        ridged = failed & (ridge > 0.0)
+        k = ridged.nonzero()[0]
         s_used = s_of_q.copy()
-        for k in range(len(q)):
-            chol[k], s_used[k], ridged[k], failed[k] = _ridged_cholesky(s_of_q[k])
+        s_used[k] += ridge[k, np.newaxis, np.newaxis] * np.eye(n)
+        chol[k], failed[k] = _blas.cholesky(s_used[k])
+        chol[failed] = np.eye(n)
     # L^{-1} Q L^{-*} shares the pencil's eigenvalues and is Hermitian.
-    chol_inv = np.linalg.inv(chol)
-    sig = np.linalg.eigvalsh(chol_inv @ q @ _ct(chol_inv))
-    upper = sig[:, -1] if ridged is None else np.where(ridged, np.inf, sig[:, -1])
-    return sig[:, 0], upper, ridged, failed, s_used
+    chol_inv, _ = _blas.inv(chol)
+    sig, nan = _blas.eigvalsh(chol_inv @ q @ _ct(chol_inv))
+    if ridged is None:
+        if not np.count_nonzero(nan):
+            return sig[:, 0], sig[:, -1], None, None, s_used
+        ridged = np.zeros(len(q), dtype=bool)
+    return sig[:, 0], np.where(ridged, np.inf, sig[:, -1]), ridged, failed | nan, s_used
 
 
 #: ``bind(live)``: the applier ``q -> S[Q]`` of the batch points ``live``,

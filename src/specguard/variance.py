@@ -132,26 +132,32 @@ class KernelSpec:
 
     The read-only lag weights derive from them: ``kappa_p`` the deflation
     weights on lags -K..K (K = len(mu_list)), ``kappa_m`` the smoothed
-    weights on lags -(K + l_window)..(K + l_window), and :attr:`mode` reads them.
+    weights on lags -(K + l_window)..(K + l_window), and :attr:`mode` reads
+    them, once.  With no slow mode they are [1.0] and the window itself.
     """
 
     l_window: int                 # L_M, half-width of the smoothing window
     mu_list: tuple[complex, ...]
     kappa_p: np.ndarray = field(init=False)
     kappa_m: np.ndarray = field(init=False)
+    #: ``"iid"`` when no lag but 0 has a nonzero weight (it is then 1), else ``"windowed"``.
+    mode: str = field(init=False)
 
     def __post_init__(self) -> None:
         if self.l_window < 0:
             raise ShapeError(f"l_window must be >= 0, got {self.l_window}")
-        mu_list = tuple(complex(m) for m in self.mu_list)
-        kp = metastability_kernel(mu_list)
-        lags = np.arange(-self.l_window, self.l_window + 1)
-        km = np.convolve(kp, kappa_w(lags / max(self.l_window, 1)))
+        mu_list, lw = tuple(complex(m) for m in self.mu_list), self.l_window
+        kp = metastability_kernel(mu_list) if mu_list else np.ones(1)
+        window = kappa_w(np.arange(-lw, lw + 1) / lw) if lw else np.ones(1)
+        km = np.convolve(kp, window) if mu_list else window
         kp.flags.writeable = False
         km.flags.writeable = False
+        # Some lag but 0 has a weight when more weights than lag 0's are nonzero.
+        mode = "windowed" if np.count_nonzero(km) > (km[len(mu_list) + lw] != 0.0) else "iid"
         object.__setattr__(self, "mu_list", mu_list)
         object.__setattr__(self, "kappa_p", kp)
         object.__setattr__(self, "kappa_m", km)
+        object.__setattr__(self, "mode", mode)
 
     @staticmethod
     def iid() -> "KernelSpec":
@@ -168,11 +174,6 @@ class KernelSpec:
         have no weight past lag 0: they are the iid kernel, on its route.
         """
         return KernelSpec(l_window, tuple(mu_list))
-
-    @property
-    def mode(self) -> str:
-        """``"iid"`` when no lag but 0 has a nonzero weight (it is then 1), else ``"windowed"``."""
-        return "windowed" if np.delete(self.kappa_m, self.half_width).any() else "iid"
 
     @property
     def half_width(self) -> int:
@@ -489,7 +490,8 @@ class _RealIidCovariance:
 
     def second_moments(self, w: np.ndarray) -> np.ndarray:
         """The packed pairs of X of each W of the stack, scaled by ``scale``: (k, N(2N+1))."""
-        r = w.real.reshape(len(w), -1)[:, self.upper_lower]
+        # Taken along the transpose: r stays F-ordered, the layout the GEMM's rounding rests on.
+        r = w.real.reshape(len(w), -1).T.take(self.upper_lower, axis=0).T
         return (r[:, : self.n_aa] + r[:, self.n_aa :]) @ self.tensor
 
     def bind(self, lams: np.ndarray, c_hat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -505,7 +507,7 @@ class _RealIidCovariance:
         def half(w: np.ndarray) -> np.ndarray:
             y = self.second_moments(w)
             p = minus_lam_conj * y[:, n_aa:n_ab]
-            p += (lam2 * y[:, :n_aa] + y[:, n_ab:])[:, self.symmetric]
+            p += (lam2 * y[:, :n_aa] + y[:, n_ab:]).take(self.symmetric, axis=1)
             return p.reshape(w.shape)
 
         return half

@@ -304,6 +304,21 @@ class TestCharContexts:
         for k, lam in enumerate([0.5, 2j]):
             _same_point(stacks, k, _one_point(_complex(g), lam))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["float", "complex"])
+    def test_an_exactly_singular_point_leaves_its_neighbours_alone(self, dtype):
+        # C(0.5) = diag(0, -1.5) is exactly singular: its inverse is NaN and
+        # its rcond 0, the points beside it keep numpy's inverse, and no
+        # warning escapes.
+        g = GramPair(np.eye(2, dtype=dtype), np.diag([0.5, 2.0]).astype(dtype))
+        lams = [0.3, 0.5, 1.0]
+        _, c_hat, inv, rcond, singular = char_contexts(g, lams)
+        assert singular.tolist() == [False, True, False]
+        assert np.isnan(inv[1]).all() and rcond[1] == 0.0
+        for k in (0, 2):
+            assert inv[k].tobytes() == np.linalg.inv(c_hat[k]).tobytes()
+            assert rcond[k] == 1.0 / np.linalg.cond(c_hat[k], 1)
+
     def test_a_real_batch_is_real(self):
         # A real Gram pair at real points gives float64 stacks, each point a
         # real one-point call's; one complex point, or a complex Gram pair,

@@ -39,7 +39,7 @@ from specguard.pseudospec import (
     power_iterate,
     sweep,
 )
-from specguard import charmatrix, pseudospec, stats, variance
+from specguard import _blas, charmatrix, pseudospec, stats, variance
 from specguard.charmatrix import char_contexts
 from specguard.cli import main
 from specguard.variance import (
@@ -320,6 +320,45 @@ class TestPowerIterate:
         assert hi[0] == float("inf") and s_used.dtype == dtype
         alone = _pencil(q[1:], s[1:])
         assert (lo[1], hi[1]) == (alone[0][0], alone[1][0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["float", "complex"])
+    def test_a_nan_in_the_pencil_fails_its_point_alone(self, dtype):
+        # S[Q] factors, but Q holds a NaN, so the pencil L^{-1} Q L^{-*} does:
+        # its eigenvalues are NaN, and the point is failed, not ridged.
+        psd = _random_psd if dtype is complex else lambda n, seed: _random_psd(n, seed).real
+        q = np.stack([np.eye(2, dtype=dtype) / 2, psd(2, 3)])
+        q[0, 0, 1] = np.nan
+        s = np.stack([np.eye(2, dtype=dtype), psd(2, 4)])
+        lo, hi, ridged, failed, _ = _pencil(q, s)
+        assert failed.tolist() == [True, False] and not ridged.any()
+        alone = _pencil(q[1:], s[1:])
+        assert (lo[1], hi[1]) == (alone[0][0], alone[1][0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_nan_s_ends_its_point_degenerate_and_its_neighbour_converges(self):
+        # Point 0's S[Q] holds a NaN above the diagonal, which the Cholesky
+        # factorization does not read: its step 1 is good, the next iterate
+        # holds the NaN, and step 2 fails.  It keeps step 1's finite bracket,
+        # the lone run's first (which hermitizes S[Q]) up to round-off.
+        n = 3
+        congruence = _congruence_operator(n, 4)
+
+        def apply_nan(q):
+            s = congruence(q)
+            s[0, 1] = np.nan
+            return s
+
+        appliers = [apply_nan, lambda q: 2.5 * q]
+        q = np.stack([np.eye(n, dtype=complex) / n] * 2)
+        hist: list = []
+        lone = power_iterate(congruence, n, history=hist)
+        assert lone.iterations > 1
+        bind = lambda live: lambda q: np.stack([appliers[k](x) for k, x in zip(live, q)])
+        nan, conv = pseudospec._iterate(bind, q, PowerIterSettings())
+        assert (nan.status, nan.iterations) == (STATUS_DEGENERATE_S, 2)
+        assert_allclose([nan.lower, nan.upper], hist[0], rtol=1e-12)
+        assert (conv.status, conv.iterations) == (STATUS_CONVERGED, 1)
 
     def test_a_mixed_batch_gives_each_point_its_lone_estimate(self):
         """Points that leave one batch at different steps, in different ways, match their lone runs."""
@@ -1077,12 +1116,12 @@ class TestRealBatches:
         ref = p_hat(lam, tiny, kernel, settings)
         calls = []
         for name in ("cholesky", "inv", "eigvalsh"):
-            def real_only(x, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-                assert np.asarray(x).dtype == np.float64, _name
+            def real_only(x, _name=name, _fn=getattr(_blas, name)):
+                assert x.dtype == np.float64, _name
                 calls.append(_name)
-                return _fn(x, *args, **kwargs)
+                return _fn(x)
 
-            monkeypatch.setattr(np.linalg, name, real_only)
+            monkeypatch.setattr(_blas, name, real_only)
         est = p_hat(lam, series, kernel, settings)
         monkeypatch.undo()
         assert set(calls) == {"cholesky", "inv", "eigvalsh"}
@@ -1098,16 +1137,17 @@ class TestRealBatches:
         # whose zero imaginary part the real batch drops.
         series, kernel = self._data("tensor")
         settings = PowerIterSettings(rel_tol=1e-3)
-        eigvalsh = np.linalg.eigvalsh
+        eigvalsh, calls = _blas.eigvalsh, []
 
-        def real_only(x, *args, **kwargs):
+        def real_only(x):
             assert x.dtype == np.float64
-            return eigvalsh(x, *args, **kwargs)
+            calls.append(len(x))
+            return eigvalsh(x)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", real_only)
+        monkeypatch.setattr(_blas, "eigvalsh", real_only)
         res = sweep(GridSpec(1.2, 1.6, 4, 0.0, 0.0, 1), series, kernel, settings)
         monkeypatch.undo()
-        assert res.iterations.sum() > 4
+        assert sum(calls) == res.iterations.sum() > 4
         warm = None
         for j in range(4):
             est = _one_point(series, kernel, res.point(0, j), settings, warm)

@@ -49,6 +49,7 @@ REMOVED = [
     ("_variance_half", "specguard.variance"),
     ("_equil_scale", "specguard.charmatrix"),
     ("_fit", "specguard.charmatrix"),
+    ("_ridged_cholesky", "specguard.pseudospec"),
 ]
 
 

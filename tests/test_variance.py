@@ -168,6 +168,34 @@ class TestKernelSpec:
         with pytest.raises(ShapeError, match="l_window must be >= 0"):
             KernelSpec(-1, ())
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            KernelSpec.iid(),
+            KernelSpec.windowed(0),
+            KernelSpec.windowed(1),
+            KernelSpec.windowed(5, (-0.6, 0.2 + 0.7j, 0.2 - 0.7j)),
+        ],
+        ids=["iid", "windowed0", "windowed1", "windowed5-mus"],
+    )
+    def test_the_weights_equal_the_general_derivation(self, kernel):
+        # Without slow modes the weights skip the deflation and the
+        # convolution; they must be what the general derivation gives.
+        lw = kernel.l_window
+        kp = metastability_kernel(kernel.mu_list)
+        km = np.convolve(kp, kappa_w(np.arange(-lw, lw + 1) / max(lw, 1)))
+        mode = "windowed" if np.delete(km, kernel.half_width).any() else "iid"
+        assert kernel.kappa_p.tobytes() == kp.tobytes()
+        assert kernel.kappa_m.tobytes() == km.tobytes()
+        assert kernel.mode == mode
+        assert kernel.to_json_dict() == {
+            "mode": mode,
+            "l_window": lw,
+            "mu_list": [{"re": m.real, "im": m.imag} for m in kernel.mu_list],
+            "kappa_p": kp.tolist(),
+            "kappa_m": km.tolist(),
+        }
+
     def test_weight_symmetric(self):
         k = KernelSpec.windowed(4, (-0.5,))
         for lag in range(k.half_width + 2):
